@@ -15,6 +15,11 @@ The hypersingular trace gamma1 DL is reduced by the Maue identity
 (tangential derivatives via the spectral differentiation matrix,
 SL_{n.n'} the single layer weighted by the normals' inner product).
 
+Both are assembled on a grid refined OVERSAMPLE times and projected
+back.  All lambda-independent parts form a per-geometry assembly plan,
+built on the first assembly and freed with the geometry; an assembly
+then evaluates I_0 and K_0 once per node pair, for SL and SL_{n.n'}.
+
 All operator matrices live in *weighted nodal coordinates*: a trace or
 density u on Gamma is represented by the vector (sqrt(w_j) u(q_j)), so
 the Euclidean inner product equals the discrete L2(Gamma) product and
@@ -43,14 +48,14 @@ from .errors import (
     SpectralParameterError,
     TruncationError,
 )
-from .geometry import BoundaryGeometry, ScreenGeometry
+from .geometry import BoundaryGeometry, ScreenGeometry, distance_to_boundary
 from .kernels import (
     EULER_GAMMA,
     SpectralParam,
     _bessel_i0,
+    _k01,
     _radial_dg,
     _radial_g,
-    bessel_k,
 )
 
 logger = logging.getLogger(__name__)
@@ -185,50 +190,91 @@ def trig_diff_matrix(n: int) -> np.ndarray:
     return d
 
 
-def _log_sin_matrix(params: np.ndarray) -> np.ndarray:
-    diff = params[:, None] - params[None, :]
-    mat = 4.0 * np.sin(0.5 * diff) ** 2
-    np.fill_diagonal(mat, 1.0)  # diagonal never used
-    return np.log(mat)
+@dataclass(frozen=True)
+class _AssemblyPlan:
+    """Lambda-independent part of the oversampled Nystrom rule.  Pair
+    values are kept on the strict upper triangle of the refined grid, in
+    the row-major order of ``upper``; R is not bitwise symmetric, so both
+    R[i, j] and R[j, i] are kept."""
+
+    fine: BoundaryGeometry   # the curve refined OVERSAMPLE times
+    prolong: np.ndarray      # isometry, coarse -> fine weighted coordinates
+    upper: np.ndarray        # (nf, nf) mask of the strict upper triangle
+    r: np.ndarray            # |q_i - q_j|
+    logsin: np.ndarray       # log(4 sin^2((tau_i - tau_j)/2))
+    kress_ij: np.ndarray     # R[i, j]
+    kress_ji: np.ndarray     # R[j, i]
+    kress_diag: float        # R[i, i]
+    nn: np.ndarray           # n_i . n_j, as (normals @ normals.T)[i, j]
+    dmat: np.ndarray         # spectral differentiation matrix
+    sqrt_jac: np.ndarray
+    inv_sqrt_jac: np.ndarray
 
 
-def _pairwise_r(nodes: np.ndarray) -> np.ndarray:
-    diff = nodes[:, None, :] - nodes[None, :, :]
-    r = np.linalg.norm(diff, axis=-1)
-    np.fill_diagonal(r, 1.0)  # diagonal handled analytically
-    return r
+def _assembly_plan(geom: BoundaryGeometry) -> _AssemblyPlan:
+    """The geometry's plan, built on its first assembly and kept in the
+    instance ``__dict__`` (hence ``object.__setattr__`` on the frozen
+    dataclass), so it is freed with the geometry."""
+    plan = vars(geom).get("_assembly_plan")
+    if plan is not None:
+        return plan
+    fine = _refined_geometry(geom, OVERSAMPLE)
+    nf = fine.n_nodes
+    upper = np.triu(np.ones((nf, nf), dtype=bool), 1)
+    iu, ju = np.nonzero(upper)
+    interp = _trig_upsample(np.eye(geom.n_nodes), OVERSAMPLE)
+    kress = kress_log_weights(nf)
+    sj = np.sqrt(fine.jacobians)
+    plan = _AssemblyPlan(
+        fine=fine,
+        prolong=np.sqrt(fine.weights)[:, None] * interp / np.sqrt(geom.weights)[None, :],
+        upper=upper,
+        r=np.linalg.norm(fine.nodes[iu] - fine.nodes[ju], axis=-1),
+        logsin=np.log(4.0 * np.sin(0.5 * (fine.params[iu] - fine.params[ju])) ** 2),
+        kress_ij=kress[upper],
+        kress_ji=kress.T[upper],
+        kress_diag=float(kress[0, 0]),
+        nn=(fine.normals @ fine.normals.T)[upper],
+        dmat=trig_diff_matrix(nf),
+        sqrt_jac=sj,
+        inv_sqrt_jac=1.0 / sj,
+    )
+    object.__setattr__(geom, "_assembly_plan", plan)
+    return plan
 
 
-def _sl_core(geom: BoundaryGeometry, lam: SpectralParam, nn_weight: bool) -> np.ndarray:
-    """Symmetric kernel core B with quadrature folded in, no Jacobians.
+def _sl_core(plan: _AssemblyPlan, lam: SpectralParam, nn_weight: bool):
+    """Symmetric kernel cores (B, B_nn) with quadrature folded in.
 
-    The weighted single-layer matrix is J^{1/2} B J^{1/2}; optionally the
-    kernel carries the n(x).n(y) factor needed by the Maue remainder.
+    The weighted single-layer matrix is J^{1/2} B J^{1/2}; B_nn (None
+    unless ``nn_weight``) carries the n(x).n(y) factor of the Maue
+    remainder.  Both come from one kernel pass over the upper triangle.
     """
-    n = geom.n_nodes
     s = lam.sqrt_lam
-    r = _pairwise_r(geom.nodes)
-    z = s * r
-    k0 = bessel_k(0, z)
+    h = TWO_PI / plan.fine.n_nodes
+    z = s * plan.r
     i0 = _bessel_i0(z)
-    logsin = _log_sin_matrix(geom.params)
+    k0 = _k01(0, z, i0)
+
+    def fold(c1, smooth, diag):
+        hc2 = h * (smooth - c1 * plan.logsin)
+        tri = 0.5 * ((plan.kress_ij * c1 + hc2) + (plan.kress_ji * c1 + hc2))
+        core = np.empty(plan.upper.shape)
+        core[plan.upper] = tri
+        core.T[plan.upper] = tri
+        np.fill_diagonal(core, diag)
+        return core
 
     with np.errstate(over="ignore", invalid="ignore"):
         c1 = -(0.25 / np.pi) * i0
         smooth = (0.5 / np.pi) * k0
-        if nn_weight:
-            nn = geom.normals @ geom.normals.T
-            c1 = c1 * nn
-            smooth = smooth * nn
-        np.fill_diagonal(c1, -0.25 / np.pi)
-        c2 = smooth - c1 * logsin
         # coincidence limit of the smooth part (same with or without the
         # normal-normal factor, which tends to 1 quadratically)
-        jac = geom.jacobians
-        np.fill_diagonal(c2, (0.5 / np.pi) * (-np.log(0.5 * s * jac) - EULER_GAMMA))
-
-        core = kress_log_weights(n) * c1 + (TWO_PI / n) * c2
-    return 0.5 * (core + core.T)
+        c2_diag = (0.5 / np.pi) * (-np.log(0.5 * s * plan.fine.jacobians) - EULER_GAMMA)
+        diag = plan.kress_diag * (-0.25 / np.pi) + h * c2_diag
+        core = fold(c1, smooth, diag)
+        core_nn = fold(c1 * plan.nn, smooth * plan.nn, diag) if nn_weight else None
+    return core, core_nn
 
 
 def _refined_geometry(geom: BoundaryGeometry, factor: int) -> BoundaryGeometry:
@@ -264,49 +310,35 @@ def _refined_geometry(geom: BoundaryGeometry, factor: int) -> BoundaryGeometry:
     )
 
 
-def _weighted_prolongation(
-    coarse_weights: np.ndarray, fine_weights: np.ndarray, factor: int
-) -> np.ndarray:
-    """Isometry from coarse to fine weighted nodal coordinates."""
-    n = coarse_weights.shape[0]
-    interp = _trig_upsample(np.eye(n), factor)
-    return (
-        np.sqrt(fine_weights)[:, None] * interp / np.sqrt(coarse_weights)[None, :]
-    )
-
-
-def _weighted_sl(geom: BoundaryGeometry, lam: SpectralParam) -> np.ndarray:
-    core = _sl_core(geom, lam, nn_weight=False)
-    sj = np.sqrt(geom.jacobians)
-    return core * np.outer(sj, sj)
-
-
-def _weighted_dlp(geom: BoundaryGeometry, lam: SpectralParam) -> np.ndarray:
-    core = _sl_core(geom, lam, nn_weight=False)
-    core_nn = _sl_core(geom, lam, nn_weight=True)
-    dmat = trig_diff_matrix(geom.n_nodes)
-    inv_sj = 1.0 / np.sqrt(geom.jacobians)
-    sj = np.sqrt(geom.jacobians)
-    # symmetric already: dmat is antisymmetric and appears on both sides
-    t1 = (inv_sj[:, None] * (dmat @ core @ dmat)) * inv_sj[None, :]
-    t2 = -lam.lam * (sj[:, None] * core_nn * sj[None, :])
-    return t1 + t2
-
-
-def _assemble_projected(geom: BoundaryGeometry, lam: SpectralParam, builder):
-    if OVERSAMPLE > 1:
-        fine = _refined_geometry(geom, OVERSAMPLE)
-        mat_f = builder(fine, lam)
-        p = _weighted_prolongation(geom.weights, fine.weights, OVERSAMPLE)
-        mat = p.T @ mat_f @ p
+def _assemble(geom: BoundaryGeometry, lam: SpectralParam, kind: str) -> BoundaryOperator:
+    """gamma0 SL or (Maue) gamma1 DL on the refined grid, projected back."""
+    if not geom.closed:
+        raise AssemblyError("boundary operator assembly requires a closed curve")
+    if geom.n_nodes < 8:
+        raise AssemblyError("need at least 8 nodes for the splitting rule")
+    plan = _assembly_plan(geom)
+    maue = kind == "gamma1_DL"
+    core, core_nn = _sl_core(plan, lam, nn_weight=maue)
+    sj = plan.sqrt_jac
+    if maue:
+        inv_sj = plan.inv_sqrt_jac
+        # symmetric already: dmat is antisymmetric and appears on both sides
+        t1 = (inv_sj[:, None] * (plan.dmat @ core @ plan.dmat)) * inv_sj[None, :]
+        t2 = -lam.lam * (sj[:, None] * core_nn * sj[None, :])
+        mat_f = t1 + t2
     else:
-        mat = builder(geom, lam)
+        mat_f = core * np.outer(sj, sj)
+    p = plan.prolong
+    mat = p.T @ mat_f @ p
     if not np.all(np.isfinite(mat)):
         raise AssemblyError(
             "operator entries overflowed; sqrt(lambda) * diameter is too "
             "large for double precision at this resolution"
         )
-    return 0.5 * (mat + mat.T)
+    return BoundaryOperator(
+        matrix=0.5 * (mat + mat.T), kind=kind, lam=lam, geom=geom,
+        space_tags=_SPACE_TAGS[kind],
+    )
 
 
 def assemble_gamma0_SL(geom: BoundaryGeometry, lam: SpectralParam) -> BoundaryOperator:
@@ -315,15 +347,7 @@ def assemble_gamma0_SL(geom: BoundaryGeometry, lam: SpectralParam) -> BoundaryOp
     Positive definite for every lambda > 0; spectrally accurate on
     analytic curves thanks to the log-splitting rule.
     """
-    if not geom.closed:
-        raise AssemblyError("single-layer trace assembly requires a closed curve")
-    if geom.n_nodes < 8:
-        raise AssemblyError("need at least 8 nodes for the splitting rule")
-    mat = _assemble_projected(geom, lam, _weighted_sl)
-    return BoundaryOperator(
-        matrix=mat, kind="gamma0_SL", lam=lam, geom=geom,
-        space_tags=_SPACE_TAGS["gamma0_SL"],
-    )
+    return _assemble(geom, lam, "gamma0_SL")
 
 
 def assemble_gamma1_DL(geom: BoundaryGeometry, lam: SpectralParam) -> BoundaryOperator:
@@ -333,15 +357,7 @@ def assemble_gamma1_DL(geom: BoundaryGeometry, lam: SpectralParam) -> BoundaryOp
     plus the lambda-weighted normal-normal single layer.  Negative
     definite for lambda > 0.
     """
-    if not geom.closed:
-        raise AssemblyError("hypersingular assembly requires a closed curve")
-    if geom.n_nodes < 8:
-        raise AssemblyError("need at least 8 nodes for the splitting rule")
-    mat = _assemble_projected(geom, lam, _weighted_dlp)
-    return BoundaryOperator(
-        matrix=mat, kind="gamma1_DL", lam=lam, geom=geom,
-        space_tags=_SPACE_TAGS["gamma1_DL"],
-    )
+    return _assemble(geom, lam, "gamma1_DL")
 
 
 # ----------------------------------------------------------------------
@@ -368,30 +384,24 @@ def assemble_M(
         raise SpectralParameterError(
             f"lambda {lam.lam} must exceed the condition's bound {bc.lambda_bound}"
         )
-    if bc.kind == "D":
-        base = assemble_gamma0_SL(geom, lam)
-        mat = -base.matrix
-        kind = "M_D"
-    elif bc.kind == "N":
-        base = assemble_gamma1_DL(geom, lam)
-        mat = -base.matrix
-        kind = "M_N"
-    elif bc.kind == "alpha":
-        alpha = bc.resolve_coefficient(geom)
-        if np.any(np.abs(alpha) < 1e-14):
+    if bc.kind in ("alpha", "theta"):
+        coef = bc.resolve_coefficient(geom)
+    if bc.kind == "alpha":
+        if np.any(np.abs(coef) < 1e-14):
             raise CoefficientError("alpha has (numerically) zero nodal values")
         if bc.screen is not None:
-            active = alpha[bc.screen.active_mask]
+            active = coef[bc.screen.active_mask]
             if np.any(active > 0) and np.any(active < 0):
                 raise CoefficientError("alpha must have constant sign on a screen")
-        base = assemble_gamma0_SL(geom, lam)
-        mat = -(np.diag(1.0 / alpha) + base.matrix)
-        kind = "M_alpha"
+    single_layer = bc.kind in ("D", "alpha")
+    base = (assemble_gamma0_SL if single_layer else assemble_gamma1_DL)(geom, lam).matrix
+    if bc.kind in ("D", "N"):
+        mat = -base
+    elif bc.kind == "alpha":
+        mat = -(np.diag(1.0 / coef) + base)
     else:  # theta
-        theta = bc.resolve_coefficient(geom)
-        base = assemble_gamma1_DL(geom, lam)
-        mat = np.diag(theta) - base.matrix
-        kind = "M_theta"
+        mat = np.diag(coef) - base
+    kind = "M_" + bc.kind
 
     op = BoundaryOperator(
         matrix=0.5 * (mat + mat.T), kind=kind, lam=lam, geom=geom,
@@ -533,21 +543,6 @@ def _trig_upsample(values: np.ndarray, factor: int) -> np.ndarray:
     return np.real(np.fft.ifft(out, axis=0)) * factor
 
 
-def _fine_quadrature(geom: BoundaryGeometry, density: np.ndarray, factor: int):
-    """Upsampled nodes/normals/weights/density for near-boundary targets."""
-    nf = geom.n_nodes * factor
-    nodes = _trig_upsample(geom.nodes, factor)
-    spec = np.fft.fft(nodes, axis=0)
-    k = np.fft.fftfreq(nf, d=1.0 / nf)
-    k[nf // 2] = 0.0
-    tangents = np.real(np.fft.ifft(1j * k[:, None] * spec, axis=0))
-    jac = np.linalg.norm(tangents, axis=1)
-    normals = np.stack([tangents[:, 1], -tangents[:, 0]], axis=1) / jac[:, None]
-    weights = (TWO_PI / nf) * jac
-    dens = _trig_upsample(np.asarray(density, dtype=float), factor)
-    return nodes, normals, weights, dens
-
-
 def evaluate_potential(
     geom: BoundaryGeometry,
     kind: str,
@@ -569,49 +564,44 @@ def evaluate_potential(
         raise DomainError("density must be a full nodal vector")
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
 
-    dists = np.min(
-        np.linalg.norm(targets[:, None, :] - geom.nodes[None, :, :], axis=-1), axis=1
-    )
+    dists = distance_to_boundary(geom, targets)
     if np.any(dists <= 0.0):
         raise DomainError("targets must be strictly off-surface")
     spacing = float(np.max(geom.weights))
     near = dists < 2.0 * spacing
 
-    def quad(nodes, normals, weights, dens, tgt):
-        diff = tgt[:, None, :] - nodes[None, :, :]    # (m, n, 2)
-        r = np.linalg.norm(diff, axis=-1)
-        if kind == "SL":
-            ker = _radial_g(2, lam.sqrt_lam, r)
-        else:
-            # d/dn_y g = g'(r) * (y - x) . n_y / r
-            proj = -np.einsum("mnk,nk->mn", diff, normals) / r
-            ker = _radial_dg(2, lam.sqrt_lam, r) * proj
-        return ker @ (weights * dens)
-
     out = np.empty(targets.shape[0])
     far = ~near
     if np.any(far):
-        out[far] = quad(geom.nodes, geom.normals, geom.weights, density, targets[far])
+        out[far] = _layer_sum(kind, geom, density, targets[far], lam)
     if np.any(near):
         warnings.warn(
             "near-singular potential evaluation; using upsampled quadrature",
             stacklevel=2,
         )
-        fine = _fine_quadrature(geom, density, upsample)
-        out[near] = quad(*fine, targets[near])
+        fine = _refined_geometry(geom, upsample)
+        dens = _trig_upsample(density, upsample)
+        out[near] = _layer_sum(kind, fine, dens, targets[near], lam)
     return out
 
 
-def _normal_derivative_sl(
-    nodes, normals, weights, dens, targets, directions, lam: SpectralParam
-) -> np.ndarray:
-    """Directional derivative of the SL potential at off-surface targets."""
-    diff = targets[:, None, :] - nodes[None, :, :]
+def _layer_sum(kind, src: BoundaryGeometry, dens, targets, lam: SpectralParam, directions=None):
+    """Trapezoid sum of the SL or DL potential of the nodal density
+    ``dens`` on ``src`` at off-surface targets; with ``directions``, the
+    SL potential's derivative along them instead."""
+    diff = targets[:, None, :] - src.nodes[None, :, :]    # (m, n, 2)
     r = np.linalg.norm(diff, axis=-1)
-    # grad_x g = g'(r) (x - y)/r
-    proj = np.einsum("mnk,mk->mn", diff, directions) / r
-    ker = _radial_dg(2, lam.sqrt_lam, r) * proj
-    return ker @ (weights * dens)
+    if directions is not None:
+        # grad_x g = g'(r) (x - y)/r
+        proj = np.einsum("mnk,mk->mn", diff, directions) / r
+        ker = _radial_dg(2, lam.sqrt_lam, r) * proj
+    elif kind == "SL":
+        ker = _radial_g(2, lam.sqrt_lam, r)
+    else:
+        # d/dn_y g = g'(r) * (y - x) . n_y / r
+        proj = -np.einsum("mnk,nk->mn", diff, src.normals) / r
+        ker = _radial_dg(2, lam.sqrt_lam, r) * proj
+    return ker @ (src.weights * dens)
 
 
 def jump_relation_residual(
@@ -635,33 +625,14 @@ def jump_relation_residual(
     scale = geom.perimeter() / TWO_PI
     if h0 is None:
         h0 = 0.05 * scale
-    fine_nodes, fine_normals, fine_weights, fine_dens = _fine_quadrature(
-        geom, density, upsample
-    )
+    fine = _refined_geometry(geom, upsample)
+    fine_dens = _trig_upsample(density, upsample)
+    directions = geom.normals if kind == "SL" else None
 
     def jump(h: float) -> np.ndarray:
-        outer = geom.nodes + h * geom.normals
-        inner = geom.nodes - h * geom.normals
-        if kind == "SL":
-            dplus = _normal_derivative_sl(
-                fine_nodes, fine_normals, fine_weights, fine_dens,
-                outer, geom.normals, lam,
-            )
-            dminus = _normal_derivative_sl(
-                fine_nodes, fine_normals, fine_weights, fine_dens,
-                inner, geom.normals, lam,
-            )
-            return dplus - dminus
-        args = (fine_nodes, fine_normals, fine_weights, fine_dens)
-
-        def dl_at(tgt):
-            diff = tgt[:, None, :] - args[0][None, :, :]
-            r = np.linalg.norm(diff, axis=-1)
-            proj = -np.einsum("mnk,nk->mn", diff, args[1]) / r
-            ker = _radial_dg(2, lam.sqrt_lam, r) * proj
-            return ker @ (args[2] * args[3])
-
-        return dl_at(outer) - dl_at(inner)
+        outer = _layer_sum(kind, fine, fine_dens, geom.nodes + h * geom.normals, lam, directions)
+        inner = _layer_sum(kind, fine, fine_dens, geom.nodes - h * geom.normals, lam, directions)
+        return outer - inner
 
     j1, j2, j4 = jump(h0), jump(0.5 * h0), jump(0.25 * h0)
     d1 = np.linalg.norm(j2 - j1)

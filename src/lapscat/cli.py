@@ -252,7 +252,7 @@ def run_forward(scn: Scenario, out_dir: str | None = None) -> dict:
     geom, _screen, bc, probe, lam, _grid = build_pipeline(scn)
     m_op = boundary_ops.assemble_M(bc, geom, lam)
     report = boundary_ops.sign_check(m_op)
-    f_op = data_operator.assemble_F(bc, geom, probe, lam)
+    f_op = data_operator._data_operator(bc, m_op, probe)
     noise_level = float(scn.noise.get("level", 0.0))
     if noise_level > 0.0:
         f_op = data_operator.add_noise(f_op, noise_level, scn.seed)
@@ -557,10 +557,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    threads = os.environ.get("LAPSCAT_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "selftest":

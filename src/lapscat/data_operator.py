@@ -81,7 +81,12 @@ def assemble_F(
     lam: SpectralParam,
 ) -> DataOperator:
     """Assemble and eigendecompose the data operator F = G M^{-1} G^T."""
-    m_op = assemble_M(bc, geom, lam)
+    return _data_operator(bc, assemble_M(bc, geom, lam), probe)
+
+
+def _data_operator(bc: BoundaryCondition, m_op: BoundaryOperator, probe: ProbeRegion):
+    """F = G M^{-1} G^T from an assembled M of the condition ``bc``."""
+    geom, lam = m_op.geom, m_op.lam
     m_inv = invert_M(m_op)
     active = bc.screen.active_indices if bc.screen is not None else None
     g = radiation_matrix(bc.kind, geom, probe, lam, active)

@@ -352,14 +352,29 @@ def make_grid(bounds, resolution: int) -> EvaluationGrid:
 # predicates
 # ----------------------------------------------------------------------
 
+# points per block of the (m, n, 2) pair arrays below: bounds their size
+_ROW_BLOCK = 512
+
+
+def _by_row_blocks(points, fn) -> np.ndarray:
+    """fn over fixed-size row blocks of the points, one value per point."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    out = np.empty(pts.shape[0])
+    for lo in range(0, pts.shape[0], _ROW_BLOCK):
+        out[lo:lo + _ROW_BLOCK] = fn(pts[lo:lo + _ROW_BLOCK])
+    return out
+
+
 def winding_fraction(geom: BoundaryGeometry, points: np.ndarray) -> np.ndarray:
     """Winding number of the node polygon around each point (vectorized)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    v = geom.nodes[None, :, :] - pts[:, None, :]           # (m, n, 2)
-    v_next = np.roll(v, -1, axis=1)
-    cross = v[:, :, 0] * v_next[:, :, 1] - v[:, :, 1] * v_next[:, :, 0]
-    dot = np.einsum("mnk,mnk->mn", v, v_next)
-    return np.sum(np.arctan2(cross, dot), axis=1) / TWO_PI
+    def block(pts):
+        v = geom.nodes[None, :, :] - pts[:, None, :]           # (m, n, 2)
+        v_next = np.roll(v, -1, axis=1)
+        cross = v[:, :, 0] * v_next[:, :, 1] - v[:, :, 1] * v_next[:, :, 0]
+        dot = np.einsum("mnk,mnk->mn", v, v_next)
+        return np.sum(np.arctan2(cross, dot), axis=1) / TWO_PI
+
+    return _by_row_blocks(points, block)
 
 
 def contains(geom: BoundaryGeometry, x) -> bool:
@@ -383,9 +398,10 @@ def contains_many(geom: BoundaryGeometry, points: np.ndarray) -> np.ndarray:
 
 def distance_to_boundary(geom: BoundaryGeometry, points: np.ndarray) -> np.ndarray:
     """Distance to the node set (dense-node approximation of dist(x, Gamma))."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    d = np.linalg.norm(pts[:, None, :] - geom.nodes[None, :, :], axis=-1)
-    return d.min(axis=1)
+    def block(pts):
+        return np.linalg.norm(pts[:, None, :] - geom.nodes[None, :, :], axis=-1).min(axis=1)
+
+    return _by_row_blocks(points, block)
 
 
 def validate_separation(

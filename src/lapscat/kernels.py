@@ -132,8 +132,8 @@ def _bessel_i1(z: np.ndarray) -> np.ndarray:
                 return 0.5 * z * total
 
 
-def _k0_small(z: np.ndarray) -> np.ndarray:
-    # K_0 = -(log(z/2)+gamma) I_0 + sum_{k>=1} H_k (z^2/4)^k / (k!)^2
+def _k0_small(z: np.ndarray, i0: np.ndarray) -> np.ndarray:
+    # K_0 = -(log(z/2)+gamma) I_0 + sum_{k>=1} H_k (z^2/4)^k / (k!)^2, i0 = I_0(z)
     t = 0.25 * z * z
     term = np.ones_like(t)
     harmonic = 0.0
@@ -142,7 +142,7 @@ def _k0_small(z: np.ndarray) -> np.ndarray:
         term = term * t / (k * k)
         harmonic += 1.0 / k
         tail += harmonic * term
-    return -(np.log(0.5 * z) + EULER_GAMMA) * _bessel_i0(z) + tail
+    return -(np.log(0.5 * z) + EULER_GAMMA) * i0 + tail
 
 
 def _k1_small(z: np.ndarray) -> np.ndarray:
@@ -158,13 +158,17 @@ def _k1_small(z: np.ndarray) -> np.ndarray:
     return 1.0 / z + np.log(0.5 * z) * _bessel_i1(z) - 0.25 * z * tail
 
 
-def _k01(order: int, z: np.ndarray) -> np.ndarray:
+def _k01(order: int, z: np.ndarray, i0: np.ndarray | None = None) -> np.ndarray:
+    """K_0 or K_1 at positive z; ``i0`` (I_0 at z) spares K_0 its own I_0 series."""
     table = _K0_LARGE if order == 0 else _K1_LARGE
     out = np.empty_like(z)
     small = z <= 2.0
     if np.any(small):
         zs = z[small]
-        out[small] = _k0_small(zs) if order == 0 else _k1_small(zs)
+        if order == 1:
+            out[small] = _k1_small(zs)
+        else:
+            out[small] = _k0_small(zs, _bessel_i0(zs) if i0 is None else i0[small])
     if not np.all(small):
         zl = z[~small]
         x = (8.0 / zl - 2.0) * 0.5

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -289,13 +289,21 @@ def sine_family(a: np.ndarray, t: float) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule on [-1, 1], built once per order, read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _gl_panels(t0: float, t1: float, max_width: float, order: int):
     """Composite Gauss-Legendre nodes/weights on [t0, t1]."""
     if t1 <= t0:
         return np.empty(0), np.empty(0)
     n_panels = max(1, int(math.ceil((t1 - t0) / max_width)))
     edges = np.linspace(t0, t1, n_panels + 1)
-    gn, gw = np.polynomial.legendre.leggauss(order)
+    gn, gw = _gauss_legendre(order)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     nodes = (mid + half * gn[None, :]).ravel()

@@ -11,7 +11,9 @@ Two independent confirmations are run live: adaptive quadrature of the
 kernel integral, and a 512-node composite Gauss-Legendre brute force.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -270,6 +272,63 @@ def test_assemble_M_matrix_structure():
     np.testing.assert_allclose(m_alpha.matrix, -(np.eye(32) / 2.0 + sl), atol=1e-15)
     m_theta = assemble_M(BoundaryCondition("theta", coefficient=-0.5), geom, lam)
     np.testing.assert_allclose(m_theta.matrix, -0.5 * np.eye(32) - dl, atol=1e-15)
+
+
+def test_reused_plan_matches_fresh_geometry():
+    # the second assembly on a geometry runs on its cached plan; it must
+    # equal, bit for bit, an assembly on a freshly built copy
+    def build():
+        return make_curve("kite", n_nodes=64, cluster=(0.0, math.pi, 0.6))
+
+    def conditions(geom):
+        return [
+            BoundaryCondition("D"),
+            BoundaryCondition("N"),
+            BoundaryCondition("alpha", coefficient=-0.7),
+            BoundaryCondition("theta", coefficient=1.3),
+            BoundaryCondition("N", screen=make_screen(geom, (0.0, math.pi))),
+        ]
+
+    geom = build()
+    for bc in conditions(geom):
+        assemble_M(bc, geom, SpectralParam(0.5))
+    lam = SpectralParam(3.0)
+    for i, bc in enumerate(conditions(geom)):
+        fresh = build()
+        np.testing.assert_array_equal(
+            assemble_M(bc, geom, lam).matrix,
+            assemble_M(conditions(fresh)[i], fresh, lam).matrix,
+        )
+
+
+def test_assembly_plan_does_not_keep_geometry_alive():
+    geom = make_curve("circle", {"radius": 1.0}, n_nodes=32)
+    assemble_M(BoundaryCondition("N"), geom, SpectralParam(2.0))
+    ref = weakref.ref(geom)
+    del geom
+    gc.collect()
+    assert ref() is None
+
+
+def test_maue_assembly_evaluates_i0_once_per_pair(monkeypatch):
+    import lapscat.boundary_ops as boundary_ops
+    import lapscat.kernels as kernels
+
+    seen = []
+    real_i0 = kernels._bessel_i0
+
+    def counting(z):
+        seen.append(np.size(z))
+        return real_i0(z)
+
+    for module in (kernels, boundary_ops):
+        monkeypatch.setattr(module, "_bessel_i0", counting)
+    geom = make_curve("kite", n_nodes=32)
+    n_f = OVERSAMPLE * geom.n_nodes
+    for lam_val in (0.5, 2.0):
+        seen.clear()
+        assemble_M(BoundaryCondition("N"), geom, SpectralParam(lam_val))
+        assert seen == [n_f * (n_f - 1) // 2]
 
 
 def test_coefficient_resolution_forms():
