@@ -8,197 +8,3 @@ Picard-series and constrained-minimization indicators, and verifies a
 closed-form error bound for time-truncated measurements on spectral
 surrogate models.
 """
-
-from .boundary_ops import (
-    BoundaryCondition,
-    BoundaryOperator,
-    SignReport,
-    assemble_M,
-    assemble_gamma0_SL,
-    assemble_gamma1_DL,
-    compress_to_screen,
-    estimate_lambda_bound,
-    evaluate_potential,
-    gram_identity_residual,
-    invert_M,
-    jump_relation_residual,
-    kress_log_weights,
-    resolvable_lambda_cap,
-    sign_check,
-    trig_diff_matrix,
-)
-from .data_operator import (
-    DataOperator,
-    add_noise,
-    assemble_F,
-    eigendecompose,
-    radiation_matrix,
-    write_matrix_csv,
-    write_spectrum_csv,
-)
-from .errors import (
-    AssemblyError,
-    BoundaryAmbiguityError,
-    CoefficientError,
-    ConstraintError,
-    DegenerateOperatorError,
-    DomainError,
-    GeometryError,
-    InversionError,
-    LapscatError,
-    NumericalError,
-    QuadratureError,
-    ScenarioError,
-    ScreenError,
-    SegmentationError,
-    SingularityError,
-    SpectralParameterError,
-    TruncationError,
-    UnsupportedOrderError,
-    ValidationError,
-)
-from .geometry import (
-    BoundaryGeometry,
-    EvaluationGrid,
-    ProbeRegion,
-    ScreenGeometry,
-    contains,
-    contains_many,
-    distance_to_boundary,
-    make_curve,
-    make_grid,
-    make_probe,
-    make_screen,
-    validate_grid_covers,
-    validate_separation,
-    winding_fraction,
-)
-from .kernels import (
-    SpectralParam,
-    bessel_k,
-    fundamental_solution,
-    fundamental_solution_bessel_form,
-    fundamental_solution_gradient,
-)
-from .reconstruction import (
-    IndicatorGrid,
-    SegmentationResult,
-    TestArc,
-    TestVector,
-    inf_indicator,
-    make_screen_test_vector,
-    make_test_vector,
-    picard_indicator,
-    picard_sum_terms,
-    segment,
-    sweep,
-    write_indicator_csv,
-    write_indicator_pgm,
-    write_metrics_json,
-)
-from .time_domain import (
-    LemmaBound,
-    PulseProfile,
-    SurrogateModel,
-    assemble_F_ideal,
-    assemble_F_truncated,
-    cosine_family,
-    laplace_identity_residual,
-    lemma_bound,
-    make_random_surrogate,
-    pulse_response,
-    sine_family,
-    verify_bound,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AssemblyError",
-    "BoundaryAmbiguityError",
-    "BoundaryCondition",
-    "BoundaryGeometry",
-    "BoundaryOperator",
-    "CoefficientError",
-    "ConstraintError",
-    "DataOperator",
-    "DegenerateOperatorError",
-    "DomainError",
-    "EvaluationGrid",
-    "GeometryError",
-    "IndicatorGrid",
-    "InversionError",
-    "LapscatError",
-    "LemmaBound",
-    "NumericalError",
-    "ProbeRegion",
-    "PulseProfile",
-    "QuadratureError",
-    "ScenarioError",
-    "ScreenError",
-    "ScreenGeometry",
-    "SegmentationError",
-    "SegmentationResult",
-    "SignReport",
-    "SingularityError",
-    "SpectralParam",
-    "SpectralParameterError",
-    "SurrogateModel",
-    "TestArc",
-    "TestVector",
-    "TruncationError",
-    "UnsupportedOrderError",
-    "ValidationError",
-    "add_noise",
-    "assemble_F",
-    "assemble_F_ideal",
-    "assemble_F_truncated",
-    "assemble_M",
-    "assemble_gamma0_SL",
-    "assemble_gamma1_DL",
-    "bessel_k",
-    "compress_to_screen",
-    "contains",
-    "contains_many",
-    "cosine_family",
-    "distance_to_boundary",
-    "eigendecompose",
-    "estimate_lambda_bound",
-    "evaluate_potential",
-    "fundamental_solution",
-    "fundamental_solution_bessel_form",
-    "fundamental_solution_gradient",
-    "gram_identity_residual",
-    "inf_indicator",
-    "invert_M",
-    "jump_relation_residual",
-    "kress_log_weights",
-    "laplace_identity_residual",
-    "lemma_bound",
-    "make_curve",
-    "make_grid",
-    "make_probe",
-    "make_random_surrogate",
-    "make_screen",
-    "make_screen_test_vector",
-    "make_test_vector",
-    "picard_indicator",
-    "picard_sum_terms",
-    "pulse_response",
-    "radiation_matrix",
-    "resolvable_lambda_cap",
-    "segment",
-    "sign_check",
-    "sine_family",
-    "sweep",
-    "trig_diff_matrix",
-    "validate_grid_covers",
-    "validate_separation",
-    "verify_bound",
-    "winding_fraction",
-    "write_indicator_csv",
-    "write_indicator_pgm",
-    "write_matrix_csv",
-    "write_metrics_json",
-    "write_spectrum_csv",
-]

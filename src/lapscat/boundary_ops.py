@@ -692,8 +692,9 @@ def gram_identity_residual(
     def gram_for(u: np.ndarray, area: float) -> np.ndarray:
         n = geom.n_nodes
         out = np.zeros((n, n))
-        for lo in range(0, u.shape[0], 65536):
-            blk = u[lo : lo + 65536]
+        # blocks of volume points bound the (n, block) kernel temporaries
+        for lo in range(0, u.shape[0], 4096):
+            blk = u[lo : lo + 4096]
             d1 = np.linalg.norm(geom.nodes[:, None, :] - blk[None, :, :], axis=-1)
             k_z = _radial_g(2, s1, d1)      # g_{lambda1}(y_j, u)
             k_w = _radial_g(2, s2, d1)      # g_{lambda2}(y_j, u)
@@ -702,10 +703,7 @@ def gram_identity_residual(
 
     # cells near the curve see the kernels' log singularity; refine them
     # with a sub-midpoint rule so the global error stays O(cell^2)
-    dist_curve = np.min(
-        np.linalg.norm(pts[:, None, :] - geom.nodes[None, :, :], axis=-1), axis=1
-    )
-    band = dist_curve <= 2.5 * cell
+    band = distance_to_boundary(geom, pts) <= 2.5 * cell
     inner_mask = (rad <= volume_radius) & ~band
     annulus_mask = (rad > volume_radius) & (rad <= big_radius)
     gram = gram_for(pts[inner_mask], cell * cell)

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 check failure, 2 validation error,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import boundary_ops, data_operator, reconstruction, time_domain
+from . import boundary_ops, data_operator, reconstruction
 from .boundary_ops import BoundaryCondition
 from .errors import (
     LapscatError,
@@ -302,10 +303,8 @@ def _arc_sweep_report(scn, geom, screen, bc, probe, lam, f_op, out):
     mean_in = float(np.mean(inside_vals)) if inside_vals else 0.0
     mean_out = float(np.mean(outside_vals)) if outside_vals else 0.0
     ratio = math.inf if mean_out == 0.0 else mean_in / mean_out
-    import csv as _csv
-
     with open(os.path.join(out, "arcs.csv"), "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["center", "indicator", "inside_screen"])
         for c, w, ins in rows:
             writer.writerow([repr(c), repr(w), int(ins)])
@@ -368,151 +367,28 @@ def run_reconstruct(scn: Scenario, out_dir: str | None = None) -> dict:
 # verify
 # ----------------------------------------------------------------------
 
-def _check_circle_oracle() -> dict:
-    from .selftest import circle_sl_eigenvalue_oracle
-
-    geom = make_curve("circle", {"radius": 1.0}, n_nodes=128)
-    lam = SpectralParam(1.0)
-    op = boundary_ops.assemble_gamma0_SL(geom, lam)
-    worst = 0.0
-    sw = np.sqrt(geom.weights)
-    for m in range(21):
-        v = sw * np.cos(m * geom.params)
-        v /= np.linalg.norm(v)
-        rq = float(v @ op.matrix @ v)
-        exact = float(circle_sl_eigenvalue_oracle(m, 1.0, 1.0))
-        worst = max(worst, abs(rq - exact) / abs(exact))
-    return {"name": "circle_single_layer_oracle", "passed": worst <= 1e-6,
-            "worst_rel_error": worst, "tolerance": 1e-6}
-
-
-def _check_definiteness(inject_fault: str | None) -> dict:
-    expected = {"D": "definite_negative", "N": "definite_positive",
-                "alpha": "definite_negative", "theta": "definite_positive"}
-    failures = []
-    for shape, params in (("circle", {"radius": 1.0}), ("kite", None)):
-        geom = make_curve(shape, params, n_nodes=128)
-        for lam_val in (1.0, 4.0):
-            lam = SpectralParam(lam_val)
-            for kind, coef in (("D", None), ("N", None), ("alpha", 1.0), ("theta", 1.0)):
-                bc = BoundaryCondition(kind=kind, coefficient=coef)
-                op = boundary_ops.assemble_M(bc, geom, lam)
-                matrix = op.matrix
-                if inject_fault == "dl-sign" and kind == "N":
-                    matrix = -matrix
-                rep = boundary_ops.sign_check(
-                    boundary_ops.BoundaryOperator(
-                        matrix=matrix, kind=op.kind, lam=lam, geom=geom
-                    )
-                )
-                if rep.classification != expected[kind]:
-                    failures.append(
-                        f"{shape}/{kind}/lambda={lam_val}: {rep.classification}"
-                    )
-    return {"name": "definiteness_suite", "passed": not failures,
-            "n_cases": 16, "failures": failures}
-
-
-def _check_jump_relation() -> dict:
-    geom = make_curve("circle", {"radius": 1.0}, n_nodes=128)
-    lam = SpectralParam(2.0)
-    t = geom.params
-    worst = 0.0
-    for dens in (np.ones_like(t), np.cos(t), 1.0 + 0.3 * np.sin(2 * t)):
-        worst = max(worst, boundary_ops.jump_relation_residual(geom, lam, dens, "SL"))
-    return {"name": "jump_relation", "passed": worst <= 1e-4,
-            "worst_residual": worst, "tolerance": 1e-4}
-
-
-def _check_gram_identity() -> dict:
-    geom = make_curve("circle", {"radius": 1.0}, n_nodes=128)
-    res = boundary_ops.gram_identity_residual(geom, 1.0, 2.0, 12.0, 200)
-    return {"name": "gram_identity", "passed": res <= 1e-2,
-            "residual": res, "tolerance": 1e-2}
-
-
-def _check_exterior_reproduction() -> dict:
-    from .kernels import fundamental_solution
-
-    worst = {"circle": 0.0, "kite": 0.0}
-    tol = {"circle": 1e-6, "kite": 1e-4}
-    targets = np.array([[2.5, 0.5], [0.0, 3.0], [-2.0, -1.5], [3.0, -0.5]])
-    for shape, params, sources in (
-        ("circle", {"radius": 1.0}, [(0.0, 0.0), (0.4, 0.2), (-0.3, 0.5)]),
-        ("kite", None, [(-0.5, 0.0), (-0.8, 0.4), (-0.2, -0.5)]),
-    ):
-        geom = make_curve(shape, params, n_nodes=256)
-        lam = SpectralParam(2.0)
-        m = boundary_ops.assemble_M(BoundaryCondition(kind="D"), geom, lam)
-        minv = boundary_ops.invert_M(m)
-        sw = np.sqrt(geom.weights)
-        for src in sources:
-            x = np.asarray(src)
-            trace = fundamental_solution(2, lam, x[None, :], geom.nodes)
-            phi = -(minv.matrix @ (sw * trace)) / sw
-            vals = boundary_ops.evaluate_potential(geom, "SL", phi, targets, lam)
-            exact = fundamental_solution(2, lam, x[None, :], targets)
-            rel = float(np.max(np.abs(vals - exact) / np.abs(exact)))
-            worst[shape] = max(worst[shape], rel)
-    passed = worst["circle"] <= tol["circle"] and worst["kite"] <= tol["kite"]
-    return {"name": "exterior_reproduction", "passed": passed,
-            "worst": worst, "tolerance": tol}
-
-
-def _check_time_domain(seed: int) -> dict:
-    pulses = [time_domain.PulseProfile(0.01), time_domain.PulseProfile(0.1)]
-    details = []
-    all_ok = True
-    for i, lam_bound in enumerate((0.0, 1.0)):
-        model = time_domain.make_random_surrogate(24, lam_bound, seed=seed + i)
-        rep = time_domain.verify_bound(model, pulses, [4.0, 25.0], [2.0])
-        all_ok &= rep["all_passed"]
-        details.append({"lambda_bound": lam_bound, "n_failed": rep["n_failed"],
-                        "n_cells": rep["n_cells"]})
-        res = time_domain.laplace_identity_residual(model.a_free, 1.0)
-        all_ok &= res <= 1e-6
-        details.append({"laplace_residual": res})
-        t, tc = 0.3, 1.7
-        ap = model.a_perturbed
-        lhs = time_domain.sine_family(ap, t + tc)
-        rhs = (
-            time_domain.cosine_family(ap, tc) @ time_domain.sine_family(ap, t)
-            + time_domain.sine_family(ap, tc) @ time_domain.cosine_family(ap, t)
-        )
-        add_res = float(np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs))
-        all_ok &= add_res <= 1e-10
-        details.append({"addition_residual": add_res})
-    return {"name": "time_domain_bounds", "passed": bool(all_ok), "details": details}
-
-
 def run_verify(
     scn: Scenario | None = None,
     out_dir: str | None = None,
-    inject_fault: str | None = None,
     seed: int = 0,
 ) -> tuple[dict, bool]:
-    """Diagnostic suite over the operator identities and the time bound."""
-    t0 = time.time()
-    checks = [
-        _check_circle_oracle(),
-        _check_definiteness(inject_fault),
-        _check_jump_relation(),
-        _check_gram_identity(),
-        _check_exterior_reproduction(),
-        _check_time_domain(seed),
-    ]
-    all_passed = all(c["passed"] for c in checks)
+    """Run the full tier of the check registry; write verify_report.json."""
+    from .selftest import run_checks
+
+    t0 = time.perf_counter()
+    checks = run_checks("full", seed=seed)
+    n_failed = sum(not c["passed"] for c in checks)
     report = {
-        "all_passed": all_passed,
+        "all_passed": n_failed == 0,
         "n_checks": len(checks),
-        "n_failed": sum(0 if c["passed"] else 1 for c in checks),
-        "elapsed_seconds": round(time.time() - t0, 3),
+        "n_failed": n_failed,
+        "elapsed_seconds": round(time.perf_counter() - t0, 3),
         "checks": checks,
     }
     out = _outdir(scn, out_dir) if (scn or out_dir) else None
     if out:
         _write_json(os.path.join(out, "verify_report.json"), report)
-    return report, all_passed
+    return report, n_failed == 0
 
 
 def run_selftest() -> tuple[int, int]:
@@ -550,9 +426,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--nodes", type=int, default=None)
             p.add_argument("--seed", type=int, default=None)
             p.add_argument("--out", default=None)
-        if name == "verify":
-            p.add_argument("--inject-fault", choices=("dl-sign",), default=None,
-                           help=argparse.SUPPRESS)
     return parser
 
 
@@ -575,9 +448,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
         # verify
         seed = args.seed if args.seed is not None else (scn.seed if scn else 0)
-        report, ok = run_verify(scn, args.out, args.inject_fault, seed=seed)
-        for check in report["checks"]:
-            print(f"[{'PASS' if check['passed'] else 'FAIL'}] {check['name']}")
+        report, ok = run_verify(scn, args.out, seed=seed)
         print(f"verify: {report['n_checks'] - report['n_failed']}/"
               f"{report['n_checks']} checks passed "
               f"({report['elapsed_seconds']}s)")

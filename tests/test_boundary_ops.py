@@ -13,6 +13,7 @@ kernel integral, and a 512-node composite Gauss-Legendre brute force.
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -436,6 +437,19 @@ def test_gram_identity_residual_small_config():
     assert res < 1e-2
     with pytest.raises(DomainError):
         gram_identity_residual(geom, 1.0, 1.0)
+
+
+def test_gram_identity_peak_memory():
+    # the volume sums run over blocks of points; one (n, all points)
+    # pass peaked at 70 MB on this configuration, the blocks at 25 MB
+    geom = make_curve("circle", {"radius": 1.0}, n_nodes=64)
+    tracemalloc.start()
+    try:
+        gram_identity_residual(geom, 1.0, 2.0, volume_radius=12.0, volume_resolution=120)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def test_exterior_reproduction_from_interior_sources():

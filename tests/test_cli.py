@@ -1,11 +1,13 @@
 """End-to-end tests of the command line: scenarios, artifacts, exit codes."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from lapscat import boundary_ops
 from lapscat.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_NUMERICAL,
@@ -235,7 +237,7 @@ def test_numerical_exit_code_on_overflow(tmp_path, capsys):
     assert "numerical failure:" in capsys.readouterr().err
 
 
-def test_verify_passes_and_detects_injected_fault(tmp_path, capsys):
+def test_verify_passes_and_detects_injected_fault(tmp_path, capsys, monkeypatch):
     out = tmp_path / "verify"
     assert main(["verify", "--out", str(out)]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
@@ -244,8 +246,17 @@ def test_verify_passes_and_detects_injected_fault(tmp_path, capsys):
     assert report["all_passed"] is True
     assert report["n_failed"] == 0
 
+    # the fault: a sign error in the hypersingular operator, so every
+    # Neumann M comes out negative definite
+    assemble_M = boundary_ops.assemble_M
+
+    def negated_neumann(bc, geom, lam):
+        op = assemble_M(bc, geom, lam)
+        return dataclasses.replace(op, matrix=-op.matrix) if bc.kind == "N" else op
+
+    monkeypatch.setattr(boundary_ops, "assemble_M", negated_neumann)
     out2 = tmp_path / "fault"
-    code = main(["verify", "--inject-fault", "dl-sign", "--out", str(out2)])
+    code = main(["verify", "--out", str(out2)])
     assert code == EXIT_CHECK_FAILURE
     lines = capsys.readouterr().out.splitlines()
     assert any(ln.startswith("[FAIL] definiteness_suite") for ln in lines)
