@@ -276,38 +276,27 @@ def run_forward(scn: Scenario, out_dir: str | None = None) -> dict:
     return payload
 
 
-def _arc_sweep_report(scn, geom, screen, bc, probe, lam, f_op, out):
+def _arc_sweep_report(scn, screen, probe, f_op, out):
     """Screen scenarios: indicator per test arc swept along the carrier."""
     block = scn.reconstruction.get("arc_sweep", {})
     arc_len = float(block.get("arc_length", math.pi / 8.0))
     count = int(block.get("count", 32))
-    n_quad = int(block.get("n_quad", 128))
-    arc_shape = block.get("shape", scn.geometry.get("shape"))
-    arc_params = block.get("params", scn.geometry.get("params"))
-    floor = float(scn.spectral.get("truncation_floor", 1e-8))
-    centers = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
-    a0, b0 = screen.endpoint_params
-    rows = []
-    for c in centers:
-        arc = reconstruction.TestArc(
-            arc_shape, arc_params, (c - 0.5 * arc_len, c + 0.5 * arc_len)
-        )
-        tv = reconstruction.make_screen_test_vector(probe, arc, lam, n_quad=n_quad)
-        w = reconstruction.picard_indicator(f_op, tv, truncation_floor=floor)
-        lo = (c - 0.5 * arc_len) % (2.0 * math.pi)
-        hi = lo + arc_len
-        inside = (lo >= a0 - 1e-12) and (hi <= b0 + 1e-12)
-        rows.append((float(c), float(w), bool(inside)))
-    inside_vals = [w for _, w, ins in rows if ins]
-    outside_vals = [w for _, w, ins in rows if not ins]
-    mean_in = float(np.mean(inside_vals)) if inside_vals else 0.0
-    mean_out = float(np.mean(outside_vals)) if outside_vals else 0.0
+    centers, indicators, inside = reconstruction.arc_sweep(
+        f_op, probe,
+        block.get("shape", scn.geometry.get("shape")),
+        block.get("params", scn.geometry.get("params")),
+        screen.endpoint_params, arc_len, count,
+        n_quad=int(block.get("n_quad", 128)),
+        truncation_floor=float(scn.spectral.get("truncation_floor", 1e-8)),
+    )
+    mean_in = float(np.mean(indicators[inside])) if inside.any() else 0.0
+    mean_out = float(np.mean(indicators[~inside])) if not inside.all() else 0.0
     ratio = math.inf if mean_out == 0.0 else mean_in / mean_out
     with open(os.path.join(out, "arcs.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["center", "indicator", "inside_screen"])
-        for c, w, ins in rows:
-            writer.writerow([repr(c), repr(w), int(ins)])
+        for c, w, ins in zip(centers, indicators, inside):
+            writer.writerow([repr(float(c)), repr(float(w)), int(ins)])
     report = {
         "arc_length": arc_len,
         "count": count,
@@ -330,9 +319,7 @@ def run_reconstruct(scn: Scenario, out_dir: str | None = None) -> dict:
 
     summary: dict = {"lambda": lam.lam, "bc_kind": bc.kind}
     if screen is not None:
-        summary["arc_sweep"] = _arc_sweep_report(
-            scn, geom, screen, bc, probe, lam, f_op, out
-        )
+        summary["arc_sweep"] = _arc_sweep_report(scn, screen, probe, f_op, out)
 
     if grid is not None:
         rblock = scn.reconstruction

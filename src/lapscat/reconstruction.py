@@ -5,9 +5,9 @@ vector g_x (the fundamental solution centered at x, sampled on the
 probe): the truncated sum S(x) = sum_k |<g_x, v_k>|^2 / |mu_k| stays
 moderate when x lies inside the scatterer and blows up outside.  The
 reported indicator is W = 1/S, so inside reads as large values.  The
-inf-criterion variant minimizes |<u, F u>| over the affine slice
-<u, g> = 1 of a leading eigenspace; for definite operators the two
-agree through the Lagrange closed form.
+inf-criterion variant, the infimum of |<u, F u>| over the affine slice
+<u, g> = 1 of a leading eigenspace, is a closed form: W itself (the
+Lagrange value) when the retained eigenvalues are one-signed, else 0.
 
 Open screens are probed with arc-integrated test vectors on a
 hypothesized carrier curve; sweeping the arc along the curve separates
@@ -60,10 +60,6 @@ class TestVector:
             raise DomainError("test vector has non-finite entries")
         if np.linalg.norm(v) == 0.0:
             raise DomainError("test vector has zero norm")
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
 
 
 @dataclass(frozen=True)
@@ -167,9 +163,7 @@ def picard_indicator(
     Large values indicate that the test field is (numerically) in the
     range of the propagated operator, i.e. the source point is inside.
     """
-    k = _retained(op, truncation_floor)
-    coeffs = op.eigenvectors[:, :k].T @ g.values
-    s = float(np.sum(coeffs**2 / np.abs(op.eigenvalues[:k])))
+    s = float(np.sum(picard_sum_terms(op, g, truncation_floor)))
     if s == 0.0:
         return math.inf
     return 1.0 / s
@@ -186,14 +180,19 @@ def picard_sum_terms(
     return coeffs**2 / np.abs(op.eigenvalues[:k])
 
 
-def inf_indicator(op: DataOperator, g: TestVector, subspace_k: int | None = None) -> float:
-    """Exact infimum of |<u, F u>| over <u, g> = 1 in a leading eigenspace.
+def _one_signed(mu: np.ndarray) -> bool:
+    return bool(np.all(mu > 0) or np.all(mu < 0))
 
-    The constraint slice is an affine subspace of the span of the first
-    subspace_k eigenvectors; the quadratic form restricted to the slice
-    is diagonalized exactly, so no iterative search is needed.  An
-    indefinite restriction (or a kernel direction with leverage) makes
-    the infimum 0.
+
+def inf_indicator(op: DataOperator, g: TestVector, subspace_k: int | None = None) -> float:
+    """Infimum of |<u, F u>| over <u, g> = 1 in a leading eigenspace.
+
+    In eigen-coordinates c of the first subspace_k eigenvectors the form
+    is Q(c) = sum mu_k c_k^2 on the slice gamma.c = 1, gamma_k = <g, v_k>.
+    One-signed mu give the Lagrange closed form 1 / sum gamma_k^2/|mu_k|,
+    attained at c = mu^{-1} gamma / (gamma^T mu^{-1} gamma).  Mixed signs
+    give 0: Q takes both signs on the (connected) slice, so it vanishes
+    on it.
     """
     if subspace_k is None:
         subspace_k = _retained(op, DEFAULT_TRUNCATION_FLOOR)
@@ -204,39 +203,9 @@ def inf_indicator(op: DataOperator, g: TestVector, subspace_k: int | None = None
     gnorm2 = float(gamma @ gamma)
     if gnorm2 == 0.0 or not np.isfinite(gnorm2):
         raise ConstraintError("test vector orthogonal to the chosen subspace")
-
-    # coordinates c in the eigenbasis: minimize |sum mu_k c_k^2| on gamma.c = 1
-    u0 = gamma / gnorm2
-    if subspace_k == 1:
-        return abs(float(mu[0] * u0[0] * u0[0]))
-
-    # orthonormal basis of the constraint plane's direction space
-    q, _ = np.linalg.qr(
-        np.concatenate([gamma[:, None], np.eye(subspace_k)], axis=1)
-    )
-    z = q[:, 1:subspace_k]
-    qtilde = z.T @ (mu[:, None] * z)
-    b = z.T @ (mu * u0)
-    c0 = float(u0 @ (mu * u0))
-    d, u = np.linalg.eigh(0.5 * (qtilde + qtilde.T))
-    btil = u.T @ b
-    scale = float(np.max(np.abs(d))) if d.size else 0.0
-    tol = 1e-13 * max(scale, 1.0)
-
-    pos = d > tol
-    neg = d < -tol
-    null = ~pos & ~neg
-    if np.any(np.abs(btil[null]) > 1e-13 * max(np.linalg.norm(b), 1.0)):
-        return 0.0  # flat direction with linear leverage: q sweeps all reals
-    if np.any(pos) and np.any(neg):
-        return 0.0  # indefinite restriction: range is all of R
-    active = pos | neg
-    extremum = c0 - float(np.sum(btil[active] ** 2 / d[active]))
-    if np.any(pos):
-        return max(extremum, 0.0)  # range [extremum, inf)
-    if np.any(neg):
-        return max(-extremum, 0.0)  # range (-inf, extremum]
-    return abs(c0)  # form vanishes on the slice directions
+    if not _one_signed(mu):
+        return 0.0
+    return 1.0 / float(np.sum(gamma**2 / np.abs(mu)))
 
 
 def sweep(
@@ -247,13 +216,14 @@ def sweep(
     lam: SpectralParam | None = None,
     dim: int = 2,
     truncation_floor: float = DEFAULT_TRUNCATION_FLOOR,
-    subspace_k: int | None = None,
 ) -> IndicatorGrid:
     """Indicator values over all grid points (vectorized over the grid).
 
     Infinite Picard sentinels (test vector orthogonal to the retained
     span) are reported as the maximum finite value on the grid, keeping
-    the field finite for segmentation and export.
+    the field finite for segmentation and export.  The inf values on
+    the retained block are the Picard values when it is one-signed and
+    0 otherwise (see `inf_indicator`).
     """
     if mode not in ("picard", "inf", "both"):
         raise DomainError(f"unknown sweep mode {mode!r}")
@@ -276,28 +246,42 @@ def sweep(
 
     inf_vals = None
     if mode in ("inf", "both"):
-        kk = subspace_k if subspace_k is not None else k
-        mu = op.eigenvalues[:kk]
-        same_sign = np.all(mu > 0) or np.all(mu < 0)
-        if same_sign:
-            s2 = (coeffs[:, :kk] ** 2 / np.abs(mu)[None, :]).sum(axis=1)
-            with np.errstate(divide="ignore"):
-                inf_vals = np.where(s2 > 0.0, 1.0 / s2, np.inf)
-            fin = np.isfinite(inf_vals)
-            cap = float(inf_vals[fin].max()) if np.any(fin) else 1.0
-            inf_vals = np.where(fin, inf_vals, cap)
-        else:
-            inf_vals = np.empty(grid.points.shape[0])
-            for i in range(grid.points.shape[0]):
-                tv = TestVector(values=ghat[i], lam=lam)
-                try:
-                    inf_vals[i] = inf_indicator(op, tv, kk)
-                except ConstraintError:
-                    inf_vals[i] = 0.0
+        inf_vals = picard.copy() if _one_signed(op.eigenvalues[:k]) else np.zeros_like(picard)
 
     return IndicatorGrid(
         grid=grid, picard_values=picard, inf_values=inf_vals, truncation_k=k
     )
+
+
+def arc_sweep(
+    op: DataOperator,
+    probe: ProbeRegion,
+    shape: str,
+    params: dict | None,
+    interval: tuple[float, float],
+    arc_length: float,
+    count: int,
+    n_quad: int,
+    truncation_floor: float = DEFAULT_TRUNCATION_FLOOR,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Picard indicator of `count` equal test arcs swept around a carrier.
+
+    Arcs of parameter length arc_length are centered at equispaced
+    parameters of [0, 2 pi); an arc is inside when it lies in the
+    parameter interval (a, b) of the screen.  Returns (centers,
+    indicators, inside).
+    """
+    a, b = interval
+    centers = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
+    indicators = np.empty(count)
+    inside = np.empty(count, dtype=bool)
+    for i, c in enumerate(centers):
+        arc = TestArc(shape, params, (c - 0.5 * arc_length, c + 0.5 * arc_length))
+        tv = make_screen_test_vector(probe, arc, op.lam, n_quad=n_quad)
+        indicators[i] = picard_indicator(op, tv, truncation_floor=truncation_floor)
+        lo = (c - 0.5 * arc_length) % (2.0 * math.pi)
+        inside[i] = lo >= a - 1e-12 and lo + arc_length <= b + 1e-12
+    return centers, indicators, inside
 
 
 def _otsu_threshold(values: np.ndarray) -> float:

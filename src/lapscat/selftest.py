@@ -319,12 +319,24 @@ def _check_picard_top_mode():
 
 
 def _check_inf_equals_picard():
+    """The Lagrange point c* = mu^-1 gamma / (gamma^T mu^-1 gamma) in
+    eigen-coordinates is feasible, attains the inf indicator, and no
+    feasible perturbation c* + z (z orthogonal to gamma) undercuts it."""
     geom, probe, lam, f = _circle_data()
     g = rc.make_test_vector(probe, (0.3, 0.2), lam)
-    w1 = rc.picard_indicator(f, g)
-    w2 = rc.inf_indicator(f, g)
-    rel = abs(w1 - w2) / max(w1, 1e-300)
-    return rel < 1e-8, f"series vs constrained-minimum indicator: rel {rel:.1e}"
+    w = rc.inf_indicator(f, g)
+    k = rc._retained(f, rc.DEFAULT_TRUNCATION_FLOOR)
+    mu, gamma = f.eigenvalues[:k], f.eigenvectors[:, :k].T @ g.values
+    c_star = (gamma / mu) / float(gamma @ (gamma / mu))
+    z = np.random.default_rng(0).standard_normal((24, k))
+    z -= np.outer(z @ gamma, gamma) / (gamma @ gamma)
+    z *= (np.logspace(-3, 0, 24) * np.linalg.norm(c_star) / np.linalg.norm(z, axis=1))[:, None]
+    feasible = abs(float(gamma @ c_star) - 1.0)
+    attained = abs(abs(float(mu @ c_star**2)) - w) / w
+    undercut = max(0.0, float(np.max(w - np.abs((c_star + z) ** 2 @ mu))) / w)
+    ok = feasible < 1e-8 and attained < 1e-8 and undercut < 1e-8
+    return ok, (f"Lagrange point: feasibility {feasible:.1e}, attains the inf indicator "
+                f"to rel {attained:.1e}, perturbations undercut it by {undercut:.1e}")
 
 
 def _check_indicator_dichotomy():
@@ -349,15 +361,11 @@ def _check_screen_arc_separation():
     probe = make_probe((0.0, 0.0), 4.0, 48)
     lam = SpectralParam(2.0)
     f = do.assemble_F(bo.BoundaryCondition(kind="D", screen=screen), geom, probe, lam)
-    arc_len = math.pi / 8.0
-    ins, outs = [], []
-    for c in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False):
-        arc = rc.TestArc("circle", {"radius": 1.0}, (c - arc_len / 2, c + arc_len / 2))
-        tv = rc.make_screen_test_vector(probe, arc, lam, n_quad=96)
-        w = rc.picard_indicator(f, tv)
-        lo = (c - arc_len / 2) % (2.0 * math.pi)
-        (ins if lo + arc_len <= math.pi + 1e-12 else outs).append(w)
-    ratio = float(np.mean(ins) / np.mean(outs))
+    _, w, inside = rc.arc_sweep(
+        f, probe, "circle", {"radius": 1.0}, screen.endpoint_params,
+        arc_length=math.pi / 8.0, count=16, n_quad=96,
+    )
+    ratio = float(np.mean(w[inside]) / np.mean(w[~inside]))
     return ratio >= 10.0, f"screen arc separation ratio {ratio:.1f}"
 
 

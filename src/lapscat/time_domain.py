@@ -41,40 +41,6 @@ SYMMETRY_TOL = 1e-12
 # scalar spectral functions (vectorized over eigenvalues)
 # ----------------------------------------------------------------------
 
-def _cos_scalar(a: np.ndarray, t: float) -> np.ndarray:
-    """cos(t sqrt(-a)) for a <= 0, cosh(t sqrt(a)) for a > 0."""
-    a = np.asarray(a, dtype=float)
-    out = np.empty_like(a)
-    neg = a <= 0.0
-    out[neg] = np.cos(t * np.sqrt(-a[neg]))
-    out[~neg] = np.cosh(t * np.sqrt(a[~neg]))
-    return out
-
-
-def _sin_scalar(a: np.ndarray, t: float) -> np.ndarray:
-    """sin(t sqrt(-a))/sqrt(-a), with sinh branch for a > 0 and limit t at 0.
-
-    Near a = 0 the power series t (1 + a t^2/6 + a^2 t^4/120 + ...) avoids
-    the 0/0 cancellation.
-    """
-    a = np.asarray(a, dtype=float)
-    out = np.empty_like(a)
-    x = a * t * t
-    small = np.abs(x) < 1e-6
-    xs = x[small]
-    out[small] = t * (1.0 + xs / 6.0 + xs * xs / 120.0)
-    big = ~small
-    ab = a[big]
-    vals = np.empty_like(ab)
-    neg = ab < 0.0
-    w = np.sqrt(-ab[neg])
-    vals[neg] = np.sin(t * w) / w
-    wp = np.sqrt(ab[~neg])
-    vals[~neg] = np.sinh(t * wp) / wp
-    out[big] = vals
-    return out
-
-
 def _damped_cos(a: np.ndarray, t, s: float) -> np.ndarray:
     """exp(-s t) cos-branch value, overflow-safe for a > 0 (broadcasts a,t)."""
     a = np.asarray(a, dtype=float)
@@ -91,7 +57,8 @@ def _damped_cos(a: np.ndarray, t, s: float) -> np.ndarray:
 
 
 def _damped_sin(a: np.ndarray, t, s: float) -> np.ndarray:
-    """exp(-s t) sin-branch value, overflow-safe for a > 0."""
+    """exp(-s t) sin-branch value, overflow-safe for a > 0; a power series
+    near a = 0 and expm1 for small w t avoid cancellation."""
     a = np.asarray(a, dtype=float)
     t = np.asarray(t, dtype=float)
     a_b, t_b = np.broadcast_arrays(a, t)
@@ -107,9 +74,8 @@ def _damped_sin(a: np.ndarray, t, s: float) -> np.ndarray:
     w = np.sqrt(-a_r[neg])
     vals[neg] = np.exp(-s * t_r[neg]) * np.sin(t_r[neg] * w) / w
     wp = np.sqrt(a_r[~neg])
-    vals[~neg] = (0.5 / wp) * (
-        np.exp((wp - s) * t_r[~neg]) - np.exp(-(wp + s) * t_r[~neg])
-    )
+    tp = t_r[~neg]
+    vals[~neg] = (-0.5 / wp) * np.exp((wp - s) * tp) * np.expm1(-2.0 * wp * tp)
     out[rest] = vals
     return out
 
@@ -207,8 +173,6 @@ class PulseProfile:
     epsilon: float
     kind: str = "bump"
 
-    _BUMP_MASS = None  # class-level cache of the unit-interval bump mass
-
     def __post_init__(self) -> None:
         if self.epsilon <= 0:
             raise ValidationError("pulse width epsilon must be positive")
@@ -223,13 +187,12 @@ class PulseProfile:
         out[inside] = np.exp(-1.0 / (xi * (1.0 - xi)))
         return out
 
-    @classmethod
-    def _bump_mass(cls) -> float:
-        if cls._BUMP_MASS is None:
-            nodes, weights = np.polynomial.legendre.leggauss(200)
-            x = 0.5 * (nodes + 1.0)
-            cls._BUMP_MASS = float(0.5 * np.sum(weights * cls._bump_raw(x)))
-        return cls._BUMP_MASS
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def _bump_mass() -> float:
+        nodes, weights = _gauss_legendre(200)
+        x = 0.5 * (nodes + 1.0)
+        return float(0.5 * np.sum(weights * PulseProfile._bump_raw(x)))
 
     def __call__(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
@@ -239,10 +202,10 @@ class PulseProfile:
         return self._bump_raw(x) / (self.epsilon * self._bump_mass())
 
     def mass(self, n_quad: int = 400) -> float:
-        nodes, weights = np.polynomial.legendre.leggauss(n_quad)
-        s = 0.5 * self.epsilon * (nodes + 1.0)
         if self.kind == "box":
             return 1.0  # exact by construction
+        nodes, weights = _gauss_legendre(n_quad)
+        s = 0.5 * self.epsilon * (nodes + 1.0)
         return float(0.5 * self.epsilon * np.sum(weights * self(s)))
 
 
@@ -265,28 +228,25 @@ class LemmaBound:
 # operator families
 # ----------------------------------------------------------------------
 
-def cosine_family(a: np.ndarray, t: float) -> np.ndarray:
-    """Cos(t) = cos(t sqrt(-A)) by spectral calculus (symmetric output)."""
+def _spectral_family(a: np.ndarray, t: float, branch) -> np.ndarray:
+    """branch(A, t) by spectral calculus, undamped (symmetric output)."""
     if t < 0:
         raise DomainError("time must be non-negative")
     a = np.asarray(a, dtype=float)
     _check_symmetric(a, "A")
     eigvals, vecs = np.linalg.eigh(a)
-    fn = _cos_scalar(eigvals, t)
-    out = (vecs * fn) @ vecs.T
+    out = (vecs * branch(eigvals, t, 0.0)) @ vecs.T
     return 0.5 * (out + out.T)
+
+
+def cosine_family(a: np.ndarray, t: float) -> np.ndarray:
+    """Cos(t) = cos(t sqrt(-A)) by spectral calculus (symmetric output)."""
+    return _spectral_family(a, t, _damped_cos)
 
 
 def sine_family(a: np.ndarray, t: float) -> np.ndarray:
     """Sin(t) = (-A)^{-1/2} sin(t sqrt(-A)), with the t limit at zero modes."""
-    if t < 0:
-        raise DomainError("time must be non-negative")
-    a = np.asarray(a, dtype=float)
-    _check_symmetric(a, "A")
-    eigvals, vecs = np.linalg.eigh(a)
-    fn = _sin_scalar(eigvals, t)
-    out = (vecs * fn) @ vecs.T
-    return 0.5 * (out + out.T)
+    return _spectral_family(a, t, _damped_sin)
 
 
 @lru_cache(maxsize=None)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lapscat.boundary_ops import BoundaryCondition
-from lapscat.data_operator import DataOperator, assemble_F, eigendecompose
+from lapscat.data_operator import DataOperator, add_noise, assemble_F, eigendecompose
 from lapscat.errors import ConstraintError, DomainError, SegmentationError
 from lapscat.geometry import make_curve, make_grid, make_probe, make_screen
 from lapscat.kernels import SpectralParam
@@ -117,6 +117,92 @@ def test_inf_indicator_zero_for_indefinite_restriction():
     orth = TestVector(values=np.array([0.0, 0.0, 1.0, 0.0]), lam=LAM)
     with pytest.raises(ConstraintError):
         inf_indicator(fake, orth, subspace_k=2)
+
+
+def random_operator(n_pos, n_neg, seed, extra=2):
+    """Seeded DataOperator whose leading n_pos + n_neg eigenvalues have the
+    given inertia, with magnitudes in [1e-3, 1] and `extra` trailing ones."""
+    rng = np.random.default_rng(seed)
+    k = n_pos + n_neg
+    n = k + extra
+    mags = np.sort(10.0 ** rng.uniform(-3.0, 0.0, n))[::-1]
+    signs = np.concatenate([rng.permutation([1.0] * n_pos + [-1.0] * n_neg),
+                            rng.choice([-1.0, 1.0], extra)])
+    mu = signs * mags
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    geom, probe, _ = _CACHED_OPERATOR
+    op = DataOperator(matrix=(q * mu) @ q.T, eigenvalues=mu, eigenvectors=q,
+                      probe=probe, geom=geom, bc_kind="D", lam=LAM)
+    g = TestVector(values=rng.standard_normal(n), lam=LAM)
+    return op, g, mu[:k], q[:, :k].T @ g.values, rng
+
+
+@pytest.mark.parametrize("inertia", [(5, 0), (0, 5), (1, 4), (4, 1), (2, 2)])
+@pytest.mark.parametrize("seed", range(4))
+def test_inf_indicator_is_the_infimum_on_the_slice(inertia, seed):
+    # in eigen-coordinates c the form is Q(c) = sum mu_k c_k^2 on the
+    # affine slice gamma.c = 1
+    op, g, mu, gamma, rng = random_operator(*inertia, seed)
+    w = inf_indicator(op, g, subspace_k=mu.size)
+
+    def q_form(c):
+        return float(mu @ c**2)
+
+    if min(inertia) == 0:
+        c_star = (gamma / mu) / float(gamma @ (gamma / mu))
+        assert abs(float(gamma @ c_star) - 1.0) < 1e-12
+        assert abs(abs(q_form(c_star)) - w) <= 1e-12 * w
+        for _ in range(50):
+            z = rng.standard_normal(mu.size)
+            z -= (z @ gamma) / (gamma @ gamma) * gamma
+            c = c_star + rng.uniform(-2.0, 2.0) * z * np.linalg.norm(c_star)
+            assert abs(float(gamma @ c) - 1.0) < 1e-9
+            assert abs(q_form(c)) >= w * (1.0 - 1e-12)
+        return
+
+    assert w == 0.0
+    # feasible points e_i / gamma_i of either sign of Q, then bisection
+    # on the segment between them, which stays on the slice
+    pos, neg = np.flatnonzero(mu > 0), np.flatnonzero(mu < 0)
+    i = pos[np.argmax(np.abs(gamma[pos]))]
+    j = neg[np.argmax(np.abs(gamma[neg]))]
+    c_pos = np.zeros(mu.size)
+    c_pos[i] = 1.0 / gamma[i]
+    c_neg = np.zeros(mu.size)
+    c_neg[j] = 1.0 / gamma[j]
+    assert q_form(c_pos) > 0.0 > q_form(c_neg)
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if q_form((1.0 - mid) * c_pos + mid * c_neg) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    root = (1.0 - lo) * c_pos + lo * c_neg
+    assert abs(float(gamma @ root) - 1.0) < 1e-12
+    assert abs(q_form(root)) < 1e-12
+
+
+def noisy_kite_operator():
+    geom = make_curve("kite", None, n_nodes=64)
+    probe = make_probe((0.0, 0.0), 4.0, 32)
+    f = assemble_F(BoundaryCondition("D"), geom, probe, LAM)
+    return geom, probe, add_noise(f, 1e-3, seed=0)
+
+
+@pytest.mark.parametrize("case", ["clean_circle", "noisy_kite"])
+def test_sweep_inf_values_match_inf_indicator(case):
+    _, probe, f = circle_operator() if case == "clean_circle" else noisy_kite_operator()
+    k = int(np.count_nonzero(np.abs(f.eigenvalues) >= 1e-8 * np.abs(f.eigenvalues[0])))
+    definite = np.all(f.eigenvalues[:k] > 0) or np.all(f.eigenvalues[:k] < 0)
+    assert definite == (case == "clean_circle")
+    grid = make_grid(((-2.0, 2.0), (-2.0, 2.0)), 15)
+    ig = sweep(f, probe, grid, mode="both")
+    for idx in range(0, grid.points.shape[0], 7):
+        w = inf_indicator(f, make_test_vector(probe, grid.points[idx], LAM))
+        assert abs(ig.inf_values[idx] - w) <= 1e-10 * w
+        if not definite:
+            assert ig.inf_values[idx] == w == 0.0
 
 
 def test_indicator_dichotomy_interior_vs_exterior():

@@ -26,6 +26,7 @@ from lapscat.time_domain import (
     LemmaBound,
     PulseProfile,
     SurrogateModel,
+    _damped_sin,
     assemble_F_ideal,
     assemble_F_truncated,
     cosine_family,
@@ -107,6 +108,17 @@ def test_sine_family_diagonal_branches():
     np.testing.assert_array_equal(sine_family(a, 0.0), np.zeros((3, 3)))
     with pytest.raises(DomainError):
         sine_family(a, -0.1)
+
+
+@pytest.mark.parametrize("s", [0.0, 0.5])
+def test_damped_sine_growth_branch_has_no_cancellation(s):
+    # e^{-st} sinh(w t) / w for a = w^2 > 0 just past the power-series
+    # range, where e^{wt} - e^{-wt} loses digits to cancellation
+    w = np.sqrt(np.logspace(-5.9, 0, 60))
+    t = 1.0
+    got = _damped_sin(w * w, t, s)
+    exact = math.exp(-s * t) * np.sinh(w * t) / w
+    assert np.max(np.abs(got - exact) / exact) < 2e-15
 
 
 def test_sine_family_is_time_integral_of_cosine():
