@@ -31,7 +31,6 @@ M_theta = theta - gamma1 DL.
 
 from __future__ import annotations
 
-import logging
 import math
 import warnings
 from dataclasses import dataclass
@@ -58,8 +57,6 @@ from .kernels import (
     _radial_g,
 )
 
-logger = logging.getLogger(__name__)
-
 TWO_PI = 2.0 * math.pi
 
 # condition number above which invert_M refuses to proceed
@@ -71,16 +68,6 @@ CONDITION_CAP = 1e12
 # band-edge cosine; assembling on a refined grid and projecting back
 # keeps every coarse-grid mode strictly inside the exact band.
 OVERSAMPLE = 2
-
-_SPACE_TAGS = {
-    "gamma0_SL": ("H^{-1/2}(Gamma)", "H^{1/2}(Gamma)"),
-    "gamma1_DL": ("H^{1/2}(Gamma)", "H^{-1/2}(Gamma)"),
-    "M_D": ("H^{-1/2}(Gamma)", "H^{1/2}(Gamma)"),
-    "M_N": ("H^{1/2}(Gamma)", "H^{-1/2}(Gamma)"),
-    "M_alpha": ("L^2(Gamma)", "L^2(Gamma)"),
-    "M_theta": ("H^{1/2}(Gamma)", "H^{-1/2}(Gamma)"),
-}
-
 
 @dataclass(frozen=True)
 class BoundaryOperator:
@@ -94,8 +81,6 @@ class BoundaryOperator:
     kind: str
     lam: SpectralParam
     geom: BoundaryGeometry
-    screen: ScreenGeometry | None = None
-    space_tags: tuple[str, str] = ("", "")
 
     @property
     def size(self) -> int:
@@ -154,7 +139,6 @@ class SignReport:
     classification: str  # definite_positive | definite_negative | indefinite
     eig_min: float
     eig_max: float
-    tolerance: float
 
 
 # ----------------------------------------------------------------------
@@ -209,6 +193,7 @@ class _AssemblyPlan:
     dmat: np.ndarray         # spectral differentiation matrix
     sqrt_jac: np.ndarray
     inv_sqrt_jac: np.ndarray
+    lam_cap: float           # resolvable_lambda_cap of the coarse geometry
 
 
 def _assembly_plan(geom: BoundaryGeometry) -> _AssemblyPlan:
@@ -238,6 +223,7 @@ def _assembly_plan(geom: BoundaryGeometry) -> _AssemblyPlan:
         dmat=trig_diff_matrix(nf),
         sqrt_jac=sj,
         inv_sqrt_jac=1.0 / sj,
+        lam_cap=resolvable_lambda_cap(geom),
     )
     object.__setattr__(geom, "_assembly_plan", plan)
     return plan
@@ -265,15 +251,14 @@ def _sl_core(plan: _AssemblyPlan, lam: SpectralParam, nn_weight: bool):
         np.fill_diagonal(core, diag)
         return core
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        c1 = -(0.25 / np.pi) * i0
-        smooth = (0.5 / np.pi) * k0
-        # coincidence limit of the smooth part (same with or without the
-        # normal-normal factor, which tends to 1 quadratically)
-        c2_diag = (0.5 / np.pi) * (-np.log(0.5 * s * plan.fine.jacobians) - EULER_GAMMA)
-        diag = plan.kress_diag * (-0.25 / np.pi) + h * c2_diag
-        core = fold(c1, smooth, diag)
-        core_nn = fold(c1 * plan.nn, smooth * plan.nn, diag) if nn_weight else None
+    c1 = -(0.25 / np.pi) * i0
+    smooth = (0.5 / np.pi) * k0
+    # coincidence limit of the smooth part (same with or without the
+    # normal-normal factor, which tends to 1 quadratically)
+    c2_diag = (0.5 / np.pi) * (-np.log(0.5 * s * plan.fine.jacobians) - EULER_GAMMA)
+    diag = plan.kress_diag * (-0.25 / np.pi) + h * c2_diag
+    core = fold(c1, smooth, diag)
+    core_nn = fold(c1 * plan.nn, smooth * plan.nn, diag) if nn_weight else None
     return core, core_nn
 
 
@@ -301,22 +286,26 @@ def _refined_geometry(geom: BoundaryGeometry, factor: int) -> BoundaryGeometry:
         tangents=tangents,
         normals=normals,
         weights=(TWO_PI / nf) * jac,
-        closed=True,
-        param_range=(0.0, TWO_PI),
         params=tau,
         shape_params=(tau + periodic_part) % TWO_PI,
         shape=geom.shape,
-        cluster=geom.cluster,
     )
 
 
 def _assemble(geom: BoundaryGeometry, lam: SpectralParam, kind: str) -> BoundaryOperator:
-    """gamma0 SL or (Maue) gamma1 DL on the refined grid, projected back."""
-    if not geom.closed:
-        raise AssemblyError("boundary operator assembly requires a closed curve")
+    """gamma0 SL or (Maue) gamma1 DL on the refined grid, projected back.
+
+    Refuses lambda above the geometry's resolvable cap, where the
+    assembled operator loses its sign (see `resolvable_lambda_cap`).
+    """
     if geom.n_nodes < 8:
         raise AssemblyError("need at least 8 nodes for the splitting rule")
     plan = _assembly_plan(geom)
+    if lam.lam > plan.lam_cap:
+        raise AssemblyError(
+            f"lambda {lam.lam} exceeds the resolvable cap {plan.lam_cap:.4g} of "
+            "this geometry; the assembled operator cannot be trusted there"
+        )
     maue = kind == "gamma1_DL"
     core, core_nn = _sl_core(plan, lam, nn_weight=maue)
     sj = plan.sqrt_jac
@@ -330,14 +319,8 @@ def _assemble(geom: BoundaryGeometry, lam: SpectralParam, kind: str) -> Boundary
         mat_f = core * np.outer(sj, sj)
     p = plan.prolong
     mat = p.T @ mat_f @ p
-    if not np.all(np.isfinite(mat)):
-        raise AssemblyError(
-            "operator entries overflowed; sqrt(lambda) * diameter is too "
-            "large for double precision at this resolution"
-        )
     return BoundaryOperator(
         matrix=0.5 * (mat + mat.T), kind=kind, lam=lam, geom=geom,
-        space_tags=_SPACE_TAGS[kind],
     )
 
 
@@ -370,10 +353,7 @@ def compress_to_screen(op: BoundaryOperator, screen: ScreenGeometry) -> Boundary
         raise GeometryError("screen parent does not match the operator geometry")
     idx = screen.active_indices
     sub = np.ascontiguousarray(op.matrix[np.ix_(idx, idx)])
-    return BoundaryOperator(
-        matrix=sub, kind=op.kind, lam=op.lam, geom=op.geom, screen=screen,
-        space_tags=op.space_tags,
-    )
+    return BoundaryOperator(matrix=sub, kind=op.kind, lam=op.lam, geom=op.geom)
 
 
 def assemble_M(
@@ -405,7 +385,6 @@ def assemble_M(
 
     op = BoundaryOperator(
         matrix=0.5 * (mat + mat.T), kind=kind, lam=lam, geom=geom,
-        space_tags=_SPACE_TAGS[kind],
     )
     if bc.screen is not None:
         op = compress_to_screen(op, bc.screen)
@@ -427,7 +406,7 @@ def sign_check(op: BoundaryOperator) -> SignReport:
         cls = "definite_negative"
     else:
         cls = "indefinite"
-    return SignReport(classification=cls, eig_min=lo, eig_max=hi, tolerance=tol)
+    return SignReport(classification=cls, eig_min=lo, eig_max=hi)
 
 
 def invert_M(op: BoundaryOperator) -> BoundaryOperator:
@@ -445,7 +424,6 @@ def invert_M(op: BoundaryOperator) -> BoundaryOperator:
     inv = 0.5 * (inv + inv.T)
     return BoundaryOperator(
         matrix=inv, kind=op.kind + "_inverse", lam=op.lam, geom=op.geom,
-        screen=op.screen, space_tags=(op.space_tags[1], op.space_tags[0]),
     )
 
 
@@ -481,7 +459,8 @@ def estimate_lambda_bound(
     the whole ladder reports bound 0; one never definite up to the
     ladder top reports inf (with the certified range in the report).
     The default ladder top is the resolution cap of the geometry, so the
-    answer never rests on unresolved band-edge eigenvalues.
+    answer never rests on unresolved band-edge eigenvalues; an explicit
+    ``lam_max`` above that cap raises AssemblyError.
     """
     probe = BoundaryCondition(
         kind=bc.kind, coefficient=bc.coefficient, screen=bc.screen, lambda_bound=0.0
@@ -594,13 +573,13 @@ def _layer_sum(kind, src: BoundaryGeometry, dens, targets, lam: SpectralParam, d
     if directions is not None:
         # grad_x g = g'(r) (x - y)/r
         proj = np.einsum("mnk,mk->mn", diff, directions) / r
-        ker = _radial_dg(2, lam.sqrt_lam, r) * proj
+        ker = _radial_dg(lam.sqrt_lam, r) * proj
     elif kind == "SL":
-        ker = _radial_g(2, lam.sqrt_lam, r)
+        ker = _radial_g(lam.sqrt_lam, r)
     else:
         # d/dn_y g = g'(r) * (y - x) . n_y / r
         proj = -np.einsum("mnk,nk->mn", diff, src.normals) / r
-        ker = _radial_dg(2, lam.sqrt_lam, r) * proj
+        ker = _radial_dg(lam.sqrt_lam, r) * proj
     return ker @ (src.weights * dens)
 
 
@@ -696,8 +675,8 @@ def gram_identity_residual(
         for lo in range(0, u.shape[0], 4096):
             blk = u[lo : lo + 4096]
             d1 = np.linalg.norm(geom.nodes[:, None, :] - blk[None, :, :], axis=-1)
-            k_z = _radial_g(2, s1, d1)      # g_{lambda1}(y_j, u)
-            k_w = _radial_g(2, s2, d1)      # g_{lambda2}(y_j, u)
+            k_z = _radial_g(s1, d1)      # g_{lambda1}(y_j, u)
+            k_w = _radial_g(s2, d1)      # g_{lambda2}(y_j, u)
             out += (k_w * area) @ k_z.T
         return out
 

@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 check failure, 2 validation error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -25,6 +24,7 @@ import numpy as np
 
 from . import boundary_ops, data_operator, reconstruction
 from .boundary_ops import BoundaryCondition
+from .data_operator import _write_csv, _write_json
 from .errors import (
     LapscatError,
     NumericalError,
@@ -71,7 +71,6 @@ class Scenario:
     noise: dict = field(default_factory=dict)
     outputs: dict = field(default_factory=dict)
     seed: int = 0
-    schema_version: int = SCHEMA_VERSION
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Scenario":
@@ -106,7 +105,7 @@ class Scenario:
 
     def to_dict(self) -> dict:
         out = {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "seed": self.seed,
             "geometry": self.geometry,
             "boundary_condition": self.boundary_condition,
@@ -223,20 +222,6 @@ def build_pipeline(scn: Scenario):
 # artifact helpers
 # ----------------------------------------------------------------------
 
-def _json_default(obj):
-    # numpy scalars (bool_, float64, ...) slip into reports easily and
-    # the stdlib encoder rejects most of them
-    if isinstance(obj, np.generic):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
-
-
 def _outdir(scn: Scenario, override: str | None) -> str:
     out = override or scn.outputs.get("dir", "out")
     os.makedirs(out, exist_ok=True)
@@ -292,11 +277,8 @@ def _arc_sweep_report(scn, screen, probe, f_op, out):
     mean_in = float(np.mean(indicators[inside])) if inside.any() else 0.0
     mean_out = float(np.mean(indicators[~inside])) if not inside.all() else 0.0
     ratio = math.inf if mean_out == 0.0 else mean_in / mean_out
-    with open(os.path.join(out, "arcs.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["center", "indicator", "inside_screen"])
-        for c, w, ins in zip(centers, indicators, inside):
-            writer.writerow([repr(float(c)), repr(float(w)), int(ins)])
+    rows = zip(centers.tolist(), indicators.tolist(), inside.astype(int).tolist())
+    _write_csv(os.path.join(out, "arcs.csv"), rows, ("center", "indicator", "inside_screen"))
     report = {
         "arc_length": arc_len,
         "count": count,

@@ -12,7 +12,7 @@ double-layer kernel.
 
 from __future__ import annotations
 
-import csv
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,9 +62,9 @@ def radiation_matrix(
     b = probe.points[:, None, :]
     y = geom.nodes[None, :, :]
     if bc_kind in _SL_KINDS:
-        a = fundamental_solution(2, lam, b, y)
+        a = fundamental_solution(lam, b, y)
     elif bc_kind in _DL_KINDS:
-        grad = fundamental_solution_gradient(2, lam, b, y)
+        grad = fundamental_solution_gradient(lam, b, y)
         a = np.einsum("ijk,jk->ij", grad, geom.normals)
     else:
         raise DomainError(f"unknown boundary condition kind {bc_kind!r}")
@@ -141,18 +141,40 @@ def add_noise(op: DataOperator, relative_level: float, seed: int) -> DataOperato
     )
 
 
+def _write_csv(path: str, rows, header: tuple[str, ...] | None = None) -> None:
+    """CSV of rows of Python numbers, each written as its repr.
+
+    Byte-identical to ``csv.writer`` in its default (RFC-4180, CRLF)
+    dialect, since no repr of a number needs quoting.
+    """
+    with open(path, "w", newline="") as fh:
+        if header is not None:
+            fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+
+
+def _json_default(obj):
+    # numpy scalars (bool_, float64, ...) slip into reports easily and
+    # the stdlib encoder rejects most of them
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
+
+
+def _write_json(path: str, payload: dict) -> None:
+    """JSON report: sorted keys, two-space indent, trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+        fh.write("\n")
+
+
 def write_spectrum_csv(op: DataOperator, path: str) -> None:
     """Magnitude-sorted spectrum as CSV (index, eigenvalue, magnitude)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "eigenvalue", "magnitude"])
-        for k, mu in enumerate(op.eigenvalues):
-            writer.writerow([k, repr(float(mu)), repr(float(abs(mu)))])
+    mu = op.eigenvalues
+    rows = zip(range(mu.size), mu.tolist(), np.abs(mu).tolist())
+    _write_csv(path, rows, ("index", "eigenvalue", "magnitude"))
 
 
 def write_matrix_csv(mat: np.ndarray, path: str) -> None:
     """Dense matrix dump, one CSV row per matrix row."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in np.asarray(mat):
-            writer.writerow([repr(float(v)) for v in row])
+    _write_csv(path, np.asarray(mat, dtype=float).tolist())

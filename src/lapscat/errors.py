@@ -28,7 +28,7 @@ class DomainError(ValidationError):
 
 
 class UnsupportedOrderError(ValidationError):
-    """Bessel order outside the supported set {0, 1, m+1/2}."""
+    """Bessel order outside the supported set {0, 1}."""
 
 
 class GeometryError(ValidationError):

@@ -47,12 +47,9 @@ class BoundaryGeometry:
     tangents: np.ndarray     # (n, 2), dq/dtau, not normalized
     normals: np.ndarray      # (n, 2), unit outward
     weights: np.ndarray      # (n,)
-    closed: bool
-    param_range: tuple[float, float]
     params: np.ndarray       # (n,) equispaced tau_j
     shape_params: np.ndarray  # (n,) w(tau_j) in the shape's own parameter
     shape: str = "custom"
-    cluster: tuple[float, float, float] | None = None
 
     @property
     def n_nodes(self) -> int:
@@ -95,7 +92,6 @@ class ProbeRegion:
 
     points: np.ndarray   # (m, 2)
     weights: np.ndarray  # (m,)
-    layout: str = "ring"
 
     @property
     def n_points(self) -> int:
@@ -266,12 +262,9 @@ def make_curve(
         tangents=_lock(tangents),
         normals=_lock(normals),
         weights=_lock(weights),
-        closed=True,
-        param_range=(0.0, TWO_PI),
         params=_lock(tau),
         shape_params=_lock(t),
         shape=shape,
-        cluster=cluster,
     )
 
 
@@ -325,7 +318,7 @@ def make_probe(center, radius: float, n_points: int, layout: str = "ring") -> Pr
             raise GeometryError("disk grid too coarse; fewer than 8 interior cells")
     else:
         raise GeometryError(f"unknown probe layout {layout!r}")
-    return ProbeRegion(points=_lock(pts), weights=_lock(wts), layout=layout)
+    return ProbeRegion(points=_lock(pts), weights=_lock(wts))
 
 
 def make_grid(bounds, resolution: int) -> EvaluationGrid:

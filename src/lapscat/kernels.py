@@ -1,18 +1,16 @@
-"""Fundamental solutions of (-Delta + lambda) in 2D/3D and the modified
-Bessel functions they need.
+"""Fundamental solution of (-Delta + lambda) in the plane and the
+modified Bessel functions it needs.
 
 The radial profile of the free-space kernel is
 
-    g(r) = e^{-sqrt(lambda) r} / (4 pi r)          (dim 3)
-    g(r) = K_0(sqrt(lambda) r) / (2 pi)            (dim 2)
+    g(r) = K_0(sqrt(lambda) r) / (2 pi)
 
-with K_0 the modified Bessel function of the second kind.  Everything
-here is self-contained: K_0/K_1 are evaluated from their power series
-for z <= 2 and from Chebyshev expansions of the scaled functions
-K_nu(z) e^z sqrt(z) for z > 2 (coefficients generated offline against a
-60-digit reference; max relative error ~ 4e-15 on (0, 700]).
-Half-integer orders use the closed form K_{1/2}(z) = sqrt(pi/2z) e^{-z}
-and the (stable, upward) three-term recurrence.
+with K_0 the modified Bessel function of the second kind; its
+derivative brings in K_1.  Everything here is self-contained: K_0/K_1
+are evaluated from their power series for z <= 2 and from Chebyshev
+expansions of the scaled functions K_nu(z) e^z sqrt(z) for z > 2
+(coefficients generated offline against a 60-digit reference; max
+relative error ~ 4e-15 on (0, 700]).
 
 All evaluators are vectorized over numpy arrays.
 """
@@ -107,15 +105,12 @@ def _bessel_i0(z: np.ndarray) -> np.ndarray:
     term = np.ones_like(t)
     total = np.ones_like(t)
     k = 0
-    # Overflow to inf past z ~ 700 is expected; callers detect non-finite
-    # entries and report the argument as unresolvable.
-    with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            k += 1
-            term = term * t / (k * k)
-            total += term
-            if np.all(term <= 1e-17 * total) or k > 400:
-                return total
+    while True:
+        k += 1
+        term = term * t / (k * k)
+        total += term
+        if np.all(term <= 1e-17 * total) or k > 400:
+            return total
 
 
 def _bessel_i1(z: np.ndarray) -> np.ndarray:
@@ -123,13 +118,12 @@ def _bessel_i1(z: np.ndarray) -> np.ndarray:
     term = np.ones_like(t)
     total = np.ones_like(t)
     k = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            k += 1
-            term = term * t / (k * (k + 1.0))
-            total += term
-            if np.all(term <= 1e-17 * total) or k > 400:
-                return 0.5 * z * total
+    while True:
+        k += 1
+        term = term * t / (k * (k + 1.0))
+        total += term
+        if np.all(term <= 1e-17 * total) or k > 400:
+            return 0.5 * z * total
 
 
 def _k0_small(z: np.ndarray, i0: np.ndarray) -> np.ndarray:
@@ -176,16 +170,16 @@ def _k01(order: int, z: np.ndarray, i0: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def bessel_k(order: float, z):
+def bessel_k(order: int, z):
     """Modified Bessel function of the second kind K_order(z).
 
-    Supported orders: 0, 1 and the half-integers m + 1/2 (m >= 0).
-    Vectorized in ``z``; all entries must be positive.
+    Supported orders: 0 and 1.  Vectorized in ``z``; all entries must be
+    positive.
 
     Parameters
     ----------
-    order : float
-        0, 1, or m + 0.5 for non-negative integer m.
+    order : int
+        0 or 1.
     z : float or array_like
         Positive argument(s).
 
@@ -199,23 +193,9 @@ def bessel_k(order: float, z):
     z_flat = np.atleast_1d(z_arr).ravel()
     if z_flat.size and (np.any(z_flat <= 0.0) or not np.all(np.isfinite(z_flat))):
         raise DomainError("bessel_k requires z > 0")
-
-    if order in (0, 1):
-        out = _k01(int(order), z_flat)
-    else:
-        m = order - 0.5
-        if m < 0 or m != np.floor(m) or not np.isfinite(m):
-            raise UnsupportedOrderError(
-                f"order {order} not in {{0, 1}} or half-integers m+1/2"
-            )
-        # K_{1/2} closed form, then K_{nu+1} = K_{nu-1} + (2 nu / z) K_nu.
-        k_minus = np.sqrt(0.5 * np.pi / z_flat) * np.exp(-z_flat)  # K_{1/2} = K_{-1/2}
-        k_cur = k_minus.copy()
-        nu = 0.5
-        for _ in range(int(m)):
-            k_minus, k_cur = k_cur, k_minus + (2.0 * nu / z_flat) * k_cur
-            nu += 1.0
-        out = k_cur
+    if order not in (0, 1):
+        raise UnsupportedOrderError(f"order {order} not in {{0, 1}}")
+    out = _k01(int(order), z_flat)
     return float(out[0]) if scalar else out.reshape(z_arr.shape)
 
 
@@ -223,83 +203,50 @@ def bessel_k(order: float, z):
 # fundamental solutions
 # ----------------------------------------------------------------------
 
-def _check_dim(dim: int) -> None:
-    if dim not in (2, 3):
-        raise DomainError(f"dim must be 2 or 3, got {dim}")
-
-
-def _pair_distances(x, y, dim: int):
-    """Broadcast two point sets; return (diff, r) flattened to 2D/1D."""
+def _pair_distances(x, y):
+    """Broadcast two planar point sets; return (diff, r)."""
     x_arr = np.asarray(x, dtype=float)
     y_arr = np.asarray(y, dtype=float)
-    if x_arr.shape[-1] != dim or y_arr.shape[-1] != dim:
-        raise DomainError(f"points must have trailing dimension {dim}")
-    diff = y_arr - x_arr  # broadcast, shape (..., dim)
+    if x_arr.shape[-1] != 2 or y_arr.shape[-1] != 2:
+        raise DomainError("points must have trailing dimension 2")
+    diff = y_arr - x_arr  # broadcast, shape (..., 2)
     r = np.linalg.norm(diff, axis=-1)
     return diff, r
 
 
-def _radial_g(dim: int, sqrt_lam: float, r: np.ndarray) -> np.ndarray:
-    if dim == 3:
-        return np.exp(-sqrt_lam * r) / (4.0 * np.pi * r)
+def _radial_g(sqrt_lam: float, r: np.ndarray) -> np.ndarray:
     return bessel_k(0, sqrt_lam * r) / (2.0 * np.pi)
 
 
-def _radial_dg(dim: int, sqrt_lam: float, r: np.ndarray) -> np.ndarray:
+def _radial_dg(sqrt_lam: float, r: np.ndarray) -> np.ndarray:
     """Derivative of the radial profile g(r)."""
-    if dim == 3:
-        return -np.exp(-sqrt_lam * r) * (1.0 + sqrt_lam * r) / (4.0 * np.pi * r * r)
     return -sqrt_lam * bessel_k(1, sqrt_lam * r) / (2.0 * np.pi)
 
 
-def fundamental_solution(dim: int, lam: SpectralParam, x, y):
+def fundamental_solution(lam: SpectralParam, x, y):
     """Free-space kernel g_lambda(x, y) of (-Delta + lambda).
 
     Broadcasts over leading axes of x and y (trailing axis = coordinates).
     Raises SingularityError on coincident points.
     """
-    _check_dim(dim)
-    _, r = _pair_distances(x, y, dim)
+    _, r = _pair_distances(x, y)
     r_flat = np.atleast_1d(r).ravel()
     if np.any(r_flat < COINCIDENCE_TOL):
         raise SingularityError("fundamental_solution at coincident points")
-    out = _radial_g(dim, lam.sqrt_lam, r_flat)
+    out = _radial_g(lam.sqrt_lam, r_flat)
     return float(out[0]) if np.ndim(r) == 0 else out.reshape(r.shape)
 
 
-def fundamental_solution_gradient(dim: int, lam: SpectralParam, x, y):
+def fundamental_solution_gradient(lam: SpectralParam, x, y):
     """Gradient of g_lambda(x, y) with respect to the second argument y.
 
     Equals g'(r) (y - x)/r; antisymmetric under swapping x and y.
     """
-    _check_dim(dim)
-    diff, r = _pair_distances(x, y, dim)
-    diff2 = diff.reshape(-1, dim)
+    diff, r = _pair_distances(x, y)
+    diff2 = diff.reshape(-1, 2)
     r_flat = np.atleast_1d(r).ravel()
     if np.any(r_flat < COINCIDENCE_TOL):
         raise SingularityError("gradient at coincident points")
-    dg = _radial_dg(dim, lam.sqrt_lam, r_flat)
+    dg = _radial_dg(lam.sqrt_lam, r_flat)
     grad = (dg / r_flat)[:, None] * diff2
     return grad.reshape(diff.shape)
-
-
-def fundamental_solution_bessel_form(dim: int, lam: SpectralParam, x, y):
-    """Kernel through the general Bessel-function form.
-
-    g(x, y) = lambda^{n/2-1} / (2 pi)^{n/2} * K_{(n-2)/2}(s r) / (s r)^{n/2-1}
-
-    with s = sqrt(lambda).  For n = 3 this must coincide with the closed
-    form e^{-s r}/(4 pi r); the coincidence is asserted by the test
-    suite, guarding the exponent n/2 - 1 used here.
-    """
-    _check_dim(dim)
-    _, r = _pair_distances(x, y, dim)
-    r_flat = np.atleast_1d(r).ravel()
-    if np.any(r_flat < COINCIDENCE_TOL):
-        raise SingularityError("fundamental_solution at coincident points")
-    s = lam.sqrt_lam
-    sr = s * r_flat
-    nu = 0.5 * (dim - 2)
-    expo = 0.5 * dim - 1.0
-    out = lam.lam ** expo / (2.0 * np.pi) ** (0.5 * dim) * bessel_k(nu, sr) / sr ** expo
-    return float(out[0]) if np.ndim(r) == 0 else out.reshape(r.shape)

@@ -16,14 +16,12 @@ arcs on the screen from arcs on its complement.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data_operator import DataOperator
+from .data_operator import DataOperator, _write_csv, _write_json
 from .errors import (
     ConstraintError,
     DegenerateOperatorError,
@@ -52,7 +50,6 @@ class TestVector:
 
     values: np.ndarray
     lam: SpectralParam
-    source: tuple | None = None
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
@@ -78,7 +75,7 @@ class TestArc:
             raise DomainError("arc interval must have positive length")
 
 
-@dataclass
+@dataclass(frozen=True)
 class IndicatorGrid:
     """Indicator values over an evaluation grid (finite by construction)."""
 
@@ -86,7 +83,6 @@ class IndicatorGrid:
     picard_values: np.ndarray
     inf_values: np.ndarray | None
     truncation_k: int
-    threshold: float | None = None
 
     def __post_init__(self) -> None:
         pv = np.asarray(self.picard_values, dtype=float)
@@ -104,14 +100,12 @@ class SegmentationResult:
     n_scored: int | None = None
 
 
-def make_test_vector(
-    probe: ProbeRegion, x, lam: SpectralParam, dim: int = 2
-) -> TestVector:
+def make_test_vector(probe: ProbeRegion, x, lam: SpectralParam) -> TestVector:
     """Weighted probe samples of the point test field centered at x."""
     x = np.asarray(x, dtype=float)
-    vals = fundamental_solution(dim, lam, x[None, :], probe.points)
+    vals = fundamental_solution(lam, x[None, :], probe.points)
     weighted = np.sqrt(probe.weights) * vals
-    return TestVector(values=weighted, lam=lam, source=tuple(x.tolist()))
+    return TestVector(values=weighted, lam=lam)
 
 
 def make_screen_test_vector(
@@ -119,29 +113,28 @@ def make_screen_test_vector(
     arc: TestArc,
     lam: SpectralParam,
     n_quad: int = 256,
-    dim: int = 2,
 ) -> TestVector:
     """Arc-integrated test vector: quadrature of the point field over the arc.
 
     Gauss-Legendre quadrature with n_quad nodes on the arc's parameter
     interval, pulled forward through the carrier curve.
     """
+    # imported here so that the CLI's startup does not load time_domain
+    from .time_domain import _gauss_legendre
+
     if n_quad < 2:
         raise DomainError("n_quad must be at least 2")
     pos, der = _shape_functions(arc.shape, arc.shape_params)
     a, b = arc.interval
-    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(n_quad)
+    gl_nodes, gl_weights = _gauss_legendre(n_quad)
     t = 0.5 * (b - a) * gl_nodes + 0.5 * (b + a)
     w = 0.5 * (b - a) * gl_weights
     pts = pos(t)
     jac = np.linalg.norm(der(t), axis=1)
-    vals = fundamental_solution(dim, lam, pts[:, None, :], probe.points[None, :, :])
+    vals = fundamental_solution(lam, pts[:, None, :], probe.points[None, :, :])
     integrated = (w * jac) @ vals
     weighted = np.sqrt(probe.weights) * integrated
-    return TestVector(
-        values=weighted, lam=lam,
-        source=(arc.shape, float(a), float(b)),
-    )
+    return TestVector(values=weighted, lam=lam)
 
 
 def _retained(op: DataOperator, truncation_floor: float) -> int:
@@ -213,8 +206,6 @@ def sweep(
     probe: ProbeRegion,
     grid: EvaluationGrid,
     mode: str = "picard",
-    lam: SpectralParam | None = None,
-    dim: int = 2,
     truncation_floor: float = DEFAULT_TRUNCATION_FLOOR,
 ) -> IndicatorGrid:
     """Indicator values over all grid points (vectorized over the grid).
@@ -227,12 +218,8 @@ def sweep(
     """
     if mode not in ("picard", "inf", "both"):
         raise DomainError(f"unknown sweep mode {mode!r}")
-    if lam is None:
-        lam = op.lam
     k = _retained(op, truncation_floor)
-    vals = fundamental_solution(
-        dim, lam, grid.points[:, None, :], probe.points[None, :, :]
-    )
+    vals = fundamental_solution(op.lam, grid.points[:, None, :], probe.points[None, :, :])
     ghat = vals * np.sqrt(probe.weights)[None, :]        # (n_grid, n_probe)
     coeffs = ghat @ op.eigenvectors[:, :k]               # (n_grid, k)
     sums = (coeffs**2 / np.abs(op.eigenvalues[:k])[None, :]).sum(axis=1)
@@ -315,18 +302,15 @@ def segment(
     rule: str = "fixed_threshold",
     level: float = DEFAULT_THRESHOLD_LEVEL,
     margin_band: float | None = None,
-    use: str = "picard",
 ) -> SegmentationResult:
-    """Threshold the indicator field; score against geometry if given.
+    """Threshold the Picard indicator field; score against geometry if given.
 
     fixed_threshold uses level * max(values); otsu picks the histogram
     split.  Scoring (Jaccard index and classification accuracy against
     the containment oracle) excludes points within margin_band of the
     boundary (default 0.1 * diam).
     """
-    values = igrid.picard_values if use == "picard" else igrid.inf_values
-    if values is None:
-        raise DomainError(f"indicator values for {use!r} not computed")
+    values = igrid.picard_values
     vmax, vmin = float(values.max()), float(values.min())
     if vmax == vmin:
         raise SegmentationError("constant indicator field cannot be segmented")
@@ -339,7 +323,6 @@ def segment(
     else:
         raise DomainError(f"unknown segmentation rule {rule!r}")
     mask = values >= threshold
-    igrid.threshold = threshold
 
     if geom is None:
         return SegmentationResult(mask=mask, threshold=threshold, rule=rule)
@@ -370,26 +353,18 @@ def segment(
 
 def write_indicator_csv(igrid: IndicatorGrid, path: str) -> None:
     """Per-point CSV: x, y, picard indicator, optional inf indicator."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["x", "y", "picard"]
-        if igrid.inf_values is not None:
-            header.append("inf")
-        writer.writerow(header)
-        for i, (x, y) in enumerate(igrid.grid.points):
-            row = [repr(float(x)), repr(float(y)), repr(float(igrid.picard_values[i]))]
-            if igrid.inf_values is not None:
-                row.append(repr(float(igrid.inf_values[i])))
-            writer.writerow(row)
+    columns = [igrid.grid.points, igrid.picard_values]
+    header = ("x", "y", "picard")
+    if igrid.inf_values is not None:
+        columns.append(igrid.inf_values)
+        header += ("inf",)
+    _write_csv(path, np.column_stack(columns).tolist(), header)
 
 
-def write_indicator_pgm(igrid: IndicatorGrid, path: str, use: str = "picard") -> None:
-    """Plain-text PGM (P2) heatmap, top row = maximal y."""
-    values = igrid.picard_values if use == "picard" else igrid.inf_values
-    if values is None:
-        raise DomainError(f"indicator values for {use!r} not computed")
+def write_indicator_pgm(igrid: IndicatorGrid, path: str) -> None:
+    """Plain-text PGM (P2) heatmap of the Picard values, top row = maximal y."""
     res = igrid.grid.resolution
-    img = values.reshape(res, res)  # rows indexed by y, columns by x
+    img = igrid.picard_values.reshape(res, res)  # rows indexed by y, columns by x
     vmin, vmax = float(img.min()), float(img.max())
     span = vmax - vmin
     if span == 0.0:
@@ -426,6 +401,4 @@ def write_metrics_json(
         payload["eigenvalues"] = [float(v) for v in op.eigenvalues]
     if extra:
         payload.update(extra)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, payload)

@@ -187,10 +187,10 @@ def test_criterion_5_exterior_reproduction_and_dichotomy():
         worst = 0.0
         for src in interior[shape]:
             xs = np.asarray(src)[None, :]
-            trace = fundamental_solution(2, LAM2, xs, geom.nodes)
+            trace = fundamental_solution(LAM2, xs, geom.nodes)
             phi = -(minv.matrix @ (sw * trace)) / sw
             vals = boundary_ops.evaluate_potential(geom, "SL", phi, targets, LAM2)
-            exact = fundamental_solution(2, LAM2, xs, targets)
+            exact = fundamental_solution(LAM2, xs, targets)
             worst = max(worst, float(np.max(np.abs(vals - exact) / np.abs(exact))))
         f = data_operator.assemble_F(BoundaryCondition("D"), geom, probe, LAM2)
         w_in = [

@@ -386,7 +386,6 @@ def test_invert_M_contract():
     assert np.max(np.abs(op.matrix @ inv.matrix - eye)) < 1e-8
     assert inv.symmetry_residual() == 0.0
     assert inv.kind == "M_D_inverse"
-    assert inv.space_tags == (op.space_tags[1], op.space_tags[0])
 
 
 def test_invert_M_refuses_singular():
@@ -464,10 +463,10 @@ def test_exterior_reproduction_from_interior_sources():
     ang = np.linspace(0.0, TWO_PI, 8, endpoint=False)
     targets = np.stack([3.0 * np.cos(ang), 3.0 * np.sin(ang)], axis=1)
     for x in ((0.0, 0.0), (0.3, 0.1), (-0.2, 0.25), (0.1, -0.3), (-0.35, -0.1)):
-        trace = fundamental_solution(2, lam, geom.nodes, np.array(x))
+        trace = fundamental_solution(lam, geom.nodes, np.array(x))
         phi = -(minv.matrix @ (sw * trace)) / sw
         field = evaluate_potential(geom, "SL", phi, targets, lam)
-        ref = fundamental_solution(2, lam, targets, np.array(x))
+        ref = fundamental_solution(lam, targets, np.array(x))
         assert np.linalg.norm(field - ref) / np.linalg.norm(ref) < 1e-6
 
 
@@ -557,6 +556,25 @@ def test_lambda_bound_validation():
     geom = make_curve("circle", {"radius": 1.0}, n_nodes=64)
     with pytest.raises(SpectralParameterError):
         estimate_lambda_bound(BoundaryCondition("D"), geom, lam_min=2.0, lam_max=1.0)
+    # an explicit ladder top above the resolvable cap is refused, not clipped
+    cap = resolvable_lambda_cap(geom)
+    with pytest.raises(AssemblyError):
+        estimate_lambda_bound(BoundaryCondition("D"), geom, lam_max=2.0 * cap)
+
+
+def test_assembly_refuses_past_resolvable_cap():
+    # ellipse (3, 1): cap 18.8; at lambda 50 the assembled -gamma0 SL
+    # was indefinite (the true operator is negative definite) and no
+    # error was raised
+    geom = make_curve("ellipse", {"a": 3.0, "b": 1.0}, n_nodes=128)
+    cap = resolvable_lambda_cap(geom)
+    assert 18.0 < cap < 19.0
+    for bc in (BoundaryCondition("D"), BoundaryCondition("N")):
+        with pytest.raises(AssemblyError, match="resolvable cap"):
+            assemble_M(bc, geom, SpectralParam(50.0))
+    # at the cap itself the operator is assembled and keeps its sign
+    op = assemble_M(BoundaryCondition("D"), geom, SpectralParam(cap))
+    assert sign_check(op).classification == "definite_negative"
 
 
 @given(

@@ -237,6 +237,22 @@ def test_numerical_exit_code_on_overflow(tmp_path, capsys):
     assert "numerical failure:" in capsys.readouterr().err
 
 
+def test_forward_refuses_lambda_past_resolvable_cap(tmp_path, capsys):
+    # kite, n=256, lambda=200 (cap 75.1): forward used to exit 0 with an
+    # "indefinite" sign report for an operator that is definite
+    scenario = write_scenario(
+        tmp_path / "scn.json",
+        geometry={"shape": "kite", "n_nodes": 256},
+        boundary_condition={"kind": "N"},
+        spectral={"lambda": 200.0},
+    )
+    out = tmp_path / "out"
+    code = main(["forward", "--scenario", scenario, "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    assert "resolvable cap" in capsys.readouterr().err
+    assert not (out / "sign_report.json").exists()
+
+
 def test_verify_passes_and_detects_injected_fault(tmp_path, capsys, monkeypatch):
     out = tmp_path / "verify"
     assert main(["verify", "--out", str(out)]) == EXIT_OK

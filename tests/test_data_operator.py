@@ -9,6 +9,7 @@ import pytest
 from lapscat.boundary_ops import BoundaryCondition, assemble_M, invert_M
 from lapscat.data_operator import (
     DataOperator,
+    _write_csv,
     add_noise,
     assemble_F,
     eigendecompose,
@@ -82,12 +83,12 @@ def test_radiation_matrix_entries():
     i, j = 3, 17
     want = (
         math.sqrt(probe.weights[i])
-        * fundamental_solution(2, LAM, probe.points[i], geom.nodes[j])
+        * fundamental_solution(LAM, probe.points[i], geom.nodes[j])
         * math.sqrt(geom.weights[j])
     )
     assert abs(g_sl[i, j] - want) < 1e-15 * abs(want)
     g_dl = radiation_matrix("N", geom, probe, LAM)
-    grad = fundamental_solution_gradient(2, LAM, probe.points[i], geom.nodes[j])
+    grad = fundamental_solution_gradient(LAM, probe.points[i], geom.nodes[j])
     want_dl = (
         math.sqrt(probe.weights[i])
         * float(grad @ geom.normals[j])
@@ -186,3 +187,31 @@ def test_matrix_csv_roundtrip(tmp_path):
     with open(path, newline="") as fh:
         rows = [[float(v) for v in row] for row in csv.reader(fh)]
     np.testing.assert_array_equal(np.array(rows), mat)
+
+
+def test_shared_csv_writer_matches_stdlib_csv(tmp_path):
+    # the artifacts were written through csv.writer with repr'd floats;
+    # the shared row writer must reproduce those bytes exactly
+    floats = np.array([
+        [-1.5, 5e-324, 1.7976931348623157e308, 3.0],
+        [-0.0, -2.2250738585072014e-308, 1e22, -7.0],
+        [0.1, 1e-17, -123456789.0, 2.0],
+    ])
+    ints = np.array([0, 1, -12])
+    rows = [f + [i] for f, i in zip(floats.tolist(), ints.tolist())]
+    header = ("a", "b", "c", "d", "flag")
+    ref_path, path = tmp_path / "ref.csv", tmp_path / "new.csv"
+    with open(ref_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for frow, i in zip(floats, ints):
+            writer.writerow([repr(float(v)) for v in frow] + [int(i)])
+    _write_csv(str(path), rows, header)
+    assert path.read_bytes() == ref_path.read_bytes()
+    # headerless matrix dump, as write_matrix_csv writes it
+    with open(ref_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        for frow in floats:
+            writer.writerow([repr(float(v)) for v in frow])
+    write_matrix_csv(floats, str(path))
+    assert path.read_bytes() == ref_path.read_bytes()

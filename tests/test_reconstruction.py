@@ -303,7 +303,6 @@ def test_segment_fixed_threshold_definition():
     seg = segment(ig, geom, rule="fixed_threshold", level=0.5, margin_band=0.2)
     np.testing.assert_array_equal(seg.mask, ig.picard_values >= 0.5 * 1.0)
     assert seg.threshold == 0.5
-    assert ig.threshold == 0.5
     assert seg.jaccard == 1.0
     assert seg.accuracy == 1.0
     assert seg.n_scored < ig.picard_values.size  # margin band excluded points
@@ -333,8 +332,6 @@ def test_segment_validation():
         segment(ig, geom, rule="kmeans")
     with pytest.raises(DomainError):
         segment(ig, geom, level=0.0)
-    with pytest.raises(DomainError):
-        segment(ig, geom, use="inf")
     with pytest.raises(SegmentationError):
         segment(ig, geom, margin_band=100.0)
     unscored = segment(ig)  # no geometry: mask only
@@ -382,8 +379,6 @@ def test_indicator_pgm_format(tmp_path):
     assert img.shape == (4, 4)
     assert img.min() >= 0 and img.max() <= 255
     assert np.all(img[0] == 255) and np.all(img[-1] == 0)
-    with pytest.raises(DomainError):
-        write_indicator_pgm(ig, str(path), use="inf")
 
 
 def test_metrics_json_writer(tmp_path):

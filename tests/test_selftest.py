@@ -5,7 +5,7 @@ import pytest
 from lapscat.selftest import REGISTRY
 
 FAST = [
-    "kernel_2d_value", "kernel_3d_closed_form", "kernel_gradient",
+    "kernel_2d_value", "kernel_2d_far_value", "kernel_gradient",
     "ellipse_perimeter", "containment", "screen_node_count",
     "probe_disk_weights", "log_rule_constants", "circle_single_layer_spectrum",
     "circle_hypersingular_spectrum", "definiteness_suite", "jump_relation",
