@@ -48,6 +48,7 @@ from .errors import (
     TruncationError,
 )
 from .geometry import BoundaryGeometry, ScreenGeometry, distance_to_boundary
+from .geometry import _distances, _plane_norm
 from .kernels import (
     EULER_GAMMA,
     SpectralParam,
@@ -468,6 +469,10 @@ def estimate_lambda_bound(
     cap = resolvable_lambda_cap(geom)
     if lam_max is None:
         lam_max = min(1024.0, cap)
+    elif lam_max > cap:
+        raise AssemblyError(
+            f"lam_max {lam_max} exceeds the resolvable cap {cap:.4g} of this geometry"
+        )
     if lam_max <= lam_min:
         raise SpectralParameterError(
             f"ladder top {lam_max} must exceed ladder bottom {lam_min}"
@@ -568,18 +573,19 @@ def _layer_sum(kind, src: BoundaryGeometry, dens, targets, lam: SpectralParam, d
     """Trapezoid sum of the SL or DL potential of the nodal density
     ``dens`` on ``src`` at off-surface targets; with ``directions``, the
     SL potential's derivative along them instead."""
-    diff = targets[:, None, :] - src.nodes[None, :, :]    # (m, n, 2)
-    r = np.linalg.norm(diff, axis=-1)
+    dx = targets[:, 0, None] - src.nodes[:, 0]    # (m, n) planes of x - y
+    dy = targets[:, 1, None] - src.nodes[:, 1]
+    if directions is None and kind == "SL":
+        return _radial_g(lam.sqrt_lam, _plane_norm(dx, dy)) @ (src.weights * dens)
     if directions is not None:
         # grad_x g = g'(r) (x - y)/r
-        proj = np.einsum("mnk,mk->mn", diff, directions) / r
-        ker = _radial_dg(lam.sqrt_lam, r) * proj
-    elif kind == "SL":
-        ker = _radial_g(lam.sqrt_lam, r)
+        proj = dx * directions[:, 0, None] + dy * directions[:, 1, None]
     else:
         # d/dn_y g = g'(r) * (y - x) . n_y / r
-        proj = -np.einsum("mnk,nk->mn", diff, src.normals) / r
-        ker = _radial_dg(lam.sqrt_lam, r) * proj
+        proj = -(dx * src.normals[:, 0] + dy * src.normals[:, 1])
+    r = _plane_norm(dx, dy)
+    proj /= r
+    ker = _radial_dg(lam.sqrt_lam, r) * proj
     return ker @ (src.weights * dens)
 
 
@@ -674,7 +680,7 @@ def gram_identity_residual(
         # blocks of volume points bound the (n, block) kernel temporaries
         for lo in range(0, u.shape[0], 4096):
             blk = u[lo : lo + 4096]
-            d1 = np.linalg.norm(geom.nodes[:, None, :] - blk[None, :, :], axis=-1)
+            d1 = _distances(geom.nodes, blk)
             k_z = _radial_g(s1, d1)      # g_{lambda1}(y_j, u)
             k_w = _radial_g(s2, d1)      # g_{lambda2}(y_j, u)
             out += (k_w * area) @ k_z.T

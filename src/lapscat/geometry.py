@@ -63,10 +63,7 @@ class BoundaryGeometry:
         return float(np.sum(self.weights))
 
     def diameter(self) -> float:
-        pts = self.nodes
-        return float(
-            np.max(np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1))
-        )
+        return float(np.max(_distances(self.nodes, self.nodes)))
 
 
 @dataclass(frozen=True)
@@ -345,8 +342,22 @@ def make_grid(bounds, resolution: int) -> EvaluationGrid:
 # predicates
 # ----------------------------------------------------------------------
 
-# points per block of the (m, n, 2) pair arrays below: bounds their size
+# points per block of the (m, n) pair planes below: bounds their size
 _ROW_BLOCK = 512
+
+
+def _plane_norm(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """sqrt(dx^2 + dy^2) of two coordinate planes, in place in both."""
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
+
+
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(m, n) distances |a_i - b_j| of planar point sets, from the x and y
+    planes rather than an (m, n, 2) difference."""
+    return _plane_norm(a[:, 0, None] - b[:, 0], a[:, 1, None] - b[:, 1])
 
 
 def _by_row_blocks(points, fn) -> np.ndarray:
@@ -360,12 +371,17 @@ def _by_row_blocks(points, fn) -> np.ndarray:
 
 def winding_fraction(geom: BoundaryGeometry, points: np.ndarray) -> np.ndarray:
     """Winding number of the node polygon around each point (vectorized)."""
+    nxt = np.roll(geom.nodes, -1, axis=0)
+
     def block(pts):
-        v = geom.nodes[None, :, :] - pts[:, None, :]           # (m, n, 2)
-        v_next = np.roll(v, -1, axis=1)
-        cross = v[:, :, 0] * v_next[:, :, 1] - v[:, :, 1] * v_next[:, :, 0]
-        dot = np.einsum("mnk,mnk->mn", v, v_next)
-        return np.sum(np.arctan2(cross, dot), axis=1) / TWO_PI
+        # (m, n) planes of v = node - point and w = next node - point
+        vx, vy = geom.nodes[:, 0] - pts[:, 0, None], geom.nodes[:, 1] - pts[:, 1, None]
+        wx, wy = nxt[:, 0] - pts[:, 0, None], nxt[:, 1] - pts[:, 1, None]
+        dot = vx * wx
+        vx *= wy
+        dot += np.multiply(vy, wy, out=wy)   # v . w
+        vx -= np.multiply(vy, wx, out=vy)    # v x w
+        return np.sum(np.arctan2(vx, dot, out=vx), axis=1) / TWO_PI
 
     return _by_row_blocks(points, block)
 
@@ -391,10 +407,7 @@ def contains_many(geom: BoundaryGeometry, points: np.ndarray) -> np.ndarray:
 
 def distance_to_boundary(geom: BoundaryGeometry, points: np.ndarray) -> np.ndarray:
     """Distance to the node set (dense-node approximation of dist(x, Gamma))."""
-    def block(pts):
-        return np.linalg.norm(pts[:, None, :] - geom.nodes[None, :, :], axis=-1).min(axis=1)
-
-    return _by_row_blocks(points, block)
+    return _by_row_blocks(points, lambda pts: _distances(pts, geom.nodes).min(axis=1))
 
 
 def validate_separation(

@@ -7,12 +7,17 @@ The radial profile of the free-space kernel is
 
 with K_0 the modified Bessel function of the second kind; its
 derivative brings in K_1.  Everything here is self-contained: K_0/K_1
-are evaluated from their power series for z <= 2 and from Chebyshev
-expansions of the scaled functions K_nu(z) e^z sqrt(z) for z > 2
-(coefficients generated offline against a 60-digit reference; max
-relative error ~ 4e-15 on (0, 700]).
+are evaluated from their power series for z <= 2 (15 terms) and from
+Chebyshev expansions of the scaled functions K_nu(z) e^z sqrt(z) for
+z > 2 (coefficients generated offline against a 60-digit reference);
+I_0/I_1 from their power series, with the term count the largest
+argument of a block needs.  Against 40-digit mpmath the largest
+relative errors are 3.65e-15 (K_0) and 2.74e-15 (K_1) on 3000 points
+of [1e-6, 700], and 1.92e-15 (I_0) on [0, 26].
 
-All evaluators are vectorized over numpy arrays.
+All evaluators are vectorized over numpy arrays and run in blocks of
+_BLOCK elements with in-place ufuncs, so the temporaries of a series or
+Clenshaw sum stay in cache; a value does not depend on its block.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .errors import (
     SpectralParameterError,
     UnsupportedOrderError,
 )
+from .geometry import _plane_norm
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -91,39 +97,47 @@ _K1_LARGE = np.array([
 ])
 
 
-def _clenshaw(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    b1 = np.zeros_like(x)
-    b2 = np.zeros_like(x)
-    for c in coeffs[:0:-1]:
-        b1, b2 = 2.0 * x * b1 - b2 + c, b1
-    return x * b1 - b2 + coeffs[0]
+# elements per block of the Bessel passes: a block's temporaries stay in
+# cache across the ~60 elementwise passes of a series or Chebyshev sum
+_BLOCK = 32768
+
+# small-z K series terms: for t = z^2/4 <= 1, term 16 on is below half an
+# ulp of the partial sum
+_K_TERMS = 15
+
+
+def _by_blocks(fn, z, *aligned) -> np.ndarray:
+    """fn over consecutive _BLOCK-element runs of z and of arrays aligned
+    with it; the result has z's shape."""
+    z = np.asarray(z, dtype=float)
+    runs = [a.reshape(-1) for a in (z,) + aligned]
+    out = np.empty(runs[0].shape)
+    for lo in range(0, out.size, _BLOCK):
+        out[lo:lo + _BLOCK] = fn(*(a[lo:lo + _BLOCK] for a in runs))
+    return out.reshape(z.shape)
+
+
+def _i_series(z: np.ndarray, order: int) -> np.ndarray:
+    """I_0 or I_1 of one block by the (all-positive, cancellation-free)
+    power series.  Terms run until the largest t needs no more; later
+    terms fall below 1e-17 of every element's sum and leave it as is."""
+    t = 0.25 * z * z
+    top = int(np.argmax(t))
+    term = np.ones_like(t)
+    total = np.ones_like(t)
+    k = 0
+    while True:
+        k += 1
+        term *= t
+        term /= k * (k + order)
+        total += term
+        if term[top] <= 1e-17 * total[top] or k > 400:
+            return total * (0.5 * z) if order else total
 
 
 def _bessel_i0(z: np.ndarray) -> np.ndarray:
-    """I_0 by its (all-positive, cancellation-free) power series."""
-    t = 0.25 * z * z
-    term = np.ones_like(t)
-    total = np.ones_like(t)
-    k = 0
-    while True:
-        k += 1
-        term = term * t / (k * k)
-        total += term
-        if np.all(term <= 1e-17 * total) or k > 400:
-            return total
-
-
-def _bessel_i1(z: np.ndarray) -> np.ndarray:
-    t = 0.25 * z * z
-    term = np.ones_like(t)
-    total = np.ones_like(t)
-    k = 0
-    while True:
-        k += 1
-        term = term * t / (k * (k + 1.0))
-        total += term
-        if np.all(term <= 1e-17 * total) or k > 400:
-            return 0.5 * z * total
+    """I_0 of an array of any shape, block by block."""
+    return _by_blocks(lambda b: _i_series(b, 0), z)
 
 
 def _k0_small(z: np.ndarray, i0: np.ndarray) -> np.ndarray:
@@ -132,10 +146,12 @@ def _k0_small(z: np.ndarray, i0: np.ndarray) -> np.ndarray:
     term = np.ones_like(t)
     harmonic = 0.0
     tail = np.zeros_like(t)
-    for k in range(1, 24):
-        term = term * t / (k * k)
+    prod = np.empty_like(t)
+    for k in range(1, _K_TERMS + 1):
+        term *= t
+        term /= k * k
         harmonic += 1.0 / k
-        tail += harmonic * term
+        tail += np.multiply(term, harmonic, out=prod)
     return -(np.log(0.5 * z) + EULER_GAMMA) * i0 + tail
 
 
@@ -145,16 +161,29 @@ def _k1_small(z: np.ndarray) -> np.ndarray:
     term = np.ones_like(t)
     psi_sum = 1.0 - 2.0 * EULER_GAMMA
     tail = psi_sum * term
-    for k in range(1, 24):
-        term = term * t / (k * (k + 1.0))
+    prod = np.empty_like(t)
+    for k in range(1, _K_TERMS + 1):
+        term *= t
+        term /= k * (k + 1)
         psi_sum += 1.0 / k + 1.0 / (k + 1.0)
-        tail += psi_sum * term
-    return 1.0 / z + np.log(0.5 * z) * _bessel_i1(z) - 0.25 * z * tail
+        tail += np.multiply(term, psi_sum, out=prod)
+    return 1.0 / z + np.log(0.5 * z) * _i_series(z, 1) - 0.25 * z * tail
 
 
-def _k01(order: int, z: np.ndarray, i0: np.ndarray | None = None) -> np.ndarray:
-    """K_0 or K_1 at positive z; ``i0`` (I_0 at z) spares K_0 its own I_0 series."""
-    table = _K0_LARGE if order == 0 else _K1_LARGE
+def _k_large(z: np.ndarray, table: np.ndarray) -> np.ndarray:
+    # Clenshaw sum of K_nu(z) e^z sqrt(z), in place over three buffers
+    x = (8.0 / z - 2.0) * 0.5
+    x2 = 2.0 * x
+    b0, b1, b2 = np.empty_like(z), np.zeros_like(z), np.zeros_like(z)
+    for c in table[:0:-1]:
+        np.multiply(x2, b1, out=b0)
+        b0 -= b2
+        b0 += c
+        b0, b1, b2 = b2, b0, b1
+    return (x * b1 - b2 + table[0]) * np.exp(-z) / np.sqrt(z)
+
+
+def _k01_block(order: int, z: np.ndarray, i0: np.ndarray | None = None) -> np.ndarray:
     out = np.empty_like(z)
     small = z <= 2.0
     if np.any(small):
@@ -164,10 +193,14 @@ def _k01(order: int, z: np.ndarray, i0: np.ndarray | None = None) -> np.ndarray:
         else:
             out[small] = _k0_small(zs, _bessel_i0(zs) if i0 is None else i0[small])
     if not np.all(small):
-        zl = z[~small]
-        x = (8.0 / zl - 2.0) * 0.5
-        out[~small] = _clenshaw(x, table) * np.exp(-zl) / np.sqrt(zl)
+        out[~small] = _k_large(z[~small], _K0_LARGE if order == 0 else _K1_LARGE)
     return out
+
+
+def _k01(order: int, z: np.ndarray, i0: np.ndarray | None = None) -> np.ndarray:
+    """K_0 or K_1 at positive z; ``i0`` (I_0 at z) spares K_0 its own I_0 series."""
+    aligned = () if i0 is None else (i0,)
+    return _by_blocks(lambda b, *i: _k01_block(order, b, *i), z, *aligned)
 
 
 def bessel_k(order: int, z):
@@ -203,15 +236,13 @@ def bessel_k(order: int, z):
 # fundamental solutions
 # ----------------------------------------------------------------------
 
-def _pair_distances(x, y):
-    """Broadcast two planar point sets; return (diff, r)."""
+def _pair_planes(x, y):
+    """Broadcast two planar point sets; return the coordinate planes of y - x."""
     x_arr = np.asarray(x, dtype=float)
     y_arr = np.asarray(y, dtype=float)
     if x_arr.shape[-1] != 2 or y_arr.shape[-1] != 2:
         raise DomainError("points must have trailing dimension 2")
-    diff = y_arr - x_arr  # broadcast, shape (..., 2)
-    r = np.linalg.norm(diff, axis=-1)
-    return diff, r
+    return tuple(np.asarray(y_arr[..., k] - x_arr[..., k]) for k in (0, 1))
 
 
 def _radial_g(sqrt_lam: float, r: np.ndarray) -> np.ndarray:
@@ -229,7 +260,7 @@ def fundamental_solution(lam: SpectralParam, x, y):
     Broadcasts over leading axes of x and y (trailing axis = coordinates).
     Raises SingularityError on coincident points.
     """
-    _, r = _pair_distances(x, y)
+    r = _plane_norm(*_pair_planes(x, y))
     r_flat = np.atleast_1d(r).ravel()
     if np.any(r_flat < COINCIDENCE_TOL):
         raise SingularityError("fundamental_solution at coincident points")
@@ -242,11 +273,10 @@ def fundamental_solution_gradient(lam: SpectralParam, x, y):
 
     Equals g'(r) (y - x)/r; antisymmetric under swapping x and y.
     """
-    diff, r = _pair_distances(x, y)
-    diff2 = diff.reshape(-1, 2)
-    r_flat = np.atleast_1d(r).ravel()
+    dx, dy = _pair_planes(x, y)
+    r_flat = np.sqrt(dx * dx + dy * dy).ravel()
     if np.any(r_flat < COINCIDENCE_TOL):
         raise SingularityError("gradient at coincident points")
-    dg = _radial_dg(lam.sqrt_lam, r_flat)
-    grad = (dg / r_flat)[:, None] * diff2
-    return grad.reshape(diff.shape)
+    scale = _radial_dg(lam.sqrt_lam, r_flat) / r_flat
+    grad = np.stack([scale * dx.ravel(), scale * dy.ravel()], axis=-1)
+    return grad.reshape(dx.shape + (2,))

@@ -552,14 +552,27 @@ def test_lambda_bound_infinite_for_sign_changing_alpha():
     assert report["certified_up_to"] == report["resolvable_cap"]
 
 
-def test_lambda_bound_validation():
+def test_lambda_bound_validation(monkeypatch):
     geom = make_curve("circle", {"radius": 1.0}, n_nodes=64)
     with pytest.raises(SpectralParameterError):
         estimate_lambda_bound(BoundaryCondition("D"), geom, lam_min=2.0, lam_max=1.0)
-    # an explicit ladder top above the resolvable cap is refused, not clipped
-    cap = resolvable_lambda_cap(geom)
-    with pytest.raises(AssemblyError):
-        estimate_lambda_bound(BoundaryCondition("D"), geom, lam_max=2.0 * cap)
+    # an explicit ladder top above the resolvable cap is refused, not
+    # clipped, and before any rung is assembled
+    import lapscat.boundary_ops as boundary_ops
+
+    calls = []
+    real_assemble = boundary_ops.assemble_M
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real_assemble(*args, **kwargs)
+
+    monkeypatch.setattr(boundary_ops, "assemble_M", counting)
+    for geom in (geom, make_curve("kite", n_nodes=128)):
+        cap = resolvable_lambda_cap(geom)
+        with pytest.raises(AssemblyError, match=r"lam_max .* resolvable cap"):
+            estimate_lambda_bound(BoundaryCondition("D"), geom, lam_max=2.0 * cap)
+    assert calls == []
 
 
 def test_assembly_refuses_past_resolvable_cap():

@@ -14,6 +14,7 @@ from scipy import special
 
 from lapscat.errors import BoundaryAmbiguityError, GeometryError, ScreenError
 from lapscat.geometry import (
+    _distances,
     contains,
     contains_many,
     distance_to_boundary,
@@ -258,3 +259,32 @@ def test_circle_containment_is_radius_test(radius, px, py):
     if abs(rho - 1.0) < 0.05:
         return  # too close to the boundary for the polygonal test
     assert contains(geom, p) == (rho < 1.0)
+
+
+def test_plane_wise_pair_forms_are_bit_identical():
+    # distances, cross and dot products built from the x and y planes must
+    # equal the (m, n, 2) difference + norm/einsum forms bit for bit
+    geom = make_curve("kite", n_nodes=256)
+    grid = make_grid(((-2.5, 2.5), (-2.5, 2.5)), 128).points
+    rng = np.random.default_rng(7)
+    pts = np.concatenate([grid, rng.uniform(-3.0, 3.0, (1000, 2))])
+    nodes = geom.nodes
+    for lo in range(0, pts.shape[0], 2048):
+        blk = pts[lo:lo + 2048]
+        dist = np.linalg.norm(blk[:, None, :] - nodes[None, :, :], axis=-1)
+        np.testing.assert_array_equal(distance_to_boundary(geom, blk), dist.min(axis=1))
+        # the gram identity's (node, volume point) distances
+        np.testing.assert_array_equal(
+            _distances(nodes, blk),
+            np.linalg.norm(nodes[:, None, :] - blk[None, :, :], axis=-1),
+        )
+        v = nodes[None, :, :] - blk[:, None, :]
+        v_next = np.roll(v, -1, axis=1)
+        cross = v[:, :, 0] * v_next[:, :, 1] - v[:, :, 1] * v_next[:, :, 0]
+        dot = np.einsum("mnk,mnk->mn", v, v_next)
+        np.testing.assert_array_equal(
+            winding_fraction(geom, blk), np.sum(np.arctan2(cross, dot), axis=1) / TWO_PI
+        )
+    assert geom.diameter() == float(
+        np.max(np.linalg.norm(nodes[:, None, :] - nodes[None, :, :], axis=-1))
+    )

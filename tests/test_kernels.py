@@ -2,14 +2,20 @@
 
 Reference values below were computed first with scipy.special (kv/iv) and
 frozen; one test re-derives them live so a stale freeze cannot go unnoticed.
+The table in data/bessel_k_mpmath40.npy is `_mpmath_k` (40-digit mpmath)
+on 3000 points, frozen the same way and spot-checked live.
 """
 
+import os
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from lapscat import kernels
 from lapscat.errors import (
     DomainError,
     SingularityError,
@@ -18,6 +24,10 @@ from lapscat.errors import (
 )
 from lapscat.kernels import (
     SpectralParam,
+    _bessel_i0,
+    _k01,
+    _radial_dg,
+    _radial_g,
     bessel_k,
     fundamental_solution,
     fundamental_solution_gradient,
@@ -200,3 +210,82 @@ def test_kernel_decreasing_in_lambda_and_r(lam_value, r):
     g3 = fundamental_solution(SpectralParam(lam_value), x, y2)
     assert g2 < g1
     assert g3 < g1
+
+
+def _blocks_test_array() -> np.ndarray:
+    # 3 blocks + 17 elements; z <= 2 and z > 2 alternate, each rising, so
+    # later blocks need more series terms than the first
+    z = np.empty(3 * kernels._BLOCK + 17)
+    z[0::2] = np.geomspace(1e-8, 2.0, z[0::2].size)
+    z[1::2] = np.geomspace(2.0 + 1e-9, 700.0, z[1::2].size)
+    return z
+
+
+def test_bessel_blocks_match_elementwise_evaluation():
+    z = _blocks_test_array()
+    i0 = _bessel_i0(z)
+    whole = {
+        "k0": bessel_k(0, z),
+        "k1": bessel_k(1, z),
+        "i0": i0,
+        "k0_given_i0": _k01(0, z, i0),
+    }
+    # every block boundary neighbourhood and the whole tail block, plus a stride
+    idx = np.unique(np.concatenate([
+        np.arange(0, z.size, 101),
+        *(np.arange(lo - 3, lo + 3) for lo in range(kernels._BLOCK, z.size, kernels._BLOCK)),
+        np.arange(z.size - 40, z.size),
+    ]))
+    for i in idx:
+        one = z[i:i + 1]
+        single = {
+            "k0": bessel_k(0, one),
+            "k1": bessel_k(1, one),
+            "i0": _bessel_i0(one),
+            "k0_given_i0": _k01(0, one, i0[i:i + 1]),
+        }
+        for name, val in single.items():
+            assert val[0] == whole[name][i], (name, i, z[i])
+
+
+def test_kernel_planes_match_difference_form():
+    # fundamental_solution and its gradient build r from the coordinate
+    # planes; bit for bit the (..., 2) difference + norm form
+    lam = SpectralParam(2.0)
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-2.0, 2.0, (300, 1, 2))
+    y = rng.uniform(-2.0, 2.0, (1, 64, 2))
+    diff = y - x
+    r = np.linalg.norm(diff, axis=-1)
+    np.testing.assert_array_equal(fundamental_solution(lam, x, y), _radial_g(lam.sqrt_lam, r))
+    r_flat = r.ravel()
+    want = (_radial_dg(lam.sqrt_lam, r_flat) / r_flat)[:, None] * diff.reshape(-1, 2)
+    np.testing.assert_array_equal(
+        fundamental_solution_gradient(lam, x, y), want.reshape(diff.shape)
+    )
+
+
+def _mpmath_k(order: int, z: np.ndarray) -> np.ndarray:
+    with mpmath.workdps(40):
+        return np.array([float(mpmath.besselk(order, mpmath.mpf(float(v)))) for v in z])
+
+
+K_TABLE = os.path.join(os.path.dirname(__file__), "data", "bessel_k_mpmath40.npy")
+
+
+def test_bessel_accuracy_floor_against_mpmath():
+    # rows z, K_0, K_1 on 3000 log-spaced points in [1e-6, 700]; floors
+    # set on the evaluators before their block rewrite (3.65e-15, 2.74e-15)
+    z, k0, k1 = np.load(K_TABLE)
+    np.testing.assert_array_equal(z, np.geomspace(1e-6, 700.0, 3000))
+    sample = slice(0, None, 150)   # live guard on the frozen table
+    for order, ref in ((0, k0), (1, k1)):
+        np.testing.assert_array_equal(_mpmath_k(order, z[sample]), ref[sample])
+    assert np.max(np.abs(bessel_k(0, z) - k0) / k0) <= 4e-15
+    assert np.max(np.abs(bessel_k(1, z) - k1) / k1) <= 4e-15
+    # I_0 up to sqrt(lambda) r = 26, the resolvable cap's precision limit
+    # (1.92e-15 before the rewrite)
+    x = np.linspace(0.0, 26.0, 3000)
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.besseli(0, mpmath.mpf(float(v)))) for v in x])
+    assert np.max(np.abs(_bessel_i0(x) - ref) / ref) <= 2.5e-15
