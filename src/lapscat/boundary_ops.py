@@ -12,13 +12,19 @@ The hypersingular trace gamma1 DL is reduced by the Maue identity
 
     gamma1 DL = d/ds SL d/ds - lambda * SL_{n.n'}
 
-(tangential derivatives via the spectral differentiation matrix,
-SL_{n.n'} the single layer weighted by the normals' inner product).
+(SL_{n.n'} the single layer weighted by the normals' inner product).
 
-Both are assembled on a grid refined OVERSAMPLE times and projected
-back.  All lambda-independent parts form a per-geometry assembly plan,
-built on the first assembly and freed with the geometry; an assembly
-then evaluates I_0 and K_0 once per node pair, for SL and SL_{n.n'}.
+Both kernels are folded into a symmetric core C on a grid refined
+OVERSAMPLE times.  With P the weighted prolongation from the coarse
+grid, J the refined Jacobians and D the spectral derivative, which is
+antisymmetric, every assembly is a congruence with two lambda-
+independent (2n x n) factors SP = J^{1/2} P and Q = D J^{-1/2} P:
+
+    gamma0 SL = SP^T C SP,    gamma1 DL = -Q^T C Q - lambda SP^T C_nn SP.
+
+SP, Q and the pair geometry form a per-geometry assembly plan, built on
+the first assembly and freed with the geometry; an assembly then
+evaluates I_0 and K_0 once per node pair, for C and C_nn.
 
 All operator matrices live in *weighted nodal coordinates*: a trace or
 density u on Gamma is represented by the vector (sqrt(w_j) u(q_j)), so
@@ -65,8 +71,8 @@ CONDITION_CAP = 1e12
 
 # Internal quadrature oversampling for operator assembly.  The product
 # rule is exact only while kernel content plus test mode stay inside the
-# quadrature band, and the differentiation matrix annihilates the
-# band-edge cosine; assembling on a refined grid and projecting back
+# quadrature band, and the spectral derivative annihilates the band-edge
+# cosine; assembling on a refined grid and projecting back
 # keeps every coarse-grid mode strictly inside the exact band.
 OVERSAMPLE = 2
 
@@ -86,13 +92,6 @@ class BoundaryOperator:
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
-
-    def symmetry_residual(self) -> float:
-        a = self.matrix
-        denom = np.linalg.norm(a)
-        if denom == 0.0:
-            return 0.0
-        return float(np.linalg.norm(a - a.T) / denom)
 
 
 @dataclass(frozen=True)
@@ -163,16 +162,15 @@ def kress_log_weights(n: int) -> np.ndarray:
     return rvec[idx]
 
 
-def trig_diff_matrix(n: int) -> np.ndarray:
-    """Spectral differentiation matrix on n equispaced periodic nodes."""
-    if n % 2 != 0:
-        raise AssemblyError("spectral differentiation matrix needs even n")
-    j = np.arange(n)
-    diff = j[:, None] - j[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = 0.5 * (-1.0) ** diff / np.tan(np.pi * diff / n)
-    np.fill_diagonal(d, 0.0)
-    return d
+def _spectral_derivative(values: np.ndarray) -> np.ndarray:
+    """d/dtau of the trigonometric interpolant of periodic nodal data
+    (axis 0, even node count), with the band-edge mode dropped so the
+    rule is real and antisymmetric.  Returns an owned real array."""
+    n = values.shape[0]
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    k[n // 2] = 0.0
+    k = k.reshape((n,) + (1,) * (values.ndim - 1))
+    return np.fft.ifft(1j * k * np.fft.fft(values, axis=0), axis=0).real.copy()
 
 
 @dataclass(frozen=True)
@@ -183,7 +181,6 @@ class _AssemblyPlan:
     R[i, j] and R[j, i] are kept."""
 
     fine: BoundaryGeometry   # the curve refined OVERSAMPLE times
-    prolong: np.ndarray      # isometry, coarse -> fine weighted coordinates
     upper: np.ndarray        # (nf, nf) mask of the strict upper triangle
     r: np.ndarray            # |q_i - q_j|
     logsin: np.ndarray       # log(4 sin^2((tau_i - tau_j)/2))
@@ -191,9 +188,8 @@ class _AssemblyPlan:
     kress_ji: np.ndarray     # R[j, i]
     kress_diag: float        # R[i, i]
     nn: np.ndarray           # n_i . n_j, as (normals @ normals.T)[i, j]
-    dmat: np.ndarray         # spectral differentiation matrix
-    sqrt_jac: np.ndarray
-    inv_sqrt_jac: np.ndarray
+    sp: np.ndarray           # J^{1/2} P, P the coarse -> fine isometry
+    q: np.ndarray            # D J^{-1/2} P, D the spectral derivative
     lam_cap: float           # resolvable_lambda_cap of the coarse geometry
 
 
@@ -209,11 +205,11 @@ def _assembly_plan(geom: BoundaryGeometry) -> _AssemblyPlan:
     upper = np.triu(np.ones((nf, nf), dtype=bool), 1)
     iu, ju = np.nonzero(upper)
     interp = _trig_upsample(np.eye(geom.n_nodes), OVERSAMPLE)
+    prolong = np.sqrt(fine.weights)[:, None] * interp / np.sqrt(geom.weights)[None, :]
     kress = kress_log_weights(nf)
-    sj = np.sqrt(fine.jacobians)
+    sj = np.sqrt(fine.jacobians)[:, None]
     plan = _AssemblyPlan(
         fine=fine,
-        prolong=np.sqrt(fine.weights)[:, None] * interp / np.sqrt(geom.weights)[None, :],
         upper=upper,
         r=np.linalg.norm(fine.nodes[iu] - fine.nodes[ju], axis=-1),
         logsin=np.log(4.0 * np.sin(0.5 * (fine.params[iu] - fine.params[ju])) ** 2),
@@ -221,9 +217,8 @@ def _assembly_plan(geom: BoundaryGeometry) -> _AssemblyPlan:
         kress_ji=kress.T[upper],
         kress_diag=float(kress[0, 0]),
         nn=(fine.normals @ fine.normals.T)[upper],
-        dmat=trig_diff_matrix(nf),
-        sqrt_jac=sj,
-        inv_sqrt_jac=1.0 / sj,
+        sp=sj * prolong,
+        q=_spectral_derivative(prolong / sj),
         lam_cap=resolvable_lambda_cap(geom),
     )
     object.__setattr__(geom, "_assembly_plan", plan)
@@ -272,10 +267,7 @@ def _refined_geometry(geom: BoundaryGeometry, factor: int) -> BoundaryGeometry:
     """
     nf = geom.n_nodes * factor
     nodes = _trig_upsample(geom.nodes, factor)
-    spec = np.fft.fft(nodes, axis=0)
-    k = np.fft.fftfreq(nf, d=1.0 / nf)
-    k[nf // 2] = 0.0
-    tangents = np.real(np.fft.ifft(1j * k[:, None] * spec, axis=0))
+    tangents = _spectral_derivative(nodes)
     jac = np.linalg.norm(tangents, axis=1)
     if np.any(jac <= 0):
         raise AssemblyError("refined parametrization degenerated (zero Jacobian)")
@@ -294,7 +286,8 @@ def _refined_geometry(geom: BoundaryGeometry, factor: int) -> BoundaryGeometry:
 
 
 def _assemble(geom: BoundaryGeometry, lam: SpectralParam, kind: str) -> BoundaryOperator:
-    """gamma0 SL or (Maue) gamma1 DL on the refined grid, projected back.
+    """gamma0 SL or (Maue) gamma1 DL, a congruence of the refined-grid
+    cores with the plan's factors SP and Q (see the module docstring).
 
     Refuses lambda above the geometry's resolvable cap, where the
     assembled operator loses its sign (see `resolvable_lambda_cap`).
@@ -309,17 +302,11 @@ def _assemble(geom: BoundaryGeometry, lam: SpectralParam, kind: str) -> Boundary
         )
     maue = kind == "gamma1_DL"
     core, core_nn = _sl_core(plan, lam, nn_weight=maue)
-    sj = plan.sqrt_jac
+    sp = plan.sp
     if maue:
-        inv_sj = plan.inv_sqrt_jac
-        # symmetric already: dmat is antisymmetric and appears on both sides
-        t1 = (inv_sj[:, None] * (plan.dmat @ core @ plan.dmat)) * inv_sj[None, :]
-        t2 = -lam.lam * (sj[:, None] * core_nn * sj[None, :])
-        mat_f = t1 + t2
+        mat = -(plan.q.T @ core @ plan.q) - lam.lam * (sp.T @ core_nn @ sp)
     else:
-        mat_f = core * np.outer(sj, sj)
-    p = plan.prolong
-    mat = p.T @ mat_f @ p
+        mat = sp.T @ core @ sp
     return BoundaryOperator(
         matrix=0.5 * (mat + mat.T), kind=kind, lam=lam, geom=geom,
     )
@@ -382,11 +369,8 @@ def assemble_M(
         mat = -(np.diag(1.0 / coef) + base)
     else:  # theta
         mat = np.diag(coef) - base
-    kind = "M_" + bc.kind
-
-    op = BoundaryOperator(
-        matrix=0.5 * (mat + mat.T), kind=kind, lam=lam, geom=geom,
-    )
+    # symmetric already, as the assembled trace is
+    op = BoundaryOperator(matrix=mat, kind="M_" + bc.kind, lam=lam, geom=geom)
     if bc.screen is not None:
         op = compress_to_screen(op, bc.screen)
     return op

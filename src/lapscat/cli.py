@@ -83,25 +83,15 @@ class Scenario:
             )
         required = ("geometry", "boundary_condition", "probe", "spectral")
         for key in required:
-            if key not in raw:
+            if raw.get(key) is None:
                 raise ScenarioError(f"scenario missing required block {key!r}")
-        known = set(required) | {
-            "grid", "reconstruction", "noise", "outputs", "seed", "schema_version",
-        }
-        unknown = set(raw) - known
+        blocks = (*required, "grid", "reconstruction", "noise", "outputs")
+        unknown = set(raw) - set(blocks) - {"seed", "schema_version"}
         if unknown:
             raise ScenarioError(f"unknown scenario blocks: {sorted(unknown)}")
-        return cls(
-            geometry=dict(raw["geometry"]),
-            boundary_condition=dict(raw["boundary_condition"]),
-            probe=dict(raw["probe"]),
-            spectral=dict(raw["spectral"]),
-            grid=dict(raw["grid"]) if raw.get("grid") is not None else None,
-            reconstruction=dict(raw.get("reconstruction", {})),
-            noise=dict(raw.get("noise", {})),
-            outputs=dict(raw.get("outputs", {})),
-            seed=int(raw.get("seed", 0)),
-        )
+        parsed = {key: _value(raw, "scenario", key, {}, dict)
+                  for key in blocks if raw.get(key) is not None}
+        return cls(**parsed, seed=_value(raw, "scenario", "seed", 0, int))
 
     def to_dict(self) -> dict:
         out = {
@@ -134,7 +124,25 @@ def load_scenario(path: str) -> Scenario:
     return Scenario.from_dict(raw)
 
 
-def _eval_coefficient(spec, label: str):
+def _value(block: dict, name: str, key: str, default, convert=float):
+    """``block[key]`` (``default`` if absent) passed through ``convert``;
+    a value it rejects is a ScenarioError naming the block and key."""
+    value = block.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{name}.{key} = {value!r} is invalid: {exc}") from exc
+
+
+def _floats(value, shape=(2,)) -> list:
+    """Nested list of floats of the given shape (a point or bounds)."""
+    arr = np.asarray(value, dtype=float)
+    if arr.shape != shape:
+        raise ValueError(f"expected shape {shape}, got {arr.shape}")
+    return arr.tolist()
+
+
+def _eval_coefficient(spec):
     """Resolve a coefficient spec: number, list of nodal values, or
     an expression in the parameter t (restricted numpy namespace)."""
     if spec is None or isinstance(spec, (int, float)):
@@ -149,10 +157,10 @@ def _eval_coefficient(spec, label: str):
                 )
             except Exception as exc:
                 raise ScenarioError(
-                    f"cannot evaluate {label} expression {_expr!r}: {exc}"
+                    f"cannot evaluate coefficient expression {_expr!r}: {exc}"
                 ) from exc
         return fn
-    raise ScenarioError(f"{label} must be a number, list, or expression string")
+    raise ScenarioError("coefficient must be a number, list, or expression string")
 
 
 def build_pipeline(scn: Scenario):
@@ -160,58 +168,57 @@ def build_pipeline(scn: Scenario):
     gblock = scn.geometry
     shape = gblock.get("shape")
     params = gblock.get("params")
-    n_nodes = int(gblock.get("n_nodes", 128))
-    screen_block = gblock.get("screen")
+    n_nodes = _value(gblock, "geometry", "n_nodes", 128, int)
+    screen_block = _value(gblock, "geometry", "screen", None,
+                          lambda v: None if v is None else dict(v))
     cluster = None
     if screen_block is not None:
-        interval = screen_block.get("interval")
-        if not (isinstance(interval, (list, tuple)) and len(interval) == 2):
-            raise ScenarioError("screen.interval must be [start, end]")
-        beta = float(screen_block.get("grading_beta", 0.0))
+        interval = _value(screen_block, "geometry.screen", "interval", None, _floats)
+        beta = _value(screen_block, "geometry.screen", "grading_beta", 0.0)
         if beta > 0.0:
-            cluster = (float(interval[0]), float(interval[1]), beta)
+            cluster = (*interval, beta)
     try:
         geom = make_curve(shape, params, n_nodes=n_nodes, cluster=cluster)
         screen = None
         if screen_block is not None:
-            screen = make_screen(geom, (float(interval[0]), float(interval[1])))
+            screen = make_screen(geom, interval)
     except LapscatError:
         raise
-    except (TypeError, KeyError) as exc:
+    except (TypeError, KeyError, ValueError) as exc:
         raise ScenarioError(f"bad geometry block: {exc}") from exc
 
     bblock = scn.boundary_condition
     bc = BoundaryCondition(
         kind=bblock.get("kind", "D"),
-        coefficient=_eval_coefficient(bblock.get("coefficient"), "coefficient"),
+        coefficient=_value(bblock, "boundary_condition", "coefficient", None, _eval_coefficient),
         screen=screen,
-        lambda_bound=float(bblock.get("lambda_bound", 0.0)),
+        lambda_bound=_value(bblock, "boundary_condition", "lambda_bound", 0.0),
     )
 
     pblock = scn.probe
     probe = make_probe(
-        center=tuple(pblock.get("center", (0.0, 0.0))),
-        radius=float(pblock.get("radius", 4.0)),
-        n_points=int(pblock.get("n_points", 64)),
+        center=_value(pblock, "probe", "center", (0.0, 0.0), _floats),
+        radius=_value(pblock, "probe", "radius", 4.0),
+        n_points=_value(pblock, "probe", "n_points", 64, int),
         layout=pblock.get("layout", "ring"),
     )
     if not validate_separation(geom, probe, margin=1e-6):
         raise ScenarioError("probe region touches or overlaps the scatterer")
 
     sblock = scn.spectral
-    lam_value = float(sblock.get("lambda", 1.0))
+    lam_value = _value(sblock, "spectral", "lambda", 1.0)
     if lam_value <= bc.lambda_bound:
         raise ScenarioError(
             f"lambda {lam_value} must exceed lambda_bound {bc.lambda_bound}"
         )
-    lam = SpectralParam(lam_value, lower_bound=bc.lambda_bound)
+    lam = SpectralParam(lam_value)
 
     grid = None
     if scn.grid is not None:
-        bounds = scn.grid.get("bounds", [[-2.5, 2.5], [-2.5, 2.5]])
         grid = make_grid(
-            (tuple(bounds[0]), tuple(bounds[1])),
-            int(scn.grid.get("resolution", 64)),
+            _value(scn.grid, "grid", "bounds", [[-2.5, 2.5], [-2.5, 2.5]],
+                   lambda v: _floats(v, (2, 2))),
+            _value(scn.grid, "grid", "resolution", 64, int),
         )
         if not validate_grid_covers(geom, grid):
             raise ScenarioError("evaluation grid does not cover the scatterer")
@@ -239,9 +246,8 @@ def run_forward(scn: Scenario, out_dir: str | None = None) -> dict:
     m_op = boundary_ops.assemble_M(bc, geom, lam)
     report = boundary_ops.sign_check(m_op)
     f_op = data_operator._data_operator(bc, m_op, probe)
-    noise_level = float(scn.noise.get("level", 0.0))
-    if noise_level > 0.0:
-        f_op = data_operator.add_noise(f_op, noise_level, scn.seed)
+    noise_level = _value(scn.noise, "noise", "level", 0.0)
+    f_op = data_operator.add_noise(f_op, noise_level, scn.seed)
 
     payload = {
         "kind": m_op.kind,
@@ -263,16 +269,16 @@ def run_forward(scn: Scenario, out_dir: str | None = None) -> dict:
 
 def _arc_sweep_report(scn, screen, probe, f_op, out):
     """Screen scenarios: indicator per test arc swept along the carrier."""
-    block = scn.reconstruction.get("arc_sweep", {})
-    arc_len = float(block.get("arc_length", math.pi / 8.0))
-    count = int(block.get("count", 32))
+    block = _value(scn.reconstruction, "reconstruction", "arc_sweep", {}, dict)
+    arc_len = _value(block, "reconstruction.arc_sweep", "arc_length", math.pi / 8.0)
+    count = _value(block, "reconstruction.arc_sweep", "count", 32, int)
     centers, indicators, inside = reconstruction.arc_sweep(
         f_op, probe,
         block.get("shape", scn.geometry.get("shape")),
         block.get("params", scn.geometry.get("params")),
         screen.endpoint_params, arc_len, count,
-        n_quad=int(block.get("n_quad", 128)),
-        truncation_floor=float(scn.spectral.get("truncation_floor", 1e-8)),
+        n_quad=_value(block, "reconstruction.arc_sweep", "n_quad", 128, int),
+        truncation_floor=_value(scn.spectral, "spectral", "truncation_floor", 1e-8),
     )
     mean_in = float(np.mean(indicators[inside])) if inside.any() else 0.0
     mean_out = float(np.mean(indicators[~inside])) if not inside.all() else 0.0
@@ -295,9 +301,8 @@ def run_reconstruct(scn: Scenario, out_dir: str | None = None) -> dict:
     out = _outdir(scn, out_dir)
     geom, screen, bc, probe, lam, grid = build_pipeline(scn)
     f_op = data_operator.assemble_F(bc, geom, probe, lam)
-    noise_level = float(scn.noise.get("level", 0.0))
-    if noise_level > 0.0:
-        f_op = data_operator.add_noise(f_op, noise_level, scn.seed)
+    noise_level = _value(scn.noise, "noise", "level", 0.0)
+    f_op = data_operator.add_noise(f_op, noise_level, scn.seed)
 
     summary: dict = {"lambda": lam.lam, "bc_kind": bc.kind}
     if screen is not None:
@@ -305,19 +310,20 @@ def run_reconstruct(scn: Scenario, out_dir: str | None = None) -> dict:
 
     if grid is not None:
         rblock = scn.reconstruction
-        floor = float(scn.spectral.get("truncation_floor", 1e-8))
+        floor = _value(scn.spectral, "spectral", "truncation_floor", 1e-8)
         igrid = reconstruction.sweep(
             f_op, probe, grid,
             mode=rblock.get("mode", "picard"),
             truncation_floor=floor,
         )
-        margin = scn.grid.get("margin_band") if scn.grid else None
         seg = reconstruction.segment(
             igrid,
             geom=None if screen is not None else geom,
             rule=rblock.get("rule", "fixed_threshold"),
-            level=float(rblock.get("level", reconstruction.DEFAULT_THRESHOLD_LEVEL)),
-            margin_band=float(margin) if margin is not None else None,
+            level=_value(rblock, "reconstruction", "level",
+                         reconstruction.DEFAULT_THRESHOLD_LEVEL),
+            margin_band=_value(scn.grid, "grid", "margin_band", None,
+                               lambda v: None if v is None else float(v)),
         )
         reconstruction.write_indicator_csv(igrid, os.path.join(out, "indicator.csv"))
         reconstruction.write_indicator_pgm(igrid, os.path.join(out, "indicator.pgm"))
@@ -360,12 +366,6 @@ def run_verify(
     return report, n_failed == 0
 
 
-def run_selftest() -> tuple[int, int]:
-    from .selftest import run_all
-
-    return run_all()
-
-
 # ----------------------------------------------------------------------
 # entry point
 # ----------------------------------------------------------------------
@@ -402,7 +402,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "selftest":
-            n_pass, n_fail = run_selftest()
+            from .selftest import run_all
+
+            n_pass, n_fail = run_all()
             return EXIT_OK if n_fail == 0 else EXIT_CHECK_FAILURE
         scn = None
         if args.scenario is not None:

@@ -40,15 +40,11 @@ class DataOperator:
     eigenvectors: np.ndarray
     probe: ProbeRegion
     geom: BoundaryGeometry
-    bc_kind: str
     lam: SpectralParam
 
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
-
-    def spectrum_magnitudes(self) -> np.ndarray:
-        return np.abs(self.eigenvalues)
 
 
 def radiation_matrix(
@@ -95,7 +91,7 @@ def _data_operator(bc: BoundaryCondition, m_op: BoundaryOperator, probe: ProbeRe
     eigvals, eigvecs = _sorted_eigh(f)
     return DataOperator(
         matrix=f, eigenvalues=eigvals, eigenvectors=eigvecs,
-        probe=probe, geom=geom, bc_kind=bc.kind, lam=lam,
+        probe=probe, geom=geom, lam=lam,
     )
 
 
@@ -103,17 +99,6 @@ def _sorted_eigh(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigvals, eigvecs = np.linalg.eigh(f)
     order = np.argsort(-np.abs(eigvals), kind="stable")
     return eigvals[order], eigvecs[:, order]
-
-
-def eigendecompose(op: DataOperator | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Magnitude-sorted symmetric eigendecomposition of a data matrix."""
-    mat = op.matrix if isinstance(op, DataOperator) else np.asarray(op, dtype=float)
-    res = np.linalg.norm(mat - mat.T) / max(np.linalg.norm(mat), 1e-300)
-    if res > 1e-10:
-        raise DomainError(f"data matrix not symmetric: residual {res:.2e}")
-    if not np.all(np.isfinite(mat)):
-        raise DegenerateOperatorError("data matrix has non-finite entries")
-    return _sorted_eigh(0.5 * (mat + mat.T))
 
 
 def add_noise(op: DataOperator, relative_level: float, seed: int) -> DataOperator:
@@ -137,7 +122,7 @@ def add_noise(op: DataOperator, relative_level: float, seed: int) -> DataOperato
     eigvals, eigvecs = _sorted_eigh(f)
     return DataOperator(
         matrix=f, eigenvalues=eigvals, eigenvectors=eigvecs,
-        probe=op.probe, geom=op.geom, bc_kind=op.bc_kind, lam=op.lam,
+        probe=op.probe, geom=op.geom, lam=op.lam,
     )
 
 

@@ -18,7 +18,7 @@ product is sum_j w_j u_j v_j.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,8 +102,6 @@ class EvaluationGrid:
     points: np.ndarray   # (res*res, 2), row-major over (y, x)
     bounds: tuple[tuple[float, float], tuple[float, float]]
     resolution: int
-    xs: np.ndarray = field(repr=False, default=None)
-    ys: np.ndarray = field(repr=False, default=None)
 
 
 # ----------------------------------------------------------------------
@@ -333,8 +331,6 @@ def make_grid(bounds, resolution: int) -> EvaluationGrid:
         points=_lock(pts),
         bounds=((x0, x1), (y0, y1)),
         resolution=resolution,
-        xs=_lock(xs),
-        ys=_lock(ys),
     )
 
 

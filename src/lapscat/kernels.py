@@ -42,27 +42,19 @@ COINCIDENCE_TOL = 1e-14
 
 @dataclass(frozen=True)
 class SpectralParam:
-    """Laplace-domain spectral parameter with its admissible floor.
+    """Laplace-domain spectral parameter lambda > 0.
 
-    ``lam`` is the working parameter lambda; ``lower_bound`` is the
-    lambda_Lambda of the boundary condition in force.  The resolvent
-    formulas only make sense for lam > lower_bound >= 0.
+    The admissible floor lambda_Lambda of a boundary condition is
+    enforced where the condition is known (`boundary_ops.assemble_M`).
     """
 
     lam: float
-    lower_bound: float = 0.0
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.lam) or not np.isfinite(self.lower_bound):
-            raise SpectralParameterError("spectral parameters must be finite")
-        if self.lower_bound < 0.0:
-            raise SpectralParameterError(
-                f"lower_bound must be >= 0, got {self.lower_bound}"
-            )
-        if self.lam <= self.lower_bound:
-            raise SpectralParameterError(
-                f"need lambda > lower_bound, got {self.lam} <= {self.lower_bound}"
-            )
+        if not np.isfinite(self.lam):
+            raise SpectralParameterError("spectral parameter must be finite")
+        if self.lam <= 0.0:
+            raise SpectralParameterError(f"need lambda > 0, got {self.lam}")
 
     @property
     def sqrt_lam(self) -> float:

@@ -16,7 +16,7 @@ from scipy import special
 
 from lapscat import boundary_ops, data_operator, time_domain
 from lapscat.boundary_ops import BoundaryCondition
-from lapscat.cli import Scenario, run_forward, run_reconstruct, run_selftest
+from lapscat.cli import Scenario, run_forward, run_reconstruct
 from lapscat.geometry import contains, make_curve, make_grid, make_probe, make_screen
 from lapscat.kernels import SpectralParam, fundamental_solution
 from lapscat.reconstruction import (
@@ -27,6 +27,7 @@ from lapscat.reconstruction import (
     segment,
     sweep,
 )
+from lapscat.selftest import run_all
 
 LAM2 = SpectralParam(2.0)
 
@@ -423,7 +424,7 @@ def test_criterion_10_determinism_formats_selftest(tmp_path):
     assert len(pixels) == width * height
     assert all(0 <= p <= maxval for p in pixels)
 
-    n_pass, n_fail = run_selftest()
+    n_pass, n_fail = run_all()
     elapsed = time.time() - t0
     ok = identical and n_fail == 0 and elapsed < 300.0
     _report(

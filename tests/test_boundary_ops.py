@@ -33,6 +33,8 @@ from lapscat.boundary_ops import (
     BoundaryCondition,
     BoundaryOperator,
     OVERSAMPLE,
+    _assembly_plan,
+    _spectral_derivative,
     _trig_upsample,
     assemble_M,
     assemble_gamma0_SL,
@@ -46,7 +48,6 @@ from lapscat.boundary_ops import (
     kress_log_weights,
     resolvable_lambda_cap,
     sign_check,
-    trig_diff_matrix,
 )
 from lapscat.geometry import make_curve, make_screen
 from lapscat.kernels import SpectralParam
@@ -199,17 +200,74 @@ def test_kress_log_weights_integrate_cosines():
         kress_log_weights(7)
 
 
-def test_trig_diff_matrix_exact_on_band():
+def test_spectral_derivative_exact_on_band():
     n = 16
-    d = trig_diff_matrix(n)
     t = TWO_PI * np.arange(n) / n
     for m in range(1, n // 2):
-        np.testing.assert_allclose(d @ np.sin(m * t), m * np.cos(m * t), atol=1e-11)
-        np.testing.assert_allclose(d @ np.cos(m * t), -m * np.sin(m * t), atol=1e-11)
-    # the band-edge cosine is annihilated by convention (real symmetric rule)
-    np.testing.assert_allclose(d @ np.cos((n // 2) * t), 0.0, atol=1e-11)
-    with pytest.raises(AssemblyError):
-        trig_diff_matrix(9)
+        np.testing.assert_allclose(
+            _spectral_derivative(np.sin(m * t)), m * np.cos(m * t), atol=1e-11
+        )
+        np.testing.assert_allclose(
+            _spectral_derivative(np.cos(m * t)), -m * np.sin(m * t), atol=1e-11
+        )
+    # the band-edge cosine is annihilated by convention (real antisymmetric rule)
+    np.testing.assert_allclose(_spectral_derivative(np.cos((n // 2) * t)), 0.0, atol=1e-11)
+
+
+@pytest.mark.parametrize("n", [8, 16, 64])
+def test_spectral_derivative_is_the_cotangent_matrix(n):
+    # D[i, j] = (1/2) (-1)^(i-j) cot(pi (i-j) / n), D[i, i] = 0: the
+    # classical differentiation matrix on n equispaced periodic nodes
+    want = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                want[i, j] = 0.5 * (-1.0) ** (i - j) / math.tan(math.pi * (i - j) / n)
+    got = _spectral_derivative(np.eye(n))
+    assert np.max(np.abs(got - want)) < 1e-13
+    assert got.flags.owndata
+
+
+def test_assembly_plan_holds_only_projected_factors():
+    # the plan keeps pair values and the two (nf x n) congruence factors;
+    # no float array in it is as large as an nf x nf matrix
+    geom = make_curve("kite", n_nodes=64)
+    plan = _assembly_plan(geom)
+    nf, n = plan.fine.n_nodes, geom.n_nodes
+    assert plan.sp.shape == plan.q.shape == (nf, n)
+    for name, value in vars(plan).items():
+        if isinstance(value, np.ndarray) and value.dtype.kind == "f":
+            assert value.size <= nf * n, name
+    for name, value in vars(plan.fine).items():
+        if isinstance(value, np.ndarray):
+            assert value.size <= nf * n, name
+    assert plan.sp.flags.owndata and plan.q.flags.owndata
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("lam_value", [2.0, 32.0])
+def test_circle_rayleigh_quotients_match_closed_form(n, lam_value):
+    # unit circle: mu_m = I_m(s) K_m(s) and nu_m = lam I'_m(s) K'_m(s) on
+    # the mode-m cosine, modes 0..n/4.  Floors: twice the errors measured
+    # before the congruence form (SL, DL): n=64: 5.81e-15, 5.98e-15 at
+    # lam=2 and 5.56e-12, 3.89e-12 at lam=32; n=128: 1.53e-14, 1.96e-14
+    # and 1.59e-11, 1.47e-11
+    floors = {(64, 2.0): (1.16e-14, 1.2e-14), (64, 32.0): (1.11e-11, 7.8e-12),
+              (128, 2.0): (3.07e-14, 3.93e-14), (128, 32.0): (3.18e-11, 2.95e-11)}
+    geom = make_curve("circle", {"radius": 1.0}, n_nodes=n)
+    lam = SpectralParam(lam_value)
+    s = math.sqrt(lam_value)
+    sl = assemble_gamma0_SL(geom, lam).matrix
+    dl = assemble_gamma1_DL(geom, lam).matrix
+    worst_sl = worst_dl = 0.0
+    for m in range(n // 4 + 1):
+        want_sl = float(special.iv(m, s) * special.kv(m, s))
+        want_dl = lam_value * float(special.ivp(m, s) * special.kvp(m, s))
+        worst_sl = max(worst_sl, abs(circle_rayleigh(sl, geom, m) - want_sl) / want_sl)
+        worst_dl = max(worst_dl, abs(circle_rayleigh(dl, geom, m) - want_dl) / abs(want_dl))
+    floor_sl, floor_dl = floors[(n, lam_value)]
+    assert worst_sl < floor_sl
+    assert worst_dl < floor_dl
 
 
 def test_trig_upsample_preserves_band_and_nyquist():
@@ -229,8 +287,8 @@ def test_operator_symmetry_and_metadata():
     lam = SpectralParam(2.0)
     sl = assemble_gamma0_SL(geom, lam)
     dl = assemble_gamma1_DL(geom, lam)
-    assert sl.symmetry_residual() == 0.0
-    assert dl.symmetry_residual() == 0.0
+    assert np.array_equal(sl.matrix, sl.matrix.T)
+    assert np.array_equal(dl.matrix, dl.matrix.T)
     assert sl.size == 64 and dl.size == 64
     assert sl.lam.lam == 2.0
 
@@ -363,6 +421,8 @@ def test_boundary_condition_validation():
         assemble_M(BoundaryCondition("theta", coefficient=np.nan), geom, lam)
     with pytest.raises(SpectralParameterError):
         assemble_M(BoundaryCondition("D", lambda_bound=2.0), geom, SpectralParam(1.5))
+    with pytest.raises(SpectralParameterError):
+        assemble_M(BoundaryCondition("D", lambda_bound=1.0), geom, SpectralParam(1.0))
 
 
 def test_assembly_accepts_minimum_node_count():
@@ -384,7 +444,7 @@ def test_invert_M_contract():
     inv = invert_M(op)
     eye = np.eye(64)
     assert np.max(np.abs(op.matrix @ inv.matrix - eye)) < 1e-8
-    assert inv.symmetry_residual() == 0.0
+    assert np.array_equal(inv.matrix, inv.matrix.T)
     assert inv.kind == "M_D_inverse"
 
 

@@ -219,6 +219,8 @@ def test_validation_exit_codes(tmp_path, capsys):
         ),
         # probe ring inside the scatterer
         dict(probe={"center": [0.0, 0.0], "radius": 0.5, "n_points": 16}),
+        # a negative noise level used to be skipped silently
+        dict(noise={"level": -0.5}),
     ]
     for i, blocks in enumerate(cases):
         scenario = write_scenario(tmp_path / f"scn{i}.json", **blocks)
@@ -227,6 +229,41 @@ def test_validation_exit_codes(tmp_path, capsys):
         assert code == EXIT_VALIDATION, f"case {i}: expected 2, got {code}"
         err = capsys.readouterr().err
         assert "validation error:" in err
+
+
+MALFORMED_VALUES = {
+    "spectral_lambda": dict(spectral={"lambda": "two"}),
+    "geometry_n_nodes": dict(
+        geometry={"shape": "circle", "params": {"radius": 1.0}, "n_nodes": "many"}
+    ),
+    "seed": dict(seed="abc"),
+    "grid_resolution": dict(grid={"resolution": "fine"}),
+    "probe_center": dict(probe={"center": 3.0, "radius": 4.0, "n_points": 32}),
+    "geometry_list": dict(geometry=["circle", 64]),
+    "noise_level": dict(noise={"level": "high"}),
+    "screen_list": dict(
+        geometry={"shape": "circle", "params": {"radius": 1.0}, "n_nodes": 64,
+                  "screen": [0.0, 3.14]}
+    ),
+    "shape_param": dict(geometry={"shape": "circle", "params": {"radius": "big"}}),
+    "coefficient_list": dict(boundary_condition={"kind": "alpha", "coefficient": ["a"]}),
+    "arc_sweep_list": dict(
+        geometry={"shape": "circle", "params": {"radius": 1.0}, "n_nodes": 64,
+                  "screen": {"interval": [0.0, 3.14]}},
+        reconstruction={"arc_sweep": [16]},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_VALUES))
+def test_malformed_scenario_values_are_validation_errors(case, tmp_path, capsys):
+    # values of the wrong type are a validation error naming the block and
+    # key, not a traceback with the check-failure exit code
+    scenario = write_scenario(tmp_path / "scn.json", **MALFORMED_VALUES[case])
+    code = main(["reconstruct", "--scenario", scenario, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert "validation error:" in err
 
 
 def test_numerical_exit_code_on_overflow(tmp_path, capsys):

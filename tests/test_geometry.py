@@ -147,8 +147,8 @@ def test_probe_validation():
 def test_grid_layout_and_validation():
     grid = make_grid(((-1.0, 1.0), (0.0, 2.0)), 5)
     assert grid.points.shape == (25, 2)
-    assert grid.xs[0] == -1.0 and grid.xs[-1] == 1.0
-    assert grid.ys[0] == 0.0 and grid.ys[-1] == 2.0
+    assert grid.points[0, 0] == -1.0 and grid.points[4, 0] == 1.0
+    assert grid.points[0, 1] == 0.0 and grid.points[-1, 1] == 2.0
     # row-major over (y, x): the first row sweeps x at fixed y
     np.testing.assert_allclose(grid.points[:5, 1], 0.0)
     with pytest.raises(GeometryError):

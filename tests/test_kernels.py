@@ -116,15 +116,12 @@ def test_bessel_k_positive_decreasing(x):
 def test_spectral_param_validation():
     p = SpectralParam(4.0)
     assert p.sqrt_lam == 2.0
-    assert SpectralParam(2.0, lower_bound=1.0).lam == 2.0
     with pytest.raises(SpectralParameterError):
         SpectralParam(0.0)
     with pytest.raises(SpectralParameterError):
         SpectralParam(-1.0)
     with pytest.raises(SpectralParameterError):
-        SpectralParam(1.0, lower_bound=1.0)
-    with pytest.raises(SpectralParameterError):
-        SpectralParam(1.0, lower_bound=-0.5)
+        SpectralParam(np.nan)
     with pytest.raises(SpectralParameterError):
         SpectralParam(np.inf)
 

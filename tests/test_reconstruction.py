@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lapscat.boundary_ops import BoundaryCondition
-from lapscat.data_operator import DataOperator, add_noise, assemble_F, eigendecompose
+from lapscat.data_operator import DataOperator, _sorted_eigh, add_noise, assemble_F
 from lapscat.errors import ConstraintError, DomainError, SegmentationError
 from lapscat.geometry import make_curve, make_grid, make_probe, make_screen
 from lapscat.kernels import SpectralParam
@@ -18,6 +18,7 @@ from lapscat.reconstruction import (
     IndicatorGrid,
     TestArc,
     TestVector,
+    arc_sweep,
     inf_indicator,
     make_screen_test_vector,
     make_test_vector,
@@ -99,14 +100,13 @@ def test_inf_indicator_agrees_with_picard_for_definite_operator():
 
 def test_inf_indicator_zero_for_indefinite_restriction():
     geom, probe, f = circle_operator(n_nodes=32, n_probe=16)
-    vals, vecs = eigendecompose(np.diag([2.0, -1.0, 0.5, -0.25]))
+    vals, vecs = _sorted_eigh(np.diag([2.0, -1.0, 0.5, -0.25]))
     fake = DataOperator(
         matrix=np.diag([2.0, -1.0, 0.5, -0.25]),
         eigenvalues=vals,
         eigenvectors=vecs,
         probe=probe,
         geom=geom,
-        bc_kind="D",
         lam=LAM,
     )
     g = TestVector(values=np.array([1.0, 1.0, 1.0, 1.0]), lam=LAM)
@@ -132,7 +132,7 @@ def random_operator(n_pos, n_neg, seed, extra=2):
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     geom, probe, _ = _CACHED_OPERATOR
     op = DataOperator(matrix=(q * mu) @ q.T, eigenvalues=mu, eigenvectors=q,
-                      probe=probe, geom=geom, bc_kind="D", lam=LAM)
+                      probe=probe, geom=geom, lam=LAM)
     g = TestVector(values=rng.standard_normal(n), lam=LAM)
     return op, g, mu[:k], q[:, :k].T @ g.values, rng
 
@@ -274,6 +274,40 @@ def test_screen_arcs_separate_inside_from_complement():
         else:
             outside.append(w)
     assert np.mean(inside) / np.mean(outside) > 10.0
+
+
+@pytest.mark.parametrize(
+    "interval",
+    [(-0.5 * math.pi, 0.5 * math.pi), (1.5 * math.pi, 2.5 * math.pi), (0.0, math.pi)],
+    ids=["through_zero", "past_two_pi", "zero_to_pi"],
+)
+def test_arc_sweep_flags_arcs_on_screens_through_zero(interval):
+    # a screen whose parameter interval wraps through 0 carries the same
+    # 7 of 16 arcs as [0, pi] carries (rotated), and separates them as well
+    a, b = interval
+    probe = make_probe((0.0, 0.0), 4.0, 64)
+    geom = make_curve("circle", {"radius": 1.0}, n_nodes=128, cluster=(a, b, 0.6))
+    screen = make_screen(geom, interval)
+    f = assemble_F(BoundaryCondition("D", screen=screen), geom, probe, LAM)
+    _, indicators, inside = arc_sweep(
+        f, probe, "circle", {"radius": 1.0}, interval, math.pi / 8.0, 16, n_quad=96
+    )
+    want = [1, 2, 3, 4, 5, 6, 7] if a == 0.0 else [0, 1, 2, 3, 13, 14, 15]
+    assert np.flatnonzero(inside).tolist() == want
+    assert np.mean(indicators[inside]) / np.mean(indicators[~inside]) >= 10.0
+
+
+def test_arc_sweep_validation():
+    # no arcs, or arcs of no or of more than full length, gave a report
+    # (separation ratio inf or 0) or a traceback instead of an error
+    probe = make_probe((0.0, 0.0), 4.0, 16)
+    geom = make_curve("circle", {"radius": 1.0}, n_nodes=32)
+    screen = make_screen(geom, (0.0, math.pi))
+    f = assemble_F(BoundaryCondition("D", screen=screen), geom, probe, LAM)
+    for arc_length, count in ((0.3, 0), (0.3, -3), (0.0, 8), (7.0, 8)):
+        with pytest.raises(DomainError):
+            arc_sweep(f, probe, "circle", {"radius": 1.0}, (0.0, math.pi),
+                      arc_length, count, n_quad=16)
 
 
 def test_test_arc_validation():
