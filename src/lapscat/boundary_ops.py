@@ -378,7 +378,7 @@ def assemble_M(
 
 def sign_check(op: BoundaryOperator) -> SignReport:
     """Classify definiteness by the extreme eigenvalues."""
-    mat = op.matrix if isinstance(op, BoundaryOperator) else np.asarray(op)
+    mat = op.matrix
     res = np.linalg.norm(mat - mat.T) / max(np.linalg.norm(mat), 1e-300)
     if res > 1e-8:
         raise DomainError(f"sign_check expects a symmetric matrix, residual {res:.2e}")

@@ -89,7 +89,7 @@ class Scenario:
         unknown = set(raw) - set(blocks) - {"seed", "schema_version"}
         if unknown:
             raise ScenarioError(f"unknown scenario blocks: {sorted(unknown)}")
-        parsed = {key: _value(raw, "scenario", key, {}, dict)
+        parsed = {key: _value(raw, "scenario", key, {}, _object)
                   for key in blocks if raw.get(key) is not None}
         return cls(**parsed, seed=_value(raw, "scenario", "seed", 0, int))
 
@@ -134,6 +134,13 @@ def _value(block: dict, name: str, key: str, default, convert=float):
         raise ScenarioError(f"{name}.{key} = {value!r} is invalid: {exc}") from exc
 
 
+def _object(value) -> dict:
+    """A scenario block: a JSON object, not a list of key/value pairs."""
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _floats(value, shape=(2,)) -> list:
     """Nested list of floats of the given shape (a point or bounds)."""
     arr = np.asarray(value, dtype=float)
@@ -170,7 +177,7 @@ def build_pipeline(scn: Scenario):
     params = gblock.get("params")
     n_nodes = _value(gblock, "geometry", "n_nodes", 128, int)
     screen_block = _value(gblock, "geometry", "screen", None,
-                          lambda v: None if v is None else dict(v))
+                          lambda v: None if v is None else _object(v))
     cluster = None
     if screen_block is not None:
         interval = _value(screen_block, "geometry.screen", "interval", None, _floats)
@@ -269,7 +276,7 @@ def run_forward(scn: Scenario, out_dir: str | None = None) -> dict:
 
 def _arc_sweep_report(scn, screen, probe, f_op, out):
     """Screen scenarios: indicator per test arc swept along the carrier."""
-    block = _value(scn.reconstruction, "reconstruction", "arc_sweep", {}, dict)
+    block = _value(scn.reconstruction, "reconstruction", "arc_sweep", {}, _object)
     arc_len = _value(block, "reconstruction.arc_sweep", "arc_length", math.pi / 8.0)
     count = _value(block, "reconstruction.arc_sweep", "count", 32, int)
     centers, indicators, inside = reconstruction.arc_sweep(
@@ -280,9 +287,8 @@ def _arc_sweep_report(scn, screen, probe, f_op, out):
         n_quad=_value(block, "reconstruction.arc_sweep", "n_quad", 128, int),
         truncation_floor=_value(scn.spectral, "spectral", "truncation_floor", 1e-8),
     )
-    mean_in = float(np.mean(indicators[inside])) if inside.any() else 0.0
-    mean_out = float(np.mean(indicators[~inside])) if not inside.all() else 0.0
-    ratio = math.inf if mean_out == 0.0 else mean_in / mean_out
+    mean_in = float(np.mean(indicators[inside]))
+    mean_out = float(np.mean(indicators[~inside]))
     rows = zip(centers.tolist(), indicators.tolist(), inside.astype(int).tolist())
     _write_csv(os.path.join(out, "arcs.csv"), rows, ("center", "indicator", "inside_screen"))
     report = {
@@ -290,7 +296,7 @@ def _arc_sweep_report(scn, screen, probe, f_op, out):
         "count": count,
         "mean_inside": mean_in,
         "mean_outside": mean_out,
-        "separation_ratio": ratio,
+        "separation_ratio": mean_in / mean_out,
     }
     _write_json(os.path.join(out, "arc_report.json"), report)
     return report
@@ -391,8 +397,9 @@ def _build_parser() -> argparse.ArgumentParser:
         if name != "selftest":
             p.add_argument("--scenario", default=None,
                            required=name in ("forward", "reconstruct"))
-            p.add_argument("--lambda", dest="lam", type=float, default=None)
-            p.add_argument("--nodes", type=int, default=None)
+            if name != "verify":
+                p.add_argument("--lambda", dest="lam", type=float, default=None)
+                p.add_argument("--nodes", type=int, default=None)
             p.add_argument("--seed", type=int, default=None)
             p.add_argument("--out", default=None)
     return parser
@@ -406,18 +413,13 @@ def main(argv: list[str] | None = None) -> int:
 
             n_pass, n_fail = run_all()
             return EXIT_OK if n_fail == 0 else EXIT_CHECK_FAILURE
-        scn = None
-        if args.scenario is not None:
+        if args.command in ("forward", "reconstruct"):
             scn = _apply_overrides(load_scenario(args.scenario), args)
-        if args.command == "forward":
-            payload = run_forward(scn, args.out)
-            print(json.dumps(payload, indent=2, sort_keys=True))
-            return EXIT_OK
-        if args.command == "reconstruct":
-            payload = run_reconstruct(scn, args.out)
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            run = run_forward if args.command == "forward" else run_reconstruct
+            print(json.dumps(run(scn, args.out), indent=2, sort_keys=True))
             return EXIT_OK
         # verify
+        scn = load_scenario(args.scenario) if args.scenario is not None else None
         seed = args.seed if args.seed is not None else (scn.seed if scn else 0)
         report, ok = run_verify(scn, args.out, seed=seed)
         print(f"verify: {report['n_checks'] - report['n_failed']}/"

@@ -256,20 +256,24 @@ def arc_sweep(
     Arcs of parameter length arc_length are centered at equispaced
     parameters of [0, 2 pi); an arc is inside when it lies in the
     parameter interval (a, b) of the screen, taken mod 2 pi (a may be
-    negative or b past 2 pi).  Returns (centers, indicators, inside).
+    negative or b past 2 pi).  A sweep with no arc inside, or none
+    outside, separates nothing and is refused.  Returns (centers,
+    indicators, inside).
     """
     if count < 1 or not 0.0 < arc_length < 2.0 * math.pi:
         raise DomainError("arc sweep needs count >= 1 and 0 < arc_length < 2 pi")
     a, b = interval
     centers = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
+    rel = (centers - 0.5 * arc_length - a + 1e-12) % (2.0 * math.pi)
+    inside = rel + arc_length <= b - a + 2e-12
+    if inside.all() or not inside.any():
+        raise DomainError(f"arc sweep has {int(inside.sum())} of {count} arcs inside "
+                          "the screen; it needs arcs both inside and outside")
     indicators = np.empty(count)
-    inside = np.empty(count, dtype=bool)
     for i, c in enumerate(centers):
         arc = TestArc(shape, params, (c - 0.5 * arc_length, c + 0.5 * arc_length))
         tv = make_screen_test_vector(probe, arc, op.lam, n_quad=n_quad)
         indicators[i] = picard_indicator(op, tv, truncation_floor=truncation_floor)
-        rel = (c - 0.5 * arc_length - a + 1e-12) % (2.0 * math.pi)
-        inside[i] = rel + arc_length <= b - a + 2e-12
     return centers, indicators, inside
 
 

@@ -443,7 +443,7 @@ def _check_pulse_short_width_limit():
     pulse = td.PulseProfile(1e-4)
     f = np.ones(model.dim)
     t = 1.0
-    u = td.pulse_response(model, pulse, f, t, "perturbed")
+    u = td.pulse_response(model, pulse, f, t)
     ref = (td.sine_family(model.a_perturbed, t) @ f) * pulse.mass()
     rel = float(np.linalg.norm(u - ref) / np.linalg.norm(ref))
     return rel < 1e-3, f"short pulse approaches impulse response: rel {rel:.1e}"

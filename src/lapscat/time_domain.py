@@ -9,7 +9,10 @@ by an explicitly bounded amount.  This module realizes the families,
 the truncated and ideal operators, and the closed-form truncation bound
 with constants c1, c2, c3, on matrix surrogates: the bound only needs
 self-adjointness and spectral caps, which finite symmetric matrices
-satisfy exactly.
+satisfy exactly.  A SurrogateModel diagonalizes both generators once;
+the ideal operator (fn = 1/(lam - a), less its constant 1/lam) and the
+truncated one (fn = the per-eigenvalue horizon integral) are both the
+masked difference 1_B[V_p fn(L_p) V_p^T - V_f fn(L_f) V_f^T]1_B.
 
 A note on the bound's min{t,1} ingredient (the x=0 convention
 x^{-1} sinh(x t) -> min{t,1}): as a sine-family norm bound it requires
@@ -22,8 +25,8 @@ generated model rather than only heuristically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,6 +38,7 @@ from .errors import (
 )
 
 SYMMETRY_TOL = 1e-12
+_TRUNCATED_ORDER = 12  # Gauss-Legendre order per panel of the horizon integral
 
 
 # ----------------------------------------------------------------------
@@ -96,13 +100,16 @@ class SurrogateModel:
 
     a_perturbed has spectrum <= lambda_bound, a_free is negative
     semidefinite, probe_mask marks the observed coordinates (the 0/1
-    diagonal restriction).
+    diagonal restriction).  Both eigensystems (eigenvalues ascending,
+    eigenvectors as columns) are computed once, at construction.
     """
 
     a_perturbed: np.ndarray
     a_free: np.ndarray
     lambda_bound: float
     probe_mask: np.ndarray
+    eig_perturbed: tuple[np.ndarray, np.ndarray] = field(init=False)
+    eig_free: tuple[np.ndarray, np.ndarray] = field(init=False)
 
     def __post_init__(self) -> None:
         ap = np.asarray(self.a_perturbed, dtype=float)
@@ -116,46 +123,35 @@ class SurrogateModel:
         mask = np.asarray(self.probe_mask, dtype=bool)
         if mask.shape != (ap.shape[0],) or not np.any(mask):
             raise ValidationError("probe_mask must mark at least one coordinate")
+        eig_p, eig_f = np.linalg.eigh(ap), np.linalg.eigh(af)
         tol = 1e-10 * (1.0 + abs(self.lambda_bound))
-        if eig_max(ap) > self.lambda_bound + tol:
-            raise ValidationError(
-                f"a_perturbed max eigenvalue {eig_max(ap):.6g} exceeds "
-                f"lambda_bound {self.lambda_bound}"
-            )
-        if eig_max(af) > tol:
+        if eig_p[0][-1] > self.lambda_bound + tol:
+            raise ValidationError(f"a_perturbed max eigenvalue {eig_p[0][-1]:.6g} "
+                                  f"exceeds lambda_bound {self.lambda_bound}")
+        if eig_f[0][-1] > tol:
             raise ValidationError("a_free must be negative semidefinite")
         object.__setattr__(self, "a_perturbed", ap)
         object.__setattr__(self, "a_free", af)
         object.__setattr__(self, "probe_mask", mask)
+        object.__setattr__(self, "eig_perturbed", eig_p)
+        object.__setattr__(self, "eig_free", eig_f)
 
     @property
     def dim(self) -> int:
         return self.a_free.shape[0]
 
-    @cached_property
-    def _eig_perturbed(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.linalg.eigh(self.a_perturbed)
+    def masked_difference(self, fn) -> np.ndarray:
+        """1_B[fn(A_pert) - fn(A_free)]1_B by spectral calculus.
 
-    @cached_property
-    def _eig_free(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.linalg.eigh(self.a_free)
-
-    def eig(self, which: str) -> tuple[np.ndarray, np.ndarray]:
-        if which == "perturbed":
-            return self._eig_perturbed
-        if which == "free":
-            return self._eig_free
-        raise DomainError(f"which must be 'perturbed' or 'free', got {which!r}")
-
-    def matrix(self, which: str) -> np.ndarray:
-        return self.a_perturbed if which == "perturbed" else self.a_free
-
-    def masked(self, x: np.ndarray) -> np.ndarray:
-        """Two-sided restriction 1_B X 1_B."""
-        out = np.zeros_like(x)
-        idx = np.where(self.probe_mask)[0]
-        out[np.ix_(idx, idx)] = x[np.ix_(idx, idx)]
-        return out
+        fn maps an array of eigenvalues to the values of the function;
+        the output is symmetric and zero off the observed block.
+        """
+        (ev_p, v_p), (ev_f, v_f) = self.eig_perturbed, self.eig_free
+        diff = (v_p * fn(ev_p)) @ v_p.T - (v_f * fn(ev_f)) @ v_f.T
+        out = np.zeros_like(diff)
+        idx = np.ix_(self.probe_mask, self.probe_mask)
+        out[idx] = diff[idx]
+        return 0.5 * (out + out.T)
 
 
 def eig_max(mat: np.ndarray) -> float:
@@ -201,10 +197,10 @@ class PulseProfile:
         x = s / self.epsilon
         return self._bump_raw(x) / (self.epsilon * self._bump_mass())
 
-    def mass(self, n_quad: int = 400) -> float:
+    def mass(self) -> float:
         if self.kind == "box":
             return 1.0  # exact by construction
-        nodes, weights = _gauss_legendre(n_quad)
+        nodes, weights = _gauss_legendre(400)
         s = 0.5 * self.epsilon * (nodes + 1.0)
         return float(0.5 * self.epsilon * np.sum(weights * self(s)))
 
@@ -217,11 +213,6 @@ class LemmaBound:
     c2: float
     c3: float
     total: float
-    lam: float
-    lambda_bound: float
-    lambda_circ: float
-    t_circ: float
-    epsilon: float
 
 
 # ----------------------------------------------------------------------
@@ -271,16 +262,11 @@ def _gl_panels(t0: float, t1: float, max_width: float, order: int):
     return nodes, weights
 
 
-def laplace_identity_residual(
-    a: np.ndarray,
-    lam: float,
-    t_max: float | None = None,
-    quadrature_n: int = 8,
-) -> float:
+def laplace_identity_residual(a: np.ndarray, lam: float) -> float:
     """Max relative residual of the two Laplace-transform identities.
 
-    Integrates exp(-sqrt(lam) t) Cos(t) and ... Sin(t) over [0, t_max]
-    (auto-extended until the integrand tail is below 1e-12 relative) and
+    Integrates exp(-sqrt(lam) t) Cos(t) and ... Sin(t) over [0, t_max],
+    with t_max set so the integrand tail is below 1e-12 relative, and
     compares against sqrt(lam) (lam I - A)^{-1} and (lam I - A)^{-1}.
     """
     a = np.asarray(a, dtype=float)
@@ -295,8 +281,7 @@ def laplace_identity_residual(
         )
     s = math.sqrt(lam)
     gap = s - math.sqrt(max(amax, 0.0))
-    if t_max is None:
-        t_max = 30.0 / gap  # e^{-gap t} below ~1e-13
+    t_max = 30.0 / gap  # e^{-gap t} below ~1e-13
     w_osc = math.sqrt(max(-float(eigvals[0]), 0.0))
     width = min(0.25, 2.0 * math.pi / (8.0 * w_osc)) if w_osc > 0 else 0.25
     if t_max > 200000.0 * width:
@@ -304,7 +289,7 @@ def laplace_identity_residual(
             "spectral gap too small: resolving the tail would need more "
             "than 200000 quadrature panels"
         )
-    nodes, weights = _gl_panels(0.0, t_max, width, quadrature_n)
+    nodes, weights = _gl_panels(0.0, t_max, width, 8)
 
     cos_vals = _damped_cos(eigvals[:, None], nodes[None, :], s)
     sin_vals = _damped_sin(eigvals[:, None], nodes[None, :], s)
@@ -324,13 +309,12 @@ def pulse_response(
     pulse: PulseProfile,
     f: np.ndarray,
     t: float,
-    which: str = "perturbed",
 ) -> np.ndarray:
-    """u(t) = int_0^t Sin(t - s) pulse(s) f ds for one generator."""
+    """u(t) = int_0^t Sin(t - s) pulse(s) f ds for the perturbed generator."""
     if t < 0:
         raise DomainError("time must be non-negative")
     f = np.asarray(f, dtype=float)
-    eigvals, vecs = model.eig(which)
+    eigvals, vecs = model.eig_perturbed
     upper = min(t, pulse.epsilon)
     if upper <= 0.0:
         return np.zeros_like(f)
@@ -347,16 +331,12 @@ def assemble_F_ideal(model: SurrogateModel, lam: float) -> np.ndarray:
         raise SpectralParameterError(
             f"lambda {lam} must exceed lambda_bound {model.lambda_bound}"
         )
-    n = model.dim
-    eye = np.eye(n)
-    for which in ("perturbed", "free"):
-        ev, _ = model.eig(which)
+    for ev, _ in (model.eig_perturbed, model.eig_free):
         if np.min(np.abs(lam - ev)) < 1e-12 * max(1.0, abs(lam)):
             raise SpectralParameterError("lambda numerically inside the spectrum")
-    r_p = np.linalg.solve(lam * eye - model.a_perturbed, eye)
-    r_f = np.linalg.solve(lam * eye - model.a_free, eye)
-    out = model.masked(r_p - r_f)
-    return 0.5 * (out + out.T)
+    # (lam - a)^{-1} = 1/lam + a / (lam (lam - a)); the 1/lam I terms cancel, and leaving
+    # them out keeps the eigenvectors' orthogonality error (times 1/lam) out of F
+    return model.masked_difference(lambda ev: ev / (lam * (lam - ev)))
 
 
 def _truncated_side(
@@ -364,7 +344,6 @@ def _truncated_side(
     pulse: PulseProfile,
     s: float,
     t_circ: float,
-    quadrature_n: int,
 ) -> np.ndarray:
     """Per-eigenvalue integral int_0^{t_circ} e^{-s t} u_a(t) dt.
 
@@ -387,9 +366,9 @@ def _truncated_side(
 
     # corner region t in [0, min(eps, t_circ)]: direct nested quadrature
     upper = min(eps, t_circ)
-    tnodes, tweights = _gl_panels(0.0, upper, upper / 4.0, quadrature_n)
+    tnodes, tweights = _gl_panels(0.0, upper, upper / 4.0, _TRUNCATED_ORDER)
     for tq, wq in zip(tnodes, tweights):
-        inn, inw = _gl_panels(0.0, tq, max(tq / 4.0, 1e-30), quadrature_n)
+        inn, inw = _gl_panels(0.0, tq, max(tq / 4.0, 1e-30), _TRUNCATED_ORDER)
         chi_in = pulse(inn)
         svals = _damped_sin(eigvals[:, None], tq - inn[None, :], 0.0)
         u_t = svals @ (inw * chi_in)
@@ -398,7 +377,7 @@ def _truncated_side(
     # main region t in [eps, t_circ] via the addition formula
     if t_circ > eps:
         width = min(eps, 0.1)
-        onodes, oweights = _gl_panels(eps, t_circ, width, quadrature_n)
+        onodes, oweights = _gl_panels(eps, t_circ, width, _TRUNCATED_ORDER)
         dsin = _damped_sin(eigvals[:, None], onodes[None, :], s)
         dcos = _damped_cos(eigvals[:, None], onodes[None, :], s)
         total += (dsin * mom_c[:, None] - dcos * mom_s[:, None]) @ oweights
@@ -410,7 +389,6 @@ def assemble_F_truncated(
     pulse: PulseProfile,
     lam: float,
     t_circ: float,
-    quadrature_n: int = 12,
 ) -> np.ndarray:
     """Truncated data operator: horizon t_circ, pulse width epsilon.
 
@@ -423,16 +401,8 @@ def assemble_F_truncated(
         )
     if t_circ <= 0:
         raise DomainError("truncation horizon must be positive")
-    if quadrature_n < 2:
-        raise QuadratureError("quadrature order too small to resolve the pulse")
     s = math.sqrt(lam)
-    sides = []
-    for which in ("perturbed", "free"):
-        eigvals, vecs = model.eig(which)
-        ints = _truncated_side(eigvals, pulse, s, t_circ, quadrature_n)
-        sides.append((vecs * ints) @ vecs.T)
-    out = model.masked(sides[0] - sides[1])
-    return 0.5 * (out + out.T)
+    return model.masked_difference(lambda ev: _truncated_side(ev, pulse, s, t_circ))
 
 
 # ----------------------------------------------------------------------
@@ -476,20 +446,11 @@ def lemma_bound(
         c1 * math.exp(-sl * t_circ)
         + epsilon * (c2 * (1.0 - math.exp(-sl * epsilon)) + c3 * math.exp(-sl * epsilon))
     ) / sl
-    return LemmaBound(
-        c1=c1, c2=c2, c3=c3, total=total,
-        lam=lam, lambda_bound=lambda_bound, lambda_circ=lambda_circ,
-        t_circ=t_circ, epsilon=epsilon,
-    )
+    return LemmaBound(c1=c1, c2=c2, c3=c3, total=total)
 
 
-def make_random_surrogate(
-    dim: int,
-    lambda_bound: float,
-    seed: int,
-    perturbation_rank: int = 3,
-) -> SurrogateModel:
-    """Random surrogate pair: shifted tridiagonal Laplacian plus low rank.
+def make_random_surrogate(dim: int, lambda_bound: float, seed: int) -> SurrogateModel:
+    """Random surrogate pair: shifted tridiagonal Laplacian plus rank 3.
 
     The free matrix is a scaled second-difference operator shifted so
     its spectrum lies in [-c, -1]; the perturbed matrix adds a low-rank
@@ -510,9 +471,9 @@ def make_random_surrogate(
     free = free - shift * np.eye(dim) - eig_max(free) * np.eye(dim)
     # top of spectrum now exactly at -shift <= -1
 
-    u = rng.standard_normal((dim, perturbation_rank))
+    u = rng.standard_normal((dim, 3))
     u, _ = np.linalg.qr(u)
-    c = rng.uniform(-2.0, 2.0, size=perturbation_rank)
+    c = rng.uniform(-2.0, 2.0, size=3)
     pert = free + (u * c) @ u.T
     if lambda_bound > 0:
         target = lambda_bound * (0.3 + 0.65 * rng.random())
@@ -537,16 +498,14 @@ def verify_bound(
     pulse_family: list[PulseProfile],
     lambda_grid: list[float],
     t_circ_grid: list[float],
-    lambda_circ: float | None = None,
-    quadrature_n: int = 12,
 ) -> dict:
     """Check measured truncation error against the closed-form bound.
 
-    Every (lambda, t_circ, pulse) cell reports measured norm, bound and
-    slack; a single violation flips the overall pass flag (the
-    inequality holds exactly for admissible surrogates, so a violation
-    indicates an implementation or quadrature defect, and the report
-    says which tuple failed).
+    The bound is taken at lambda_circ = lambda.  Every (lambda, t_circ,
+    pulse) cell reports measured norm, bound and slack; a single
+    violation flips the overall pass flag (the inequality holds exactly
+    for admissible surrogates, so a violation indicates an implementation
+    or quadrature defect, and the report says which tuple failed).
     """
     cells = []
     all_pass = True
@@ -554,13 +513,8 @@ def verify_bound(
         f_ideal = assemble_F_ideal(model, lam)
         for t_circ in t_circ_grid:
             for pulse in pulse_family:
-                lc = lam if lambda_circ is None else lambda_circ
-                bound = lemma_bound(
-                    lam, model.lambda_bound, lc, t_circ, pulse.epsilon
-                )
-                f_trunc = assemble_F_truncated(
-                    model, pulse, lam, t_circ, quadrature_n
-                )
+                bound = lemma_bound(lam, model.lambda_bound, lam, t_circ, pulse.epsilon)
+                f_trunc = assemble_F_truncated(model, pulse, lam, t_circ)
                 measured = float(np.linalg.norm(f_ideal - f_trunc, 2))
                 passed = measured <= bound.total * (1.0 + 1e-12)
                 all_pass &= passed
@@ -570,7 +524,6 @@ def verify_bound(
                         "t_circ": t_circ,
                         "epsilon": pulse.epsilon,
                         "pulse": pulse.kind,
-                        "lambda_circ": lc,
                         "measured": measured,
                         "bound": bound.total,
                         "slack": bound.total / measured if measured > 0 else math.inf,

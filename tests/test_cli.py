@@ -202,6 +202,29 @@ def test_reconstruct_screen_arc_report(tmp_path, capsys):
     assert {r[2] for r in rows[1:]} == {"0", "1"}
 
 
+def test_reconstruct_refuses_arc_sweep_without_inside_arc(tmp_path, capsys):
+    # no arc of length 3.2 fits in [0, 3.14159]: the report would compare
+    # the outside arcs with nothing
+    scenario = write_scenario(
+        tmp_path / "scn.json",
+        geometry={"shape": "circle", "params": {"radius": 1.0}, "n_nodes": 64,
+                  "screen": {"interval": [0.0, 3.14159]}},
+        reconstruction={"arc_sweep": {"arc_length": 3.2, "count": 8}},
+    )
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--scenario", scenario, "--out", str(out)]) == EXIT_VALIDATION
+    assert "validation error:" in capsys.readouterr().err
+    assert not (out / "arc_report.json").exists()
+
+
+def test_verify_takes_no_scenario_overrides(capsys):
+    # --lambda and --nodes change a forward or reconstruct scenario only
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--lambda", "5"])
+    assert exc.value.code == EXIT_VALIDATION
+    assert "--lambda" in capsys.readouterr().err
+
+
 def test_validation_exit_codes(tmp_path, capsys):
     cases = [
         # spectral parameter at or below the declared bound
@@ -251,6 +274,17 @@ MALFORMED_VALUES = {
         geometry={"shape": "circle", "params": {"radius": 1.0}, "n_nodes": 64,
                   "screen": {"interval": [0.0, 3.14]}},
         reconstruction={"arc_sweep": [16]},
+    ),
+    # blocks given as lists of key/value pairs, which dict() would accept
+    "probe_pairs": dict(probe=[["radius", 5.0], ["n_points", 32]]),
+    "screen_pairs": dict(
+        geometry={"shape": "circle", "params": {"radius": 1.0}, "n_nodes": 64,
+                  "screen": [["interval", [0.0, 3.14]]]}
+    ),
+    "arc_sweep_pairs": dict(
+        geometry={"shape": "circle", "params": {"radius": 1.0}, "n_nodes": 64,
+                  "screen": {"interval": [0.0, 3.14]}},
+        reconstruction={"arc_sweep": [["count", 16], ["arc_length", 0.3]]},
     ),
 }
 

@@ -297,17 +297,27 @@ def test_arc_sweep_flags_arcs_on_screens_through_zero(interval):
     assert np.mean(indicators[inside]) / np.mean(indicators[~inside]) >= 10.0
 
 
-def test_arc_sweep_validation():
-    # no arcs, or arcs of no or of more than full length, gave a report
-    # (separation ratio inf or 0) or a traceback instead of an error
+def test_arc_sweep_validation(monkeypatch):
+    # no arcs, arcs of no or of more than full length, or no arc inside
+    # the screen or none outside gave a report (separation ratio inf or 0)
+    # or a traceback instead of an error; each is refused before any test
+    # vector is built
+    import lapscat.reconstruction as rec
+
     probe = make_probe((0.0, 0.0), 4.0, 16)
     geom = make_curve("circle", {"radius": 1.0}, n_nodes=32)
     screen = make_screen(geom, (0.0, math.pi))
     f = assemble_F(BoundaryCondition("D", screen=screen), geom, probe, LAM)
-    for arc_length, count in ((0.3, 0), (0.3, -3), (0.0, 8), (7.0, 8)):
+    built = []
+    monkeypatch.setattr(rec, "make_screen_test_vector", lambda *args, **kw: built.append(args))
+    half, full = (0.0, math.pi), (0.5, 0.5 + 2.0 * math.pi)
+    for interval, arc_length, count in ((half, 0.3, 0), (half, 0.3, -3), (half, 0.0, 8),
+                                        (half, 7.0, 8), ((0.0, math.pi - 1e-5), 3.2, 8),
+                                        (full, 0.3, 8)):
         with pytest.raises(DomainError):
-            arc_sweep(f, probe, "circle", {"radius": 1.0}, (0.0, math.pi),
+            arc_sweep(f, probe, "circle", {"radius": 1.0}, interval,
                       arc_length, count, n_quad=16)
+    assert built == []
 
 
 def test_test_arc_validation():
