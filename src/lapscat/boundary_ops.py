@@ -76,6 +76,10 @@ CONDITION_CAP = 1e12
 # keeps every coarse-grid mode strictly inside the exact band.
 OVERSAMPLE = 2
 
+# refinement of the off-surface quadratures: near-singular potential
+# targets, and the jump ladder's offsets down to h0/4
+_NEAR_UPSAMPLE, _JUMP_UPSAMPLE = 8, 16
+
 @dataclass(frozen=True)
 class BoundaryOperator:
     """Dense symmetric matrix realization of a boundary operator.
@@ -517,7 +521,6 @@ def evaluate_potential(
     density: np.ndarray,
     targets: np.ndarray,
     lam: SpectralParam,
-    upsample: int = 8,
 ) -> np.ndarray:
     """Layer potential (SL or DL) of a nodal density at off-surface targets.
 
@@ -535,32 +538,27 @@ def evaluate_potential(
     dists = distance_to_boundary(geom, targets)
     if np.any(dists <= 0.0):
         raise DomainError("targets must be strictly off-surface")
-    spacing = float(np.max(geom.weights))
-    near = dists < 2.0 * spacing
+    near = dists < 2.0 * float(np.max(geom.weights))
 
     out = np.empty(targets.shape[0])
-    far = ~near
-    if np.any(far):
-        out[far] = _layer_sum(kind, geom, density, targets[far], lam)
+    out[~near] = _layer_matrix(kind, geom, targets[~near], lam) @ (geom.weights * density)
     if np.any(near):
-        warnings.warn(
-            "near-singular potential evaluation; using upsampled quadrature",
-            stacklevel=2,
-        )
-        fine = _refined_geometry(geom, upsample)
-        dens = _trig_upsample(density, upsample)
-        out[near] = _layer_sum(kind, fine, dens, targets[near], lam)
+        warnings.warn("near-singular potential evaluation; using upsampled quadrature",
+                      stacklevel=2)
+        fine = _refined_geometry(geom, _NEAR_UPSAMPLE)
+        dens = _trig_upsample(density, _NEAR_UPSAMPLE)
+        out[near] = _layer_matrix(kind, fine, targets[near], lam) @ (fine.weights * dens)
     return out
 
 
-def _layer_sum(kind, src: BoundaryGeometry, dens, targets, lam: SpectralParam, directions=None):
-    """Trapezoid sum of the SL or DL potential of the nodal density
-    ``dens`` on ``src`` at off-surface targets; with ``directions``, the
-    SL potential's derivative along them instead."""
+def _layer_matrix(kind, src: BoundaryGeometry, targets, lam: SpectralParam, directions=None):
+    """Trapezoid kernel matrix of the SL or DL potential from the nodes
+    of ``src`` to off-surface targets (weights not applied); with
+    ``directions``, of the SL potential's derivative along them instead."""
     dx = targets[:, 0, None] - src.nodes[:, 0]    # (m, n) planes of x - y
     dy = targets[:, 1, None] - src.nodes[:, 1]
     if directions is None and kind == "SL":
-        return _radial_g(lam.sqrt_lam, _plane_norm(dx, dy)) @ (src.weights * dens)
+        return _radial_g(lam.sqrt_lam, _plane_norm(dx, dy))
     if directions is not None:
         # grad_x g = g'(r) (x - y)/r
         proj = dx * directions[:, 0, None] + dy * directions[:, 1, None]
@@ -569,8 +567,7 @@ def _layer_sum(kind, src: BoundaryGeometry, dens, targets, lam: SpectralParam, d
         proj = -(dx * src.normals[:, 0] + dy * src.normals[:, 1])
     r = _plane_norm(dx, dy)
     proj /= r
-    ker = _radial_dg(lam.sqrt_lam, r) * proj
-    return ker @ (src.weights * dens)
+    return _radial_dg(lam.sqrt_lam, r) * proj
 
 
 def jump_relation_residual(
@@ -578,54 +575,70 @@ def jump_relation_residual(
     lam: SpectralParam,
     density: np.ndarray,
     kind: str = "SL",
-    h0: float | None = None,
-    upsample: int = 16,
-) -> float:
+) -> float | np.ndarray:
     """Residual of the trace-jump law across Gamma, by Richardson ladder.
 
     For SL the jump of the normal derivative equals -density; for DL the
     jump of the Dirichlet trace equals +density.  Two-sided offsets at
     h, h/2, h/4 are extrapolated twice; non-contracting differences
-    raise a diagnostic error.
+    raise a diagnostic error.  An (n, k) stack of densities gives k
+    residuals, from one kernel matrix per offset and side.
     """
     if kind not in ("SL", "DL"):
         raise DomainError("kind must be 'SL' or 'DL'")
     density = np.asarray(density, dtype=float)
-    scale = geom.perimeter() / TWO_PI
-    if h0 is None:
-        h0 = 0.05 * scale
-    fine = _refined_geometry(geom, upsample)
-    fine_dens = _trig_upsample(density, upsample)
-    directions = geom.normals if kind == "SL" else None
-
-    def jump(h: float) -> np.ndarray:
-        outer = _layer_sum(kind, fine, fine_dens, geom.nodes + h * geom.normals, lam, directions)
-        inner = _layer_sum(kind, fine, fine_dens, geom.nodes - h * geom.normals, lam, directions)
-        return outer - inner
-
-    j1, j2, j4 = jump(h0), jump(0.5 * h0), jump(0.25 * h0)
-    d1 = np.linalg.norm(j2 - j1)
-    d2 = np.linalg.norm(j4 - j2)
-    if d2 > 0.95 * d1 and d2 > 1e-12:
-        raise QuadratureError(
-            f"jump extrapolation not contracting: {d1:.3e} -> {d2:.3e}"
-        )
-    r1 = 2.0 * j2 - j1
-    r2 = 2.0 * j4 - j2
-    extrap = (4.0 * r2 - r1) / 3.0
-
-    target = -density if kind == "SL" else density
+    if not (density.ndim in (1, 2) and len(density) == geom.n_nodes
+            and np.all(np.isfinite(density))):
+        raise DomainError(f"density must be a finite (n,) or (n, k) array, n = {geom.n_nodes}")
     w = geom.weights
-    num = math.sqrt(float(np.sum(w * (extrap - target) ** 2)))
-    den = math.sqrt(float(np.sum(w * target**2)))
-    if den == 0.0:
+    cols = density.reshape(geom.n_nodes, -1).T
+    norms = [math.sqrt(float(np.sum(w * c**2))) for c in cols]
+    if 0.0 in norms:
         raise DomainError("zero density in jump test")
-    return num / den
+    fine = _refined_geometry(geom, _JUMP_UPSAMPLE)
+    fine_dens = [fine.weights * c for c in _trig_upsample(cols.T, _JUMP_UPSAMPLE).T]
+    directions = geom.normals if kind == "SL" else None
+    h0 = 0.05 * geom.perimeter() / TWO_PI
+
+    def jump(h: float) -> list:
+        outer = _layer_matrix(kind, fine, geom.nodes + h * geom.normals, lam, directions)
+        inner = _layer_matrix(kind, fine, geom.nodes - h * geom.normals, lam, directions)
+        # a matrix-vector product per density, not one matmul, keeps each
+        # density's sums those of a call with it alone
+        return [outer @ v - inner @ v for v in fine_dens]
+
+    out = []
+    ladder = zip(jump(h0), jump(0.5 * h0), jump(0.25 * h0))
+    for i, ((j1, j2, j4), dens, den) in enumerate(zip(ladder, cols, norms)):
+        d1 = np.linalg.norm(j2 - j1)
+        d2 = np.linalg.norm(j4 - j2)
+        if d2 > 0.95 * d1 and d2 > 1e-12:
+            raise QuadratureError(
+                f"jump extrapolation not contracting for density {i}: {d1:.3e} -> {d2:.3e}"
+            )
+        extrap = (4.0 * (2.0 * j4 - j2) - (2.0 * j2 - j1)) / 3.0
+        target = -dens if kind == "SL" else dens
+        out.append(math.sqrt(float(np.sum(w * (extrap - target) ** 2))) / den)
+    return out[0] if density.ndim == 1 else np.array(out)
 
 
 # ----------------------------------------------------------------------
 # operator-identity diagnostics
 # ----------------------------------------------------------------------
+
+def _gram_tail_bound(geom: BoundaryGeometry, s1: float, s2: float, radius: float) -> float:
+    """T sum_j w_j >= |W^{1/2} Gram_tail W^{1/2}|_F for |u| > radius (see
+    `gram_identity_residual`); needs max_j |y_j| < radius < inf."""
+    rho = float(np.max(np.hypot(geom.nodes[:, 0], geom.nodes[:, 1])))
+    if not rho < radius < math.inf:
+        raise DomainError(
+            f"volume_radius must be finite and exceed max |y_j| = {rho:.6g}, got {radius!r}"
+        )
+    gap = radius - rho
+    total = s1 + s2
+    tail = radius / gap * math.exp(-total * gap) / (4.0 * math.sqrt(s1 * s2) * total)
+    return tail * float(np.sum(geom.weights))
+
 
 def gram_identity_residual(
     geom: BoundaryGeometry,
@@ -637,8 +650,18 @@ def gram_identity_residual(
     """Residual of the two-parameter difference identity for M_D.
 
     M_{z} - M_{w} = (z - w) * Gram with Gram_{jk} the volume integral of
-    g_w(y_j, u) g_z(u, y_k) over the plane, truncated to a disk.  The
-    truncation is guarded by comparing against a 25% larger disk.
+    g_w(y_j, u) g_z(u, y_k) over the plane, truncated to |u| <= R = volume_radius.
+    The tail |u| > R is bounded in closed form.  With rho = max_j |y_j| < R,
+    s_i = sqrt(lambda_i) and S = s1 + s2:
+
+        |u - y_j| >= |u| - rho and K_0(x) < K_{1/2}(x) = sqrt(pi/2x) e^{-x}, so
+        g_w g_z <= e^{-S(|u| - rho)} / (8 pi sqrt(s1 s2) (|u| - rho)); in polar
+        form, as |u|/(|u| - rho) <= R/(R - rho), |Gram_tail[j, k]| <= T =
+        R/(R - rho) e^{-S(R - rho)} / (4 sqrt(s1 s2) S),
+
+    so |W^{1/2} Gram_tail W^{1/2}|_F <= T sum_j w_j.  A tail share
+    |z - w| T sum_j w_j / |M_z - M_w| above half of max(residual, 1e-3)
+    raises TruncationError.
     """
     if lambda1 == lambda2:
         raise DomainError("gram identity is degenerate at lambda1 == lambda2")
@@ -646,59 +669,49 @@ def gram_identity_residual(
         raise DomainError("spectral parameters must be positive")
     if volume_resolution < 8:
         raise DomainError("volume_resolution too small")
-
-    big_radius = 1.25 * volume_radius
-    cell = 2.0 * big_radius / round(volume_resolution * 1.25)
-    n_cells = int(round(2.0 * big_radius / cell))
-    coords = -big_radius + cell * (np.arange(n_cells) + 0.5)
-    gx, gy = np.meshgrid(coords, coords, indexing="xy")
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    rad = np.linalg.norm(pts, axis=1)
-
     s1 = math.sqrt(lambda1)
     s2 = math.sqrt(lambda2)
+    tail_bound = _gram_tail_bound(geom, s1, s2, volume_radius)
+
+    def lattice(coords: np.ndarray) -> np.ndarray:
+        gx, gy = np.meshgrid(coords, coords, indexing="xy")
+        return np.stack([gx.ravel(), gy.ravel()], axis=1)
+
+    # midpoints of a square lattice of half-width 1.25 R, kept inside |u| <= R
+    big_radius = 1.25 * volume_radius
+    cell = 2.0 * big_radius / round(volume_resolution * 1.25)
+    pts = lattice(-big_radius + cell * (np.arange(int(round(2.0 * big_radius / cell))) + 0.5))
+    pts = pts[np.linalg.norm(pts, axis=1) <= volume_radius]
 
     def gram_for(u: np.ndarray, area: float) -> np.ndarray:
-        n = geom.n_nodes
-        out = np.zeros((n, n))
+        out = np.zeros((geom.n_nodes, geom.n_nodes))
         # blocks of volume points bound the (n, block) kernel temporaries
         for lo in range(0, u.shape[0], 4096):
-            blk = u[lo : lo + 4096]
-            d1 = _distances(geom.nodes, blk)
-            k_z = _radial_g(s1, d1)      # g_{lambda1}(y_j, u)
-            k_w = _radial_g(s2, d1)      # g_{lambda2}(y_j, u)
-            out += (k_w * area) @ k_z.T
+            d = _distances(geom.nodes, u[lo : lo + 4096])
+            # g_{lambda2}(y_j, u) times g_{lambda1}(u, y_k)
+            out += (_radial_g(s2, d) * area) @ _radial_g(s1, d).T
         return out
 
     # cells near the curve see the kernels' log singularity; refine them
     # with a sub-midpoint rule so the global error stays O(cell^2)
     band = distance_to_boundary(geom, pts) <= 2.5 * cell
-    inner_mask = (rad <= volume_radius) & ~band
-    annulus_mask = (rad > volume_radius) & (rad <= big_radius)
-    gram = gram_for(pts[inner_mask], cell * cell)
+    gram = gram_for(pts[~band], cell * cell)
     sub = 8
-    offs = (np.arange(sub) + 0.5) / sub - 0.5
-    ox, oy = np.meshgrid(offs, offs, indexing="xy")
-    shift = cell * np.stack([ox.ravel(), oy.ravel()], axis=1)
-    near_pts = (pts[band & (rad <= volume_radius)][:, None, :] + shift[None, :, :])
+    shift = cell * lattice((np.arange(sub) + 0.5) / sub - 0.5)
+    near_pts = pts[band][:, None, :] + shift[None, :, :]
     gram += gram_for(near_pts.reshape(-1, 2), (cell / sub) ** 2)
-    gram_tail = gram_for(pts[annulus_mask], cell * cell)
 
     sw = np.sqrt(geom.weights)
-    weighted = lambda g: sw[:, None] * g * sw[None, :]  # noqa: E731
-    m1 = assemble_M(BoundaryCondition(kind="D"), geom, SpectralParam(lambda1)).matrix
-    m2 = assemble_M(BoundaryCondition(kind="D"), geom, SpectralParam(lambda2)).matrix
-
+    m1, m2 = (assemble_M(BoundaryCondition(kind="D"), geom, SpectralParam(v)).matrix
+              for v in (lambda1, lambda2))
     lhs = m1 - m2
-    rhs = (lambda1 - lambda2) * weighted(gram)
+    rhs = (lambda1 - lambda2) * (sw[:, None] * gram * sw[None, :])
     denom = np.linalg.norm(lhs)
     residual = float(np.linalg.norm(lhs - rhs) / denom)
-    tail_share = float(
-        abs(lambda1 - lambda2) * np.linalg.norm(weighted(gram_tail)) / denom
-    )
+    tail_share = abs(lambda1 - lambda2) * tail_bound / denom
     if tail_share > 0.5 * max(residual, 1e-3):
         raise TruncationError(
-            f"volume truncation dominates: annulus share {tail_share:.3e} "
+            f"volume truncation dominates: tail bound share {tail_share:.3e} "
             f"vs residual {residual:.3e}; increase volume_radius"
         )
     return residual

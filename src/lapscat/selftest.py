@@ -124,8 +124,7 @@ def _check_kernel_gradient_fd():
     h = 1e-6
     fd = np.zeros(2)
     for k in range(2):
-        dy = np.zeros(2)
-        dy[k] = h
+        dy = h * np.eye(2)[k]
         fp = fundamental_solution(lam, x, y + dy).item()
         fm = fundamental_solution(lam, x, y - dy).item()
         fd[k] = (fp - fm) / (2.0 * h)
@@ -218,10 +217,8 @@ def _jump_relation(densities: tuple, tol: float):
     worst over the named densities of `_DENSITIES`."""
     geom = make_curve("circle", {"radius": 1.0}, n_nodes=128)
     lam = SpectralParam(2.0)
-    worst = max(
-        bo.jump_relation_residual(geom, lam, _DENSITIES[d](geom.params), "SL")
-        for d in densities
-    )
+    stack = np.stack([_DENSITIES[d](geom.params) for d in densities], axis=1)
+    worst = float(np.max(bo.jump_relation_residual(geom, lam, stack, "SL")))
     return worst < tol, {"worst_residual": worst, "tolerance": tol}
 
 
@@ -407,7 +404,7 @@ def _check_sine_integral_of_cosine():
     t = 1.3
     n = 400
     ts = np.linspace(0.0, t, 2 * n + 1)
-    vals = np.stack([td.cosine_family(a, float(s)) for s in ts])
+    vals = td.cosine_family(a, ts)
     h = t / (2 * n)
     simpson = (h / 3.0) * (
         vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum(axis=0) + 2.0 * vals[2:-2:2].sum(axis=0)
@@ -451,12 +448,8 @@ def _check_pulse_short_width_limit():
 
 def _check_truncated_zero_perturbation():
     model = td.make_random_surrogate(12, 0.0, seed=4)
-    zero = td.SurrogateModel(
-        a_perturbed=model.a_free.copy(),
-        a_free=model.a_free.copy(),
-        lambda_bound=model.lambda_bound,
-        probe_mask=model.probe_mask,
-    )
+    zero = td.SurrogateModel(a_perturbed=model.a_free.copy(), a_free=model.a_free.copy(),
+                             lambda_bound=model.lambda_bound, probe_mask=model.probe_mask)
     f_tr = td.assemble_F_truncated(zero, td.PulseProfile(0.05), 4.0, 2.0)
     norm = float(np.linalg.norm(f_tr))
     return norm == 0.0, f"zero perturbation gives exactly zero data: norm {norm}"
@@ -494,9 +487,8 @@ def _time_domain_bounds(dim: int, widths: tuple, seed: int = 0):
 
 def _check_ideal_decay():
     model = td.make_random_surrogate(16, 0.0, seed=13)
-    n4 = float(np.linalg.norm(td.assemble_F_ideal(model, 4.0), 2))
-    n16 = float(np.linalg.norm(td.assemble_F_ideal(model, 16.0), 2))
-    n64 = float(np.linalg.norm(td.assemble_F_ideal(model, 64.0), 2))
+    n4, n16, n64 = (float(np.linalg.norm(td.assemble_F_ideal(model, lam), 2))
+                    for lam in (4.0, 16.0, 64.0))
     # second-order decay: a 4x step in lambda must beat the 1/lambda rate,
     # and the rate itself must improve toward 1/16 as lambda grows
     ok = n16 / n4 < 0.25 and n64 / n16 < n16 / n4
@@ -520,15 +512,12 @@ def _check_cli_roundtrip():
             json.dump(scenario, fh)
         scn = cli.load_scenario(path)
         same = scn.to_dict()["geometry"] == scenario["geometry"]
-        out1 = os.path.join(tmp, "o1")
-        out2 = os.path.join(tmp, "o2")
-        cli.run_forward(scn, out1)
-        cli.run_forward(scn, out2)
-        with open(os.path.join(out1, "spectrum.csv"), "rb") as fh:
-            b1 = fh.read()
-        with open(os.path.join(out2, "spectrum.csv"), "rb") as fh:
-            b2 = fh.read()
-    return same and b1 == b2, "scenario round-trip; forward artifacts byte-identical"
+        blobs = []
+        for out in (os.path.join(tmp, "o1"), os.path.join(tmp, "o2")):
+            cli.run_forward(scn, out)
+            with open(os.path.join(out, "spectrum.csv"), "rb") as fh:
+                blobs.append(fh.read())
+    return same and blobs[0] == blobs[1], "scenario round-trip; forward artifacts byte-identical"
 
 
 REGISTRY = [
@@ -626,8 +615,6 @@ def run_all() -> tuple[int, int]:
     results = run_checks("fast")
     n_pass = sum(r["passed"] for r in results)
     n_fail = len(results) - n_pass
-    print(
-        f"selftest: {n_pass} passed, {n_fail} failed "
-        f"({time.perf_counter() - t_start:.1f}s total)"
-    )
+    print(f"selftest: {n_pass} passed, {n_fail} failed "
+          f"({time.perf_counter() - t_start:.1f}s total)")
     return n_pass, n_fail

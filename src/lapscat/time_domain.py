@@ -47,9 +47,7 @@ _TRUNCATED_ORDER = 12  # Gauss-Legendre order per panel of the horizon integral
 
 def _damped_cos(a: np.ndarray, t, s: float) -> np.ndarray:
     """exp(-s t) cos-branch value, overflow-safe for a > 0 (broadcasts a,t)."""
-    a = np.asarray(a, dtype=float)
-    t = np.asarray(t, dtype=float)
-    a_b, t_b = np.broadcast_arrays(a, t)
+    a_b, t_b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(t, dtype=float))
     out = np.empty_like(a_b)
     neg = a_b <= 0.0
     out[neg] = np.exp(-s * t_b[neg]) * np.cos(t_b[neg] * np.sqrt(-a_b[neg]))
@@ -63,9 +61,7 @@ def _damped_cos(a: np.ndarray, t, s: float) -> np.ndarray:
 def _damped_sin(a: np.ndarray, t, s: float) -> np.ndarray:
     """exp(-s t) sin-branch value, overflow-safe for a > 0; a power series
     near a = 0 and expm1 for small w t avoid cancellation."""
-    a = np.asarray(a, dtype=float)
-    t = np.asarray(t, dtype=float)
-    a_b, t_b = np.broadcast_arrays(a, t)
+    a_b, t_b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(t, dtype=float))
     out = np.empty_like(a_b)
     x = a_b * t_b * t_b
     small = np.abs(x) < 1e-6
@@ -130,11 +126,9 @@ class SurrogateModel:
                                   f"exceeds lambda_bound {self.lambda_bound}")
         if eig_f[0][-1] > tol:
             raise ValidationError("a_free must be negative semidefinite")
-        object.__setattr__(self, "a_perturbed", ap)
-        object.__setattr__(self, "a_free", af)
-        object.__setattr__(self, "probe_mask", mask)
-        object.__setattr__(self, "eig_perturbed", eig_p)
-        object.__setattr__(self, "eig_free", eig_f)
+        for name, value in (("a_perturbed", ap), ("a_free", af), ("probe_mask", mask),
+                            ("eig_perturbed", eig_p), ("eig_free", eig_f)):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -219,24 +213,29 @@ class LemmaBound:
 # operator families
 # ----------------------------------------------------------------------
 
-def _spectral_family(a: np.ndarray, t: float, branch) -> np.ndarray:
-    """branch(A, t) by spectral calculus, undamped (symmetric output)."""
-    if t < 0:
-        raise DomainError("time must be non-negative")
+def _spectral_family(a: np.ndarray, t, branch) -> np.ndarray:
+    """branch(A, t) by spectral calculus, undamped (symmetric output); for
+    a 1-d array of times, a stack of one matrix per time from one eigh."""
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1 or times.size == 0 or not np.all(times >= 0):
+        raise DomainError("times must be non-negative: a scalar or a non-empty 1-d array")
     a = np.asarray(a, dtype=float)
     _check_symmetric(a, "A")
     eigvals, vecs = np.linalg.eigh(a)
-    out = (vecs * branch(eigvals, t, 0.0)) @ vecs.T
-    return 0.5 * (out + out.T)
+    outs = [(vecs * branch(eigvals, ti, 0.0)) @ vecs.T for ti in np.atleast_1d(times)]
+    outs = [0.5 * (out + out.T) for out in outs]
+    return outs[0] if times.ndim == 0 else np.stack(outs)
 
 
-def cosine_family(a: np.ndarray, t: float) -> np.ndarray:
-    """Cos(t) = cos(t sqrt(-A)) by spectral calculus (symmetric output)."""
+def cosine_family(a: np.ndarray, t) -> np.ndarray:
+    """Cos(t) = cos(t sqrt(-A)) by spectral calculus (symmetric output);
+    a 1-d array of times gives one matrix per time."""
     return _spectral_family(a, t, _damped_cos)
 
 
-def sine_family(a: np.ndarray, t: float) -> np.ndarray:
-    """Sin(t) = (-A)^{-1/2} sin(t sqrt(-A)), with the t limit at zero modes."""
+def sine_family(a: np.ndarray, t) -> np.ndarray:
+    """Sin(t) = (-A)^{-1/2} sin(t sqrt(-A)), with the t limit at zero modes;
+    a 1-d array of times gives one matrix per time."""
     return _spectral_family(a, t, _damped_sin)
 
 

@@ -27,13 +27,16 @@ from lapscat.errors import (
     CoefficientError,
     DomainError,
     InversionError,
+    QuadratureError,
     SpectralParameterError,
+    TruncationError,
 )
 from lapscat.boundary_ops import (
     BoundaryCondition,
     BoundaryOperator,
     OVERSAMPLE,
     _assembly_plan,
+    _gram_tail_bound,
     _spectral_derivative,
     _trig_upsample,
     assemble_M,
@@ -50,7 +53,7 @@ from lapscat.boundary_ops import (
     sign_check,
 )
 from lapscat.geometry import make_curve, make_screen
-from lapscat.kernels import SpectralParam
+from lapscat.kernels import SpectralParam, fundamental_solution
 
 TWO_PI = 2.0 * math.pi
 
@@ -488,6 +491,46 @@ def test_jump_relation_three_densities():
         jump_relation_residual(geom, lam, np.ones_like(t), kind="volume")
 
 
+# SL and DL jump residuals on the unit circle (n = 128, lambda = 2) of
+# 1, cos t and 1 + 0.3 sin 2t, from one density per call
+JUMP_RESIDUALS = {
+    "SL": [2.7450776481328064e-05, 4.11303117563356e-05, 3.210391056924364e-05],
+    "DL": [9.186267210351505e-06, 1.8693721696173816e-05, 1.2894326810749905e-05],
+}
+
+
+def test_jump_relation_batch_matches_single_densities():
+    geom = make_curve("circle", {"radius": 1.0}, n_nodes=128)
+    lam = SpectralParam(2.0)
+    t = geom.params
+    stack = np.stack([np.ones_like(t), np.cos(t), 1.0 + 0.3 * np.sin(2.0 * t)], axis=1)
+    for kind, want in JUMP_RESIDUALS.items():
+        assert list(jump_relation_residual(geom, lam, stack, kind)) == want
+        single = [jump_relation_residual(geom, lam, stack[:, i].copy(), kind) for i in range(3)]
+        assert single == want
+
+
+def test_jump_relation_batch_guards_act_per_column():
+    geom = make_curve("circle", {"radius": 1.0}, n_nodes=128)
+    lam = SpectralParam(2.0)
+    t = geom.params
+    with pytest.raises(DomainError, match="zero density"):
+        jump_relation_residual(geom, lam, np.stack([np.cos(t), 0.0 * t], axis=1))
+    # cos 48t decays over the ladder's offsets, so its differences grow
+    with pytest.raises(QuadratureError, match="density 1"):
+        jump_relation_residual(geom, lam, np.stack([np.cos(t), np.cos(48.0 * t)], axis=1))
+
+
+def test_jump_relation_rejects_bad_densities():
+    geom = make_curve("circle", {"radius": 1.0}, n_nodes=32)
+    lam = SpectralParam(2.0)
+    bad = np.ones(32)
+    bad[5] = np.nan
+    for dens in (np.ones(16), np.ones((16, 2)), np.ones((32, 2, 2)), bad):
+        with pytest.raises(DomainError):
+            jump_relation_residual(geom, lam, dens, kind="SL")
+
+
 def test_gram_identity_residual_small_config():
     geom = make_curve("circle", {"radius": 1.0}, n_nodes=64)
     res = gram_identity_residual(
@@ -496,6 +539,63 @@ def test_gram_identity_residual_small_config():
     assert res < 1e-2
     with pytest.raises(DomainError):
         gram_identity_residual(geom, 1.0, 1.0)
+
+
+# Frozen Gram identity residuals (circle and kite, lambda 1 and 2, R = 12);
+# the truncation guard takes no part in the volume sums behind them
+GRAM_RESIDUALS = {
+    ("circle", 128, 200): 0.0017629131224740648,
+    ("circle", 64, 120): 0.0027589815209871148,
+    ("kite", 128, 120): 0.002400426677791681,
+}
+_SHAPE_PARAMS = {"circle": {"radius": 1.0}, "kite": None}
+
+
+def test_gram_identity_residuals_are_bit_identical():
+    for (shape, n, res), want in GRAM_RESIDUALS.items():
+        geom = make_curve(shape, _SHAPE_PARAMS[shape], n_nodes=n)
+        assert gram_identity_residual(geom, 1.0, 2.0, 12.0, res) == want
+
+
+def _sampled_annulus_norm(geom, radius, resolution, lam1, lam2):
+    """|W^{1/2} Gram W^{1/2}|_F over the midpoint cells of the lattice
+    `gram_identity_residual` builds that lie in R < |u| <= 1.25 R."""
+    big = 1.25 * radius
+    cell = 2.0 * big / round(resolution * 1.25)
+    coords = -big + cell * (np.arange(int(round(2.0 * big / cell))) + 0.5)
+    gx, gy = np.meshgrid(coords, coords, indexing="xy")
+    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    rad = np.linalg.norm(pts, axis=1)
+    pts = pts[(rad > radius) & (rad <= big)]
+    k1 = fundamental_solution(SpectralParam(lam1), geom.nodes[:, None, :], pts[None, :, :])
+    k2 = fundamental_solution(SpectralParam(lam2), geom.nodes[:, None, :], pts[None, :, :])
+    sw = np.sqrt(geom.weights)
+    return float(np.linalg.norm(sw[:, None] * ((k2 * cell * cell) @ k1.T) * sw[None, :]))
+
+
+@pytest.mark.parametrize("shape", ["circle", "kite"])
+def test_gram_tail_bound_dominates_sampled_annulus(shape):
+    geom = make_curve(shape, _SHAPE_PARAMS[shape], n_nodes=64)
+    for radius in (2.5, 3.0, 4.0, 6.0, 12.0):
+        bound = _gram_tail_bound(geom, 1.0, math.sqrt(2.0), radius)
+        assert bound >= _sampled_annulus_norm(geom, radius, 120, 1.0, 2.0)
+
+
+def test_gram_truncation_guard_refuses_small_disks():
+    circle = make_curve("circle", {"radius": 1.0}, n_nodes=64)
+    kite = make_curve("kite", None, n_nodes=64)
+    with pytest.raises(TruncationError):
+        gram_identity_residual(circle, 1.0, 2.0, volume_radius=3.0, volume_resolution=120)
+    with pytest.raises(TruncationError):
+        gram_identity_residual(kite, 1.0, 2.0, volume_radius=4.0, volume_resolution=120)
+
+
+def test_gram_identity_rejects_bad_volume_radius():
+    geom = make_curve("circle", {"radius": 1.0}, n_nodes=32)
+    # negative, empty and too small disks, NaN and an infinite one
+    for radius in (-12.0, 0.0, 0.9, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            gram_identity_residual(geom, 1.0, 2.0, volume_radius=radius, volume_resolution=16)
 
 
 def test_gram_identity_peak_memory():

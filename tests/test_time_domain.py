@@ -138,6 +138,35 @@ def test_damped_sine_growth_branch_has_no_cancellation(s):
     assert np.max(np.abs(got - exact) / exact) < 2e-15
 
 
+def test_families_take_an_array_of_times_with_one_eigh(monkeypatch):
+    from lapscat import selftest
+
+    a = make_random_surrogate(12, 0.0, seed=5).a_free
+    ts = np.linspace(0.0, 1.3, 9)
+    for family in (cosine_family, sine_family):
+        stacked = family(a, ts)
+        assert stacked.shape == (9, 12, 12)
+        for k, tk in enumerate(ts):
+            np.testing.assert_array_equal(stacked[k], family(a, float(tk)))
+    for bad in (np.array([0.5, -0.1]), np.array([0.5, np.nan]), np.empty(0), np.ones((2, 12))):
+        with pytest.raises(DomainError):
+            cosine_family(a, bad)
+
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(mat):
+        calls.append(mat.shape)
+        return eigh(mat)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    passed, _ = selftest._check_sine_integral_of_cosine()
+    assert passed
+    # two for the model's eigensystems, one for the 801 cosine times
+    # and one for the sine family
+    assert len(calls) == 4
+
+
 def test_sine_family_is_time_integral_of_cosine():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((5, 5))
