@@ -6,9 +6,13 @@ layer trace gamma0 SL splits its kernel logarithmically,
     (1/2pi) K_0(s r(t, u)) = C1(t, u) log(4 sin^2((t-u)/2)) + C2(t, u),
     C1 = -(1/4pi) I_0(s r),      s = sqrt(lambda),
 
-with C1, C2 smooth and periodic, and applies the trigonometric product
-quadrature for the log factor plus the trapezoid rule for the rest.
-The hypersingular trace gamma1 DL is reduced by the Maue identity
+with C1, C2 smooth and periodic.  The product rule R for the log factor
+and the trapezoid rule (step h) for the rest both act on C1, so
+
+    R C1 + h C2 = I_0 W + (h/2pi) K_0,   W = -(1/4pi)(R - h log(4 sin^2((t-u)/2))),
+
+a circulant, lambda-independent W in which the terms of size I_0 cancel
+once.  The hypersingular trace gamma1 DL is reduced by the Maue identity
 
     gamma1 DL = d/ds SL d/ds - lambda * SL_{n.n'}
 
@@ -22,8 +26,8 @@ independent (2n x n) factors SP = J^{1/2} P and Q = D J^{-1/2} P:
 
     gamma0 SL = SP^T C SP,    gamma1 DL = -Q^T C Q - lambda SP^T C_nn SP.
 
-SP, Q and the pair geometry form a per-geometry assembly plan, built on
-the first assembly and freed with the geometry; an assembly then
+SP, Q, W and the pair geometry form a per-geometry assembly plan, built
+on the first assembly and freed with the geometry; an assembly then
 evaluates I_0 and K_0 once per node pair, for C and C_nn.
 
 All operator matrices live in *weighted nodal coordinates*: a trace or
@@ -42,6 +46,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     AssemblyError,
@@ -149,21 +154,23 @@ class SignReport:
 # quadrature ingredients
 # ----------------------------------------------------------------------
 
+def _kress_vector(n: int) -> np.ndarray:
+    """Column 0 of `kress_log_weights`, R[d] = -(4pi/n) sum_{m<n/2} cos(m t_d)/m
+    - (4pi/n^2)(-1)^d: one irfft of a_m = 1/m (m = 1..n/2), made exactly even."""
+    if n % 2 != 0 or n < 4:
+        raise AssemblyError("log-singularity rule needs an even node count >= 4")
+    rvec = -TWO_PI * np.fft.irfft(np.r_[0.0, 1.0 / np.arange(1, n // 2 + 1)], n)
+    rvec[n // 2 + 1:] = rvec[n // 2 - 1:0:-1]
+    return rvec
+
+
 def kress_log_weights(n: int) -> np.ndarray:
     """Product-quadrature matrix R for the log(4 sin^2((t-u)/2)) factor.
 
     R[i, j] integrates the log singularity against the trigonometric
     interpolant; exact for integrands of trigonometric degree < n/2.
     """
-    if n % 2 != 0 or n < 4:
-        raise AssemblyError("log-singularity rule needs an even node count >= 4")
-    d = np.arange(n)
-    td = TWO_PI * d / n
-    m = np.arange(1, n // 2)
-    rvec = -(4.0 * np.pi / n) * (np.cos(np.outer(d, m) * TWO_PI / n) / m).sum(axis=1)
-    rvec -= (4.0 * np.pi / n**2) * np.cos(0.5 * n * td)
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return rvec[idx]
+    return _kress_vector(n)[(np.arange(n)[:, None] - np.arange(n)) % n]
 
 
 def _spectral_derivative(values: np.ndarray) -> np.ndarray:
@@ -179,22 +186,18 @@ def _spectral_derivative(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _AssemblyPlan:
-    """Lambda-independent part of the oversampled Nystrom rule.  Pair
-    values are kept on the strict upper triangle of the refined grid, in
-    the row-major order of ``upper``; R is not bitwise symmetric, so both
-    R[i, j] and R[j, i] are kept."""
+    """Lambda-independent part of the oversampled Nystrom rule.  Pair values
+    are kept on the strict upper triangle of the refined grid, in the row-major
+    order of ``upper``; W is gathered by gap from one exactly even vector."""
 
     fine: BoundaryGeometry   # the curve refined OVERSAMPLE times
     upper: np.ndarray        # (nf, nf) mask of the strict upper triangle
     r: np.ndarray            # |q_i - q_j|
-    logsin: np.ndarray       # log(4 sin^2((tau_i - tau_j)/2))
-    kress_ij: np.ndarray     # R[i, j]
-    kress_ji: np.ndarray     # R[j, i]
-    kress_diag: float        # R[i, i]
-    nn: np.ndarray           # n_i . n_j, as (normals @ normals.T)[i, j]
+    wlog: np.ndarray         # W[i, j] = -(1/4pi)(R[i, j] - h log(4 sin^2((tau_i - tau_j)/2)))
+    wlog_diag: float         # -(1/4pi) R[i, i]
+    nn: np.ndarray           # n_i . n_j
     sp: np.ndarray           # J^{1/2} P, P the coarse -> fine isometry
     q: np.ndarray            # D J^{-1/2} P, D the spectral derivative
-    lam_cap: float           # resolvable_lambda_cap of the coarse geometry
 
 
 def _assembly_plan(geom: BoundaryGeometry) -> _AssemblyPlan:
@@ -205,25 +208,25 @@ def _assembly_plan(geom: BoundaryGeometry) -> _AssemblyPlan:
     if plan is not None:
         return plan
     fine = _refined_geometry(geom, OVERSAMPLE)
-    nf = fine.n_nodes
+    n, nf = geom.n_nodes, fine.n_nodes
     upper = np.triu(np.ones((nf, nf), dtype=bool), 1)
-    iu, ju = np.nonzero(upper)
-    interp = _trig_upsample(np.eye(geom.n_nodes), OVERSAMPLE)
-    prolong = np.sqrt(fine.weights)[:, None] * interp / np.sqrt(geom.weights)[None, :]
-    kress = kress_log_weights(nf)
-    sj = np.sqrt(fine.jacobians)[:, None]
+    r = _distances(fine.nodes, fine.nodes)[upper]
+    nx, ny = fine.normals.T
+    nn = (np.multiply.outer(nx, nx) + np.multiply.outer(ny, ny))[upper]
+    d = np.arange(1, nf)
+    logsin = np.log(4.0 * np.sin((np.pi / nf) * np.minimum(d, nf - d)) ** 2)   # exactly even
+    wvec = (-0.25 / np.pi) * (_kress_vector(nf) - (TWO_PI / nf) * np.r_[0.0, logsin])
+    # row i of the circulant is the doubled vector's window starting at nf - i
+    wlog = sliding_window_view(np.r_[wvec, wvec], nf)[nf:0:-1][upper]
+    # upsampling and the spectral derivative commute with shifts: column j of
+    # each (nf, n) factor below is its column 0 moved down by OVERSAMPLE j
+    shifts = (np.arange(nf)[:, None] - OVERSAMPLE * np.arange(n)) % nf
+    col = _trig_upsample(np.eye(1, n)[0], OVERSAMPLE)
+    scale = np.sqrt((TWO_PI / nf) / geom.weights)   # P = J^{1/2} sqrt(h / w) interp
     plan = _AssemblyPlan(
-        fine=fine,
-        upper=upper,
-        r=np.linalg.norm(fine.nodes[iu] - fine.nodes[ju], axis=-1),
-        logsin=np.log(4.0 * np.sin(0.5 * (fine.params[iu] - fine.params[ju])) ** 2),
-        kress_ij=kress[upper],
-        kress_ji=kress.T[upper],
-        kress_diag=float(kress[0, 0]),
-        nn=(fine.normals @ fine.normals.T)[upper],
-        sp=sj * prolong,
-        q=_spectral_derivative(prolong / sj),
-        lam_cap=resolvable_lambda_cap(geom),
+        fine=fine, upper=upper, r=r, wlog=wlog, wlog_diag=float(wvec[0]), nn=nn,
+        sp=fine.jacobians[:, None] * col[shifts] * scale,
+        q=_spectral_derivative(col)[shifts] * scale,
     )
     object.__setattr__(geom, "_assembly_plan", plan)
     return plan
@@ -234,32 +237,31 @@ def _sl_core(plan: _AssemblyPlan, lam: SpectralParam, nn_weight: bool):
 
     The weighted single-layer matrix is J^{1/2} B J^{1/2}; B_nn (None
     unless ``nn_weight``) carries the n(x).n(y) factor of the Maue
-    remainder.  Both come from one kernel pass over the upper triangle.
+    remainder.  Both come from one kernel pass over the upper triangle,
+    folded as I_0 W + (h/2pi) K_0 (see the module docstring).
     """
     s = lam.sqrt_lam
-    h = TWO_PI / plan.fine.n_nodes
     z = s * plan.r
-    i0 = _bessel_i0(z)
-    k0 = _k01(0, z, i0)
-
-    def fold(c1, smooth, diag):
-        hc2 = h * (smooth - c1 * plan.logsin)
-        tri = 0.5 * ((plan.kress_ij * c1 + hc2) + (plan.kress_ji * c1 + hc2))
-        core = np.empty(plan.upper.shape)
-        core[plan.upper] = tri
-        core.T[plan.upper] = tri
-        np.fill_diagonal(core, diag)
-        return core
-
-    c1 = -(0.25 / np.pi) * i0
-    smooth = (0.5 / np.pi) * k0
+    tri = _bessel_i0(z)
+    k0 = _k01(0, z, tri)
+    tri *= plan.wlog
+    k0 *= 1.0 / plan.fine.n_nodes   # h / 2pi
+    tri += k0
+    del z, k0   # free the pair temporaries before the (nf, nf) cores
     # coincidence limit of the smooth part (same with or without the
     # normal-normal factor, which tends to 1 quadratically)
     c2_diag = (0.5 / np.pi) * (-np.log(0.5 * s * plan.fine.jacobians) - EULER_GAMMA)
-    diag = plan.kress_diag * (-0.25 / np.pi) + h * c2_diag
-    core = fold(c1, smooth, diag)
-    core_nn = fold(c1 * plan.nn, smooth * plan.nn, diag) if nn_weight else None
-    return core, core_nn
+    diag = plan.wlog_diag + (TWO_PI / plan.fine.n_nodes) * c2_diag
+
+    def symmetric(vals):
+        core = np.empty(plan.upper.shape)
+        core[plan.upper] = vals
+        core.T[plan.upper] = vals
+        np.fill_diagonal(core, diag)
+        return core
+
+    core = symmetric(tri)
+    return core, (symmetric(np.multiply(tri, plan.nn, out=tri)) if nn_weight else None)
 
 
 def _refined_geometry(geom: BoundaryGeometry, factor: int) -> BoundaryGeometry:
@@ -298,12 +300,13 @@ def _assemble(geom: BoundaryGeometry, lam: SpectralParam, kind: str) -> Boundary
     """
     if geom.n_nodes < 8:
         raise AssemblyError("need at least 8 nodes for the splitting rule")
-    plan = _assembly_plan(geom)
-    if lam.lam > plan.lam_cap:
+    cap = resolvable_lambda_cap(geom)
+    if lam.lam > cap:
         raise AssemblyError(
-            f"lambda {lam.lam} exceeds the resolvable cap {plan.lam_cap:.4g} of "
+            f"lambda {lam.lam} exceeds the resolvable cap {cap:.4g} of "
             "this geometry; the assembled operator cannot be trusted there"
         )
+    plan = _assembly_plan(geom)
     maue = kind == "gamma1_DL"
     core, core_nn = _sl_core(plan, lam, nn_weight=maue)
     sp = plan.sp
@@ -311,9 +314,7 @@ def _assemble(geom: BoundaryGeometry, lam: SpectralParam, kind: str) -> Boundary
         mat = -(plan.q.T @ core @ plan.q) - lam.lam * (sp.T @ core_nn @ sp)
     else:
         mat = sp.T @ core @ sp
-    return BoundaryOperator(
-        matrix=0.5 * (mat + mat.T), kind=kind, lam=lam, geom=geom,
-    )
+    return BoundaryOperator(matrix=0.5 * (mat + mat.T), kind=kind, lam=lam, geom=geom)
 
 
 def assemble_gamma0_SL(geom: BoundaryGeometry, lam: SpectralParam) -> BoundaryOperator:

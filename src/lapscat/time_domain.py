@@ -310,10 +310,12 @@ def pulse_response(
     t: float,
 ) -> np.ndarray:
     """u(t) = int_0^t Sin(t - s) pulse(s) f ds for the perturbed generator."""
-    if t < 0:
-        raise DomainError("time must be non-negative")
+    if not (math.isfinite(t) and t >= 0):
+        raise DomainError(f"time must be finite and non-negative, got {t!r}")
     f = np.asarray(f, dtype=float)
     eigvals, vecs = model.eig_perturbed
+    if f.shape != eigvals.shape:
+        raise DomainError(f"f must have shape {eigvals.shape}, got {f.shape}")
     upper = min(t, pulse.epsilon)
     if upper <= 0.0:
         return np.zeros_like(f)

@@ -203,6 +203,13 @@ def test_kress_log_weights_integrate_cosines():
         kress_log_weights(7)
 
 
+@pytest.mark.parametrize("n", [4, 32, 1024])
+def test_kress_log_weights_are_exactly_symmetric_and_circulant(n):
+    r = kress_log_weights(n)
+    assert np.array_equal(r, r.T)
+    assert np.array_equal(r, np.roll(r, (1, 1), axis=(0, 1)))
+
+
 def test_spectral_derivative_exact_on_band():
     n = 16
     t = TWO_PI * np.arange(n) / n
@@ -245,6 +252,34 @@ def test_assembly_plan_holds_only_projected_factors():
         if isinstance(value, np.ndarray):
             assert value.size <= nf * n, name
     assert plan.sp.flags.owndata and plan.q.flags.owndata
+    floats = {name for name, value in vars(plan).items()
+              if isinstance(value, np.ndarray) and value.dtype.kind == "f"}
+    assert floats == {"r", "wlog", "nn", "sp", "q"}
+
+
+def test_assembly_plan_matches_dense_forms():
+    # the pair values gathered by gap and the factors SP and Q built from one
+    # upsampled column equal their dense (nf x nf) and identity-FFT forms
+    geom = make_curve("kite", n_nodes=64)
+    plan = _assembly_plan(geom)
+    fine, nf = plan.fine, plan.fine.n_nodes
+    iu, ju = np.nonzero(plan.upper)
+    np.testing.assert_array_equal(
+        plan.r, np.linalg.norm(fine.nodes[iu] - fine.nodes[ju], axis=-1)
+    )
+    np.testing.assert_allclose(plan.nn, (fine.normals @ fine.normals.T)[plan.upper],
+                               rtol=0, atol=1e-15)
+    logsin = np.log(4.0 * np.sin(0.5 * (fine.params[iu] - fine.params[ju])) ** 2)
+    h = TWO_PI / nf
+    want = -(kress_log_weights(nf)[plan.upper] - h * logsin) / (4.0 * math.pi)
+    np.testing.assert_allclose(plan.wlog, want, rtol=0, atol=1e-15)
+    assert plan.wlog_diag == -kress_log_weights(nf)[0, 0] / (4.0 * math.pi)
+    prolong = (np.sqrt(fine.weights)[:, None] * _trig_upsample(np.eye(64), OVERSAMPLE)
+               / np.sqrt(geom.weights))
+    sj = np.sqrt(fine.jacobians)[:, None]
+    np.testing.assert_allclose(plan.sp, sj * prolong, rtol=0, atol=1e-15)
+    q = _spectral_derivative(prolong / sj)
+    assert np.max(np.abs(plan.q - q)) <= 4e-15 * np.max(np.abs(q))
 
 
 @pytest.mark.parametrize("n", [64, 128])
@@ -271,6 +306,34 @@ def test_circle_rayleigh_quotients_match_closed_form(n, lam_value):
     floor_sl, floor_dl = floors[(n, lam_value)]
     assert worst_sl < floor_sl
     assert worst_dl < floor_dl
+
+
+# Closed-form errors (SL, DL) of the assembly that added R C1 and h C2 as
+# two products of size I_0, rounded up to three digits; measured: n=64:
+# 3.84081e-14, 3.72475e-14 at lam=8 and 3.49736e-7, 3.16160e-7 at lam=128;
+# n=128: 1.04211e-13, 1.03071e-13 and 8.49296e-7, 6.59858e-7; n=256:
+# 2.82602e-13, 2.82929e-13 and 1.75430e-6, 1.58290e-6
+CIRCLE_ERROR_CEILINGS = {
+    (64, 8.0): (3.85e-14, 3.73e-14), (64, 128.0): (3.50e-7, 3.17e-7),
+    (128, 8.0): (1.05e-13, 1.04e-13), (128, 128.0): (8.50e-7, 6.60e-7),
+    (256, 8.0): (2.83e-13, 2.83e-13), (256, 128.0): (1.76e-6, 1.59e-6),
+}
+
+
+@pytest.mark.parametrize("n, lam_value", sorted(CIRCLE_ERROR_CEILINGS))
+def test_circle_closed_form_errors_below_two_term_fold_ceilings(n, lam_value):
+    # worst relative error of the mode-m Rayleigh quotients, modes 0..n/4,
+    # against I_m K_m (SL) and lam I'_m K'_m (DL)
+    geom = make_curve("circle", {"radius": 1.0}, n_nodes=n)
+    lam = SpectralParam(lam_value)
+    s = math.sqrt(lam_value)
+    ops = (assemble_gamma0_SL(geom, lam).matrix, assemble_gamma1_DL(geom, lam).matrix)
+    modes = range(n // 4 + 1)
+    wants = ([float(special.iv(m, s) * special.kv(m, s)) for m in modes],
+             [lam_value * float(special.ivp(m, s) * special.kvp(m, s)) for m in modes])
+    for mat, want, ceiling in zip(ops, wants, CIRCLE_ERROR_CEILINGS[(n, lam_value)]):
+        worst = max(abs(circle_rayleigh(mat, geom, m) - w) / abs(w) for m, w in zip(modes, want))
+        assert worst <= ceiling
 
 
 def test_trig_upsample_preserves_band_and_nyquist():
@@ -541,12 +604,13 @@ def test_gram_identity_residual_small_config():
         gram_identity_residual(geom, 1.0, 1.0)
 
 
-# Frozen Gram identity residuals (circle and kite, lambda 1 and 2, R = 12);
-# the truncation guard takes no part in the volume sums behind them
+# Frozen Gram identity residuals (circle and kite, lambda 1 and 2, R = 12),
+# of the one-weight assembly; the truncation guard takes no part in the
+# volume sums behind them
 GRAM_RESIDUALS = {
-    ("circle", 128, 200): 0.0017629131224740648,
-    ("circle", 64, 120): 0.0027589815209871148,
-    ("kite", 128, 120): 0.002400426677791681,
+    ("circle", 128, 200): 0.0017629131224740232,
+    ("circle", 64, 120): 0.0027589815209874595,
+    ("kite", 128, 120): 0.002400426677791398,
 }
 _SHAPE_PARAMS = {"circle": {"radius": 1.0}, "kite": None}
 
@@ -733,6 +797,16 @@ def test_lambda_bound_validation(monkeypatch):
         with pytest.raises(AssemblyError, match=r"lam_max .* resolvable cap"):
             estimate_lambda_bound(BoundaryCondition("D"), geom, lam_max=2.0 * cap)
     assert calls == []
+
+
+def test_refused_assembly_builds_no_plan():
+    # circle n = 256 at lambda 400 (cap 169): the cap is tested before the
+    # plan is built, so a refusal leaves nothing cached on the geometry
+    geom = make_curve("circle", {"radius": 1.0}, n_nodes=256)
+    for bc in (BoundaryCondition("D"), BoundaryCondition("N")):
+        with pytest.raises(AssemblyError, match="resolvable cap"):
+            assemble_M(bc, geom, SpectralParam(400.0))
+    assert "_assembly_plan" not in vars(geom)
 
 
 def test_assembly_refuses_past_resolvable_cap():

@@ -357,6 +357,22 @@ def test_pulse_response_basics():
         pulse_response(model, pulse, f, -1.0)
 
 
+@pytest.mark.parametrize("t", [float("nan"), float("inf")])
+def test_pulse_response_rejects_non_finite_time(t):
+    # NaN raised a bare ValueError; inf returned NaNs with a RuntimeWarning
+    model = make_random_surrogate(6, 1.0, 11)
+    with pytest.raises(DomainError, match="finite"):
+        pulse_response(model, PulseProfile(0.3), np.ones(6), t)
+
+
+def test_pulse_response_rejects_wrong_length_f():
+    # a length mismatch used to fail inside a matmul
+    model = make_random_surrogate(6, 1.0, 11)
+    for f in (np.ones(5), np.ones(7)):
+        with pytest.raises(DomainError, match="shape"):
+            pulse_response(model, PulseProfile(0.3), f, 1.0)
+
+
 def test_random_surrogate_spectra_and_determinism():
     a = make_random_surrogate(12, 2.0, 7)
     b = make_random_surrogate(12, 2.0, 7)
