@@ -423,7 +423,7 @@ def _check_operator_norm_bounds():
             cnorm = float(np.linalg.norm(td.cosine_family(model.a_perturbed, t), 2))
             snorm = float(np.linalg.norm(td.sine_family(model.a_perturbed, t), 2))
             cb = math.cosh(sb * t)
-            sball = td._sinh_over(sb, t) if sb == 0.0 else math.sinh(sb * t) / sb
+            sball = td._sinh_over(sb, t)
             ok &= cnorm <= cb * (1 + 1e-12) and snorm <= sball * (1 + 1e-12)
             worst = max(worst, cnorm / cb, snorm / max(sball, 1e-300))
     return bool(ok), f"hyperbolic norm bounds, worst ratio {worst:.3f}"

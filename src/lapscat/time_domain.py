@@ -11,8 +11,13 @@ with constants c1, c2, c3, on matrix surrogates: the bound only needs
 self-adjointness and spectral caps, which finite symmetric matrices
 satisfy exactly.  A SurrogateModel diagonalizes both generators once;
 the ideal operator (fn = 1/(lam - a), less its constant 1/lam) and the
-truncated one (fn = the per-eigenvalue horizon integral) are both the
-masked difference 1_B[V_p fn(L_p) V_p^T - V_f fn(L_f) V_f^T]1_B.
+truncated one are both the masked difference
+1_B[V_p fn(L_p) V_p^T - V_f fn(L_f) V_f^T]1_B.  Swapping the time and
+pulse integrals of the horizon integral, then two integrations by parts
+with S_a'' = a S_a, S_a(0) = 0, S_a'(0) = 1, give the truncated one's
+  fn(a) = int_0^{min(eps, t_circ)} chi(u) e^{-s u} Phi_a(t_circ - u) du,
+  Phi_a(L) = int_0^L e^{-s t} S_a(t) dt = (1 - e^{-s L}(C_a(L) + s S_a(L))) / (lam - a),
+with s = sqrt(lam) and C_a, S_a the scalar cosine and sine branches.
 
 A note on the bound's min{t,1} ingredient (the x=0 convention
 x^{-1} sinh(x t) -> min{t,1}): as a sine-family norm bound it requires
@@ -38,7 +43,6 @@ from .errors import (
 )
 
 SYMMETRY_TOL = 1e-12
-_TRUNCATED_ORDER = 12  # Gauss-Legendre order per panel of the horizon integral
 
 
 # ----------------------------------------------------------------------
@@ -114,8 +118,8 @@ class SurrogateModel:
             raise ValidationError("surrogate matrices must be square, same shape")
         _check_symmetric(ap, "a_perturbed")
         _check_symmetric(af, "a_free")
-        if self.lambda_bound < 0:
-            raise ValidationError("lambda_bound must be non-negative")
+        if not (math.isfinite(self.lambda_bound) and self.lambda_bound >= 0):
+            raise ValidationError("lambda_bound must be finite and non-negative")
         mask = np.asarray(self.probe_mask, dtype=bool)
         if mask.shape != (ap.shape[0],) or not np.any(mask):
             raise ValidationError("probe_mask must mark at least one coordinate")
@@ -164,8 +168,8 @@ class PulseProfile:
     kind: str = "bump"
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValidationError("pulse width epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValidationError("pulse width epsilon must be finite and positive")
         if self.kind not in ("bump", "box"):
             raise ValidationError(f"unknown pulse kind {self.kind!r}")
 
@@ -248,9 +252,7 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gl_panels(t0: float, t1: float, max_width: float, order: int):
-    """Composite Gauss-Legendre nodes/weights on [t0, t1]."""
-    if t1 <= t0:
-        return np.empty(0), np.empty(0)
+    """Composite Gauss-Legendre nodes/weights on [t0, t1], t1 > t0."""
     n_panels = max(1, int(math.ceil((t1 - t0) / max_width)))
     edges = np.linspace(t0, t1, n_panels + 1)
     gn, gw = _gauss_legendre(order)
@@ -326,12 +328,21 @@ def pulse_response(
     return (vecs * coef) @ (vecs.T @ f)
 
 
+def _check_lambda(model: SurrogateModel, lam: float) -> None:
+    if not (math.isfinite(lam) and lam > model.lambda_bound):
+        raise SpectralParameterError(
+            f"lambda {lam} must be finite and exceed lambda_bound {model.lambda_bound}"
+        )
+
+
+def _check_horizon(t_circ: float) -> None:
+    if not (math.isfinite(t_circ) and t_circ > 0):
+        raise DomainError(f"truncation horizon must be finite and positive, got {t_circ!r}")
+
+
 def assemble_F_ideal(model: SurrogateModel, lam: float) -> np.ndarray:
     """Masked resolvent difference 1_B[(lam-A_pert)^{-1}-(lam-A_free)^{-1}]1_B."""
-    if lam <= model.lambda_bound:
-        raise SpectralParameterError(
-            f"lambda {lam} must exceed lambda_bound {model.lambda_bound}"
-        )
+    _check_lambda(model, lam)
     for ev, _ in (model.eig_perturbed, model.eig_free):
         if np.min(np.abs(lam - ev)) < 1e-12 * max(1.0, abs(lam)):
             raise SpectralParameterError("lambda numerically inside the spectrum")
@@ -346,43 +357,18 @@ def _truncated_side(
     s: float,
     t_circ: float,
 ) -> np.ndarray:
-    """Per-eigenvalue integral int_0^{t_circ} e^{-s t} u_a(t) dt.
+    """Per-eigenvalue horizon integral int_0^{t_circ} e^{-s t} u_a(t) dt.
 
-    u_a(t) is the pulse convolution of the scalar sine family.  For
-    t >= epsilon the convolution collapses through the addition formula
-    sin-family(t - s) = sin(t)cos(s) - cos(t)sin(s) applied branch-wise,
-    leaving precomputed pulse moments; the initial [0, epsilon] corner
-    is integrated directly in two dimensions.
+    u_a is the pulse convolution of the scalar sine branch.  One
+    Gauss-Legendre rule over the pulse integrates chi(u) e^{-s u}
+    Phi_a(t_circ - u), with Phi_a in closed form (module docstring); the
+    damped branches keep it overflow-safe, and s^2 = lam > a for every
+    admissible model.
     """
-    eps = pulse.epsilon
-    # pulse moments C = int cos-branch(a, u) chi(u) du, S = likewise for sin
-    mnodes, mweights = _gl_panels(0.0, eps, eps / 8.0, 12)
-    chi = pulse(mnodes)
-    cosm = _damped_cos(eigvals[:, None], mnodes[None, :], 0.0)
-    sinm = _damped_sin(eigvals[:, None], mnodes[None, :], 0.0)
-    mom_c = cosm @ (mweights * chi)
-    mom_s = sinm @ (mweights * chi)
-
-    total = np.zeros_like(eigvals)
-
-    # corner region t in [0, min(eps, t_circ)]: direct nested quadrature
-    upper = min(eps, t_circ)
-    tnodes, tweights = _gl_panels(0.0, upper, upper / 4.0, _TRUNCATED_ORDER)
-    for tq, wq in zip(tnodes, tweights):
-        inn, inw = _gl_panels(0.0, tq, max(tq / 4.0, 1e-30), _TRUNCATED_ORDER)
-        chi_in = pulse(inn)
-        svals = _damped_sin(eigvals[:, None], tq - inn[None, :], 0.0)
-        u_t = svals @ (inw * chi_in)
-        total += wq * math.exp(-s * tq) * u_t
-
-    # main region t in [eps, t_circ] via the addition formula
-    if t_circ > eps:
-        width = min(eps, 0.1)
-        onodes, oweights = _gl_panels(eps, t_circ, width, _TRUNCATED_ORDER)
-        dsin = _damped_sin(eigvals[:, None], onodes[None, :], s)
-        dcos = _damped_cos(eigvals[:, None], onodes[None, :], s)
-        total += (dsin * mom_c[:, None] - dcos * mom_s[:, None]) @ oweights
-    return total
+    nodes, weights = _gl_panels(0.0, min(pulse.epsilon, t_circ), pulse.epsilon / 8.0, 12)
+    a, lag = eigvals[:, None], t_circ - nodes[None, :]
+    phi = (1.0 - _damped_cos(a, lag, s) - s * _damped_sin(a, lag, s)) / (s * s - a)
+    return phi @ (weights * pulse(nodes) * np.exp(-s * nodes))
 
 
 def assemble_F_truncated(
@@ -396,12 +382,8 @@ def assemble_F_truncated(
     int_0^{t_circ} e^{-sqrt(lam) t} 1_B [u_pert(t) - u_free(t)] 1_B dt
     computed per eigenbasis of each generator.
     """
-    if lam <= model.lambda_bound:
-        raise SpectralParameterError(
-            f"lambda {lam} must exceed lambda_bound {model.lambda_bound}"
-        )
-    if t_circ <= 0:
-        raise DomainError("truncation horizon must be positive")
+    _check_lambda(model, lam)
+    _check_horizon(t_circ)
     s = math.sqrt(lam)
     return model.masked_difference(lambda ev: _truncated_side(ev, pulse, s, t_circ))
 
@@ -433,6 +415,7 @@ def lemma_bound(
             "need lambda >= lambda_circ > lambda_bound >= 0, got "
             f"{lam}, {lambda_circ}, {lambda_bound}"
         )
+    _check_horizon(t_circ)
     if not (t_circ > epsilon > 0):
         raise ValidationError("need t_circ > epsilon > 0")
     sb = math.sqrt(lambda_bound)

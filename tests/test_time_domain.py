@@ -6,7 +6,8 @@ evaluated by adaptive nested quadrature (outer integral over observation
 time, inner integral over the source convolution), working directly from
 eigendecompositions of the two generator matrices.  The Frobenius norm
 of that entrywise-integrated matrix was frozen here; the package's
-composite Gauss-Legendre assembly must reproduce it.
+closed-form assembly must reproduce it.  The second pin, at a horizon
+inside the pulse, was frozen from the same nested quadrature.
 """
 
 import math
@@ -43,6 +44,8 @@ from lapscat.time_domain import (
 # dim=6, lambda_bound=1, seed=11, bump pulse eps=0.3, lambda=4, horizon=1.3,
 # from the adaptive nested-quadrature reference described above.
 TRUNCATED_NORM_REFERENCE = 0.02014039290381836
+# Same model, pulse and lambda at horizon 0.2, inside the pulse.
+TRUNCATED_NORM_INSIDE_PULSE = 2.7611726830558682e-06
 
 
 def test_truncated_operator_matches_adaptive_quadrature_reference():
@@ -50,6 +53,25 @@ def test_truncated_operator_matches_adaptive_quadrature_reference():
     f = assemble_F_truncated(model, PulseProfile(0.3), 4.0, 1.3)
     norm = np.linalg.norm(f)
     assert abs(norm - TRUNCATED_NORM_REFERENCE) < 1e-9 * TRUNCATED_NORM_REFERENCE
+
+
+def test_truncated_operator_inside_the_pulse_matches_quadrature_reference():
+    model = make_random_surrogate(6, 1.0, 11)
+    norm = np.linalg.norm(assemble_F_truncated(model, PulseProfile(0.3), 4.0, 0.2))
+    assert abs(norm - TRUNCATED_NORM_INSIDE_PULSE) < 1e-9 * TRUNCATED_NORM_INSIDE_PULSE
+
+
+@pytest.mark.parametrize("dim", [6, 12])
+@pytest.mark.parametrize("lam", [4.0, 9.0])
+@pytest.mark.parametrize("eps", [0.05, 0.3])
+def test_long_horizon_box_pulse_is_laplace_transform_of_the_box(dim, lam, eps):
+    # past the pulse the horizon tail is below e^{-30}: F_T tends to the
+    # box's Laplace transform (1 - e^{-s eps})/(s eps) times F_ideal
+    model = make_random_surrogate(dim, 1.0, 3)
+    s = math.sqrt(lam)
+    ref = -math.expm1(-s * eps) / (s * eps) * assemble_F_ideal(model, lam)
+    f = assemble_F_truncated(model, PulseProfile(eps, "box"), lam, 30.0)
+    assert np.linalg.norm(f - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_ideal_operator_is_masked_resolvent_difference():
@@ -285,6 +307,31 @@ def test_truncated_operator_validation():
         assemble_F_truncated(model, pulse, 1.0, 1.3)
     with pytest.raises(DomainError):
         assemble_F_truncated(model, pulse, 4.0, 0.0)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda m: assemble_F_truncated(m, PulseProfile(0.3), 4.0, _NAN), DomainError),
+        (lambda m: assemble_F_truncated(m, PulseProfile(0.3), 4.0, _INF), DomainError),
+        (lambda m: lemma_bound(4.0, 1.0, 4.0, _INF, 0.3), DomainError),
+        (lambda m: assemble_F_ideal(m, _NAN), SpectralParameterError),
+        (lambda m: assemble_F_truncated(m, PulseProfile(0.3), _NAN, 1.3), SpectralParameterError),
+        (lambda m: PulseProfile(_NAN), ValidationError),
+        (lambda m: PulseProfile(_INF), ValidationError),
+        (lambda m: SurrogateModel(m.a_perturbed, m.a_free, _NAN, m.probe_mask), ValidationError),
+    ],
+    ids=["F_T-nan-horizon", "F_T-inf-horizon", "bound-inf-horizon", "F-nan-lambda",
+         "F_T-nan-lambda", "nan-epsilon", "inf-epsilon", "nan-lambda_bound"],
+)
+def test_non_finite_inputs_raise_the_module_errors(call, error):
+    # no non-finite input may come back as a plausible or NaN operator
+    model = make_random_surrogate(6, 1.0, 11)
+    with pytest.raises(error):
+        call(model)
 
 
 def test_truncated_operator_vanishes_without_perturbation():
