@@ -127,11 +127,13 @@ def add_noise(op: DataOperator, relative_level: float, seed: int) -> DataOperato
 
 
 def _write_csv(path: str, rows, header: tuple[str, ...] | None = None) -> None:
-    """CSV of rows of Python numbers, each written as its repr.
+    """CSV of rows of numbers, each written as its repr.
 
-    Byte-identical to ``csv.writer`` in its default (RFC-4180, CRLF)
-    dialect, since no repr of a number needs quoting.
+    Array rows become Python floats one at a time.  The bytes match
+    ``csv.writer``'s default (RFC-4180, CRLF) dialect: no repr needs quoting.
     """
+    if isinstance(rows, np.ndarray):
+        rows = map(np.ndarray.tolist, rows)
     with open(path, "w", newline="") as fh:
         if header is not None:
             fh.write(",".join(header) + "\r\n")
@@ -161,5 +163,5 @@ def write_spectrum_csv(op: DataOperator, path: str) -> None:
 
 
 def write_matrix_csv(mat: np.ndarray, path: str) -> None:
-    """Dense matrix dump, one CSV row per matrix row."""
-    _write_csv(path, np.asarray(mat, dtype=float).tolist())
+    """Dense matrix dump, one CSV row per matrix row, written row by row."""
+    _write_csv(path, np.asarray(mat, dtype=float))

@@ -32,6 +32,7 @@ from .geometry import (
     BoundaryGeometry,
     EvaluationGrid,
     ProbeRegion,
+    _by_row_blocks,
     _shape_functions,
     contains_many,
     distance_to_boundary,
@@ -208,22 +209,24 @@ def sweep(
     mode: str = "picard",
     truncation_floor: float = DEFAULT_TRUNCATION_FLOOR,
 ) -> IndicatorGrid:
-    """Indicator values over all grid points (vectorized over the grid).
+    """Indicator values over all grid points, in fixed-size row blocks.
 
-    Infinite Picard sentinels (test vector orthogonal to the retained
-    span) are reported as the maximum finite value on the grid, keeping
-    the field finite for segmentation and export.  The inf values on
-    the retained block are the Picard values when it is one-signed and
-    0 otherwise (see `inf_indicator`).
+    Each block evaluates, projects and sums its own test vectors, so no
+    intermediate grows with the grid.  Infinite Picard sentinels (test
+    vector orthogonal to the retained span) then take the largest finite
+    value on the whole grid.  The inf values on the retained block are the
+    Picard values when it is one-signed and 0 otherwise (see `inf_indicator`).
     """
     if mode not in ("picard", "inf", "both"):
         raise DomainError(f"unknown sweep mode {mode!r}")
     k = _retained(op, truncation_floor)
-    vals = fundamental_solution(op.lam, grid.points[:, None, :], probe.points[None, :, :])
-    ghat = vals * np.sqrt(probe.weights)[None, :]        # (n_grid, n_probe)
-    coeffs = ghat @ op.eigenvectors[:, :k]               # (n_grid, k)
-    sums = (coeffs**2 / np.abs(op.eigenvalues[:k])[None, :]).sum(axis=1)
 
+    def block(pts):
+        ghat = fundamental_solution(op.lam, pts[:, None, :], probe.points[None, :, :])
+        ghat *= np.sqrt(probe.weights)                   # (block, n_probe)
+        return ((ghat @ op.eigenvectors[:, :k]) ** 2 / np.abs(op.eigenvalues[:k])).sum(axis=1)
+
+    sums = _by_row_blocks(grid.points, block)
     with np.errstate(divide="ignore"):
         picard = np.where(sums > 0.0, 1.0 / sums, np.inf)
     finite = np.isfinite(picard)
@@ -364,7 +367,7 @@ def write_indicator_csv(igrid: IndicatorGrid, path: str) -> None:
     if igrid.inf_values is not None:
         columns.append(igrid.inf_values)
         header += ("inf",)
-    _write_csv(path, np.column_stack(columns).tolist(), header)
+    _write_csv(path, np.column_stack(columns), header)
 
 
 def write_indicator_pgm(igrid: IndicatorGrid, path: str) -> None:

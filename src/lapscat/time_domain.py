@@ -11,7 +11,7 @@ with constants c1, c2, c3, on matrix surrogates: the bound only needs
 self-adjointness and spectral caps, which finite symmetric matrices
 satisfy exactly.  A SurrogateModel diagonalizes both generators once;
 the ideal operator (fn = 1/(lam - a), less its constant 1/lam) and the
-truncated one are both the masked difference
+truncated one (less fn(0)) are both the masked difference
 1_B[V_p fn(L_p) V_p^T - V_f fn(L_f) V_f^T]1_B.  Swapping the time and
 pulse integrals of the horizon integral, then two integrations by parts
 with S_a'' = a S_a, S_a(0) = 0, S_a'(0) = 1, give the truncated one's
@@ -361,13 +361,21 @@ def _truncated_side(
 
     u_a is the pulse convolution of the scalar sine branch.  One
     Gauss-Legendre rule over the pulse integrates chi(u) e^{-s u}
-    Phi_a(t_circ - u), with Phi_a in closed form (module docstring); the
-    damped branches keep it overflow-safe, and s^2 = lam > a for every
-    admissible model.
+    Phi_a(t_circ - u), Phi_a in closed form (module docstring) or, where
+    (s + sqrt|a|) L < 1 and that form cancels, by the Taylor series of
+    f = e^{-s t} S_a: f'' + 2s f' + (lam - a) f = 0, f(0) = 0, f'(0) = 1.
     """
     nodes, weights = _gl_panels(0.0, min(pulse.epsilon, t_circ), pulse.epsilon / 8.0, 12)
-    a, lag = eigvals[:, None], t_circ - nodes[None, :]
+    a, lag = np.broadcast_arrays(eigvals[:, None], t_circ - nodes[None, :])
     phi = (1.0 - _damped_cos(a, lag, s) - s * _damped_sin(a, lag, s)) / (s * s - a)
+    small = (s + np.sqrt(np.abs(a))) * lag < 1.0
+    if small.any():
+        am, lm = a[small], lag[small]
+        d_prev, d, total = 0.0, lm, 0.5 * lm   # d = c_k L^k, below L / (k-1)! here
+        for k in range(1, 21):
+            d_prev, d = d, -(2.0 * s * k * d + (s * s - am) * lm * d_prev) * lm / (k * (k + 1))
+            total += d / (k + 2)
+        phi[small] = lm * total
     return phi @ (weights * pulse(nodes) * np.exp(-s * nodes))
 
 
@@ -385,7 +393,9 @@ def assemble_F_truncated(
     _check_lambda(model, lam)
     _check_horizon(t_circ)
     s = math.sqrt(lam)
-    return model.masked_difference(lambda ev: _truncated_side(ev, pulse, s, t_circ))
+    # fn(0) I cancels; leaving it out keeps the eigenvectors' rounding (times fn(0)) out of F
+    fn0 = _truncated_side(np.zeros(1), pulse, s, t_circ)
+    return model.masked_difference(lambda ev: _truncated_side(ev, pulse, s, t_circ) - fn0)
 
 
 # ----------------------------------------------------------------------

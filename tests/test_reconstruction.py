@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,14 @@ from hypothesis import strategies as st
 from lapscat.boundary_ops import BoundaryCondition
 from lapscat.data_operator import DataOperator, _sorted_eigh, add_noise, assemble_F
 from lapscat.errors import ConstraintError, DomainError, SegmentationError
-from lapscat.geometry import make_curve, make_grid, make_probe, make_screen
-from lapscat.kernels import SpectralParam
+from lapscat.geometry import (
+    EvaluationGrid,
+    make_curve,
+    make_grid,
+    make_probe,
+    make_screen,
+)
+from lapscat.kernels import SpectralParam, fundamental_solution
 from lapscat.reconstruction import (
     IndicatorGrid,
     TestArc,
@@ -236,6 +243,69 @@ def test_sweep_modes_and_validation():
     np.testing.assert_array_equal(picard_only.picard_values, both.picard_values)
     with pytest.raises(DomainError):
         sweep(f, probe, grid, mode="maximum")
+
+
+def _one_shot_sweep(f, probe, points):
+    # the whole grid x probe kernel matrix in one pass, global cap
+    k = int(np.count_nonzero(np.abs(f.eigenvalues) >= 1e-8 * np.abs(f.eigenvalues[0])))
+    ghat = fundamental_solution(LAM, points[:, None, :], probe.points[None, :, :])
+    ghat = ghat * np.sqrt(probe.weights)[None, :]
+    sums = ((ghat @ f.eigenvectors[:, :k]) ** 2 / np.abs(f.eigenvalues[:k])).sum(axis=1)
+    with np.errstate(divide="ignore"):
+        picard = np.where(sums > 0.0, 1.0 / sums, np.inf)
+    finite = np.isfinite(picard)
+    picard = np.where(finite, picard, picard[finite].max())
+    mu = f.eigenvalues[:k]
+    one_signed = np.all(mu > 0) or np.all(mu < 0)
+    return picard, (picard.copy() if one_signed else np.zeros_like(picard)), finite
+
+
+@pytest.mark.parametrize("case", ["clean_kite", "noisy_kite"])
+def test_blocked_sweep_equals_one_shot_sweep_across_block_edges(case):
+    # 37^2 = 1369 points: two full 512-point blocks and one of 345.  The
+    # last 40 points sit where every probe sample underflows to 0, so
+    # their Picard sums vanish and take the cap, which is the largest
+    # finite value over the whole grid, not over their own block
+    geom = make_curve("kite", None, n_nodes=64)
+    probe = make_probe((0.0, 0.0), 4.0, 32)
+    f = assemble_F(BoundaryCondition("D"), geom, probe, LAM)
+    if case == "noisy_kite":
+        f = add_noise(f, 1e-3, seed=0)
+    base = make_grid(((-2.5, 2.5), (-2.5, 2.5)), 37)
+    pts = base.points.copy()
+    pts[-40:] += 1e4
+    grid = EvaluationGrid(points=pts, bounds=base.bounds, resolution=37)
+    picard, inf_vals, finite = _one_shot_sweep(f, probe, pts)
+    assert np.all(finite[:-40]) and not np.any(finite[-40:])
+    cap = picard[finite].max()
+    assert picard[1024:-40].max() < cap   # a per-block cap would differ here
+    np.testing.assert_array_equal(picard[-40:], cap)
+    assert np.any(inf_vals == 0.0) == (case == "noisy_kite")
+    for mode in ("picard", "inf", "both"):
+        ig = sweep(f, probe, grid, mode=mode)
+        np.testing.assert_array_equal(ig.picard_values, picard)
+        if mode == "picard":
+            assert ig.inf_values is None
+        else:
+            np.testing.assert_array_equal(ig.inf_values, inf_vals)
+
+
+@pytest.mark.parametrize("resolution", [128, 256])
+def test_sweep_peak_memory_is_flat_in_grid_size(resolution):
+    # one pass over the whole grid x probe kernel matrix peaked at
+    # 27.8 MB (128^2) and 103 MB (256^2) here; the row blocks stay
+    # near 4 MB at both sizes
+    geom = make_curve("kite", None, n_nodes=128)
+    probe = make_probe((0.0, 0.0), 4.0, 64)
+    f = assemble_F(BoundaryCondition("D"), geom, probe, LAM)
+    grid = make_grid(((-3.0, 3.0), (-3.0, 3.0)), resolution)
+    tracemalloc.start()
+    try:
+        sweep(f, probe, grid, mode="both")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_screen_test_vector_short_arc_limit():

@@ -7,10 +7,14 @@ time, inner integral over the source convolution), working directly from
 eigendecompositions of the two generator matrices.  The Frobenius norm
 of that entrywise-integrated matrix was frozen here; the package's
 closed-form assembly must reproduce it.  The second pin, at a horizon
-inside the pulse, was frozen from the same nested quadrature.
+inside the pulse, was frozen from the same nested quadrature.  The matrix
+in data/truncated_inside_pulse_mpmath40.npy is `_mpmath_truncated`
+(40-digit mpmath eigensystems and quadrature) at a horizon inside a
+narrow pulse, where the operator is about 4e-7 of each of its two sides.
 """
 
 import math
+import os
 
 import mpmath
 import numpy as np
@@ -59,6 +63,51 @@ def test_truncated_operator_inside_the_pulse_matches_quadrature_reference():
     model = make_random_surrogate(6, 1.0, 11)
     norm = np.linalg.norm(assemble_F_truncated(model, PulseProfile(0.3), 4.0, 0.2))
     assert abs(norm - TRUNCATED_NORM_INSIDE_PULSE) < 1e-9 * TRUNCATED_NORM_INSIDE_PULSE
+
+
+def _mpmath_truncated(model, epsilon, lam, t_circ):
+    """F_T for a bump pulse from 40-digit eigensystems of both generators,
+    with Phi_a in closed form and mpmath quadrature over the pulse."""
+    with mpmath.workdps(40):
+        s, eps, t = mpmath.sqrt(lam), mpmath.mpf(epsilon), mpmath.mpf(t_circ)
+        mass = mpmath.mpf(PulseProfile._bump_mass())  # the profile's own normalisation
+
+        def chi(u):
+            x = u / eps
+            return mpmath.exp(-1 / (x * (1 - x))) / (eps * mass) if 0 < x < 1 else 0
+
+        def phi(a, lag):
+            w = mpmath.sqrt(a)  # imaginary for a < 0: cosh, sinh(w L)/w stay real
+            c, sn = mpmath.cosh(w * lag), (mpmath.sinh(w * lag) / w if a != 0 else lag)
+            return (1 - mpmath.exp(-s * lag) * mpmath.re(c + s * sn)) / (lam - a)
+
+        def side(mat):
+            ev, vec = mpmath.eigsy(mpmath.matrix(mat.tolist()))
+            fn = [mpmath.quad(lambda u: chi(u) * mpmath.exp(-s * u) * phi(a, t - u),
+                              [0, min(eps, t)]) for a in ev]
+            return vec * mpmath.diag(fn) * vec.T
+
+        diff = side(model.a_perturbed) - side(model.a_free)
+        out = np.array(diff.tolist(), dtype=float)
+    out[~model.probe_mask, :] = 0.0
+    out[:, ~model.probe_mask] = 0.0
+    return out
+
+
+TRUNCATED_INSIDE_PULSE_TABLE = os.path.join(
+    os.path.dirname(__file__), "data", "truncated_inside_pulse_mpmath40.npy"
+)
+
+
+def test_truncated_operator_inside_a_narrow_pulse_matches_mpmath():
+    # horizon eps/2 inside a bump of width 0.01: ||F_T|| = 2.0e-13 while
+    # each side is 4.7e-7.  The closed form alone cancelled there to a
+    # relative error of 6.9e-6; its Taylor series and the dropped fn(0)
+    # identity term keep it to 2e-10
+    model = make_random_surrogate(16, 0.0, 0)
+    ref = np.load(TRUNCATED_INSIDE_PULSE_TABLE)
+    f = assemble_F_truncated(model, PulseProfile(0.01), 4.0, 0.005)
+    assert np.linalg.norm(f - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("dim", [6, 12])
