@@ -37,6 +37,11 @@ self-adjoint operators have symmetric matrices.  Sign conventions match
 the factorized resolvent: M_D = -gamma0 SL (negative definite),
 M_N = -gamma1 DL (positive definite), M_alpha = -(1/alpha + gamma0 SL),
 M_theta = theta - gamma1 DL.
+
+Off the surface, `_layer_matrix` samples the SL kernel g and the DL
+kernel dg/dn_y from the nodes to target points; the layer potentials,
+the jump ladder and the radiation matrix G of `data_operator` all use
+it, through the one table `LAYER` of which layer each condition takes.
 """
 
 from __future__ import annotations
@@ -55,12 +60,14 @@ from .errors import (
     GeometryError,
     InversionError,
     QuadratureError,
+    SingularityError,
     SpectralParameterError,
     TruncationError,
 )
 from .geometry import BoundaryGeometry, ScreenGeometry, distance_to_boundary
 from .geometry import _distances, _plane_norm
 from .kernels import (
+    COINCIDENCE_TOL,
     EULER_GAMMA,
     SpectralParam,
     _bessel_i0,
@@ -103,6 +110,11 @@ class BoundaryOperator:
         return self.matrix.shape[0]
 
 
+# the layer each condition's M and G are built from: M is minus its trace
+# (gamma0 SL or gamma1 DL) plus the coefficient term, G samples its kernel
+LAYER = {"D": "SL", "alpha": "SL", "N": "DL", "theta": "DL"}
+
+
 @dataclass(frozen=True)
 class BoundaryCondition:
     """Boundary condition selecting the operator family M_lambda.
@@ -119,7 +131,7 @@ class BoundaryCondition:
     lambda_bound: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("D", "N", "alpha", "theta"):
+        if self.kind not in LAYER:
             raise DomainError(f"unknown boundary condition kind {self.kind!r}")
         if self.kind in ("alpha", "theta") and self.coefficient is None:
             raise CoefficientError(f"{self.kind} condition requires a coefficient")
@@ -366,7 +378,7 @@ def assemble_M(
             active = coef[bc.screen.active_mask]
             if np.any(active > 0) and np.any(active < 0):
                 raise CoefficientError("alpha must have constant sign on a screen")
-    single_layer = bc.kind in ("D", "alpha")
+    single_layer = LAYER[bc.kind] == "SL"
     base = (assemble_gamma0_SL if single_layer else assemble_gamma1_DL)(geom, lam).matrix
     if bc.kind in ("D", "N"):
         mat = -base
@@ -554,21 +566,34 @@ def evaluate_potential(
 
 def _layer_matrix(kind, src: BoundaryGeometry, targets, lam: SpectralParam, directions=None):
     """Trapezoid kernel matrix of the SL or DL potential from the nodes
-    of ``src`` to off-surface targets (weights not applied); with
-    ``directions``, of the SL potential's derivative along them instead."""
-    dx = targets[:, 0, None] - src.nodes[:, 0]    # (m, n) planes of x - y
-    dy = targets[:, 1, None] - src.nodes[:, 1]
-    if directions is None and kind == "SL":
-        return _radial_g(lam.sqrt_lam, _plane_norm(dx, dy))
+    of ``src`` to the targets (weights not applied); with ``directions``,
+    of the SL potential's derivative along them instead.  Raises
+    SingularityError when a target coincides with a node."""
+    dx = src.nodes[:, 0] - targets[:, 0, None]    # (m, n) planes of y - x
+    dy = src.nodes[:, 1] - targets[:, 1, None]
+    sl = directions is None and kind == "SL"
+    # only the SL kernel is done with the planes once it has r
+    r = _plane_norm(dx, dy) if sl else np.sqrt(dx * dx + dy * dy)
+    if np.any(r < COINCIDENCE_TOL):
+        raise SingularityError("layer kernel at coincident points")
+    if sl:
+        return _radial_g(lam.sqrt_lam, r)
+    dg = _radial_dg(lam.sqrt_lam, r)
     if directions is not None:
         # grad_x g = g'(r) (x - y)/r
-        proj = dx * directions[:, 0, None] + dy * directions[:, 1, None]
-    else:
-        # d/dn_y g = g'(r) * (y - x) . n_y / r
-        proj = -(dx * src.normals[:, 0] + dy * src.normals[:, 1])
-    r = _plane_norm(dx, dy)
-    proj /= r
-    return _radial_dg(lam.sqrt_lam, r) * proj
+        dx *= directions[:, 0, None]
+        dy *= directions[:, 1, None]
+        dx += dy
+        dx /= r
+        return -dg * dx
+    # d/dn_y g = g'(r) (y - x) . n_y / r
+    dg /= r
+    dx *= dg
+    dx *= src.normals[:, 0]
+    dy *= dg
+    dy *= src.normals[:, 1]
+    dx += dy
+    return dx
 
 
 def jump_relation_residual(

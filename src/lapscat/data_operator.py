@@ -5,9 +5,10 @@ G carries a boundary density to field values on the probe region and M
 is the boundary operator of the active condition.  In weighted nodal
 coordinates G becomes W_B^{1/2} A W_Gamma^{1/2} with A the plain kernel
 sample matrix, so F is symmetric and its nonzero spectrum has the sign
-of M (congruence).  Dirichlet and delta-type conditions radiate through
-the single-layer kernel, Neumann and delta'-type through the
-double-layer kernel.
+of M (congruence).  A is the layer kernel matrix of `boundary_ops` from
+the boundary nodes to the probe points: Dirichlet and delta-type
+conditions radiate through the single-layer kernel, Neumann and
+delta'-type through the double-layer kernel (`boundary_ops.LAYER`).
 """
 
 from __future__ import annotations
@@ -17,13 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary_ops import BoundaryCondition, BoundaryOperator, assemble_M, invert_M
+from .boundary_ops import (
+    LAYER,
+    BoundaryCondition,
+    BoundaryOperator,
+    _layer_matrix,
+    assemble_M,
+    invert_M,
+)
 from .errors import DegenerateOperatorError, DomainError
 from .geometry import BoundaryGeometry, ProbeRegion
-from .kernels import SpectralParam, fundamental_solution, fundamental_solution_gradient
-
-_SL_KINDS = ("D", "alpha")
-_DL_KINDS = ("N", "theta")
+from .kernels import SpectralParam
 
 
 @dataclass(frozen=True)
@@ -38,13 +43,7 @@ class DataOperator:
     matrix: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    probe: ProbeRegion
-    geom: BoundaryGeometry
     lam: SpectralParam
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
 
 
 def radiation_matrix(
@@ -55,15 +54,9 @@ def radiation_matrix(
     active_indices: np.ndarray | None = None,
 ) -> np.ndarray:
     """Weighted boundary-to-probe map G (single or double layer kernel)."""
-    b = probe.points[:, None, :]
-    y = geom.nodes[None, :, :]
-    if bc_kind in _SL_KINDS:
-        a = fundamental_solution(lam, b, y)
-    elif bc_kind in _DL_KINDS:
-        grad = fundamental_solution_gradient(lam, b, y)
-        a = np.einsum("ijk,jk->ij", grad, geom.normals)
-    else:
+    if bc_kind not in LAYER:
         raise DomainError(f"unknown boundary condition kind {bc_kind!r}")
+    a = _layer_matrix(LAYER[bc_kind], geom, probe.points, lam)
     g = np.sqrt(probe.weights)[:, None] * a * np.sqrt(geom.weights)[None, :]
     if active_indices is not None:
         g = g[:, active_indices]
@@ -89,10 +82,7 @@ def _data_operator(bc: BoundaryCondition, m_op: BoundaryOperator, probe: ProbeRe
     f = g @ m_inv.matrix @ g.T
     f = 0.5 * (f + f.T)
     eigvals, eigvecs = _sorted_eigh(f)
-    return DataOperator(
-        matrix=f, eigenvalues=eigvals, eigenvectors=eigvecs,
-        probe=probe, geom=geom, lam=lam,
-    )
+    return DataOperator(matrix=f, eigenvalues=eigvals, eigenvectors=eigvecs, lam=lam)
 
 
 def _sorted_eigh(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,10 +110,7 @@ def add_noise(op: DataOperator, relative_level: float, seed: int) -> DataOperato
     f_norm = np.linalg.norm(op.matrix, 2)
     f = op.matrix + (relative_level * f_norm / e_norm) * e
     eigvals, eigvecs = _sorted_eigh(f)
-    return DataOperator(
-        matrix=f, eigenvalues=eigvals, eigenvectors=eigvecs,
-        probe=op.probe, geom=op.geom, lam=op.lam,
-    )
+    return DataOperator(matrix=f, eigenvalues=eigvals, eigenvectors=eigvecs, lam=op.lam)
 
 
 def _write_csv(path: str, rows, header: tuple[str, ...] | None = None) -> None:

@@ -177,8 +177,8 @@ def _shape_functions(shape: str, params: dict):
     raise GeometryError(f"unknown shape {shape!r}")
 
 
-def _grading_map(cluster: tuple[float, float, float]):
-    """Two-point clustering reparametrization; returns (w, w')."""
+def _grading_map(cluster: tuple[float, float, float], tau: np.ndarray):
+    """Two-point clustering reparametrization at tau; returns (w, w')."""
     a, b, beta = cluster
     a = float(a) % TWO_PI
     b = float(b) % TWO_PI
@@ -190,30 +190,15 @@ def _grading_map(cluster: tuple[float, float, float]):
     len2 = TWO_PI - len1
     if len1 <= 0 or len2 <= 0:
         raise GeometryError("cluster endpoints must be distinct modulo 2 pi")
-
-    def w(tau):
-        tau = np.asarray(tau, dtype=float)
-        s = (tau - a) % TWO_PI
-        out = np.empty_like(s)
-        first = s <= len1
-        s1 = s[first]
-        out[first] = s1 - (beta * len1 / TWO_PI) * np.sin(TWO_PI * s1 / len1)
-        s2 = s[~first] - len1
-        out[~first] = (
-            len1 + s2 - (beta * len2 / TWO_PI) * np.sin(TWO_PI * s2 / len2)
-        )
-        return (a + out) % TWO_PI
-
-    def wprime(tau):
-        tau = np.asarray(tau, dtype=float)
-        s = (tau - a) % TWO_PI
-        out = np.empty_like(s)
-        first = s <= len1
-        out[first] = 1.0 - beta * np.cos(TWO_PI * s[first] / len1)
-        out[~first] = 1.0 - beta * np.cos(TWO_PI * (s[~first] - len1) / len2)
-        return out
-
-    return w, wprime
+    # each point's piece [start, start + length] of the parameter shifted by a
+    s = (tau - a) % TWO_PI
+    first = s <= len1
+    start = np.where(first, 0.0, len1)
+    length = np.where(first, len1, len2)
+    u = s - start
+    phase = TWO_PI * u / length
+    w = a + (start + u - (beta * length / TWO_PI) * np.sin(phase))
+    return w % TWO_PI, 1.0 - beta * np.cos(phase)
 
 
 def make_curve(
@@ -237,9 +222,7 @@ def make_curve(
     pos, der = _shape_functions(shape, params or {})
     tau = TWO_PI * np.arange(n_nodes) / n_nodes
     if cluster is not None:
-        w, wp = _grading_map(cluster)
-        t = w(tau)
-        dw = wp(tau)
+        t, dw = _grading_map(cluster, tau)
     else:
         t = tau
         dw = np.ones_like(tau)

@@ -6,7 +6,8 @@ The radial profile of the free-space kernel is
     g(r) = K_0(sqrt(lambda) r) / (2 pi)
 
 with K_0 the modified Bessel function of the second kind; its
-derivative brings in K_1.  Everything here is self-contained: K_0/K_1
+derivative g'(r), from which `boundary_ops` builds the double-layer
+kernel, brings in K_1.  Everything here is self-contained: K_0/K_1
 are evaluated from their power series for z <= 2 (15 terms) and from
 Chebyshev expansions of the scaled functions K_nu(z) e^z sqrt(z) for
 z > 2 (coefficients generated offline against a 60-digit reference);
@@ -258,17 +259,3 @@ def fundamental_solution(lam: SpectralParam, x, y):
         raise SingularityError("fundamental_solution at coincident points")
     out = _radial_g(lam.sqrt_lam, r_flat)
     return float(out[0]) if np.ndim(r) == 0 else out.reshape(r.shape)
-
-
-def fundamental_solution_gradient(lam: SpectralParam, x, y):
-    """Gradient of g_lambda(x, y) with respect to the second argument y.
-
-    Equals g'(r) (y - x)/r; antisymmetric under swapping x and y.
-    """
-    dx, dy = _pair_planes(x, y)
-    r_flat = np.sqrt(dx * dx + dy * dy).ravel()
-    if np.any(r_flat < COINCIDENCE_TOL):
-        raise SingularityError("gradient at coincident points")
-    scale = _radial_dg(lam.sqrt_lam, r_flat) / r_flat
-    grad = np.stack([scale * dx.ravel(), scale * dy.ravel()], axis=-1)
-    return grad.reshape(dx.shape + (2,))

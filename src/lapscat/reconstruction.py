@@ -4,7 +4,9 @@ A sampling point x is classified through the Picard series of its test
 vector g_x (the fundamental solution centered at x, sampled on the
 probe): the truncated sum S(x) = sum_k |<g_x, v_k>|^2 / |mu_k| stays
 moderate when x lies inside the scatterer and blows up outside.  The
-reported indicator is W = 1/S, so inside reads as large values.  The
+reported indicator is W = 1/S, so inside reads as large values.  Every
+indicator here, for one test vector or a grid of them, comes from one
+evaluation of S over rows of test fields (`_picard_sums`).  The
 inf-criterion variant, the infimum of |<u, F u>| over the affine slice
 <u, g> = 1 of a leading eigenspace, is a closed form: W itself (the
 Lagrange value) when the retained eigenvalues are one-signed, else 0.
@@ -50,7 +52,6 @@ class TestVector:
     __test__ = False  # not a pytest collection target
 
     values: np.ndarray
-    lam: SpectralParam
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
@@ -101,12 +102,17 @@ class SegmentationResult:
     n_scored: int | None = None
 
 
+def _point_fields(probe: ProbeRegion, points: np.ndarray, lam: SpectralParam) -> np.ndarray:
+    """Weighted probe samples of the point test fields centered at the
+    rows of ``points``, one row each."""
+    fields = fundamental_solution(lam, points[:, None, :], probe.points[None, :, :])
+    fields *= np.sqrt(probe.weights)
+    return fields
+
+
 def make_test_vector(probe: ProbeRegion, x, lam: SpectralParam) -> TestVector:
     """Weighted probe samples of the point test field centered at x."""
-    x = np.asarray(x, dtype=float)
-    vals = fundamental_solution(lam, x[None, :], probe.points)
-    weighted = np.sqrt(probe.weights) * vals
-    return TestVector(values=weighted, lam=lam)
+    return TestVector(values=_point_fields(probe, np.asarray(x, dtype=float)[None, :], lam)[0])
 
 
 def make_screen_test_vector(
@@ -135,7 +141,7 @@ def make_screen_test_vector(
     vals = fundamental_solution(lam, pts[:, None, :], probe.points[None, :, :])
     integrated = (w * jac) @ vals
     weighted = np.sqrt(probe.weights) * integrated
-    return TestVector(values=weighted, lam=lam)
+    return TestVector(values=weighted)
 
 
 def _retained(op: DataOperator, truncation_floor: float) -> int:
@@ -145,6 +151,18 @@ def _retained(op: DataOperator, truncation_floor: float) -> int:
     if mags.size == 0 or mags[0] == 0.0:
         raise DegenerateOperatorError("data operator has empty truncated spectrum")
     return int(np.count_nonzero(mags >= truncation_floor * mags[0]))
+
+
+def _picard_sums(op: DataOperator, fields: np.ndarray, k: int) -> np.ndarray:
+    """Truncated Picard sums sum_{j<k} <g, v_j>^2 / |mu_j|, one per row g
+    of weighted test fields."""
+    return ((fields @ op.eigenvectors[:, :k]) ** 2 / np.abs(op.eigenvalues[:k])).sum(axis=1)
+
+
+def _reciprocals(sums: np.ndarray) -> np.ndarray:
+    """Indicators 1/S; +inf where the test field misses the retained span."""
+    with np.errstate(divide="ignore"):
+        return np.where(sums > 0.0, 1.0 / sums, np.inf)
 
 
 def picard_indicator(
@@ -157,21 +175,8 @@ def picard_indicator(
     Large values indicate that the test field is (numerically) in the
     range of the propagated operator, i.e. the source point is inside.
     """
-    s = float(np.sum(picard_sum_terms(op, g, truncation_floor)))
-    if s == 0.0:
-        return math.inf
-    return 1.0 / s
-
-
-def picard_sum_terms(
-    op: DataOperator,
-    g: TestVector,
-    truncation_floor: float = DEFAULT_TRUNCATION_FLOOR,
-) -> np.ndarray:
-    """Individual terms |<g, v_k>|^2 / |mu_k| of the truncated sum."""
-    k = _retained(op, truncation_floor)
-    coeffs = op.eigenvectors[:, :k].T @ g.values
-    return coeffs**2 / np.abs(op.eigenvalues[:k])
+    sums = _picard_sums(op, g.values[None, :], _retained(op, truncation_floor))
+    return float(_reciprocals(sums)[0])
 
 
 def _one_signed(mu: np.ndarray) -> bool:
@@ -192,14 +197,12 @@ def inf_indicator(op: DataOperator, g: TestVector, subspace_k: int | None = None
         subspace_k = _retained(op, DEFAULT_TRUNCATION_FLOOR)
     if not 1 <= subspace_k <= op.eigenvalues.size:
         raise DomainError(f"subspace_k {subspace_k} out of range")
-    mu = op.eigenvalues[:subspace_k]
-    gamma = op.eigenvectors[:, :subspace_k].T @ g.values
-    gnorm2 = float(gamma @ gamma)
-    if gnorm2 == 0.0 or not np.isfinite(gnorm2):
+    s = float(_picard_sums(op, g.values[None, :], subspace_k)[0])
+    if s == 0.0 or not np.isfinite(s):
         raise ConstraintError("test vector orthogonal to the chosen subspace")
-    if not _one_signed(mu):
+    if not _one_signed(op.eigenvalues[:subspace_k]):
         return 0.0
-    return 1.0 / float(np.sum(gamma**2 / np.abs(mu)))
+    return 1.0 / s
 
 
 def sweep(
@@ -220,15 +223,10 @@ def sweep(
     if mode not in ("picard", "inf", "both"):
         raise DomainError(f"unknown sweep mode {mode!r}")
     k = _retained(op, truncation_floor)
-
-    def block(pts):
-        ghat = fundamental_solution(op.lam, pts[:, None, :], probe.points[None, :, :])
-        ghat *= np.sqrt(probe.weights)                   # (block, n_probe)
-        return ((ghat @ op.eigenvectors[:, :k]) ** 2 / np.abs(op.eigenvalues[:k])).sum(axis=1)
-
-    sums = _by_row_blocks(grid.points, block)
-    with np.errstate(divide="ignore"):
-        picard = np.where(sums > 0.0, 1.0 / sums, np.inf)
+    sums = _by_row_blocks(
+        grid.points, lambda pts: _picard_sums(op, _point_fields(probe, pts, op.lam), k)
+    )
+    picard = _reciprocals(sums)
     finite = np.isfinite(picard)
     if not np.all(finite):
         cap = float(picard[finite].max()) if np.any(finite) else 1.0
@@ -260,8 +258,8 @@ def arc_sweep(
     parameters of [0, 2 pi); an arc is inside when it lies in the
     parameter interval (a, b) of the screen, taken mod 2 pi (a may be
     negative or b past 2 pi).  A sweep with no arc inside, or none
-    outside, separates nothing and is refused.  Returns (centers,
-    indicators, inside).
+    outside, separates nothing and is refused.  The arcs' test fields
+    are stacked and summed at once.  Returns (centers, indicators, inside).
     """
     if count < 1 or not 0.0 < arc_length < 2.0 * math.pi:
         raise DomainError("arc sweep needs count >= 1 and 0 < arc_length < 2 pi")
@@ -272,12 +270,15 @@ def arc_sweep(
     if inside.all() or not inside.any():
         raise DomainError(f"arc sweep has {int(inside.sum())} of {count} arcs inside "
                           "the screen; it needs arcs both inside and outside")
-    indicators = np.empty(count)
-    for i, c in enumerate(centers):
-        arc = TestArc(shape, params, (c - 0.5 * arc_length, c + 0.5 * arc_length))
-        tv = make_screen_test_vector(probe, arc, op.lam, n_quad=n_quad)
-        indicators[i] = picard_indicator(op, tv, truncation_floor=truncation_floor)
-    return centers, indicators, inside
+    k = _retained(op, truncation_floor)
+    fields = np.stack([
+        make_screen_test_vector(
+            probe, TestArc(shape, params, (c - 0.5 * arc_length, c + 0.5 * arc_length)),
+            op.lam, n_quad=n_quad,
+        ).values
+        for c in centers
+    ])
+    return centers, _reciprocals(_picard_sums(op, fields, k)), inside
 
 
 def _otsu_threshold(values: np.ndarray) -> float:
@@ -389,7 +390,7 @@ def write_indicator_pgm(igrid: IndicatorGrid, path: str) -> None:
 
 def write_metrics_json(
     path: str,
-    result: SegmentationResult | None,
+    result: SegmentationResult,
     igrid: IndicatorGrid,
     op: DataOperator | None = None,
     extra: dict | None = None,
@@ -399,13 +400,12 @@ def write_metrics_json(
         "truncation_k": igrid.truncation_k,
         "indicator_max": float(np.max(igrid.picard_values)),
         "indicator_min": float(np.min(igrid.picard_values)),
+        "threshold": result.threshold,
+        "rule": result.rule,
+        "jaccard": result.jaccard,
+        "accuracy": result.accuracy,
+        "n_scored": result.n_scored,
     }
-    if result is not None:
-        payload["threshold"] = result.threshold
-        payload["rule"] = result.rule
-        payload["jaccard"] = result.jaccard
-        payload["accuracy"] = result.accuracy
-        payload["n_scored"] = result.n_scored
     if op is not None:
         payload["eigenvalues"] = [float(v) for v in op.eigenvalues]
     if extra:

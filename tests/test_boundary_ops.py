@@ -555,10 +555,12 @@ def test_jump_relation_three_densities():
 
 
 # SL and DL jump residuals on the unit circle (n = 128, lambda = 2) of
-# 1, cos t and 1 + 0.3 sin 2t, from one density per call
+# 1, cos t and 1 + 0.3 sin 2t, from one density per call; the DL values
+# are those of the double-layer kernel in the order G samples it,
+# (g'(r)/r dx) n_x + (g'(r)/r dy) n_y
 JUMP_RESIDUALS = {
     "SL": [2.7450776481328064e-05, 4.11303117563356e-05, 3.210391056924364e-05],
-    "DL": [9.186267210351505e-06, 1.8693721696173816e-05, 1.2894326810749905e-05],
+    "DL": [9.186267210298598e-06, 1.8693721696192447e-05, 1.289432681074048e-05],
 }
 
 

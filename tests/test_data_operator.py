@@ -17,13 +17,9 @@ from lapscat.data_operator import (
     write_matrix_csv,
     write_spectrum_csv,
 )
-from lapscat.errors import DomainError
-from lapscat.geometry import make_curve, make_probe, make_screen
-from lapscat.kernels import (
-    SpectralParam,
-    fundamental_solution,
-    fundamental_solution_gradient,
-)
+from lapscat.errors import DomainError, SingularityError
+from lapscat.geometry import ProbeRegion, make_curve, make_probe, make_screen
+from lapscat.kernels import SpectralParam, fundamental_solution
 
 LAM = SpectralParam(2.0)
 
@@ -87,16 +83,38 @@ def test_radiation_matrix_entries():
         * math.sqrt(geom.weights[j])
     )
     assert abs(g_sl[i, j] - want) < 1e-15 * abs(want)
-    g_dl = radiation_matrix("N", geom, probe, LAM)
-    grad = fundamental_solution_gradient(LAM, probe.points[i], geom.nodes[j])
-    want_dl = (
-        math.sqrt(probe.weights[i])
-        * float(grad @ geom.normals[j])
-        * math.sqrt(geom.weights[j])
-    )
-    assert abs(g_dl[i, j] - want_dl) < 1e-15 * abs(want_dl)
     with pytest.raises(DomainError):
         radiation_matrix("robin", geom, probe, LAM)
+
+
+@pytest.mark.parametrize("shape, params", [
+    ("circle", {"radius": 1.0}),
+    ("kite", None),
+    ("ellipse", {"a": 2.0, "b": 1.0}),
+])
+def test_double_layer_columns_match_normal_differences(shape, params):
+    # N and theta radiate through d/dn_y g(b, y): every entry of G against
+    # a central difference of the fundamental solution along n_y
+    geom = make_curve(shape, params, n_nodes=64)
+    probe = make_probe((0.0, 0.0), 4.0, 32)
+    g_dl = radiation_matrix("N", geom, probe, LAM)
+    h = 1e-5
+    b = probe.points[:, None, :]
+    fp, fm = (fundamental_solution(LAM, b, geom.nodes + s * h * geom.normals)
+              for s in (1.0, -1.0))
+    want = np.sqrt(probe.weights)[:, None] * ((fp - fm) / (2.0 * h)) * np.sqrt(geom.weights)
+    assert np.max(np.abs(g_dl - want)) <= 1e-7 * np.max(np.abs(want))
+    np.testing.assert_array_equal(radiation_matrix("theta", geom, probe, LAM), g_dl)
+
+
+@pytest.mark.parametrize("kind", ["D", "N"])
+def test_radiation_matrix_refuses_a_probe_point_on_a_node(kind):
+    geom, probe, _ = small_setup()
+    points = probe.points.copy()
+    points[5] = geom.nodes[9]
+    on_node = ProbeRegion(points=points, weights=probe.weights)
+    with pytest.raises(SingularityError):
+        radiation_matrix(kind, geom, on_node, LAM)
 
 
 def test_eigensystem_contract():
@@ -106,7 +124,7 @@ def test_eigensystem_contract():
     assert np.all(np.diff(mags) <= 1e-15 * mags[0])  # sorted by magnitude
     # orthonormal eigenvectors reproducing the matrix
     v = f.eigenvectors
-    np.testing.assert_allclose(v.T @ v, np.eye(f.size), atol=1e-12)
+    np.testing.assert_allclose(v.T @ v, np.eye(f.matrix.shape[0]), atol=1e-12)
     recon = (v * f.eigenvalues) @ v.T
     np.testing.assert_allclose(recon, f.matrix, atol=1e-14 * mags[0])
 

@@ -26,11 +26,9 @@ from lapscat.kernels import (
     SpectralParam,
     _bessel_i0,
     _k01,
-    _radial_dg,
     _radial_g,
     bessel_k,
     fundamental_solution,
-    fundamental_solution_gradient,
 )
 
 # scipy.special.kv(order, x), frozen
@@ -148,31 +146,6 @@ def test_kernel_symmetry_in_arguments():
     )
 
 
-def test_gradient_matches_finite_differences():
-    lam = SpectralParam(2.0)
-    x = np.array([0.1, -0.3])
-    y = np.array([1.2, 0.8])
-    grad = fundamental_solution_gradient(lam, x, y)
-    h = 1e-6
-    for k in range(2):
-        e = np.zeros(2)
-        e[k] = h
-        fd = (
-            fundamental_solution(lam, x, y + e)
-            - fundamental_solution(lam, x, y - e)
-        ) / (2.0 * h)
-        assert abs(grad[k] - fd) < 1e-8 * abs(fd)
-
-
-def test_gradient_antisymmetric():
-    lam = SpectralParam(1.0)
-    x = np.array([0.0, 0.5])
-    y = np.array([1.0, -0.4])
-    gxy = fundamental_solution_gradient(lam, x, y)
-    gyx = fundamental_solution_gradient(lam, y, x)
-    np.testing.assert_allclose(gxy, -gyx, rtol=1e-14)
-
-
 def test_kernel_broadcasting():
     lam = SpectralParam(1.0)
     xs = np.zeros((4, 1, 2))
@@ -188,8 +161,6 @@ def test_kernel_rejects_bad_dim_and_coincidence():
         fundamental_solution(lam, np.zeros(3), np.ones(3))
     with pytest.raises(SingularityError):
         fundamental_solution(lam, np.zeros(2), np.zeros(2))
-    with pytest.raises(SingularityError):
-        fundamental_solution_gradient(lam, np.ones(2), np.ones(2))
 
 
 @given(
@@ -246,8 +217,8 @@ def test_bessel_blocks_match_elementwise_evaluation():
 
 
 def test_kernel_planes_match_difference_form():
-    # fundamental_solution and its gradient build r from the coordinate
-    # planes; bit for bit the (..., 2) difference + norm form
+    # fundamental_solution builds r from the coordinate planes; bit for
+    # bit the (..., 2) difference + norm form
     lam = SpectralParam(2.0)
     rng = np.random.default_rng(3)
     x = rng.uniform(-2.0, 2.0, (300, 1, 2))
@@ -255,11 +226,6 @@ def test_kernel_planes_match_difference_form():
     diff = y - x
     r = np.linalg.norm(diff, axis=-1)
     np.testing.assert_array_equal(fundamental_solution(lam, x, y), _radial_g(lam.sqrt_lam, r))
-    r_flat = r.ravel()
-    want = (_radial_dg(lam.sqrt_lam, r_flat) / r_flat)[:, None] * diff.reshape(-1, 2)
-    np.testing.assert_array_equal(
-        fundamental_solution_gradient(lam, x, y), want.reshape(diff.shape)
-    )
 
 
 def _mpmath_k(order: int, z: np.ndarray) -> np.ndarray:

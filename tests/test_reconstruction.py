@@ -30,7 +30,6 @@ from lapscat.reconstruction import (
     make_screen_test_vector,
     make_test_vector,
     picard_indicator,
-    picard_sum_terms,
     segment,
     sweep,
     write_indicator_csv,
@@ -51,7 +50,7 @@ def test_picard_on_top_eigenvector():
     # g = v_1 has a single unit coefficient, so the truncated sum is
     # 1/|mu_1| and the indicator is exactly |mu_1|
     _, _, f = circle_operator()
-    g = TestVector(values=f.eigenvectors[:, 0], lam=LAM)
+    g = TestVector(values=f.eigenvectors[:, 0])
     w = picard_indicator(f, g)
     assert abs(w - abs(f.eigenvalues[0])) < 1e-10 * abs(f.eigenvalues[0])
 
@@ -60,7 +59,7 @@ def test_picard_scale_equivariance():
     _, probe, f = circle_operator()
     g = make_test_vector(probe, np.array([0.2, 0.1]), LAM)
     w1 = picard_indicator(f, g)
-    g3 = TestVector(values=3.0 * g.values, lam=LAM)
+    g3 = TestVector(values=3.0 * g.values)
     assert abs(picard_indicator(f, g3) - w1 / 9.0) < 1e-12 * w1
 
 
@@ -73,15 +72,6 @@ def test_picard_monotone_in_truncation():
     assert all(a >= b * (1.0 - 1e-14) for a, b in zip(ws, ws[1:]))
 
 
-def test_picard_sum_terms_reciprocal():
-    _, probe, f = circle_operator()
-    g = make_test_vector(probe, np.array([0.4, -0.2]), LAM)
-    terms = picard_sum_terms(f, g)
-    assert np.all(terms >= 0.0)
-    w = picard_indicator(f, g)
-    assert abs(1.0 / terms.sum() - w) < 1e-12 * w
-
-
 def test_picard_validation():
     _, probe, f = circle_operator()
     g = make_test_vector(probe, np.array([0.4, -0.2]), LAM)
@@ -89,9 +79,9 @@ def test_picard_validation():
         with pytest.raises(DomainError):
             picard_indicator(f, g, truncation_floor=bad)
     with pytest.raises(DomainError):
-        TestVector(values=np.zeros(4), lam=LAM)
+        TestVector(values=np.zeros(4))
     with pytest.raises(DomainError):
-        TestVector(values=np.array([1.0, np.nan]), lam=LAM)
+        TestVector(values=np.array([1.0, np.nan]))
 
 
 def test_inf_indicator_agrees_with_picard_for_definite_operator():
@@ -106,22 +96,19 @@ def test_inf_indicator_agrees_with_picard_for_definite_operator():
 
 
 def test_inf_indicator_zero_for_indefinite_restriction():
-    geom, probe, f = circle_operator(n_nodes=32, n_probe=16)
     vals, vecs = _sorted_eigh(np.diag([2.0, -1.0, 0.5, -0.25]))
     fake = DataOperator(
         matrix=np.diag([2.0, -1.0, 0.5, -0.25]),
         eigenvalues=vals,
         eigenvectors=vecs,
-        probe=probe,
-        geom=geom,
         lam=LAM,
     )
-    g = TestVector(values=np.array([1.0, 1.0, 1.0, 1.0]), lam=LAM)
+    g = TestVector(values=np.array([1.0, 1.0, 1.0, 1.0]))
     assert inf_indicator(fake, g, subspace_k=4) == 0.0
     with pytest.raises(DomainError):
         inf_indicator(fake, g, subspace_k=9)
     # exactly orthogonal to the two leading eigenvectors
-    orth = TestVector(values=np.array([0.0, 0.0, 1.0, 0.0]), lam=LAM)
+    orth = TestVector(values=np.array([0.0, 0.0, 1.0, 0.0]))
     with pytest.raises(ConstraintError):
         inf_indicator(fake, orth, subspace_k=2)
 
@@ -137,10 +124,8 @@ def random_operator(n_pos, n_neg, seed, extra=2):
                             rng.choice([-1.0, 1.0], extra)])
     mu = signs * mags
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    geom, probe, _ = _CACHED_OPERATOR
-    op = DataOperator(matrix=(q * mu) @ q.T, eigenvalues=mu, eigenvectors=q,
-                      probe=probe, geom=geom, lam=LAM)
-    g = TestVector(values=rng.standard_normal(n), lam=LAM)
+    op = DataOperator(matrix=(q * mu) @ q.T, eigenvalues=mu, eigenvectors=q, lam=LAM)
+    g = TestVector(values=rng.standard_normal(n))
     return op, g, mu[:k], q[:, :k].T @ g.values, rng
 
 
@@ -365,6 +350,31 @@ def test_arc_sweep_flags_arcs_on_screens_through_zero(interval):
     want = [1, 2, 3, 4, 5, 6, 7] if a == 0.0 else [0, 1, 2, 3, 13, 14, 15]
     assert np.flatnonzero(inside).tolist() == want
     assert np.mean(indicators[inside]) / np.mean(indicators[~inside]) >= 10.0
+
+
+def test_arc_sweep_equals_per_arc_picard_indicators():
+    # the stacked sweep sums every arc's field in one matrix product; a
+    # per-arc picard_indicator loop gives the same indicators and mask
+    interval = (0.0, math.pi)
+    params = {"radius": 1.0}
+    probe = make_probe((0.0, 0.0), 4.0, 64)
+    geom = make_curve("circle", params, n_nodes=128, cluster=(*interval, 0.6))
+    screen = make_screen(geom, interval)
+    f = assemble_F(BoundaryCondition("D", screen=screen), geom, probe, LAM)
+    arc_len, count = math.pi / 8.0, 32
+    centers, indicators, inside = arc_sweep(
+        f, probe, "circle", params, interval, arc_len, count, n_quad=96
+    )
+    want = np.array([
+        picard_indicator(f, make_screen_test_vector(
+            probe, TestArc("circle", params, (c - arc_len / 2, c + arc_len / 2)), LAM, n_quad=96
+        ))
+        for c in np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
+    ])
+    np.testing.assert_array_equal(centers, np.linspace(0.0, 2.0 * math.pi, count, endpoint=False))
+    np.testing.assert_allclose(indicators, want, rtol=1e-13, atol=0)
+    rel = (centers - arc_len / 2) % (2.0 * math.pi)
+    np.testing.assert_array_equal(inside, rel + arc_len <= math.pi + 1e-12)
 
 
 def test_arc_sweep_validation(monkeypatch):
