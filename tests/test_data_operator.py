@@ -91,7 +91,7 @@ def test_radiation_matrix_entries():
     ("circle", {"radius": 1.0}),
     ("kite", None),
     ("ellipse", {"a": 2.0, "b": 1.0}),
-])
+], ids=["circle", "kite", "ellipse"])
 def test_double_layer_columns_match_normal_differences(shape, params):
     # N and theta radiate through d/dn_y g(b, y): every entry of G against
     # a central difference of the fundamental solution along n_y
