@@ -26,9 +26,10 @@ independent (2n x n) factors SP = J^{1/2} P and Q = D J^{-1/2} P:
 
     gamma0 SL = SP^T C SP,    gamma1 DL = -Q^T C Q - lambda SP^T C_nn SP.
 
-SP, Q, W and the pair geometry form a per-geometry assembly plan, built
-on the first assembly and freed with the geometry; an assembly then
-evaluates I_0 and K_0 once per node pair, for C and C_nn.
+SP, Q and the gap vector of W form a per-geometry assembly plan, built
+on the first assembly and freed with the geometry.  An assembly fills C
+and C_nn in row blocks of the refined curve, recomputing each block's
+distances and normals, and evaluates I_0 and K_0 once per node pair.
 
 All operator matrices live in *weighted nodal coordinates*: a trace or
 density u on Gamma is represented by the vector (sqrt(w_j) u(q_j)), so
@@ -67,6 +68,7 @@ from .errors import (
 from .geometry import BoundaryGeometry, ScreenGeometry, distance_to_boundary
 from .geometry import _distances, _plane_norm
 from .kernels import (
+    _BLOCK,
     COINCIDENCE_TOL,
     EULER_GAMMA,
     SpectralParam,
@@ -198,16 +200,11 @@ def _spectral_derivative(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _AssemblyPlan:
-    """Lambda-independent part of the oversampled Nystrom rule.  Pair values
-    are kept on the strict upper triangle of the refined grid, in the row-major
-    order of ``upper``; W is gathered by gap from one exactly even vector."""
+    """Lambda-independent part of the oversampled Nystrom rule; `_sl_core`
+    recomputes the pair geometry block by block from ``fine``."""
 
     fine: BoundaryGeometry   # the curve refined OVERSAMPLE times
-    upper: np.ndarray        # (nf, nf) mask of the strict upper triangle
-    r: np.ndarray            # |q_i - q_j|
-    wlog: np.ndarray         # W[i, j] = -(1/4pi)(R[i, j] - h log(4 sin^2((tau_i - tau_j)/2)))
-    wlog_diag: float         # -(1/4pi) R[i, i]
-    nn: np.ndarray           # n_i . n_j
+    wvec: np.ndarray         # W[i, j] = wvec[j - i], exactly even; wvec[0] = -(1/4pi) R[i, i]
     sp: np.ndarray           # J^{1/2} P, P the coarse -> fine isometry
     q: np.ndarray            # D J^{-1/2} P, D the spectral derivative
 
@@ -221,24 +218,21 @@ def _assembly_plan(geom: BoundaryGeometry) -> _AssemblyPlan:
         return plan
     fine = _refined_geometry(geom, OVERSAMPLE)
     n, nf = geom.n_nodes, fine.n_nodes
-    upper = np.triu(np.ones((nf, nf), dtype=bool), 1)
-    r = _distances(fine.nodes, fine.nodes)[upper]
-    nx, ny = fine.normals.T
-    nn = (np.multiply.outer(nx, nx) + np.multiply.outer(ny, ny))[upper]
     d = np.arange(1, nf)
     logsin = np.log(4.0 * np.sin((np.pi / nf) * np.minimum(d, nf - d)) ** 2)   # exactly even
+    # W[d] = -(1/4pi)(R[d] - h log(4 sin^2(pi d / nf))), with no log term at d = 0
     wvec = (-0.25 / np.pi) * (_kress_vector(nf) - (TWO_PI / nf) * np.r_[0.0, logsin])
-    # row i of the circulant is the doubled vector's window starting at nf - i
-    wlog = sliding_window_view(np.r_[wvec, wvec], nf)[nf:0:-1][upper]
-    # upsampling and the spectral derivative commute with shifts: column j of
-    # each (nf, n) factor below is its column 0 moved down by OVERSAMPLE j
-    shifts = (np.arange(nf)[:, None] - OVERSAMPLE * np.arange(n)) % nf
+    # shifts commute with upsampling and the spectral derivative: column j of each
+    # (nf, n) factor is column 0 moved OVERSAMPLE j down, a window of the doubled one
     col = _trig_upsample(np.eye(1, n)[0], OVERSAMPLE)
+    sp_cols, q_cols = (sliding_window_view(np.r_[c, c], nf)[nf:0:-OVERSAMPLE].T
+                       for c in (col, _spectral_derivative(col)))
     scale = np.sqrt((TWO_PI / nf) / geom.weights)   # P = J^{1/2} sqrt(h / w) interp
+    # row-major factors: the rounding of the BLAS congruences depends on the layout
     plan = _AssemblyPlan(
-        fine=fine, upper=upper, r=r, wlog=wlog, wlog_diag=float(wvec[0]), nn=nn,
-        sp=fine.jacobians[:, None] * col[shifts] * scale,
-        q=_spectral_derivative(col)[shifts] * scale,
+        fine=fine, wvec=wvec,
+        sp=np.multiply(fine.jacobians[:, None], sp_cols, order="C") * scale,
+        q=np.multiply(q_cols, scale, order="C"),
     )
     object.__setattr__(geom, "_assembly_plan", plan)
     return plan
@@ -249,31 +243,53 @@ def _sl_core(plan: _AssemblyPlan, lam: SpectralParam, nn_weight: bool):
 
     The weighted single-layer matrix is J^{1/2} B J^{1/2}; B_nn (None
     unless ``nn_weight``) carries the n(x).n(y) factor of the Maue
-    remainder.  Both come from one kernel pass over the upper triangle,
-    folded as I_0 W + (h/2pi) K_0 (see the module docstring).
+    remainder.  B is filled in row blocks, a block's pairs being the
+    strict upper triangle of its diagonal square and the rectangle right
+    of it.  A top block and its mirror from the bottom hold at most _BLOCK
+    pairs together and share one kernel pass, which folds each pair as
+    I_0 W + (h/2pi) K_0 (see the module docstring) into (i, j) and (j, i).
+    B_nn is B times n_i . n_j, formed over the same row blocks.
     """
-    s = lam.sqrt_lam
-    z = s * plan.r
-    tri = _bessel_i0(z)
-    k0 = _k01(0, z, tri)
-    tri *= plan.wlog
-    k0 *= 1.0 / plan.fine.n_nodes   # h / 2pi
-    tri += k0
-    del z, k0   # free the pair temporaries before the (nf, nf) cores
+    fine, s = plan.fine, lam.sqrt_lam
+    nf = fine.n_nodes
+    # W[i, j] = wvec[(j - i) mod nf]; row i is a window of the doubled vector
+    circulant = sliding_window_view(np.concatenate([plan.wvec, plan.wvec]), nf)[nf:0:-1]
+    core = np.empty((nf, nf))
+    step = min(nf, max(1, _BLOCK // nf))
+    upper = np.arange(step)[:, None] < np.arange(step)
+    starts = range(0, nf, step)
+    for k in range((len(starts) + 1) // 2):
+        pieces = []   # (rows, cols, pick) of both blocks, once in the middle
+        for lo in {starts[k], starts[-1 - k]}:
+            rows = slice(lo, min(lo + step, nf))
+            pieces += [(rows, rows, upper[:rows.stop - lo, :rows.stop - lo]),
+                       (rows, slice(rows.stop, nf), ...)]
+        dists = [_distances(fine.nodes[r], fine.nodes[c])[p] for r, c, p in pieces]
+        z = np.concatenate([d.ravel() for d in dists])
+        z *= s
+        vals = _bessel_i0(z)
+        k0 = _k01(0, z, vals)
+        vals *= np.concatenate([circulant[r, c][p].ravel() for r, c, p in pieces])
+        k0 *= 1.0 / nf   # h / 2pi
+        vals += k0
+        ends = np.cumsum([d.size for d in dists])[:-1]
+        for (r, c, p), d, part in zip(pieces, dists, np.split(vals, ends)):
+            core[r, c][p] = core[c, r].T[p] = part.reshape(d.shape)
     # coincidence limit of the smooth part (same with or without the
     # normal-normal factor, which tends to 1 quadratically)
-    c2_diag = (0.5 / np.pi) * (-np.log(0.5 * s * plan.fine.jacobians) - EULER_GAMMA)
-    diag = plan.wlog_diag + (TWO_PI / plan.fine.n_nodes) * c2_diag
-
-    def symmetric(vals):
-        core = np.empty(plan.upper.shape)
-        core[plan.upper] = vals
-        core.T[plan.upper] = vals
-        np.fill_diagonal(core, diag)
-        return core
-
-    core = symmetric(tri)
-    return core, (symmetric(np.multiply(tri, plan.nn, out=tri)) if nn_weight else None)
+    c2_diag = (0.5 / np.pi) * (-np.log(0.5 * s * fine.jacobians) - EULER_GAMMA)
+    diag = plan.wvec[0] + (TWO_PI / nf) * c2_diag
+    np.fill_diagonal(core, diag)
+    if not nn_weight:
+        return core, None
+    core_nn = np.empty_like(core)
+    nx, ny = fine.normals.T
+    for lo in starts:
+        rows = slice(lo, lo + step)
+        nn = np.multiply.outer(nx[rows], nx) + np.multiply.outer(ny[rows], ny)
+        np.multiply(core[rows], nn, out=core_nn[rows])
+    np.fill_diagonal(core_nn, diag)
+    return core, core_nn
 
 
 def _refined_geometry(geom: BoundaryGeometry, factor: int) -> BoundaryGeometry:

@@ -14,7 +14,7 @@ delta'-type through the double-layer kernel (`boundary_ops.LAYER`).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -56,11 +56,12 @@ def radiation_matrix(
     """Weighted boundary-to-probe map G (single or double layer kernel)."""
     if bc_kind not in LAYER:
         raise DomainError(f"unknown boundary condition kind {bc_kind!r}")
-    a = _layer_matrix(LAYER[bc_kind], geom, probe.points, lam)
-    g = np.sqrt(probe.weights)[:, None] * a * np.sqrt(geom.weights)[None, :]
     if active_indices is not None:
-        g = g[:, active_indices]
-    return g
+        # the kernel is sampled entrywise: the active nodes alone give G's columns
+        geom = replace(geom, **{f.name: getattr(geom, f.name)[active_indices]
+                                for f in fields(geom) if f.name != "shape"})
+    a = _layer_matrix(LAYER[bc_kind], geom, probe.points, lam)
+    return np.sqrt(probe.weights)[:, None] * a * np.sqrt(geom.weights)[None, :]
 
 
 def assemble_F(

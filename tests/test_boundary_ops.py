@@ -13,6 +13,7 @@ kernel integral, and a 512-node composite Gauss-Legendre brute force.
 
 import gc
 import math
+import os
 import tracemalloc
 import weakref
 
@@ -34,9 +35,11 @@ from lapscat.errors import (
 from lapscat.boundary_ops import (
     BoundaryCondition,
     BoundaryOperator,
+    EULER_GAMMA,
     OVERSAMPLE,
     _assembly_plan,
     _gram_tail_bound,
+    _sl_core,
     _spectral_derivative,
     _trig_upsample,
     assemble_M,
@@ -52,10 +55,11 @@ from lapscat.boundary_ops import (
     resolvable_lambda_cap,
     sign_check,
 )
-from lapscat.geometry import make_curve, make_screen
-from lapscat.kernels import SpectralParam, fundamental_solution
+from lapscat.geometry import _distances, make_curve, make_screen
+from lapscat.kernels import _BLOCK, SpectralParam, _bessel_i0, _k01, fundamental_solution
 
 TWO_PI = 2.0 * math.pi
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "assembly_golden.npz")
 
 # I_m(1) K_m(1), frozen from scipy.special.iv/kv
 SL_CIRCLE_EIGS = {
@@ -238,48 +242,71 @@ def test_spectral_derivative_is_the_cotangent_matrix(n):
     assert got.flags.owndata
 
 
-def test_assembly_plan_holds_only_projected_factors():
-    # the plan keeps pair values and the two (nf x n) congruence factors;
-    # no float array in it is as large as an nf x nf matrix
+def test_assembly_plan_holds_only_the_gap_vector_and_factors():
+    # the plan keeps W's exactly even gap vector and the two (nf x n)
+    # congruence factors, equal to their dense forms; pair values are
+    # recomputed by every assembly, so no array in it exceeds nf x n
     geom = make_curve("kite", n_nodes=64)
     plan = _assembly_plan(geom)
-    nf, n = plan.fine.n_nodes, geom.n_nodes
-    assert plan.sp.shape == plan.q.shape == (nf, n)
-    for name, value in vars(plan).items():
-        if isinstance(value, np.ndarray) and value.dtype.kind == "f":
-            assert value.size <= nf * n, name
-    for name, value in vars(plan.fine).items():
-        if isinstance(value, np.ndarray):
-            assert value.size <= nf * n, name
-    assert plan.sp.flags.owndata and plan.q.flags.owndata
+    fine, nf, n = plan.fine, plan.fine.n_nodes, geom.n_nodes
     floats = {name for name, value in vars(plan).items()
               if isinstance(value, np.ndarray) and value.dtype.kind == "f"}
-    assert floats == {"r", "wlog", "nn", "sp", "q"}
-
-
-def test_assembly_plan_matches_dense_forms():
-    # the pair values gathered by gap and the factors SP and Q built from one
-    # upsampled column equal their dense (nf x nf) and identity-FFT forms
-    geom = make_curve("kite", n_nodes=64)
-    plan = _assembly_plan(geom)
-    fine, nf = plan.fine, plan.fine.n_nodes
-    iu, ju = np.nonzero(plan.upper)
-    np.testing.assert_array_equal(
-        plan.r, np.linalg.norm(fine.nodes[iu] - fine.nodes[ju], axis=-1)
-    )
-    np.testing.assert_allclose(plan.nn, (fine.normals @ fine.normals.T)[plan.upper],
-                               rtol=0, atol=1e-15)
-    logsin = np.log(4.0 * np.sin(0.5 * (fine.params[iu] - fine.params[ju])) ** 2)
-    h = TWO_PI / nf
-    want = -(kress_log_weights(nf)[plan.upper] - h * logsin) / (4.0 * math.pi)
-    np.testing.assert_allclose(plan.wlog, want, rtol=0, atol=1e-15)
-    assert plan.wlog_diag == -kress_log_weights(nf)[0, 0] / (4.0 * math.pi)
-    prolong = (np.sqrt(fine.weights)[:, None] * _trig_upsample(np.eye(64), OVERSAMPLE)
+    assert floats == {"wvec", "sp", "q"}
+    for value in (*vars(plan).values(), *vars(fine).values()):
+        if isinstance(value, np.ndarray):
+            assert value.size <= nf * n
+    d = np.arange(1, nf)
+    np.testing.assert_array_equal(plan.wvec[d], plan.wvec[nf - d])
+    assert plan.wvec[0] == -kress_log_weights(nf)[0, 0] / (4.0 * math.pi)
+    assert plan.sp.shape == plan.q.shape == (nf, n)
+    assert plan.sp.flags.owndata and plan.q.flags.owndata
+    prolong = (np.sqrt(fine.weights)[:, None] * _trig_upsample(np.eye(n), OVERSAMPLE)
                / np.sqrt(geom.weights))
     sj = np.sqrt(fine.jacobians)[:, None]
     np.testing.assert_allclose(plan.sp, sj * prolong, rtol=0, atol=1e-15)
     q = _spectral_derivative(prolong / sj)
     assert np.max(np.abs(plan.q - q)) <= 4e-15 * np.max(np.abs(q))
+
+
+def dense_cores(plan, lam):
+    """The cores (B, B_nn) of `_sl_core` in one pass over the whole strict
+    upper triangle: W from the dense R and the log term by gap, the pair
+    distances and normal products of the refined curve, and one Bessel call."""
+    fine, nf, s = plan.fine, plan.fine.n_nodes, lam.sqrt_lam
+    i, j = np.triu_indices(nf, 1)
+    logsin = np.log(4.0 * np.sin((np.pi / nf) * np.minimum(j - i, nf - (j - i))) ** 2)
+    w = (-0.25 / np.pi) * (kress_log_weights(nf)[i, j] - (TWO_PI / nf) * logsin)
+    z = s * _distances(fine.nodes, fine.nodes)[i, j]
+    i0 = _bessel_i0(z)
+    vals = i0 * w + _k01(0, z, i0) * (1.0 / nf)
+    nx, ny = fine.normals.T
+    c2 = (0.5 / np.pi) * (-np.log(0.5 * s * fine.jacobians) - EULER_GAMMA)
+    diag = (-0.25 / np.pi) * kress_log_weights(nf)[0, 0] + (TWO_PI / nf) * c2
+    cores = []
+    for v in (vals, vals * (nx[i] * nx[j] + ny[i] * ny[j])):
+        core = np.empty((nf, nf))
+        core[i, j] = core[j, i] = v
+        np.fill_diagonal(core, diag)
+        cores.append(core)
+    return cores
+
+
+@pytest.mark.parametrize("n, rows, partial", [(32, 64, 0), (192, 85, 44), (512, 32, 0)],
+                         ids=["one-block", "partial-block", "nf-1024"])
+def test_blocked_cores_equal_one_dense_pass(n, rows, partial):
+    # row blocks of _BLOCK // nf rows: nf = 64 fits one block, nf = 384 ends
+    # on a partial block (and has an odd block count), nf = 1024 has 32
+    geom = make_curve("kite", n_nodes=n)
+    plan = _assembly_plan(geom)
+    nf, lam = plan.fine.n_nodes, SpectralParam(2.0)
+    assert (min(nf, _BLOCK // nf), nf % min(nf, _BLOCK // nf)) == (rows, partial)
+    core, core_nn = dense_cores(plan, lam)
+    blocked, blocked_nn = _sl_core(plan, lam, nn_weight=True)
+    np.testing.assert_array_equal(blocked, core)
+    np.testing.assert_array_equal(blocked_nn, core_nn)
+    sl_only = _sl_core(plan, lam, nn_weight=False)
+    np.testing.assert_array_equal(sl_only[0], core)
+    assert sl_only[1] is None
 
 
 @pytest.mark.parametrize("n", [64, 128])
@@ -436,6 +463,8 @@ def test_assembly_plan_does_not_keep_geometry_alive():
 
 
 def test_maue_assembly_evaluates_i0_once_per_pair(monkeypatch):
+    # the row blocks share out the nf (nf - 1) / 2 pairs, each once, in
+    # kernel calls of at most _BLOCK points
     import lapscat.boundary_ops as boundary_ops
     import lapscat.kernels as kernels
 
@@ -448,12 +477,45 @@ def test_maue_assembly_evaluates_i0_once_per_pair(monkeypatch):
 
     for module in (kernels, boundary_ops):
         monkeypatch.setattr(module, "_bessel_i0", counting)
-    geom = make_curve("kite", n_nodes=32)
-    n_f = OVERSAMPLE * geom.n_nodes
-    for lam_val in (0.5, 2.0):
-        seen.clear()
-        assemble_M(BoundaryCondition("N"), geom, SpectralParam(lam_val))
-        assert seen == [n_f * (n_f - 1) // 2]
+    for n in (32, 192):
+        geom = make_curve("kite", n_nodes=n)
+        n_f = OVERSAMPLE * geom.n_nodes
+        for lam_val in (0.5, 2.0):
+            seen.clear()
+            assemble_M(BoundaryCondition("N"), geom, SpectralParam(lam_val))
+            assert sum(seen) == n_f * (n_f - 1) // 2
+            assert max(seen) <= _BLOCK
+
+
+def test_assembly_matches_frozen_golden():
+    # M of each condition on three shapes at n = 64, frozen (upper triangles,
+    # row-major) from the assembly that kept its pair arrays in the plan
+    golden = np.load(GOLDEN)
+    assert len(golden.files) == 24
+    upper = np.triu_indices(64)
+    for shape in ("circle", "kite", "ellipse"):
+        geom = make_curve(shape, n_nodes=64)
+        for lam_value in (0.5, 32.0):
+            for kind, coef in (("D", None), ("N", None), ("alpha", -0.7), ("theta", 1.3)):
+                bc = BoundaryCondition(kind, coefficient=coef)
+                m = assemble_M(bc, geom, SpectralParam(lam_value)).matrix
+                want = golden[f"{shape}_{kind}_{lam_value:g}"]
+                np.testing.assert_array_equal(m, m.T)
+                assert np.max(np.abs(m[upper] - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_cold_assembly_peak_memory():
+    # a cold D assembly at n = 512 holds the plan's two (nf x n) factors, the
+    # (nf x nf) core and the congruence products; pair temporaries live one
+    # row block at a time.  Pair arrays kept in the plan peaked at 37.1 MB
+    geom = make_curve("circle", {"radius": 1.0}, n_nodes=512)
+    tracemalloc.start()
+    try:
+        assemble_M(BoundaryCondition("D"), geom, SpectralParam(2.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 28e6
 
 
 def test_coefficient_resolution_forms():

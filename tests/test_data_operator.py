@@ -73,6 +73,21 @@ def test_f_screen_uses_compressed_operator():
     np.testing.assert_allclose(f.matrix, 0.5 * (explicit + explicit.T), atol=0)
 
 
+@pytest.mark.parametrize("kind", ["D", "N"])
+def test_screen_radiation_matrix_is_the_active_columns(kind):
+    # a screen's G samples the kernel at its active nodes only; the values
+    # are those of the full G's active columns, bit for bit
+    geom = make_curve(
+        "circle", {"radius": 1.0}, n_nodes=128, cluster=(0.0, math.pi, 0.6)
+    )
+    probe = make_probe((0.0, 0.0), 4.0, 32)
+    active = make_screen(geom, (0.0, math.pi)).active_indices
+    np.testing.assert_array_equal(
+        radiation_matrix(kind, geom, probe, LAM, active),
+        radiation_matrix(kind, geom, probe, LAM)[:, active],
+    )
+
+
 def test_radiation_matrix_entries():
     geom, probe, _ = small_setup()
     g_sl = radiation_matrix("D", geom, probe, LAM)
