@@ -668,6 +668,30 @@ def jump_relation_residual(
 # operator-identity diagnostics
 # ----------------------------------------------------------------------
 
+# a leaf of the volume rule is split while its side exceeds cell * d / _GRADING
+_GRADING = 0.6
+
+
+def _volume_rule(geom: BoundaryGeometry, radius: float, resolution: int):
+    """Centres (m, 2) and areas (m,) of the leaves of the graded quadtree
+    of `gram_identity_residual`; they tile a square of half-width >= radius."""
+    cell = 2.0 * radius / resolution
+    side = 64.0 * cell
+    m = math.ceil(resolution / 64)  # top cells per side: m side >= 2 radius
+    top = side * (np.arange(m) - 0.5 * (m - 1))
+    centres = np.stack(np.meshgrid(top, top), axis=-1).reshape(-1, 2)
+    quarters = 0.25 * np.array([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]])
+    pts, areas = [], []
+    while centres.size:
+        d = distance_to_boundary(geom, centres) - side / math.sqrt(2.0)
+        split = (side > cell / 8.0) & (_GRADING * side > cell * d)
+        pts.append(centres[~split])
+        areas.append(np.full(pts[-1].shape[0], side * side))
+        centres = (centres[split][:, None, :] + side * quarters).reshape(-1, 2)
+        side *= 0.5
+    return np.concatenate(pts), np.concatenate(areas)
+
+
 def _gram_tail_bound(geom: BoundaryGeometry, s1: float, s2: float, radius: float) -> float:
     """T sum_j w_j >= |W^{1/2} Gram_tail W^{1/2}|_F for |u| > radius (see
     `gram_identity_residual`); needs max_j |y_j| < radius < inf."""
@@ -688,18 +712,24 @@ def gram_identity_residual(
     lambda2: float,
     volume_radius: float = 12.0,
     volume_resolution: int = 200,
-) -> float:
-    """Residual of the two-parameter difference identity for M_D.
+) -> dict:
+    """Residual of the two-parameter difference identity for M_D: a dict
+    of the `residual`, the number of `volume_points` and the `tail_share`.
 
     M_{z} - M_{w} = (z - w) * Gram with Gram_{jk} the volume integral of
-    g_w(y_j, u) g_z(u, y_k) over the plane, truncated to |u| <= R = volume_radius.
-    The tail |u| > R is bounded in closed form.  With rho = max_j |y_j| < R,
+    g_w(y_j, u) g_z(u, y_k) over the plane, by the midpoints of the leaves
+    of `_volume_rule`.  With cell = 2 R / volume_resolution, R = volume_radius
+    and d a leaf's centre distance to the curve less its half-diagonal, a
+    leaf has side at most max(cell/8, cell d / _GRADING), at most 64 cell, so
+    the error stays O(cell^2).  Leaves centred beyond R are left out; their
+    points lie beyond r' = min(|centre| - half-diagonal) over them, and the
+    tail |u| > r' is bounded in closed form.  With rho = max_j |y_j| < r',
     s_i = sqrt(lambda_i) and S = s1 + s2:
 
         |u - y_j| >= |u| - rho and K_0(x) < K_{1/2}(x) = sqrt(pi/2x) e^{-x}, so
         g_w g_z <= e^{-S(|u| - rho)} / (8 pi sqrt(s1 s2) (|u| - rho)); in polar
-        form, as |u|/(|u| - rho) <= R/(R - rho), |Gram_tail[j, k]| <= T =
-        R/(R - rho) e^{-S(R - rho)} / (4 sqrt(s1 s2) S),
+        form, as |u|/(|u| - rho) <= r'/(r' - rho), |Gram_tail[j, k]| <= T =
+        r'/(r' - rho) e^{-S(r' - rho)} / (4 sqrt(s1 s2) S),
 
     so |W^{1/2} Gram_tail W^{1/2}|_F <= T sum_j w_j.  A tail share
     |z - w| T sum_j w_j / |M_z - M_w| above half of max(residual, 1e-3)
@@ -713,47 +743,37 @@ def gram_identity_residual(
         raise DomainError("volume_resolution too small")
     s1 = math.sqrt(lambda1)
     s2 = math.sqrt(lambda2)
-    tail_bound = _gram_tail_bound(geom, s1, s2, volume_radius)
+    _gram_tail_bound(geom, s1, s2, volume_radius)  # refuses a bad R before any work
+    pts, areas = _volume_rule(geom, volume_radius, volume_resolution)
+    rad = np.hypot(pts[:, 0], pts[:, 1])
+    keep = rad <= volume_radius
+    inner = float(np.min(rad[~keep] - np.sqrt(0.5 * areas[~keep])))
+    tail_bound = _gram_tail_bound(geom, s1, s2, inner)
+    n_points = int(np.count_nonzero(keep))
+    # zero-area points pad the sum to a multiple of 64 terms, which OpenBLAS
+    # blocks alike on any thread count; the norms below are pairwise sums
+    pad = -n_points % 64
+    pts = np.concatenate([pts[keep], np.repeat(pts[:1], pad, axis=0)])
+    areas = np.concatenate([areas[keep], np.zeros(pad)])
 
-    def lattice(coords: np.ndarray) -> np.ndarray:
-        gx, gy = np.meshgrid(coords, coords, indexing="xy")
-        return np.stack([gx.ravel(), gy.ravel()], axis=1)
-
-    # midpoints of a square lattice of half-width 1.25 R, kept inside |u| <= R
-    big_radius = 1.25 * volume_radius
-    cell = 2.0 * big_radius / round(volume_resolution * 1.25)
-    pts = lattice(-big_radius + cell * (np.arange(int(round(2.0 * big_radius / cell))) + 0.5))
-    pts = pts[np.linalg.norm(pts, axis=1) <= volume_radius]
-
-    def gram_for(u: np.ndarray, area: float) -> np.ndarray:
-        out = np.zeros((geom.n_nodes, geom.n_nodes))
-        # blocks of volume points bound the (n, block) kernel temporaries
-        for lo in range(0, u.shape[0], 4096):
-            d = _distances(geom.nodes, u[lo : lo + 4096])
-            # g_{lambda2}(y_j, u) times g_{lambda1}(u, y_k)
-            out += (_radial_g(s2, d) * area) @ _radial_g(s1, d).T
-        return out
-
-    # cells near the curve see the kernels' log singularity; refine them
-    # with a sub-midpoint rule so the global error stays O(cell^2)
-    band = distance_to_boundary(geom, pts) <= 2.5 * cell
-    gram = gram_for(pts[~band], cell * cell)
-    sub = 8
-    shift = cell * lattice((np.arange(sub) + 0.5) / sub - 0.5)
-    near_pts = pts[band][:, None, :] + shift[None, :, :]
-    gram += gram_for(near_pts.reshape(-1, 2), (cell / sub) ** 2)
+    gram = np.zeros((geom.n_nodes, geom.n_nodes))
+    # blocks of volume points bound the (n, block) kernel temporaries
+    for lo in range(0, pts.shape[0], 4096):
+        d = _distances(geom.nodes, pts[lo : lo + 4096])
+        # g_{lambda2}(y_j, u) times g_{lambda1}(u, y_k)
+        gram += (_radial_g(s2, d) * areas[lo : lo + 4096]) @ _radial_g(s1, d).T
 
     sw = np.sqrt(geom.weights)
     m1, m2 = (assemble_M(BoundaryCondition(kind="D"), geom, SpectralParam(v)).matrix
               for v in (lambda1, lambda2))
     lhs = m1 - m2
     rhs = (lambda1 - lambda2) * (sw[:, None] * gram * sw[None, :])
-    denom = np.linalg.norm(lhs)
-    residual = float(np.linalg.norm(lhs - rhs) / denom)
+    denom = math.sqrt(float(np.sum(lhs * lhs)))
+    residual = math.sqrt(float(np.sum((lhs - rhs) ** 2))) / denom
     tail_share = abs(lambda1 - lambda2) * tail_bound / denom
     if tail_share > 0.5 * max(residual, 1e-3):
         raise TruncationError(
             f"volume truncation dominates: tail bound share {tail_share:.3e} "
             f"vs residual {residual:.3e}; increase volume_radius"
         )
-    return residual
+    return {"residual": residual, "volume_points": n_points, "tail_share": tail_share}

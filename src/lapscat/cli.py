@@ -13,8 +13,10 @@ Exit codes: 0 success, 1 check failure, 2 validation error,
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import math
+import operator
 import os
 import sys
 import time
@@ -55,6 +57,14 @@ _ALLOWED_EXPR_NAMES = {
     "exp": np.exp,
     "sqrt": np.sqrt,
     "abs": np.abs,
+}
+_EXPR_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+    ast.USub: operator.neg,
 }
 
 
@@ -149,22 +159,42 @@ def _floats(value, shape=(2,)) -> list:
     return arr.tolist()
 
 
+def _eval_expr(node, names: dict):
+    """Value of a parsed coefficient expression.  Only numbers, the names
+    (t and pi), + - * / **, unary minus and calls of the named functions
+    are allowed; anything else, attribute access included, is refused."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(node.value)  # float powers overflow where int ones run on
+    if isinstance(node, ast.Name) and node.id in names and not callable(names[node.id]):
+        return names[node.id]
+    if isinstance(node, (ast.BinOp, ast.UnaryOp)) and type(node.op) in _EXPR_OPS:
+        operands = (node.left, node.right) if isinstance(node, ast.BinOp) else (node.operand,)
+        return _EXPR_OPS[type(node.op)](*(_eval_expr(a, names) for a in operands))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords
+            and callable(names.get(node.func.id))):
+        return names[node.func.id](*(_eval_expr(a, names) for a in node.args))
+    raise ScenarioError(f"coefficient expression may not contain {ast.unparse(node)!r}")
+
+
 def _eval_coefficient(spec):
     """Resolve a coefficient spec: number, list of nodal values, or
-    an expression in the parameter t (restricted numpy namespace)."""
+    an expression in the parameter t (see `_eval_expr`)."""
     if spec is None or isinstance(spec, (int, float)):
         return spec
     if isinstance(spec, list):
         return np.asarray(spec, dtype=float)
     if isinstance(spec, str):
-        def fn(t, _expr=spec):
+        try:
+            tree = ast.parse(spec, mode="eval").body
+        except (SyntaxError, ValueError, RecursionError) as exc:  # NUL bytes, deep nesting
+            raise ScenarioError(f"cannot parse coefficient expression {spec!r}: {exc}") from exc
+
+        def fn(t):
             try:
-                return eval(  # noqa: S307 - namespace is closed
-                    _expr, {"__builtins__": {}}, {**_ALLOWED_EXPR_NAMES, "t": t}
-                )
+                return _eval_expr(tree, {**_ALLOWED_EXPR_NAMES, "t": t})
             except Exception as exc:
                 raise ScenarioError(
-                    f"cannot evaluate coefficient expression {_expr!r}: {exc}"
+                    f"cannot evaluate coefficient expression {spec!r}: {exc}"
                 ) from exc
         return fn
     raise ScenarioError("coefficient must be a number, list, or expression string")

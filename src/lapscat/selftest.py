@@ -230,8 +230,8 @@ def _jump_relation(densities: tuple, tol: float):
 
 def _gram_identity(n: int, resolution: int, tol: float):
     geom = make_curve("circle", {"radius": 1.0}, n_nodes=n)
-    res = bo.gram_identity_residual(geom, 1.0, 2.0, 12.0, resolution)
-    return res < tol, {"residual": res, "tolerance": tol}
+    figures = bo.gram_identity_residual(geom, 1.0, 2.0, 12.0, resolution)
+    return figures["residual"] < tol, {**figures, "tolerance": tol}
 
 
 def _exterior_reproduction(n: int, sources: dict, targets: tuple, tol: dict):

@@ -148,8 +148,8 @@ def test_criterion_3_jump_relation():
 
 def test_criterion_4_gram_identity_with_convergence():
     geom = make_curve("circle", {"radius": 1.0}, n_nodes=128)
-    res_200 = boundary_ops.gram_identity_residual(geom, 1.0, 2.0, 12.0, 200)
-    res_400 = boundary_ops.gram_identity_residual(geom, 1.0, 2.0, 12.0, 400)
+    res_200 = boundary_ops.gram_identity_residual(geom, 1.0, 2.0, 12.0, 200)["residual"]
+    res_400 = boundary_ops.gram_identity_residual(geom, 1.0, 2.0, 12.0, 400)["residual"]
     ratio = res_400 / res_200
     ok = res_200 <= 1e-2 and ratio <= 0.5
     _report(

@@ -11,9 +11,12 @@ Two independent confirmations are run live: adaptive quadrature of the
 kernel integral, and a 512-node composite Gauss-Legendre brute force.
 """
 
+import functools
 import gc
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -42,6 +45,7 @@ from lapscat.boundary_ops import (
     _sl_core,
     _spectral_derivative,
     _trig_upsample,
+    _volume_rule,
     assemble_M,
     assemble_gamma0_SL,
     assemble_gamma1_DL,
@@ -660,45 +664,107 @@ def test_jump_relation_rejects_bad_densities():
 
 def test_gram_identity_residual_small_config():
     geom = make_curve("circle", {"radius": 1.0}, n_nodes=64)
-    res = gram_identity_residual(
+    figures = gram_identity_residual(
         geom, 1.0, 2.0, volume_radius=12.0, volume_resolution=120
     )
-    assert res < 1e-2
+    assert figures["residual"] < 1e-2
+    assert figures["volume_points"] > 0 and 0.0 < figures["tail_share"] < 1e-6
     with pytest.raises(DomainError):
         gram_identity_residual(geom, 1.0, 1.0)
 
 
-# Frozen Gram identity residuals (circle and kite, lambda 1 and 2, R = 12),
-# of the one-weight assembly; the truncation guard takes no part in the
-# volume sums behind them
-GRAM_RESIDUALS = {
-    ("circle", 128, 200): 0.0017629131224740232,
-    ("circle", 64, 120): 0.0027589815209874595,
-    ("kite", 128, 120): 0.002400426677791398,
-}
 _SHAPE_PARAMS = {"circle": {"radius": 1.0}, "kite": None}
 
 
+@functools.lru_cache(maxsize=None)
+def _gram_residual(shape, n, res):
+    geom = make_curve(shape, _SHAPE_PARAMS[shape], n_nodes=n)
+    return gram_identity_residual(geom, 1.0, 2.0, 12.0, res)["residual"]
+
+
+# Frozen Gram identity residuals (circle and kite, lambda 1 and 2, R = 12)
+# of the graded volume rule; the truncation guard takes no part in the
+# volume sums behind them, and the pairwise norms and 64-point padding
+# keep them equal at every BLAS thread count
+GRAM_RESIDUALS = {
+    ("circle", 128, 200): 0.0010956259837355095,
+    ("circle", 64, 120): 0.0026587160730731805,
+    ("kite", 128, 120): 0.002337326897183003,
+    ("circle", 128, 400): 0.00032270873994456287,
+}
+
+# the residuals of the uniform midpoint lattice with its 8 x 8 band
+# sub-rule, which the graded rule replaced; no rule may do worse
+GRAM_RESIDUAL_FLOORS = {
+    ("circle", 128, 200): 1.7630e-3,
+    ("circle", 64, 120): 2.7590e-3,
+    ("kite", 128, 120): 2.4005e-3,
+    ("circle", 128, 400): 7.3222e-4,
+}
+
+
 def test_gram_identity_residuals_are_bit_identical():
-    for (shape, n, res), want in GRAM_RESIDUALS.items():
-        geom = make_curve(shape, _SHAPE_PARAMS[shape], n_nodes=n)
-        assert gram_identity_residual(geom, 1.0, 2.0, 12.0, res) == want
+    for key, want in GRAM_RESIDUALS.items():
+        assert _gram_residual(*key) == want
+
+
+def test_gram_identity_residual_ignores_blas_thread_count():
+    # 5896 volume points, not a multiple of 64, so the padding takes part
+    code = (
+        "from lapscat.boundary_ops import gram_identity_residual as g\n"
+        "from lapscat.geometry import make_curve\n"
+        "c = make_curve('circle', {'radius': 1.0}, n_nodes=64)\n"
+        "print(repr(g(c, 1.0, 2.0, 12.0, 120)['residual']))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    outs = {
+        threads: subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+        ).stdout
+        for threads in ("1", "2")
+    }
+    assert outs["1"] == outs["2"] == f"{GRAM_RESIDUALS[('circle', 64, 120)]!r}\n"
+
+
+@pytest.mark.parametrize("key", list(GRAM_RESIDUAL_FLOORS), ids=lambda k: "-".join(map(str, k)))
+def test_gram_identity_residual_at_most_lattice_floor(key):
+    assert _gram_residual(*key) <= GRAM_RESIDUAL_FLOORS[key]
+
+
+@pytest.mark.parametrize("shape", ["circle", "kite"])
+def test_volume_rule_leaves_tile_the_square(shape):
+    geom = make_curve(shape, _SHAPE_PARAMS[shape], n_nodes=64)
+    radius, resolution = 3.0, 40
+    pts, areas = _volume_rule(geom, radius, resolution)
+    sides = np.sqrt(areas)
+    fine = 2.0 * radius / resolution / 8.0
+    half = float(np.max(np.abs(pts) + 0.5 * sides[:, None]))
+    assert half >= radius and np.min(sides) == pytest.approx(fine)
+    assert np.sum(areas) == pytest.approx((2.0 * half) ** 2, rel=1e-12)
+    # count the leaves over each cell of the finest grid: exactly one each
+    lo = np.rint((pts - 0.5 * sides[:, None] + half) / fine).astype(int)
+    hi = np.rint((pts + 0.5 * sides[:, None] + half) / fine).astype(int)
+    size = int(round(2.0 * half / fine))
+    cover = np.zeros((size + 1, size + 1), dtype=int)
+    np.add.at(cover, (lo[:, 0], lo[:, 1]), 1)
+    np.add.at(cover, (hi[:, 0], lo[:, 1]), -1)
+    np.add.at(cover, (lo[:, 0], hi[:, 1]), -1)
+    np.add.at(cover, (hi[:, 0], hi[:, 1]), 1)
+    cover = np.cumsum(np.cumsum(cover, axis=0), axis=1)[:size, :size]
+    assert np.all(cover == 1)
 
 
 def _sampled_annulus_norm(geom, radius, resolution, lam1, lam2):
-    """|W^{1/2} Gram W^{1/2}|_F over the midpoint cells of the lattice
-    `gram_identity_residual` builds that lie in R < |u| <= 1.25 R."""
-    big = 1.25 * radius
-    cell = 2.0 * big / round(resolution * 1.25)
-    coords = -big + cell * (np.arange(int(round(2.0 * big / cell))) + 0.5)
-    gx, gy = np.meshgrid(coords, coords, indexing="xy")
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    rad = np.linalg.norm(pts, axis=1)
-    pts = pts[(rad > radius) & (rad <= big)]
+    """|W^{1/2} Gram W^{1/2}|_F over the leaves of the volume rule of
+    `gram_identity_residual` whose centres lie beyond R."""
+    pts, areas = _volume_rule(geom, radius, resolution)
+    out = np.hypot(pts[:, 0], pts[:, 1]) > radius
+    pts, areas = pts[out], areas[out]
     k1 = fundamental_solution(SpectralParam(lam1), geom.nodes[:, None, :], pts[None, :, :])
     k2 = fundamental_solution(SpectralParam(lam2), geom.nodes[:, None, :], pts[None, :, :])
     sw = np.sqrt(geom.weights)
-    return float(np.linalg.norm(sw[:, None] * ((k2 * cell * cell) @ k1.T) * sw[None, :]))
+    return float(np.linalg.norm(sw[:, None] * ((k2 * areas) @ k1.T) * sw[None, :]))
 
 
 @pytest.mark.parametrize("shape", ["circle", "kite"])

@@ -91,6 +91,26 @@ def test_coefficient_expression_evaluation():
         bad.coefficient(t)
 
 
+@pytest.mark.parametrize("expr", [
+    "().__class__.__base__.__subclasses__().__len__() + 0*t",  # attribute access
+    "t.__class__",
+    "cos(t, out=t)",
+    "cos",
+    "pi(t)",
+    "t if t else 1",
+    "[t][0]",
+    "True + t",
+    "9**9**9",  # an int power would run on; a float one overflows
+    "1 +",
+])
+def test_coefficient_expression_refuses_all_but_arithmetic(tmp_path, capsys, expr):
+    scenario = write_scenario(
+        tmp_path / "scn.json", boundary_condition={"kind": "theta", "coefficient": expr}
+    )
+    assert main(["forward", "--scenario", scenario, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+    assert "coefficient expression" in capsys.readouterr().err
+
+
 def test_forward_writes_artifacts(tmp_path, capsys):
     scenario = write_scenario(tmp_path / "scn.json")
     out = tmp_path / "out"
