@@ -7,23 +7,23 @@ The radial profile of the free-space kernel is
 
 with K_0 the modified Bessel function of the second kind; its
 derivative g'(r), from which `boundary_ops` builds the double-layer
-kernel, brings in K_1.  Everything here is self-contained: K_0/K_1
-are evaluated from their power series for z <= 2 (15 terms) and from
-Chebyshev expansions of the scaled functions K_nu(z) e^z sqrt(z) for
-z > 2 (coefficients generated offline against a 60-digit reference);
-I_0/I_1 from their power series, with the term count the largest
-argument of a block needs.  Against 40-digit mpmath the largest
-relative errors are 3.65e-15 (K_0) and 2.74e-15 (K_1) on 3000 points
-of [1e-6, 700], and 1.92e-15 (I_0) on [0, 26].
+kernel, brings in K_1.  For z <= 2, K_0, K_1 and I_0 are their power
+series (A&S 9.6.10-9.6.13) cut at degree 15 in z^2/4; for z > 2, K_0
+and K_1 are polynomials in 4/z - 1 for K_nu(z) e^z sqrt(z) (Chebyshev
+fits to 60 digits, in powers), and I_0 its series to the term count
+the block's largest argument needs.  Against 40-digit mpmath the
+largest relative errors are 3.13e-15 (K_0) and 2.74e-15 (K_1) on 3000
+points of [1e-6, 700], and 1.92e-15 (I_0) on [0, 26].
 
-All evaluators are vectorized over numpy arrays and run in blocks of
-_BLOCK elements with in-place ufuncs, so the temporaries of a series or
-Clenshaw sum stay in cache; a value does not depend on its block.
+Polynomials run by Horner's rule over blocks of _BLOCK elements, so
+their temporaries stay in cache; a value does not depend on its block.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -66,37 +66,48 @@ class SpectralParam:
 # modified Bessel functions
 # ----------------------------------------------------------------------
 
-# Chebyshev coefficients of K_nu(z) e^z sqrt(z) in the variable
-# x = (8/z - 2)/2 for z in (2, inf).  Generated offline (mpmath, 60 digits).
-_K0_LARGE = np.array([
-    1.2201515410329777, -0.03144810131196437, 0.0015698838857299497,
-    -0.0001284954958162349, 1.3949813718866258e-05, -1.83175552268351e-06,
-    2.766813632696905e-07, -4.660489883867097e-08, 8.574033618357213e-09,
-    -1.6975340746598802e-09, 3.577391716191869e-10, -7.957463673498612e-11,
-    1.855940522039359e-11, -4.5150067259792985e-12, 1.1393205219835931e-12,
-    -2.973177259946169e-13, 8.077596562642335e-14, -2.1987242944206904e-14,
-    6.033820786006286e-15, -1.1729747607996219e-15, 7.578478907223895e-16,
-    4.440892098500626e-16, -9.364489859881755e-16,
-])
-_K1_LARGE = np.array([
-    1.3603130952422213, 0.10392373657681737, -0.0028578168596228542,
-    0.00019521551847141052, -1.936197974172771e-05, 2.4064849478168937e-06,
-    -3.5019606084550564e-07, 5.741084133696315e-08, -1.0345762932341468e-08,
-    2.015050213644975e-09, -4.1903609085040995e-10, 9.218335273863471e-11,
-    -2.1299715614452946e-11, 5.1392127268765915e-12, -1.2902818909928417e-12,
-    3.354997439284647e-13, -8.930054763289302e-14, 2.5153792092703003e-14,
-    -7.390223698700498e-15, 2.736941108532451e-15, -4.102998134484274e-16,
-    9.533436841889932e-16, -9.750654390186157e-16,
-])
-
-
 # elements per block of the Bessel passes: a block's temporaries stay in
-# cache across the ~60 elementwise passes of a series or Chebyshev sum
+# cache across the ~40 elementwise passes of a polynomial
 _BLOCK = 32768
 
-# small-z K series terms: for t = z^2/4 <= 1, term 16 on is below half an
-# ulp of the partial sum
+# Taylor degree in t = z^2/4 of the z <= 2 series: for t <= 1 the term of
+# degree 16 is below half an ulp of every sum
 _K_TERMS = 15
+
+# Coefficients of t^k in A&S 9.6.10-9.6.13: 1/k!^2 (I_0), H_k/k!^2, 1/(k!(k+1)!)
+# (I_1), (psi(k+1) + psi(k+2))/(2 k!(k+1)!); ratios of exact integers (f = k!,
+# h = k! H_k), so each rational is correctly rounded.
+_f = [math.factorial(k) for k in range(_K_TERMS + 2)]
+_h = [sum(_f[k] // j for j in range(1, k + 1)) for k in range(_K_TERMS + 2)]
+_I0_SERIES = [1 / _f[k] ** 2 for k in range(_K_TERMS + 1)]
+_K0_SERIES = [_h[k] / _f[k] ** 3 for k in range(_K_TERMS + 1)]
+_I1_SERIES = [1 / (_f[k] * _f[k + 1]) for k in range(_K_TERMS + 1)]
+_K1_SERIES = [((k + 1) * _h[k] + _h[k + 1]) / (2 * _f[k] * _f[k + 1] ** 2) - EULER_GAMMA * c
+              for k, c in enumerate(_I1_SERIES)]
+del _f, _h
+
+# K_nu(z) e^z sqrt(z), z > 2, in powers of x = 4/z - 1: Chebyshev fits to 60-digit
+# mpmath made offline, converted to powers (tests/test_kernels.py re-derives them).
+_K0_LARGE = [
+    1.2185953385133943, -0.03107146182490037, 0.0030328918097668176,
+    -0.0004797690565923342, 9.956056259639311e-05, -2.473520085829413e-05,
+    7.002045881081459e-06, -2.191256730616655e-06, 7.442229396612832e-07,
+    -2.6833548793586925e-07, 9.663524550611008e-08, -4.351367173829044e-08,
+    3.46897195413476e-08, -2.4005519504577913e-09, -2.8238861452099754e-08,
+    -8.595041277737397e-09, 3.773881041485331e-08, 5.520237407282642e-09,
+    -2.6848916288303298e-08, -2.752210054060687e-09, 1.1198647806177972e-08,
+    4.656612873077393e-10, -1.9638758638630743e-09,
+]
+_K1_LARGE = [
+    1.3631518903713458, 0.10334973775386082, -0.005566729880586567,
+    0.0007357241546890325, -0.00013959020462863393, 3.284387717701921e-05,
+    -8.961399882176247e-06, 2.729884704916438e-06, -9.053381083266804e-07,
+    3.23989078271117e-07, -1.2798066652818388e-07, 4.476645373237578e-08,
+    -3.3035714453865698e-09, 1.6723076797738348e-08, -3.4223376133013517e-08,
+    -9.563059986407019e-09, 3.499609074028938e-08, 1.0048888330145375e-08,
+    -2.660406449728686e-08, -4.530707171753696e-09, 1.1031617127034978e-08,
+    9.996533069921577e-10, -2.044860435568768e-09,
+]
 
 
 def _by_blocks(fn, z, *aligned) -> np.ndarray:
@@ -110,90 +121,79 @@ def _by_blocks(fn, z, *aligned) -> np.ndarray:
     return out.reshape(z.shape)
 
 
-def _i_series(z: np.ndarray, order: int) -> np.ndarray:
-    """I_0 or I_1 of one block by the (all-positive, cancellation-free)
-    power series.  Terms run until the largest t needs no more; later
-    terms fall below 1e-17 of every element's sum and leave it as is."""
+def _by_branch(small, large, z: np.ndarray, *aligned) -> np.ndarray:
+    """small(z, *aligned) at z <= 2, large(z) elsewhere; one block, split only if mixed."""
+    below = z <= 2.0
+    lo = np.flatnonzero(below)
+    if lo.size in (0, z.size):
+        return small(z, *aligned) if lo.size else large(z)
+    hi = np.flatnonzero(~below)
+    out = np.empty_like(z)
+    out.put(lo, small(z.take(lo), *(a.take(lo) for a in aligned)))
+    out.put(hi, large(z.take(hi)))
+    return out
+
+
+def _horner(x: np.ndarray, coeffs) -> np.ndarray:
+    """sum_k coeffs[k] x^k, in place, two passes a term."""
+    p = coeffs[-1] * x
+    for c in coeffs[-2:0:-1]:
+        p += c
+        p *= x
+    p += coeffs[0]
+    return p
+
+
+def _i_series(z: np.ndarray) -> np.ndarray:
+    """I_0 of one block by the (all-positive, cancellation-free) power
+    series.  Terms run until the largest t needs no more; later terms fall
+    below 1e-17 of every element's sum and leave it as is."""
     t = 0.25 * z * z
     top = int(np.argmax(t))
     term = np.ones_like(t)
     total = np.ones_like(t)
-    k = 0
-    while True:
-        k += 1
+    for k in range(1, 402):
         term *= t
-        term /= k * (k + order)
+        term /= k * k
         total += term
-        if term[top] <= 1e-17 * total[top] or k > 400:
-            return total * (0.5 * z) if order else total
+        if term[top] <= 1e-17 * total[top]:
+            break
+    return total
+
+
+def _i0_small(z: np.ndarray) -> np.ndarray:
+    return _horner(0.25 * z * z, _I0_SERIES)
 
 
 def _bessel_i0(z: np.ndarray) -> np.ndarray:
     """I_0 of an array of any shape, block by block."""
-    return _by_blocks(lambda b: _i_series(b, 0), z)
+    return _by_blocks(partial(_by_branch, _i0_small, _i_series), z)
 
 
-def _k0_small(z: np.ndarray, i0: np.ndarray) -> np.ndarray:
-    # K_0 = -(log(z/2)+gamma) I_0 + sum_{k>=1} H_k (z^2/4)^k / (k!)^2, i0 = I_0(z)
+def _k0_small(z: np.ndarray, i0: np.ndarray | None = None) -> np.ndarray:
+    # K_0 = K0_SERIES(t) - (log(z/2) + gamma) I_0
     t = 0.25 * z * z
-    term = np.ones_like(t)
-    harmonic = 0.0
-    tail = np.zeros_like(t)
-    prod = np.empty_like(t)
-    for k in range(1, _K_TERMS + 1):
-        term *= t
-        term /= k * k
-        harmonic += 1.0 / k
-        tail += np.multiply(term, harmonic, out=prod)
-    return -(np.log(0.5 * z) + EULER_GAMMA) * i0 + tail
+    i0 = _horner(t, _I0_SERIES) if i0 is None else i0
+    return _horner(t, _K0_SERIES) - (np.log(0.5 * z) + EULER_GAMMA) * i0
 
 
 def _k1_small(z: np.ndarray) -> np.ndarray:
-    # K_1 = 1/z + log(z/2) I_1 - (z/4) sum_k (psi(k+1)+psi(k+2)) t^k / (k!(k+1)!)
-    t = 0.25 * z * z
-    term = np.ones_like(t)
-    psi_sum = 1.0 - 2.0 * EULER_GAMMA
-    tail = psi_sum * term
-    prod = np.empty_like(t)
-    for k in range(1, _K_TERMS + 1):
-        term *= t
-        term /= k * (k + 1)
-        psi_sum += 1.0 / k + 1.0 / (k + 1.0)
-        tail += np.multiply(term, psi_sum, out=prod)
-    return 1.0 / z + np.log(0.5 * z) * _i_series(z, 1) - 0.25 * z * tail
+    # K_1 = 1/z + (z/2) (log(z/2) I1_SERIES(t) - K1_SERIES(t))
+    half = 0.5 * z
+    t = half * half
+    return (_horner(t, _I1_SERIES) * np.log(half) - _horner(t, _K1_SERIES)) * half + 1.0 / z
 
 
-def _k_large(z: np.ndarray, table: np.ndarray) -> np.ndarray:
-    # Clenshaw sum of K_nu(z) e^z sqrt(z), in place over three buffers
-    x = (8.0 / z - 2.0) * 0.5
-    x2 = 2.0 * x
-    b0, b1, b2 = np.empty_like(z), np.zeros_like(z), np.zeros_like(z)
-    for c in table[:0:-1]:
-        np.multiply(x2, b1, out=b0)
-        b0 -= b2
-        b0 += c
-        b0, b1, b2 = b2, b0, b1
-    return (x * b1 - b2 + table[0]) * np.exp(-z) / np.sqrt(z)
-
-
-def _k01_block(order: int, z: np.ndarray, i0: np.ndarray | None = None) -> np.ndarray:
-    out = np.empty_like(z)
-    small = z <= 2.0
-    if np.any(small):
-        zs = z[small]
-        if order == 1:
-            out[small] = _k1_small(zs)
-        else:
-            out[small] = _k0_small(zs, _bessel_i0(zs) if i0 is None else i0[small])
-    if not np.all(small):
-        out[~small] = _k_large(z[~small], _K0_LARGE if order == 0 else _K1_LARGE)
-    return out
+def _k_large(table, z: np.ndarray) -> np.ndarray:
+    return _horner(4.0 / z - 1.0, table) * np.exp(-z) / np.sqrt(z)
 
 
 def _k01(order: int, z: np.ndarray, i0: np.ndarray | None = None) -> np.ndarray:
-    """K_0 or K_1 at positive z; ``i0`` (I_0 at z) spares K_0 its own I_0 series."""
+    """K_0 or K_1 at positive z; ``i0`` (I_0 at z) spares K_0 its own I_0 polynomial."""
+    small = _k1_small if order else _k0_small
+    large = partial(_k_large, _K1_LARGE if order else _K0_LARGE)
     aligned = () if i0 is None else (i0,)
-    return _by_blocks(lambda b, *i: _k01_block(order, b, *i), z, *aligned)
+    return _by_blocks(partial(_by_branch, small, large), z, *aligned)
 
 
 def bessel_k(order: int, z):

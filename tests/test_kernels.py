@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.chebyshev import cheb2poly
 from scipy import special
 
 from lapscat import kernels
@@ -181,11 +182,23 @@ def test_kernel_decreasing_in_lambda_and_r(lam_value, r):
 
 
 def _blocks_test_array() -> np.ndarray:
-    # 3 blocks + 17 elements; z <= 2 and z > 2 alternate, each rising, so
-    # later blocks need more series terms than the first
-    z = np.empty(3 * kernels._BLOCK + 17)
-    z[0::2] = np.geomspace(1e-8, 2.0, z[0::2].size)
-    z[1::2] = np.geomspace(2.0 + 1e-9, 700.0, z[1::2].size)
+    # block 0 wholly at z <= 2, block 1 wholly at z > 2, block 2 and the
+    # 17-element tail mixed (the two sides alternate, each rising, so later
+    # elements need more I_0 terms); z = 2 and its two neighbouring floats
+    # end block 0, start block 1 and open the mixed runs
+    b = kernels._BLOCK
+    edge = [np.nextafter(2.0, 0.0), 2.0, np.nextafter(2.0, 3.0)]
+    z = np.empty(3 * b + 17)
+    z[:b] = np.geomspace(1e-8, 2.0, b)
+    z[b:2 * b] = np.geomspace(edge[2], 700.0, b)
+    mixed = z[2 * b:]
+    mixed[0::2] = np.geomspace(1e-8, 2.0, mixed[0::2].size)
+    mixed[1::2] = np.geomspace(edge[2], 700.0, mixed[1::2].size)
+    z[b - 2:b] = edge[:2]
+    for lo in (2 * b, 3 * b):
+        z[lo:lo + 3] = edge
+    assert np.all(z[:b] <= 2.0) and np.all(z[b:2 * b] > 2.0)
+    assert all(np.any(z[lo:lo + b] <= 2.0) and np.any(z[lo:lo + b] > 2.0) for lo in (2 * b, 3 * b))
     return z
 
 
@@ -198,10 +211,14 @@ def test_bessel_blocks_match_elementwise_evaluation():
         "i0": i0,
         "k0_given_i0": _k01(0, z, i0),
     }
-    # every block boundary neighbourhood and the whole tail block, plus a stride
+    # K_0 from its own I_0 polynomial or from the given I_0: the same bits
+    np.testing.assert_array_equal(whole["k0_given_i0"], whole["k0"])
+    # every block boundary neighbourhood, z = 2 and its neighbours, the
+    # whole tail block, plus a stride
     idx = np.unique(np.concatenate([
         np.arange(0, z.size, 101),
         *(np.arange(lo - 3, lo + 3) for lo in range(kernels._BLOCK, z.size, kernels._BLOCK)),
+        np.flatnonzero(np.abs(z - 2.0) <= 4.5e-16),
         np.arange(z.size - 40, z.size),
     ]))
     for i in idx:
@@ -214,6 +231,55 @@ def test_bessel_blocks_match_elementwise_evaluation():
         }
         for name, val in single.items():
             assert val[0] == whole[name][i], (name, i, z[i])
+
+
+# Chebyshev coefficients of K_nu(z) e^z sqrt(z) in x = 4/z - 1 for z > 2,
+# generated with 60-digit mpmath; kernels holds them in powers of x
+K0_CHEBYSHEV = [
+    1.2201515410329777, -0.03144810131196437, 0.0015698838857299497,
+    -0.0001284954958162349, 1.3949813718866258e-05, -1.83175552268351e-06,
+    2.766813632696905e-07, -4.660489883867097e-08, 8.574033618357213e-09,
+    -1.6975340746598802e-09, 3.577391716191869e-10, -7.957463673498612e-11,
+    1.855940522039359e-11, -4.5150067259792985e-12, 1.1393205219835931e-12,
+    -2.973177259946169e-13, 8.077596562642335e-14, -2.1987242944206904e-14,
+    6.033820786006286e-15, -1.1729747607996219e-15, 7.578478907223895e-16,
+    4.440892098500626e-16, -9.364489859881755e-16,
+]
+K1_CHEBYSHEV = [
+    1.3603130952422213, 0.10392373657681737, -0.0028578168596228542,
+    0.00019521551847141052, -1.936197974172771e-05, 2.4064849478168937e-06,
+    -3.5019606084550564e-07, 5.741084133696315e-08, -1.0345762932341468e-08,
+    2.015050213644975e-09, -4.1903609085040995e-10, 9.218335273863471e-11,
+    -2.1299715614452946e-11, 5.1392127268765915e-12, -1.2902818909928417e-12,
+    3.354997439284647e-13, -8.930054763289302e-14, 2.5153792092703003e-14,
+    -7.390223698700498e-15, 2.736941108532451e-15, -4.102998134484274e-16,
+    9.533436841889932e-16, -9.750654390186157e-16,
+]
+
+
+def test_large_argument_tables_are_the_chebyshev_expansions():
+    for cheb, mono in ((K0_CHEBYSHEV, kernels._K0_LARGE), (K1_CHEBYSHEV, kernels._K1_LARGE)):
+        assert len(mono) == len(cheb)
+        np.testing.assert_allclose(mono, cheb2poly(cheb), rtol=0.0, atol=1e-16)
+
+
+def test_small_argument_tables_are_the_series_coefficients():
+    # A&S 9.6.10-9.6.13 in t = z^2/4 with 40-digit mpmath, to one rounding
+    n = kernels._K_TERMS + 1
+    with mpmath.workdps(40):
+        fac = [mpmath.factorial(k) for k in range(n + 1)]
+        want = {
+            "_I0_SERIES": [1 / fac[k] ** 2 for k in range(n)],
+            "_K0_SERIES": [mpmath.harmonic(k) / fac[k] ** 2 for k in range(n)],
+            "_I1_SERIES": [1 / (fac[k] * fac[k + 1]) for k in range(n)],
+            "_K1_SERIES": [
+                (mpmath.digamma(k + 1) + mpmath.digamma(k + 2)) / (2 * fac[k] * fac[k + 1])
+                for k in range(n)
+            ],
+        }
+        for name, ref in want.items():
+            ref = np.array([float(v) for v in ref])
+            np.testing.assert_allclose(getattr(kernels, name), ref, rtol=2.3e-16, atol=0.0)
 
 
 def test_kernel_planes_match_difference_form():
@@ -238,13 +304,14 @@ K_TABLE = os.path.join(os.path.dirname(__file__), "data", "bessel_k_mpmath40.npy
 
 def test_bessel_accuracy_floor_against_mpmath():
     # rows z, K_0, K_1 on 3000 log-spaced points in [1e-6, 700]; floors
-    # set on the evaluators before their block rewrite (3.65e-15, 2.74e-15)
+    # set on the evaluators before their block rewrite (3.65e-15, 2.74e-15),
+    # K_0's tightened on the Horner tables (3.13e-15)
     z, k0, k1 = np.load(K_TABLE)
     np.testing.assert_array_equal(z, np.geomspace(1e-6, 700.0, 3000))
     sample = slice(0, None, 150)   # live guard on the frozen table
     for order, ref in ((0, k0), (1, k1)):
         np.testing.assert_array_equal(_mpmath_k(order, z[sample]), ref[sample])
-    assert np.max(np.abs(bessel_k(0, z) - k0) / k0) <= 4e-15
+    assert np.max(np.abs(bessel_k(0, z) - k0) / k0) <= 3.5e-15
     assert np.max(np.abs(bessel_k(1, z) - k1) / k1) <= 4e-15
     # I_0 up to sqrt(lambda) r = 26, the resolvable cap's precision limit
     # (1.92e-15 before the rewrite)
