@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -123,7 +123,8 @@ class BoundaryCondition:
 
     kind: 'D' | 'N' | 'alpha' | 'theta'.  ``coefficient`` may be a
     scalar, an array of nodal values, or a callable of the shape
-    parameter t; it is resolved against a geometry at assembly time.
+    parameter t (``geom.shape_params``, not the quadrature parameter of a
+    graded curve); it is resolved against a geometry at assembly time.
     ``lambda_bound`` is the lambda_Lambda floor for admissible lambda.
     """
 
@@ -143,7 +144,7 @@ class BoundaryCondition:
     def resolve_coefficient(self, geom: BoundaryGeometry) -> np.ndarray:
         c = self.coefficient
         if callable(c):
-            vals = np.asarray(c(geom.params), dtype=float)
+            vals = np.asarray(c(geom.shape_params), dtype=float)
         else:
             vals = np.asarray(c, dtype=float)
             if vals.ndim == 0:
@@ -469,20 +470,24 @@ def estimate_lambda_bound(
     lam_max: float | None = None,
     tol: float = 1e-2,
 ) -> tuple[float, dict]:
-    """Estimate lambda_Lambda by bisection on the definiteness transition.
+    """Estimate lambda_Lambda by one bisection in log lambda.
 
-    Scans a geometric ladder of lambda values for the first sign-definite
-    M_lambda, then bisects between the last indefinite and the first
-    definite value.  Returns (bound, report).  A condition definite on
-    the whole ladder reports bound 0; one never definite up to the
-    ladder top reports inf (with the certified range in the report).
-    The default ladder top is the resolution cap of the geometry, so the
-    answer never rests on unresolved band-edge eigenvalues; an explicit
-    ``lam_max`` above that cap raises AssemblyError.
+    The predicate is "M_lambda has the condition's admissible class", the
+    sign class M keeps as lambda -> inf: negative definite for D and for
+    alpha > 0 on every active node, positive definite for N, theta and
+    alpha < 0 on every active node, none for alpha of mixed sign.  M is
+    built from the resolvent (-Delta + lambda)^-1, so it increases with
+    lambda and the admissible lambda form one interval [lambda_Lambda, inf).
+
+    Probes lam_max first: a condition with no admissible class, or whose
+    M lacks it there, reports inf (certified up to lam_max).  Then probes
+    lam_min, where the class reports 0.  Otherwise bisects at sqrt(lo hi)
+    until hi - lo <= tol max(1, hi) and returns hi.  Returns (bound,
+    report).  The default lam_max is the resolution cap of the geometry,
+    so the answer never rests on unresolved band-edge eigenvalues; an
+    explicit ``lam_max`` above that cap raises AssemblyError.
     """
-    probe = BoundaryCondition(
-        kind=bc.kind, coefficient=bc.coefficient, screen=bc.screen, lambda_bound=0.0
-    )
+    probe = replace(bc, lambda_bound=0.0)
     cap = resolvable_lambda_cap(geom)
     if lam_max is None:
         lam_max = min(1024.0, cap)
@@ -492,32 +497,33 @@ def estimate_lambda_bound(
         )
     if lam_max <= lam_min:
         raise SpectralParameterError(
-            f"ladder top {lam_max} must exceed ladder bottom {lam_min}"
+            f"bisection top {lam_max} must exceed its bottom {lam_min}"
         )
-
-    def definite(lam_val: float) -> bool:
-        op = assemble_M(probe, geom, SpectralParam(lam_val))
-        return sign_check(op).classification != "indefinite"
-
-    ladder = []
-    v = lam_min
-    while v <= lam_max:
-        ladder.append(v)
-        v *= 4.0
-    if ladder[-1] < lam_max:
-        ladder.append(lam_max)
-    flags = [definite(v) for v in ladder]
-    report = {"ladder": ladder, "definite": flags, "resolvable_cap": cap,
+    target = "definite_negative" if bc.kind == "D" else "definite_positive"
+    if bc.kind == "alpha":
+        coef = bc.resolve_coefficient(geom)
+        if bc.screen is not None:
+            coef = coef[bc.screen.active_mask]
+        target = ("definite_negative" if np.all(coef > 0)
+                  else "definite_positive" if np.all(coef < 0) else None)
+    probes, flags = [], []
+    report = {"probes": probes, "definite": flags, "resolvable_cap": cap,
               "certified_up_to": lam_max}
-    if all(flags):
-        return 0.0, report
-    if not flags[-1]:
+
+    def admissible(lam_val: float) -> bool:
+        op = assemble_M(probe, geom, SpectralParam(lam_val))
+        probes.append(lam_val)
+        flags.append(sign_check(op).classification == target)
+        return flags[-1]
+
+    if not admissible(lam_max):
         return math.inf, report
-    hi_idx = next(i for i in range(len(flags)) if flags[i] and all(flags[i:]))
-    lo, hi = ladder[hi_idx - 1], ladder[hi_idx]
+    if admissible(lam_min):
+        return 0.0, report
+    lo, hi = lam_min, lam_max
     while hi - lo > tol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if definite(mid):
+        mid = math.sqrt(lo * hi)
+        if admissible(mid):
             hi = mid
         else:
             lo = mid

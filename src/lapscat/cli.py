@@ -103,25 +103,6 @@ class Scenario:
                   for key in blocks if raw.get(key) is not None}
         return cls(**parsed, seed=_value(raw, "scenario", "seed", 0, int))
 
-    def to_dict(self) -> dict:
-        out = {
-            "schema_version": SCHEMA_VERSION,
-            "seed": self.seed,
-            "geometry": self.geometry,
-            "boundary_condition": self.boundary_condition,
-            "probe": self.probe,
-            "spectral": self.spectral,
-        }
-        if self.grid is not None:
-            out["grid"] = self.grid
-        if self.reconstruction:
-            out["reconstruction"] = self.reconstruction
-        if self.noise:
-            out["noise"] = self.noise
-        if self.outputs:
-            out["outputs"] = self.outputs
-        return out
-
 
 def load_scenario(path: str) -> Scenario:
     try:
@@ -242,13 +223,7 @@ def build_pipeline(scn: Scenario):
     if not validate_separation(geom, probe, margin=1e-6):
         raise ScenarioError("probe region touches or overlaps the scatterer")
 
-    sblock = scn.spectral
-    lam_value = _value(sblock, "spectral", "lambda", 1.0)
-    if lam_value <= bc.lambda_bound:
-        raise ScenarioError(
-            f"lambda {lam_value} must exceed lambda_bound {bc.lambda_bound}"
-        )
-    lam = SpectralParam(lam_value)
+    lam = SpectralParam(_value(scn.spectral, "spectral", "lambda", 1.0))
 
     grid = None
     if scn.grid is not None:

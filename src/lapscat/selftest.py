@@ -266,10 +266,16 @@ def _check_inverse_contract():
 
 
 def _check_lambda_bound_estimation():
+    # alpha = 1 is admissible at every lambda; theta = -0.5 turns definite
+    # where its mode-0 eigenvalue theta - nu_0(lambda) changes sign
     geom = make_curve("circle", {"radius": 1.0}, n_nodes=64)
-    bc = bo.BoundaryCondition(kind="alpha", coefficient=1.0)
-    bound, _ = bo.estimate_lambda_bound(bc, geom)
-    return bound == 0.0, f"alpha=1 admissibility bound {bound}"
+    bound, _ = bo.estimate_lambda_bound(bo.BoundaryCondition("alpha", 1.0), geom)
+    _, report = bo.estimate_lambda_bound(bo.BoundaryCondition("theta", -0.5), geom)
+    lo, hi = report["transition"]
+    f_lo, f_hi = (-0.5 - circle_dlp_eigenvalue_oracle(0, 1.0, v) for v in (lo, hi))
+    return (bound == 0.0 and f_lo < 0.0 < f_hi,
+            f"alpha=1 bound {bound}; theta=-0.5 mode 0 {f_lo:.2e} at {lo:.4f}, "
+            f"{f_hi:.2e} at {hi:.4f}")
 
 
 def _check_screen_compression():
@@ -517,7 +523,7 @@ def _check_cli_roundtrip():
         with open(path, "w") as fh:
             json.dump(scenario, fh)
         scn = cli.load_scenario(path)
-        same = scn.to_dict()["geometry"] == scenario["geometry"]
+        same = scn.geometry == scenario["geometry"]
         blobs = []
         for out in (os.path.join(tmp, "o1"), os.path.join(tmp, "o2")):
             cli.run_forward(scn, out)

@@ -110,6 +110,29 @@ DL_CIRCLE_EIGS = {
 # constant jump coefficient -1.2 on the unit circle)
 THETA_MINUS_1_2_TRANSITION = 6.605776504907098
 
+# root of -0.5 + lam I_1(sqrt lam) K_1(sqrt lam) = 0, where M_theta for
+# theta = -0.5 on the unit circle turns definite, frozen from
+# scipy.optimize.brentq (the root the benchmark's lambda_bound check brackets)
+THETA_MINUS_0_5_TRANSITION = 1.6805465837259002
+
+# estimate_lambda_bound's answers when it scanned a x4 ladder of lambda
+# before a linear bisection, frozen: (shape, nodes, kind, coefficient,
+# bound).  The log bisection must agree to its tolerance, 1e-2 max(1, bound).
+LADDER_BOUNDS = {
+    "circle128-theta-0.5": ("circle", 128, "theta", -0.5, 1.6840000000000002),
+    "kite128-theta1": ("kite", 128, "theta", 1.0, 0.0),
+    "circle64-alpha1": ("circle", 64, "alpha", 1.0, 0.0),
+    "circle64-theta-1.2": ("circle", 64, "theta", -1.2, 6.640000000000001),
+    "circle128-alpha-5": ("circle", 128, "alpha", -5.0, 6.5920000000000005),
+    "circle128-alpha-10": ("circle", 128, "alpha", -10.0, 25.408),
+    "circle128-alpha-20": ("circle", 128, "alpha", -20.0, 100.29343750000001),
+    "kite128-alpha-10": ("kite", 128, "alpha", -10.0, 26.752000000000002),
+    "ellipse128-alpha-10": ("ellipse", 128, "alpha", -10.0, 25.275437500000002),
+    "kite128-theta-1": ("kite", 128, "theta", -1.0, 6.064),
+    "circle64-alpha-signcos": ("circle", 64, "alpha", lambda t: np.sign(np.cos(t)) * 0.5,
+                               math.inf),
+}
+
 
 def circle_rayleigh(matrix, geom, m):
     """Rayleigh quotient of the weighted matrix on the mode-m cosine."""
@@ -928,23 +951,111 @@ def test_lambda_bound_validation(monkeypatch):
     geom = make_curve("circle", {"radius": 1.0}, n_nodes=64)
     with pytest.raises(SpectralParameterError):
         estimate_lambda_bound(BoundaryCondition("D"), geom, lam_min=2.0, lam_max=1.0)
-    # an explicit ladder top above the resolvable cap is refused, not
-    # clipped, and before any rung is assembled
+    # an explicit lam_max above the resolvable cap is refused, not
+    # clipped, and before any probe is assembled
+    calls = _counting_assemblies(monkeypatch)
+    for geom in (geom, make_curve("kite", n_nodes=128)):
+        cap = resolvable_lambda_cap(geom)
+        with pytest.raises(AssemblyError, match=r"lam_max .* resolvable cap"):
+            estimate_lambda_bound(BoundaryCondition("D"), geom, lam_max=2.0 * cap)
+    assert calls == []
+
+
+def _bound_case(name):
+    shape, n, kind, coef, frozen = LADDER_BOUNDS[name]
+    params = {"radius": 1.0} if shape == "circle" else None
+    return make_curve(shape, params, n_nodes=n), BoundaryCondition(kind, coef), frozen
+
+
+def _counting_assemblies(monkeypatch):
     import lapscat.boundary_ops as boundary_ops
 
     calls = []
     real_assemble = boundary_ops.assemble_M
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append(args[2].lam)
         return real_assemble(*args, **kwargs)
 
     monkeypatch.setattr(boundary_ops, "assemble_M", counting)
-    for geom in (geom, make_curve("kite", n_nodes=128)):
-        cap = resolvable_lambda_cap(geom)
-        with pytest.raises(AssemblyError, match=r"lam_max .* resolvable cap"):
-            estimate_lambda_bound(BoundaryCondition("D"), geom, lam_max=2.0 * cap)
-    assert calls == []
+    return calls
+
+
+@pytest.mark.parametrize("name", LADDER_BOUNDS)
+def test_lambda_bound_agrees_with_ladder(name):
+    geom, bc, frozen = _bound_case(name)
+    bound, report = estimate_lambda_bound(bc, geom)
+    if frozen in (0.0, math.inf):
+        assert bound == frozen
+    else:
+        assert abs(bound - frozen) <= 1e-2 * max(1.0, bound)
+        lo, hi = report["transition"]
+        assert lo < hi == bound
+
+
+@pytest.mark.parametrize("name, at_most", [
+    ("kite128-theta1", 2), ("circle128-theta-0.5", 14), ("circle64-alpha-signcos", 1),
+])
+def test_lambda_bound_probe_counts(monkeypatch, name, at_most):
+    # lam_max first, then lam_min, then the bisection; the x4 ladder took
+    # 10, 18 and 10 assemblies here
+    geom, bc, _ = _bound_case(name)
+    calls = _counting_assemblies(monkeypatch)
+    _, report = estimate_lambda_bound(bc, geom)
+    assert calls == report["probes"]
+    assert len(report["definite"]) == len(calls) <= at_most
+    assert calls[0] == report["certified_up_to"]
+
+
+def test_lambda_bound_brackets_benchmark_root():
+    circle, bc, _ = _bound_case("circle128-theta-0.5")
+    _, report = estimate_lambda_bound(bc, circle)
+    lo, hi = report["transition"]
+    assert lo <= THETA_MINUS_0_5_TRANSITION <= hi
+    kite, bc, _ = _bound_case("kite128-theta1")
+    assert estimate_lambda_bound(bc, kite)[0] == 0.0
+
+
+@pytest.mark.parametrize("theta", [-40.0, -100.0])
+def test_lambda_bound_infinite_for_unresolved_theta(theta):
+    # the true bound solves lam I_1 K_1(sqrt lam) = -theta, far past the
+    # cap 169; below it the 128-node M_theta is negative definite, which
+    # is not the positive class M_theta keeps as lambda grows
+    geom = make_curve("circle", {"radius": 1.0}, n_nodes=128)
+    bound, report = estimate_lambda_bound(BoundaryCondition("theta", theta), geom)
+    assert bound == math.inf
+    assert report["definite"] == [False]
+    assert report["certified_up_to"] == report["resolvable_cap"]
+
+
+@pytest.mark.parametrize("shape, kind, coef, cls", [
+    ("circle", "theta", -1.2, "definite_positive"),
+    ("circle", "alpha", -5.0, "definite_positive"),
+    ("kite", "theta", -1.0, "definite_positive"),
+    ("kite", "alpha", 2.0, "definite_negative"),
+    ("kite", "D", None, "definite_negative"),
+])
+def test_admissible_lambda_form_one_final_interval(shape, kind, coef, cls):
+    # M_lambda increases with lambda, so once it has the class it keeps
+    # as lambda -> inf it keeps it up to the cap
+    params = {"radius": 1.0} if shape == "circle" else None
+    geom = make_curve(shape, params, n_nodes=64)
+    bc = BoundaryCondition(kind, coef)
+    lams = np.geomspace(1e-3, resolvable_lambda_cap(geom), 24)
+    flags = [sign_check(assemble_M(bc, geom, SpectralParam(v))).classification == cls
+             for v in lams]
+    assert flags[-1]
+    assert flags == sorted(flags)
+
+
+def test_callable_coefficient_sees_the_shape_parameter():
+    # on a graded curve the quadrature parameter tau_j and the shape
+    # parameter t_j = w(tau_j) differ; the coefficient is a function of t,
+    # which on the unit circle is the node's polar angle
+    geom = make_curve("circle", {"radius": 1.0}, n_nodes=128, cluster=(0.0, math.pi, 0.6))
+    vals = BoundaryCondition("alpha", np.cos).resolve_coefficient(geom)
+    angle = np.arctan2(geom.nodes[:, 1], geom.nodes[:, 0])
+    assert np.max(np.abs(vals - np.cos(angle))) < 1e-12
 
 
 def test_refused_assembly_builds_no_plan():
