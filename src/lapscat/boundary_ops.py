@@ -59,7 +59,6 @@ from .errors import (
     CoefficientError,
     DomainError,
     GeometryError,
-    InversionError,
     QuadratureError,
     SingularityError,
     SpectralParameterError,
@@ -80,15 +79,15 @@ from .kernels import (
 
 TWO_PI = 2.0 * math.pi
 
-# condition number above which invert_M refuses to proceed
-CONDITION_CAP = 1e12
-
 # Internal quadrature oversampling for operator assembly.  The product
 # rule is exact only while kernel content plus test mode stay inside the
 # quadrature band, and the spectral derivative annihilates the band-edge
 # cosine; assembling on a refined grid and projecting back
 # keeps every coarse-grid mode strictly inside the exact band.
 OVERSAMPLE = 2
+
+# estimate_lambda_bound's bisection bracket and relative stopping width
+BOUND_LAM_MIN, BOUND_LAM_MAX, BOUND_TOL = 1e-3, 1024.0, 1e-2
 
 # refinement of the off-surface quadratures: near-singular potential
 # targets, and the jump ladder's offsets down to h0/4
@@ -138,8 +137,8 @@ class BoundaryCondition:
             raise DomainError(f"unknown boundary condition kind {self.kind!r}")
         if self.kind in ("alpha", "theta") and self.coefficient is None:
             raise CoefficientError(f"{self.kind} condition requires a coefficient")
-        if self.lambda_bound < 0:
-            raise SpectralParameterError("lambda_bound must be non-negative")
+        if not 0.0 <= self.lambda_bound < math.inf:
+            raise SpectralParameterError("lambda_bound must be finite and non-negative")
 
     def resolve_coefficient(self, geom: BoundaryGeometry) -> np.ndarray:
         c = self.coefficient
@@ -163,6 +162,7 @@ class SignReport:
     classification: str  # definite_positive | definite_negative | indefinite
     eig_min: float
     eig_max: float
+    condition: float  # max|mu| / min|mu| over the eigenvalues, inf if singular
 
 
 # ----------------------------------------------------------------------
@@ -411,13 +411,14 @@ def assemble_M(
 
 
 def sign_check(op: BoundaryOperator) -> SignReport:
-    """Classify definiteness by the extreme eigenvalues."""
+    """Classify definiteness by the extreme eigenvalues; add the condition number."""
     mat = op.matrix
     res = np.linalg.norm(mat - mat.T) / max(np.linalg.norm(mat), 1e-300)
     if res > 1e-8:
         raise DomainError(f"sign_check expects a symmetric matrix, residual {res:.2e}")
     eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-    tol = 1e-12 * float(np.max(np.abs(eigs))) if eigs.size else 0.0
+    amax, amin = float(np.max(np.abs(eigs))), float(np.min(np.abs(eigs)))
+    tol = 1e-12 * amax
     lo, hi = float(eigs[0]), float(eigs[-1])
     if lo > tol:
         cls = "definite_positive"
@@ -425,25 +426,21 @@ def sign_check(op: BoundaryOperator) -> SignReport:
         cls = "definite_negative"
     else:
         cls = "indefinite"
-    return SignReport(classification=cls, eig_min=lo, eig_max=hi)
-
-
-def invert_M(op: BoundaryOperator) -> BoundaryOperator:
-    """Symmetric inverse of an M matrix, refusing past the condition cap."""
-    mat = 0.5 * (op.matrix + op.matrix.T)
-    eigs, vecs = np.linalg.eigh(mat)
-    amax = float(np.max(np.abs(eigs)))
-    amin = float(np.min(np.abs(eigs)))
     cond = math.inf if amin == 0.0 else amax / amin
-    if not np.isfinite(cond) or cond > CONDITION_CAP:
-        raise InversionError(
-            f"operator {op.kind} numerically singular: condition estimate {cond:.3e}"
-        )
-    inv = (vecs / eigs) @ vecs.T
-    inv = 0.5 * (inv + inv.T)
-    return BoundaryOperator(
-        matrix=inv, kind=op.kind + "_inverse", lam=op.lam, geom=op.geom,
-    )
+    return SignReport(classification=cls, eig_min=lo, eig_max=hi, condition=cond)
+
+
+def admissible_class(bc: BoundaryCondition, geom: BoundaryGeometry) -> str | None:
+    """The sign class M_lambda keeps as lambda -> inf: negative definite for
+    D and alpha > 0, positive definite for N, theta and alpha < 0 (alpha on
+    every active node), None for alpha of mixed sign."""
+    if bc.kind != "alpha":
+        return "definite_negative" if bc.kind == "D" else "definite_positive"
+    coef = bc.resolve_coefficient(geom)
+    if bc.screen is not None:
+        coef = coef[bc.screen.active_mask]
+    return ("definite_negative" if np.all(coef > 0)
+            else "definite_positive" if np.all(coef < 0) else None)
 
 
 def resolvable_lambda_cap(geom: BoundaryGeometry) -> float:
@@ -463,49 +460,26 @@ def resolvable_lambda_cap(geom: BoundaryGeometry) -> float:
     return min(band, precision)
 
 
-def estimate_lambda_bound(
-    bc: BoundaryCondition,
-    geom: BoundaryGeometry,
-    lam_min: float = 1e-3,
-    lam_max: float | None = None,
-    tol: float = 1e-2,
-) -> tuple[float, dict]:
+def estimate_lambda_bound(bc: BoundaryCondition, geom: BoundaryGeometry) -> tuple[float, dict]:
     """Estimate lambda_Lambda by one bisection in log lambda.
 
-    The predicate is "M_lambda has the condition's admissible class", the
-    sign class M keeps as lambda -> inf: negative definite for D and for
-    alpha > 0 on every active node, positive definite for N, theta and
-    alpha < 0 on every active node, none for alpha of mixed sign.  M is
-    built from the resolvent (-Delta + lambda)^-1, so it increases with
+    The predicate is "M_lambda has the condition's `admissible_class`".  M
+    is built from the resolvent (-Delta + lambda)^-1, so it increases with
     lambda and the admissible lambda form one interval [lambda_Lambda, inf).
-
-    Probes lam_max first: a condition with no admissible class, or whose
-    M lacks it there, reports inf (certified up to lam_max).  Then probes
-    lam_min, where the class reports 0.  Otherwise bisects at sqrt(lo hi)
-    until hi - lo <= tol max(1, hi) and returns hi.  Returns (bound,
-    report).  The default lam_max is the resolution cap of the geometry,
-    so the answer never rests on unresolved band-edge eigenvalues; an
-    explicit ``lam_max`` above that cap raises AssemblyError.
+    Probes the top, min(BOUND_LAM_MAX, resolvable cap), first: a condition
+    with no admissible class, or whose M lacks it there, reports inf.  Then
+    probes BOUND_LAM_MIN, where the class reports 0.  Otherwise bisects at
+    sqrt(lo hi) until hi - lo <= BOUND_TOL max(1, hi) and returns hi.
+    Returns (bound, report).
     """
     probe = replace(bc, lambda_bound=0.0)
     cap = resolvable_lambda_cap(geom)
-    if lam_max is None:
-        lam_max = min(1024.0, cap)
-    elif lam_max > cap:
-        raise AssemblyError(
-            f"lam_max {lam_max} exceeds the resolvable cap {cap:.4g} of this geometry"
-        )
-    if lam_max <= lam_min:
+    lam_max = min(BOUND_LAM_MAX, cap)
+    if lam_max <= BOUND_LAM_MIN:
         raise SpectralParameterError(
-            f"bisection top {lam_max} must exceed its bottom {lam_min}"
+            f"bisection top {lam_max:.4g} must exceed its bottom {BOUND_LAM_MIN}"
         )
-    target = "definite_negative" if bc.kind == "D" else "definite_positive"
-    if bc.kind == "alpha":
-        coef = bc.resolve_coefficient(geom)
-        if bc.screen is not None:
-            coef = coef[bc.screen.active_mask]
-        target = ("definite_negative" if np.all(coef > 0)
-                  else "definite_positive" if np.all(coef < 0) else None)
+    target = admissible_class(bc, geom)
     probes, flags = [], []
     report = {"probes": probes, "definite": flags, "resolvable_cap": cap,
               "certified_up_to": lam_max}
@@ -518,10 +492,10 @@ def estimate_lambda_bound(
 
     if not admissible(lam_max):
         return math.inf, report
-    if admissible(lam_min):
+    if admissible(BOUND_LAM_MIN):
         return 0.0, report
-    lo, hi = lam_min, lam_max
-    while hi - lo > tol * max(1.0, hi):
+    lo, hi = BOUND_LAM_MIN, lam_max
+    while hi - lo > BOUND_TOL * max(1.0, hi):
         mid = math.sqrt(lo * hi)
         if admissible(mid):
             hi = mid

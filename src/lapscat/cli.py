@@ -251,13 +251,22 @@ def _outdir(scn: Scenario, override: str | None) -> str:
 # subcommands
 # ----------------------------------------------------------------------
 
+def _build_F(bc: BoundaryCondition, m_op, probe):
+    """F and M's sign report; warns on stderr if M lacks the admissible class."""
+    f_op, report = data_operator._data_operator(bc, m_op, probe)
+    target = boundary_ops.admissible_class(bc, m_op.geom)
+    if report.classification != target:
+        print(f"warning: {m_op.kind} is {report.classification}, not {target or 'one-signed'}, "
+              f"at lambda {m_op.lam.lam!r}; the range test does not apply", file=sys.stderr)
+    return f_op, report
+
+
 def run_forward(scn: Scenario, out_dir: str | None = None) -> dict:
     """Assemble M and F; write sign report, spectrum CSV, matrix dumps."""
     out = _outdir(scn, out_dir)
     geom, _screen, bc, probe, lam, _grid = build_pipeline(scn)
     m_op = boundary_ops.assemble_M(bc, geom, lam)
-    report = boundary_ops.sign_check(m_op)
-    f_op = data_operator._data_operator(bc, m_op, probe)
+    f_op, report = _build_F(bc, m_op, probe)
     noise_level = _value(scn.noise, "noise", "level", 0.0)
     f_op = data_operator.add_noise(f_op, noise_level, scn.seed)
 
@@ -279,7 +288,7 @@ def run_forward(scn: Scenario, out_dir: str | None = None) -> dict:
     return payload
 
 
-def _arc_sweep_report(scn, screen, probe, f_op, out):
+def _arc_sweep_report(scn, screen, probe, f_op, floor, out):
     """Screen scenarios: indicator per test arc swept along the carrier."""
     block = _value(scn.reconstruction, "reconstruction", "arc_sweep", {}, _object)
     arc_len = _value(block, "reconstruction.arc_sweep", "arc_length", math.pi / 8.0)
@@ -290,7 +299,7 @@ def _arc_sweep_report(scn, screen, probe, f_op, out):
         block.get("params", scn.geometry.get("params")),
         screen.endpoint_params, arc_len, count,
         n_quad=_value(block, "reconstruction.arc_sweep", "n_quad", 128, int),
-        truncation_floor=_value(scn.spectral, "spectral", "truncation_floor", 1e-8),
+        truncation_floor=floor,
     )
     mean_in = float(np.mean(indicators[inside]))
     mean_out = float(np.mean(indicators[~inside]))
@@ -311,17 +320,18 @@ def run_reconstruct(scn: Scenario, out_dir: str | None = None) -> dict:
     """Full pipeline: data operator, indicator sweep, segmentation, files."""
     out = _outdir(scn, out_dir)
     geom, screen, bc, probe, lam, grid = build_pipeline(scn)
-    f_op = data_operator.assemble_F(bc, geom, probe, lam)
+    f_op, _report = _build_F(bc, boundary_ops.assemble_M(bc, geom, lam), probe)
     noise_level = _value(scn.noise, "noise", "level", 0.0)
     f_op = data_operator.add_noise(f_op, noise_level, scn.seed)
+    floor = _value(scn.spectral, "spectral", "truncation_floor",
+                   reconstruction.DEFAULT_TRUNCATION_FLOOR)
 
     summary: dict = {"lambda": lam.lam, "bc_kind": bc.kind}
     if screen is not None:
-        summary["arc_sweep"] = _arc_sweep_report(scn, screen, probe, f_op, out)
+        summary["arc_sweep"] = _arc_sweep_report(scn, screen, probe, f_op, floor, out)
 
     if grid is not None:
         rblock = scn.reconstruction
-        floor = _value(scn.spectral, "spectral", "truncation_floor", 1e-8)
         igrid = reconstruction.sweep(
             f_op, probe, grid,
             mode=rblock.get("mode", "picard"),

@@ -9,6 +9,9 @@ of M (congruence).  A is the layer kernel matrix of `boundary_ops` from
 the boundary nodes to the probe points: Dirichlet and delta-type
 conditions radiate through the single-layer kernel, Neumann and
 delta'-type through the double-layer kernel (`boundary_ops.LAYER`).
+M^{-1} acts on G^T by one solve, never as an explicit inverse; the one
+eigenvalue pass over M (`boundary_ops.sign_check`) gives both its sign
+class and the condition number that guards the solve.
 """
 
 from __future__ import annotations
@@ -24,11 +27,14 @@ from .boundary_ops import (
     BoundaryOperator,
     _layer_matrix,
     assemble_M,
-    invert_M,
+    sign_check,
 )
-from .errors import DegenerateOperatorError, DomainError
+from .errors import DegenerateOperatorError, DomainError, InversionError
 from .geometry import BoundaryGeometry, ProbeRegion
 from .kernels import SpectralParam
+
+# condition number of M above which F is refused (the solve keeps no digit)
+CONDITION_CAP = 1e12
 
 
 @dataclass(frozen=True)
@@ -71,19 +77,23 @@ def assemble_F(
     lam: SpectralParam,
 ) -> DataOperator:
     """Assemble and eigendecompose the data operator F = G M^{-1} G^T."""
-    return _data_operator(bc, assemble_M(bc, geom, lam), probe)
+    return _data_operator(bc, assemble_M(bc, geom, lam), probe)[0]
 
 
 def _data_operator(bc: BoundaryCondition, m_op: BoundaryOperator, probe: ProbeRegion):
-    """F = G M^{-1} G^T from an assembled M of the condition ``bc``."""
+    """(F, sign report of M) from an assembled M of the condition ``bc``;
+    an M past the condition cap is refused."""
     geom, lam = m_op.geom, m_op.lam
-    m_inv = invert_M(m_op)
+    report = sign_check(m_op)
+    if not report.condition <= CONDITION_CAP:  # NaN is refused too
+        raise InversionError(f"operator {m_op.kind} numerically singular: "
+                             f"condition estimate {report.condition:.3e}")
     active = bc.screen.active_indices if bc.screen is not None else None
     g = radiation_matrix(bc.kind, geom, probe, lam, active)
-    f = g @ m_inv.matrix @ g.T
+    f = g @ np.linalg.solve(m_op.matrix, g.T)
     f = 0.5 * (f + f.T)
     eigvals, eigvecs = _sorted_eigh(f)
-    return DataOperator(matrix=f, eigenvalues=eigvals, eigenvectors=eigvecs, lam=lam)
+    return DataOperator(matrix=f, eigenvalues=eigvals, eigenvectors=eigvecs, lam=lam), report
 
 
 def _sorted_eigh(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -98,8 +108,8 @@ def add_noise(op: DataOperator, relative_level: float, seed: int) -> DataOperato
     The perturbation E is scaled so that ||E||_2 = relative_level *
     ||F||_2 exactly; level 0 returns the operator unchanged.
     """
-    if relative_level < 0:
-        raise DomainError("relative noise level must be non-negative")
+    if not 0.0 <= relative_level < np.inf:
+        raise DomainError("relative noise level must be finite and non-negative")
     if relative_level == 0.0:
         return op
     rng = np.random.default_rng(seed)

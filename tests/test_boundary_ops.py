@@ -30,14 +30,13 @@ from lapscat.errors import (
     AssemblyError,
     CoefficientError,
     DomainError,
-    InversionError,
     QuadratureError,
     SpectralParameterError,
     TruncationError,
 )
 from lapscat.boundary_ops import (
     BoundaryCondition,
-    BoundaryOperator,
+    BOUND_LAM_MIN,
     EULER_GAMMA,
     OVERSAMPLE,
     _assembly_plan,
@@ -53,7 +52,6 @@ from lapscat.boundary_ops import (
     estimate_lambda_bound,
     evaluate_potential,
     gram_identity_residual,
-    invert_M,
     jump_relation_residual,
     kress_log_weights,
     resolvable_lambda_cap,
@@ -592,29 +590,6 @@ def test_assembly_overflow_guard():
         assemble_gamma0_SL(geom, SpectralParam(1.0e7))
 
 
-def test_invert_M_contract():
-    geom = make_curve("kite", n_nodes=64)
-    lam = SpectralParam(2.0)
-    op = assemble_M(BoundaryCondition("D"), geom, lam)
-    inv = invert_M(op)
-    eye = np.eye(64)
-    assert np.max(np.abs(op.matrix @ inv.matrix - eye)) < 1e-8
-    assert np.array_equal(inv.matrix, inv.matrix.T)
-    assert inv.kind == "M_D_inverse"
-
-
-def test_invert_M_refuses_singular():
-    geom = make_curve("circle", {"radius": 1.0}, n_nodes=16)
-    bad = BoundaryOperator(
-        matrix=np.diag(np.concatenate([np.ones(15), [1e-14]])),
-        kind="M_D",
-        lam=SpectralParam(1.0),
-        geom=geom,
-    )
-    with pytest.raises(InversionError):
-        invert_M(bad)
-
-
 def test_screen_compression_is_principal_submatrix():
     geom = make_curve("circle", {"radius": 1.0}, n_nodes=64)
     screen = make_screen(geom, (0.0, math.pi))
@@ -853,13 +828,13 @@ def test_exterior_reproduction_from_interior_sources():
 
     geom = make_curve("circle", {"radius": 1.0}, n_nodes=128)
     lam = SpectralParam(2.0)
-    minv = invert_M(assemble_M(BoundaryCondition("D"), geom, lam))
+    m = assemble_M(BoundaryCondition("D"), geom, lam)
     sw = np.sqrt(geom.weights)
     ang = np.linspace(0.0, TWO_PI, 8, endpoint=False)
     targets = np.stack([3.0 * np.cos(ang), 3.0 * np.sin(ang)], axis=1)
     for x in ((0.0, 0.0), (0.3, 0.1), (-0.2, 0.25), (0.1, -0.3), (-0.35, -0.1)):
         trace = fundamental_solution(lam, geom.nodes, np.array(x))
-        phi = -(minv.matrix @ (sw * trace)) / sw
+        phi = -np.linalg.solve(m.matrix, sw * trace) / sw
         field = evaluate_potential(geom, "SL", phi, targets, lam)
         ref = fundamental_solution(lam, targets, np.array(x))
         assert np.linalg.norm(field - ref) / np.linalg.norm(ref) < 1e-6
@@ -948,16 +923,13 @@ def test_lambda_bound_infinite_for_sign_changing_alpha():
 
 
 def test_lambda_bound_validation(monkeypatch):
-    geom = make_curve("circle", {"radius": 1.0}, n_nodes=64)
-    with pytest.raises(SpectralParameterError):
-        estimate_lambda_bound(BoundaryCondition("D"), geom, lam_min=2.0, lam_max=1.0)
-    # an explicit lam_max above the resolvable cap is refused, not
-    # clipped, and before any probe is assembled
+    # a large curve's resolvable cap, (26 / 1000)^2 = 6.8e-4, lies below
+    # the bisection's bottom: refused before any probe is assembled
+    geom = make_curve("circle", {"radius": 500.0}, n_nodes=64)
+    assert resolvable_lambda_cap(geom) < BOUND_LAM_MIN
     calls = _counting_assemblies(monkeypatch)
-    for geom in (geom, make_curve("kite", n_nodes=128)):
-        cap = resolvable_lambda_cap(geom)
-        with pytest.raises(AssemblyError, match=r"lam_max .* resolvable cap"):
-            estimate_lambda_bound(BoundaryCondition("D"), geom, lam_max=2.0 * cap)
+    with pytest.raises(SpectralParameterError, match="bisection top"):
+        estimate_lambda_bound(BoundaryCondition("D"), geom)
     assert calls == []
 
 

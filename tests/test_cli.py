@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -129,6 +130,61 @@ def test_forward_writes_artifacts(tmp_path, capsys):
     assert np.all(eigs < 0.0)
     assert (out / "M_matrix.csv").exists()
     assert (out / "F_matrix.csv").exists()
+
+
+def test_forward_analyses_M_once(tmp_path, capsys, monkeypatch):
+    # one eigvalsh of M feeds the sign report and the condition guard;
+    # F applies M^{-1} by a solve, so no eigh of M is made
+    calls = {"eigvalsh": 0, "eigh": 0}
+    for name in calls:
+        real = getattr(np.linalg, name)
+
+        def counting(a, *args, _real=real, _name=name, **kwargs):
+            calls[_name] += np.shape(a) == (32, 32)
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    scenario = write_scenario(
+        tmp_path / "scn.json",
+        geometry={"shape": "circle", "params": {"radius": 1.0}, "n_nodes": 32},
+        probe={"center": [0.0, 0.0], "radius": 4.0, "n_points": 16},
+    )
+    assert main(["forward", "--scenario", scenario, "--out", str(tmp_path / "out")]) == EXIT_OK
+    capsys.readouterr()
+    assert calls == {"eigvalsh": 1, "eigh": 0}
+
+
+@pytest.mark.parametrize("shape, n, bc", [
+    # M_alpha of the kite at alpha = -10 is indefinite at lambda 2
+    ("kite", 128, {"kind": "alpha", "coefficient": -10.0}),
+    # M_theta at theta = -40 comes out negative definite, the wrong class
+    ("circle", 128, {"kind": "theta", "coefficient": -40.0}),
+])
+@pytest.mark.parametrize("command", ["forward", "reconstruct"])
+def test_warns_when_M_lacks_the_admissible_class(tmp_path, capsys, command, shape, n, bc):
+    params = {"radius": 1.0} if shape == "circle" else None
+    scenario = write_scenario(
+        tmp_path / "scn.json",
+        geometry={"shape": shape, "params": params, "n_nodes": n},
+        boundary_condition=bc,
+    )
+    assert main([command, "--scenario", scenario, "--out", str(tmp_path / "out")]) == EXIT_OK
+    warnings = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning:")]
+    assert len(warnings) == 1
+    assert "definite_positive" in warnings[0]
+
+
+def test_benchmark_scenarios_do_not_warn(tmp_path, capsys, monkeypatch):
+    # the four reconstruct scenarios of perfbench/workloads.py
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    for op in workloads.reconstruct(1):
+        path = tmp_path / f"{op.name}.json"
+        path.write_text(json.dumps(op.scenario))
+        argv = [op.spec["command"], "--scenario", str(path), "--out", str(tmp_path / op.name)]
+        assert main(argv) == EXIT_OK, op.name
+        assert "warning" not in capsys.readouterr().err, op.name
 
 
 def test_forward_reruns_are_byte_identical(tmp_path, capsys):
@@ -265,6 +321,11 @@ def test_validation_exit_codes(tmp_path, capsys):
         dict(probe={"center": [0.0, 0.0], "radius": 0.5, "n_points": 16}),
         # a negative noise level used to be skipped silently
         dict(noise={"level": -0.5}),
+        # non-finite values: a NaN bound ignored the floor, a NaN or
+        # infinite noise level died in eigh with a traceback
+        dict(boundary_condition={"kind": "D", "lambda_bound": float("nan")}),
+        dict(noise={"level": float("nan")}),
+        dict(noise={"level": float("inf")}),
     ]
     for i, blocks in enumerate(cases):
         scenario = write_scenario(tmp_path / f"scn{i}.json", **blocks)

@@ -7,8 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lapscat.boundary_ops import BoundaryCondition, assemble_M, invert_M
+from lapscat.boundary_ops import BoundaryCondition, BoundaryOperator, assemble_M
 from lapscat.data_operator import (
+    _data_operator,
     _sorted_eigh,
     _write_csv,
     add_noise,
@@ -17,7 +18,7 @@ from lapscat.data_operator import (
     write_matrix_csv,
     write_spectrum_csv,
 )
-from lapscat.errors import DomainError, SingularityError
+from lapscat.errors import DomainError, InversionError, SingularityError
 from lapscat.geometry import ProbeRegion, make_curve, make_probe, make_screen
 from lapscat.kernels import SpectralParam, fundamental_solution
 
@@ -49,13 +50,29 @@ def test_f_symmetric_and_signed_per_condition():
             assert np.all(f.eigenvalues >= -tiny)
 
 
+def _explicit_F(bc, geom, probe):
+    """G inv(M) G^T with numpy's explicit inverse of M."""
+    active = bc.screen.active_indices if bc.screen is not None else None
+    g = radiation_matrix(bc.kind, geom, probe, LAM, active)
+    return g @ np.linalg.inv(assemble_M(bc, geom, LAM).matrix) @ g.T
+
+
+def _relative(f, explicit):
+    return np.linalg.norm(f - explicit) / np.linalg.norm(explicit)
+
+
 def test_f_equals_explicit_factorization():
-    geom, probe, bc = small_setup("D")
-    f = assemble_F(bc, geom, probe, LAM)
-    g = radiation_matrix("D", geom, probe, LAM)
-    m_inv = invert_M(assemble_M(bc, geom, LAM))
-    explicit = g @ m_inv.matrix @ g.T
-    np.testing.assert_allclose(f.matrix, 0.5 * (explicit + explicit.T), atol=0)
+    # F applies M^{-1} by one solve; the explicit inverse agrees to rounding
+    probe = make_probe((0.0, 0.0), 4.0, 32)
+    for shape, params in (("circle", {"radius": 1.0}), ("kite", None)):
+        for n in (64, 256):
+            geom = make_curve(shape, params, n_nodes=n)
+            for kind, coef in (("D", None), ("N", None), ("alpha", -0.7), ("theta", 1.3)):
+                bc = BoundaryCondition(kind, coefficient=coef)
+                f = assemble_F(bc, geom, probe, LAM).matrix
+                assert np.array_equal(f, f.T)
+                err = _relative(f, _explicit_F(bc, geom, probe))
+                assert err < 1e-13, (shape, n, kind, err)
 
 
 def test_f_screen_uses_compressed_operator():
@@ -64,13 +81,26 @@ def test_f_screen_uses_compressed_operator():
     )
     probe = make_probe((0.0, 0.0), 4.0, 32)
     screen = make_screen(geom, (0.0, math.pi))
-    bc = BoundaryCondition("D", screen=screen)
-    f = assemble_F(bc, geom, probe, LAM)
-    g = radiation_matrix("D", geom, probe, LAM, screen.active_indices)
-    m_inv = invert_M(assemble_M(bc, geom, LAM))
-    assert m_inv.size == screen.n_active
-    explicit = g @ m_inv.matrix @ g.T
-    np.testing.assert_allclose(f.matrix, 0.5 * (explicit + explicit.T), atol=0)
+    for kind in ("D", "N"):
+        bc = BoundaryCondition(kind, screen=screen)
+        assert assemble_M(bc, geom, LAM).size == screen.n_active
+        f = assemble_F(bc, geom, probe, LAM)
+        assert _relative(f.matrix, _explicit_F(bc, geom, probe)) < 1e-13
+
+
+def test_data_operator_refuses_singular_M():
+    # condition 1e14, then inf: past the cap either way
+    geom = make_curve("circle", {"radius": 1.0}, n_nodes=16)
+    probe = make_probe((0.0, 0.0), 4.0, 8)
+    for smallest in (1e-14, 0.0):
+        bad = BoundaryOperator(
+            matrix=np.diag(np.concatenate([np.ones(15), [smallest]])),
+            kind="M_D",
+            lam=SpectralParam(1.0),
+            geom=geom,
+        )
+        with pytest.raises(InversionError, match="M_D numerically singular"):
+            _data_operator(BoundaryCondition("D"), bad, probe)
 
 
 @pytest.mark.parametrize("kind", ["D", "N"])
@@ -180,8 +210,9 @@ def test_add_noise_contract():
     other = add_noise(f, 0.05, seed=5)
     assert not np.array_equal(noisy.matrix, other.matrix)
     assert add_noise(f, 0.0, seed=1) is f
-    with pytest.raises(DomainError):
-        add_noise(f, -0.1, seed=1)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            add_noise(f, bad, seed=1)
 
 
 def test_sorted_eigh_orders_by_magnitude():
