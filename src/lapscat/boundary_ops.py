@@ -26,10 +26,11 @@ independent (2n x n) factors SP = J^{1/2} P and Q = D J^{-1/2} P:
 
     gamma0 SL = SP^T C SP,    gamma1 DL = -Q^T C Q - lambda SP^T C_nn SP.
 
-SP, Q and the gap vector of W form a per-geometry assembly plan, built
+SP, Q and W by gap d = 0..nf/2 form a per-geometry assembly plan, built
 on the first assembly and freed with the geometry.  An assembly fills C
-and C_nn in row blocks of the refined curve, recomputing each block's
-distances and normals, and evaluates I_0 and K_0 once per node pair.
+in blocks of gaps d = j - i (mod nf), one W[d] per gap, and C_nn in row
+blocks of the refined curve, recomputing each block's distances and
+normals, and evaluates I_0 and K_0 once per node pair.
 
 All operator matrices live in *weighted nodal coordinates*: a trace or
 density u on Gamma is represented by the vector (sqrt(w_j) u(q_j)), so
@@ -170,13 +171,11 @@ class SignReport:
 # ----------------------------------------------------------------------
 
 def _kress_vector(n: int) -> np.ndarray:
-    """Column 0 of `kress_log_weights`, R[d] = -(4pi/n) sum_{m<n/2} cos(m t_d)/m
-    - (4pi/n^2)(-1)^d: one irfft of a_m = 1/m (m = 1..n/2), made exactly even."""
+    """`kress_log_weights` by gap d = 0..n/2, R[d] = -(4pi/n) sum_{m<n/2} cos(m t_d)/m
+    - (4pi/n^2)(-1)^d: the first half of one irfft of a_m = 1/m (m = 1..n/2)."""
     if n % 2 != 0 or n < 4:
         raise AssemblyError("log-singularity rule needs an even node count >= 4")
-    rvec = -TWO_PI * np.fft.irfft(np.r_[0.0, 1.0 / np.arange(1, n // 2 + 1)], n)
-    rvec[n // 2 + 1:] = rvec[n // 2 - 1:0:-1]
-    return rvec
+    return -TWO_PI * np.fft.irfft(np.r_[0.0, 1.0 / np.arange(1, n // 2 + 1)], n)[:n // 2 + 1]
 
 
 def kress_log_weights(n: int) -> np.ndarray:
@@ -184,8 +183,10 @@ def kress_log_weights(n: int) -> np.ndarray:
 
     R[i, j] integrates the log singularity against the trigonometric
     interpolant; exact for integrands of trigonometric degree < n/2.
+    Indexed by the folded gap, it is exactly symmetric.
     """
-    return _kress_vector(n)[(np.arange(n)[:, None] - np.arange(n)) % n]
+    d = (np.arange(n)[:, None] - np.arange(n)) % n
+    return _kress_vector(n)[np.minimum(d, n - d)]
 
 
 def _spectral_derivative(values: np.ndarray) -> np.ndarray:
@@ -205,7 +206,7 @@ class _AssemblyPlan:
     recomputes the pair geometry block by block from ``fine``."""
 
     fine: BoundaryGeometry   # the curve refined OVERSAMPLE times
-    wvec: np.ndarray         # W[i, j] = wvec[j - i], exactly even; wvec[0] = -(1/4pi) R[i, i]
+    wvec: np.ndarray         # W by gap d = 0..nf/2: W[i, i ± d] = wvec[d]; wvec[0] = -(1/4pi) R[i, i]
     sp: np.ndarray           # J^{1/2} P, P the coarse -> fine isometry
     q: np.ndarray            # D J^{-1/2} P, D the spectral derivative
 
@@ -219,8 +220,7 @@ def _assembly_plan(geom: BoundaryGeometry) -> _AssemblyPlan:
         return plan
     fine = _refined_geometry(geom, OVERSAMPLE)
     n, nf = geom.n_nodes, fine.n_nodes
-    d = np.arange(1, nf)
-    logsin = np.log(4.0 * np.sin((np.pi / nf) * np.minimum(d, nf - d)) ** 2)   # exactly even
+    logsin = np.log(4.0 * np.sin((np.pi / nf) * np.arange(1, nf // 2 + 1)) ** 2)
     # W[d] = -(1/4pi)(R[d] - h log(4 sin^2(pi d / nf))), with no log term at d = 0
     wvec = (-0.25 / np.pi) * (_kress_vector(nf) - (TWO_PI / nf) * np.r_[0.0, logsin])
     # shifts commute with upsampling and the spectral derivative: column j of each
@@ -244,38 +244,35 @@ def _sl_core(plan: _AssemblyPlan, lam: SpectralParam, nn_weight: bool):
 
     The weighted single-layer matrix is J^{1/2} B J^{1/2}; B_nn (None
     unless ``nn_weight``) carries the n(x).n(y) factor of the Maue
-    remainder.  B is filled in row blocks, a block's pairs being the
-    strict upper triangle of its diagonal square and the rectangle right
-    of it.  A top block and its mirror from the bottom hold at most _BLOCK
-    pairs together and share one kernel pass, which folds each pair as
-    I_0 W + (h/2pi) K_0 (see the module docstring) into (i, j) and (j, i).
-    B_nn is B times n_i . n_j, formed over the same row blocks.
+    remainder.  B is filled by gaps: pair (d - 1) nf + i joins node i to
+    node i + d (mod nf), and the first nf (nf - 1) / 2 pairs hold each
+    pair once (the antipodal gap nf/2 only its first nf/2).  A block of
+    _BLOCK // nf gaps takes one kernel pass, which folds each pair as
+    I_0 W[d] + (h/2pi) K_0 (see the module docstring) into (i, j) and
+    (j, i).  B_nn is B times n_i . n_j, formed over row blocks.
     """
     fine, s = plan.fine, lam.sqrt_lam
     nf = fine.n_nodes
-    # W[i, j] = wvec[(j - i) mod nf]; row i is a window of the doubled vector
-    circulant = sliding_window_view(np.concatenate([plan.wvec, plan.wvec]), nf)[nf:0:-1]
+    x, y = fine.nodes.T
+    node = np.arange(nf)
+    # row d of each window is its vector moved on by d nodes: x_{i+d}, y_{i+d}, i + d
+    xs, ys, js = (sliding_window_view(np.r_[v, v], nf) for v in (x, y, node))
     core = np.empty((nf, nf))
+    flat = core.reshape(-1)
     step = min(nf, max(1, _BLOCK // nf))
-    upper = np.arange(step)[:, None] < np.arange(step)
-    starts = range(0, nf, step)
-    for k in range((len(starts) + 1) // 2):
-        pieces = []   # (rows, cols, pick) of both blocks, once in the middle
-        for lo in {starts[k], starts[-1 - k]}:
-            rows = slice(lo, min(lo + step, nf))
-            pieces += [(rows, rows, upper[:rows.stop - lo, :rows.stop - lo]),
-                       (rows, slice(rows.stop, nf), ...)]
-        dists = [_distances(fine.nodes[r], fine.nodes[c])[p] for r, c, p in pieces]
-        z = np.concatenate([d.ravel() for d in dists])
+    for lo in range(1, nf // 2 + 1, step):
+        gaps = slice(lo, min(lo + step, nf // 2 + 1))
+        size = min((gaps.stop - lo) * nf, nf * (nf - 1) // 2 - (lo - 1) * nf)
+        z = _plane_norm(xs[gaps] - x, ys[gaps] - y).reshape(-1)[:size]
         z *= s
         vals = _bessel_i0(z)
         k0 = _k01(0, z, vals)
-        vals *= np.concatenate([circulant[r, c][p].ravel() for r, c, p in pieces])
+        vals *= np.repeat(plan.wvec[gaps], nf)[:size]
         k0 *= 1.0 / nf   # h / 2pi
         vals += k0
-        ends = np.cumsum([d.size for d in dists])[:-1]
-        for (r, c, p), d, part in zip(pieces, dists, np.split(vals, ends)):
-            core[r, c][p] = core[c, r].T[p] = part.reshape(d.shape)
+        # (i, j) and (j, i) by flat index, which writes faster than a pair of indices
+        j = js[gaps]
+        flat[(node * nf + j).reshape(-1)[:size]] = flat[(j * nf + node).reshape(-1)[:size]] = vals
     # coincidence limit of the smooth part (same with or without the
     # normal-normal factor, which tends to 1 quadratically)
     c2_diag = (0.5 / np.pi) * (-np.log(0.5 * s * fine.jacobians) - EULER_GAMMA)
@@ -285,7 +282,7 @@ def _sl_core(plan: _AssemblyPlan, lam: SpectralParam, nn_weight: bool):
         return core, None
     core_nn = np.empty_like(core)
     nx, ny = fine.normals.T
-    for lo in starts:
+    for lo in range(0, nf, step):
         rows = slice(lo, lo + step)
         nn = np.multiply.outer(nx[rows], nx) + np.multiply.outer(ny[rows], ny)
         np.multiply(core[rows], nn, out=core_nn[rows])

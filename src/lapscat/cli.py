@@ -2,9 +2,11 @@
 
 Scenarios are JSON documents (schema_version 1) with nested blocks for
 geometry, boundary condition, probe, spectral parameters, evaluation
-grid, reconstruction options and outputs.  All artifacts are written
-deterministically: floats are serialized with repr (shortest
-round-trip), JSON keys are sorted, CSV rows follow RFC-4180.
+grid, reconstruction options and outputs; a key a block does not take
+is a validation error.  All artifacts are written deterministically:
+floats are serialized with repr (shortest round-trip), JSON keys are
+sorted, CSV rows follow RFC-4180, and repeated runs at a fixed BLAS
+thread count are byte-identical.
 
 Exit codes: 0 success, 1 check failure, 2 validation error,
 3 numerical failure.
@@ -125,6 +127,15 @@ def _value(block: dict, name: str, key: str, default, convert=float):
         raise ScenarioError(f"{name}.{key} = {value!r} is invalid: {exc}") from exc
 
 
+def _keys(block: dict, name: str, keys: tuple) -> dict:
+    """``block``, refused if it holds a key outside ``keys``: a misspelled
+    key would otherwise read as its default."""
+    unknown = set(block) - set(keys)
+    if unknown:
+        raise ScenarioError(f"unknown keys in {name}: {sorted(unknown)}; expected {list(keys)}")
+    return block
+
+
 def _object(value) -> dict:
     """A scenario block: a JSON object, not a list of key/value pairs."""
     if not isinstance(value, dict):
@@ -183,7 +194,7 @@ def _eval_coefficient(spec):
 
 def build_pipeline(scn: Scenario):
     """Materialize geometry, condition, probe, spectral parameter, grid."""
-    gblock = scn.geometry
+    gblock = _keys(scn.geometry, "geometry", ("shape", "params", "n_nodes", "screen"))
     shape = gblock.get("shape")
     params = gblock.get("params")
     n_nodes = _value(gblock, "geometry", "n_nodes", 128, int)
@@ -191,6 +202,7 @@ def build_pipeline(scn: Scenario):
                           lambda v: None if v is None else _object(v))
     cluster = None
     if screen_block is not None:
+        _keys(screen_block, "geometry.screen", ("interval", "grading_beta"))
         interval = _value(screen_block, "geometry.screen", "interval", None, _floats)
         beta = _value(screen_block, "geometry.screen", "grading_beta", 0.0)
         if beta > 0.0:
@@ -205,7 +217,8 @@ def build_pipeline(scn: Scenario):
     except (TypeError, KeyError, ValueError) as exc:
         raise ScenarioError(f"bad geometry block: {exc}") from exc
 
-    bblock = scn.boundary_condition
+    bblock = _keys(scn.boundary_condition, "boundary_condition",
+                   ("kind", "coefficient", "lambda_bound"))
     bc = BoundaryCondition(
         kind=bblock.get("kind", "D"),
         coefficient=_value(bblock, "boundary_condition", "coefficient", None, _eval_coefficient),
@@ -213,7 +226,7 @@ def build_pipeline(scn: Scenario):
         lambda_bound=_value(bblock, "boundary_condition", "lambda_bound", 0.0),
     )
 
-    pblock = scn.probe
+    pblock = _keys(scn.probe, "probe", ("center", "radius", "n_points", "layout"))
     probe = make_probe(
         center=_value(pblock, "probe", "center", (0.0, 0.0), _floats),
         radius=_value(pblock, "probe", "radius", 4.0),
@@ -223,10 +236,12 @@ def build_pipeline(scn: Scenario):
     if not validate_separation(geom, probe, margin=1e-6):
         raise ScenarioError("probe region touches or overlaps the scatterer")
 
+    _keys(scn.spectral, "spectral", ("lambda", "truncation_floor"))
     lam = SpectralParam(_value(scn.spectral, "spectral", "lambda", 1.0))
 
     grid = None
     if scn.grid is not None:
+        _keys(scn.grid, "grid", ("bounds", "resolution", "margin_band"))
         grid = make_grid(
             _value(scn.grid, "grid", "bounds", [[-2.5, 2.5], [-2.5, 2.5]],
                    lambda v: _floats(v, (2, 2))),
@@ -242,7 +257,7 @@ def build_pipeline(scn: Scenario):
 # ----------------------------------------------------------------------
 
 def _outdir(scn: Scenario, override: str | None) -> str:
-    out = override or scn.outputs.get("dir", "out")
+    out = override or _keys(scn.outputs, "outputs", ("dir",)).get("dir", "out")
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -265,9 +280,9 @@ def run_forward(scn: Scenario, out_dir: str | None = None) -> dict:
     """Assemble M and F; write sign report, spectrum CSV, matrix dumps."""
     out = _outdir(scn, out_dir)
     geom, _screen, bc, probe, lam, _grid = build_pipeline(scn)
+    noise_level = _value(_keys(scn.noise, "noise", ("level",)), "noise", "level", 0.0)
     m_op = boundary_ops.assemble_M(bc, geom, lam)
     f_op, report = _build_F(bc, m_op, probe)
-    noise_level = _value(scn.noise, "noise", "level", 0.0)
     f_op = data_operator.add_noise(f_op, noise_level, scn.seed)
 
     payload = {
@@ -290,7 +305,8 @@ def run_forward(scn: Scenario, out_dir: str | None = None) -> dict:
 
 def _arc_sweep_report(scn, screen, probe, f_op, floor, out):
     """Screen scenarios: indicator per test arc swept along the carrier."""
-    block = _value(scn.reconstruction, "reconstruction", "arc_sweep", {}, _object)
+    block = _keys(_value(scn.reconstruction, "reconstruction", "arc_sweep", {}, _object),
+                  "reconstruction.arc_sweep", ("arc_length", "count", "shape", "params", "n_quad"))
     arc_len = _value(block, "reconstruction.arc_sweep", "arc_length", math.pi / 8.0)
     count = _value(block, "reconstruction.arc_sweep", "count", 32, int)
     centers, indicators, inside = reconstruction.arc_sweep(
@@ -320,8 +336,9 @@ def run_reconstruct(scn: Scenario, out_dir: str | None = None) -> dict:
     """Full pipeline: data operator, indicator sweep, segmentation, files."""
     out = _outdir(scn, out_dir)
     geom, screen, bc, probe, lam, grid = build_pipeline(scn)
+    rblock = _keys(scn.reconstruction, "reconstruction", ("mode", "rule", "level", "arc_sweep"))
+    noise_level = _value(_keys(scn.noise, "noise", ("level",)), "noise", "level", 0.0)
     f_op, _report = _build_F(bc, boundary_ops.assemble_M(bc, geom, lam), probe)
-    noise_level = _value(scn.noise, "noise", "level", 0.0)
     f_op = data_operator.add_noise(f_op, noise_level, scn.seed)
     floor = _value(scn.spectral, "spectral", "truncation_floor",
                    reconstruction.DEFAULT_TRUNCATION_FLOOR)
@@ -331,7 +348,6 @@ def run_reconstruct(scn: Scenario, out_dir: str | None = None) -> dict:
         summary["arc_sweep"] = _arc_sweep_report(scn, screen, probe, f_op, floor, out)
 
     if grid is not None:
-        rblock = scn.reconstruction
         igrid = reconstruction.sweep(
             f_op, probe, grid,
             mode=rblock.get("mode", "picard"),

@@ -108,22 +108,24 @@ class EvaluationGrid:
 # shape catalogue
 # ----------------------------------------------------------------------
 
+# the parameters each shape takes
+_SHAPE_PARAMS = {"circle": ("radius", "center"), "ellipse": ("a", "b", "center"),
+                "kite": (), "peanut": ("scale",)}
+
+
 def _shape_functions(shape: str, params: dict):
     """Return (position, derivative) callables t -> (n,2) arrays."""
     p = dict(params or {})
+    if not isinstance(shape, str) or shape not in _SHAPE_PARAMS:
+        raise GeometryError(f"unknown shape {shape!r}")
+    unknown = set(p) - set(_SHAPE_PARAMS[shape])
+    if unknown:
+        raise GeometryError(f"unknown {shape} parameters: {sorted(unknown)}")
     if shape == "circle":
         radius = float(p.get("radius", 1.0))
-        cx, cy = p.get("center", (0.0, 0.0))
         if radius <= 0:
             raise GeometryError("circle radius must be positive")
-
-        def pos(t):
-            return np.stack([cx + radius * np.cos(t), cy + radius * np.sin(t)], axis=-1)
-
-        def der(t):
-            return np.stack([-radius * np.sin(t), radius * np.cos(t)], axis=-1)
-
-        return pos, der
+        shape, p = "ellipse", {**p, "a": radius, "b": radius}
 
     if shape == "ellipse":
         a = float(p.get("a", 2.0))
@@ -173,8 +175,6 @@ def _shape_functions(shape: str, params: dict):
             )
 
         return pos, der
-
-    raise GeometryError(f"unknown shape {shape!r}")
 
 
 def _grading_map(cluster: tuple[float, float, float], tau: np.ndarray):

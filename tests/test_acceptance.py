@@ -27,7 +27,7 @@ from lapscat.reconstruction import (
     segment,
     sweep,
 )
-from lapscat.selftest import run_all
+from lapscat.selftest import REGISTRY, run_all
 
 LAM2 = SpectralParam(2.0)
 
@@ -106,44 +106,28 @@ def test_criterion_1_circle_operator_accuracy():
     assert elapsed < 5.0
 
 
+def _full_check(name: str):
+    """(passed, figures) of the named check in the registry's full tier."""
+    check, = (c for n, c, tier in REGISTRY if n == name and tier == "full")
+    return check()
+
+
 def test_criterion_2_sign_definiteness_suite():
-    expected = {
-        "D": "definite_negative",
-        "N": "definite_positive",
-        "alpha": "definite_negative",
-        "theta": "definite_positive",
-    }
-    failures = []
-    n_cases = 0
-    for shape, params in (("circle", {"radius": 1.0}), ("kite", None)):
-        geom = make_curve(shape, params, n_nodes=128)
-        for lam_val in (1.0, 4.0):
-            lam = SpectralParam(lam_val)
-            for kind, coef in (("D", None), ("N", None), ("alpha", 1.0), ("theta", 1.0)):
-                n_cases += 1
-                op = boundary_ops.assemble_M(
-                    BoundaryCondition(kind=kind, coefficient=coef), geom, lam
-                )
-                rep = boundary_ops.sign_check(op)
-                if rep.classification != expected[kind]:
-                    failures.append(f"{shape}/{kind}/{lam_val}: {rep.classification}")
-    ok = n_cases == 16 and not failures
-    _report(2, "sign-definiteness suite", ok, f"{n_cases - len(failures)}/16 cases")
+    # D/N/alpha/theta on the circle and the kite at n = 128, lambda = 1 and 4
+    ok, figures = _full_check("definiteness_suite")
+    n_cases, failures = figures["n_cases"], figures["failures"]
+    _report(2, "sign-definiteness suite", ok and n_cases == 16,
+            f"{n_cases - len(failures)}/{n_cases} cases")
     assert n_cases == 16
-    assert not failures, failures
+    assert ok, failures
 
 
 def test_criterion_3_jump_relation():
-    geom = make_curve("circle", {"radius": 1.0}, n_nodes=128)
-    t = geom.params
-    worst = 0.0
-    for dens in (np.ones_like(t), np.cos(t), 1.0 + 0.3 * np.sin(2.0 * t)):
-        worst = max(
-            worst, boundary_ops.jump_relation_residual(geom, LAM2, dens, "SL")
-        )
-    ok = worst <= 1e-4
-    _report(3, "single-layer jump relation", ok, f"worst rel {worst:.2e}")
-    assert worst <= 1e-4
+    # densities 1, cos t and 1 + 0.3 sin 2t on the 128-node circle, lambda = 2
+    ok, figures = _full_check("jump_relation")
+    _report(3, "single-layer jump relation", ok, f"worst rel {figures['worst_residual']:.2e}")
+    assert figures["tolerance"] == 1e-4
+    assert ok
 
 
 def test_criterion_4_gram_identity_with_convergence():

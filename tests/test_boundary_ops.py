@@ -268,7 +268,7 @@ def test_spectral_derivative_is_the_cotangent_matrix(n):
 
 
 def test_assembly_plan_holds_only_the_gap_vector_and_factors():
-    # the plan keeps W's exactly even gap vector and the two (nf x n)
+    # the plan keeps W's gap vector (gaps 0..nf/2) and the two (nf x n)
     # congruence factors, equal to their dense forms; pair values are
     # recomputed by every assembly, so no array in it exceeds nf x n
     geom = make_curve("kite", n_nodes=64)
@@ -280,8 +280,12 @@ def test_assembly_plan_holds_only_the_gap_vector_and_factors():
     for value in (*vars(plan).values(), *vars(fine).values()):
         if isinstance(value, np.ndarray):
             assert value.size <= nf * n
-    d = np.arange(1, nf)
-    np.testing.assert_array_equal(plan.wvec[d], plan.wvec[nf - d])
+    # W by gap d = 0..nf/2 only: W[d] = -(R[0, d] - h log 4 sin^2(pi d / nf)) / 4pi
+    assert plan.wvec.shape == (nf // 2 + 1,)
+    d = np.arange(1, nf // 2 + 1)
+    logsin = np.log(4.0 * np.sin((np.pi / nf) * d) ** 2)
+    np.testing.assert_array_equal(
+        plan.wvec[d], (-0.25 / np.pi) * (kress_log_weights(nf)[0, d] - (TWO_PI / nf) * logsin))
     assert plan.wvec[0] == -kress_log_weights(nf)[0, 0] / (4.0 * math.pi)
     assert plan.sp.shape == plan.q.shape == (nf, n)
     assert plan.sp.flags.owndata and plan.q.flags.owndata
@@ -316,15 +320,19 @@ def dense_cores(plan, lam):
     return cores
 
 
-@pytest.mark.parametrize("n, rows, partial", [(32, 64, 0), (192, 85, 44), (512, 32, 0)],
-                         ids=["one-block", "partial-block", "nf-1024"])
-def test_blocked_cores_equal_one_dense_pass(n, rows, partial):
-    # row blocks of _BLOCK // nf rows: nf = 64 fits one block, nf = 384 ends
-    # on a partial block (and has an odd block count), nf = 1024 has 32
+@pytest.mark.parametrize("n, blocks", [(8, [8]), (32, [32]), (192, [85, 85, 22]),
+                                       (512, [32] * 16)],
+                         ids=["half-gap-block", "one-block", "partial-block", "nf-1024"])
+def test_blocked_cores_equal_one_dense_pass(n, blocks):
+    # blocks of _BLOCK // nf gaps d = 1..nf/2: nf = 16 and 64 fit one block
+    # (at nf = 16 it holds the antipodal half-gap), nf = 384 ends on a
+    # partial block, nf = 1024 has 16
     geom = make_curve("kite", n_nodes=n)
     plan = _assembly_plan(geom)
     nf, lam = plan.fine.n_nodes, SpectralParam(2.0)
-    assert (min(nf, _BLOCK // nf), nf % min(nf, _BLOCK // nf)) == (rows, partial)
+    step = _BLOCK // nf
+    assert [len(range(lo, min(lo + step, nf // 2 + 1)))
+            for lo in range(1, nf // 2 + 1, step)] == blocks
     core, core_nn = dense_cores(plan, lam)
     blocked, blocked_nn = _sl_core(plan, lam, nn_weight=True)
     np.testing.assert_array_equal(blocked, core)
@@ -411,29 +419,6 @@ def test_operator_symmetry_and_metadata():
     assert sl.lam.lam == 2.0
 
 
-def test_sign_definiteness_suite():
-    # the four operator families keep their definite sign on convex and
-    # non-convex obstacles at small and moderate lambda
-    expected = {
-        "D": "definite_negative",
-        "N": "definite_positive",
-        "alpha": "definite_negative",
-        "theta": "definite_positive",
-    }
-    for shape, params in (("circle", {"radius": 1.0}), ("kite", None)):
-        geom = make_curve(shape, params, n_nodes=128)
-        for lam_val in (1.0, 4.0):
-            lam = SpectralParam(lam_val)
-            for kind, coef in (("D", None), ("N", None), ("alpha", 1.0), ("theta", 1.0)):
-                op = assemble_M(BoundaryCondition(kind, coefficient=coef), geom, lam)
-                rep = sign_check(op)
-                assert rep.classification == expected[kind], (shape, kind, lam_val)
-                if expected[kind] == "definite_negative":
-                    assert rep.eig_max < 0.0
-                else:
-                    assert rep.eig_min > 0.0
-
-
 def test_assemble_M_matrix_structure():
     geom = make_curve("circle", {"radius": 1.0}, n_nodes=32)
     lam = SpectralParam(1.5)
@@ -488,8 +473,8 @@ def test_assembly_plan_does_not_keep_geometry_alive():
 
 
 def test_maue_assembly_evaluates_i0_once_per_pair(monkeypatch):
-    # the row blocks share out the nf (nf - 1) / 2 pairs, each once, in
-    # kernel calls of at most _BLOCK points
+    # the gap blocks share out the nf (nf - 1) / 2 pairs, each once, in
+    # kernel calls of at most _BLOCK points, one call per block
     import lapscat.boundary_ops as boundary_ops
     import lapscat.kernels as kernels
 
@@ -502,14 +487,18 @@ def test_maue_assembly_evaluates_i0_once_per_pair(monkeypatch):
 
     for module in (kernels, boundary_ops):
         monkeypatch.setattr(module, "_bessel_i0", counting)
-    for n in (32, 192):
+    # n = 8 (cap 0.78): one block that holds the antipodal half-gap;
+    # n = 512: 16 blocks
+    for n, lams, calls in ((8, (0.5,), 1), (32, (0.5, 2.0), 1), (192, (0.5, 2.0), 3),
+                           (512, (0.5, 2.0), 16)):
         geom = make_curve("kite", n_nodes=n)
         n_f = OVERSAMPLE * geom.n_nodes
-        for lam_val in (0.5, 2.0):
+        for lam_val in lams:
             seen.clear()
             assemble_M(BoundaryCondition("N"), geom, SpectralParam(lam_val))
             assert sum(seen) == n_f * (n_f - 1) // 2
             assert max(seen) <= _BLOCK
+            assert len(seen) == calls
 
 
 def test_assembly_matches_frozen_golden():

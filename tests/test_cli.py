@@ -382,6 +382,43 @@ def test_malformed_scenario_values_are_validation_errors(case, tmp_path, capsys)
     assert "validation error:" in err
 
 
+SCREEN = {"shape": "circle", "params": {"radius": 1.0}, "n_nodes": 64,
+          "screen": {"interval": [0.0, 3.14]}}
+# a misspelled key or shape parameter would read as its default: each
+# scenario below ran to exit 0 with the default in its place
+MISSPELLED_KEYS = {
+    "geometry": ("n_node", dict(
+        geometry={"shape": "circle", "params": {"radius": 1.0}, "n_node": 32})),
+    "geometry.screen": ("grading_bta", dict(
+        geometry={**SCREEN, "screen": {"interval": [0.0, 3.14], "grading_bta": 0.6}})),
+    "boundary_condition": ("lambda_bnd", dict(
+        boundary_condition={"kind": "D", "lambda_bnd": 3})),
+    "probe": ("n_point", dict(probe={"center": [0.0, 0.0], "radius": 4.0, "n_point": 16})),
+    "spectral": ("lamda", dict(spectral={"lamda": 50})),
+    "grid": ("resolutoin", dict(grid={"resolutoin": 16})),
+    "reconstruction": ("levle", dict(reconstruction={"levle": 0.2})),
+    "reconstruction.arc_sweep": ("cuont", dict(
+        geometry=SCREEN, reconstruction={"arc_sweep": {"cuont": 8}})),
+    "noise": ("levle", dict(noise={"levle": 0.1})),
+    "outputs": ("dri", dict(outputs={"dri": "elsewhere"})),
+    "circle": ("raduis", dict(geometry={"shape": "circle", "params": {"raduis": 0.5}})),
+    "ellipse": ("centre", dict(
+        geometry={"shape": "ellipse", "params": {"a": 1.0, "b": 0.5, "centre": [1, 0]}})),
+    "kite": ("scale", dict(geometry={"shape": "kite", "params": {"scale": 0.5}})),
+    "peanut": ("scael", dict(geometry={"shape": "peanut", "params": {"scael": 0.5}})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSPELLED_KEYS))
+def test_misspelled_keys_are_validation_errors(case, tmp_path, capsys, monkeypatch):
+    typo, blocks = MISSPELLED_KEYS[case]
+    scenario = write_scenario(tmp_path / "scn.json", **blocks)
+    monkeypatch.chdir(tmp_path)   # outputs.dir is read only without --out
+    assert main(["reconstruct", "--scenario", scenario]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: unknown") and repr(typo) in err
+
+
 def test_numerical_exit_code_on_overflow(tmp_path, capsys):
     scenario = write_scenario(tmp_path / "scn.json", spectral={"lambda": 1e7})
     out = tmp_path / "out"
