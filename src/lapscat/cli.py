@@ -6,7 +6,9 @@ grid, reconstruction options and outputs; a key a block does not take
 is a validation error.  All artifacts are written deterministically:
 floats are serialized with repr (shortest round-trip), JSON keys are
 sorted, CSV rows follow RFC-4180, and repeated runs at a fixed BLAS
-thread count are byte-identical.
+thread count are byte-identical.  Each command reads the scenario,
+computes, then writes: it makes no directory and writes no file before
+its last computation, so a run refused with exit 2 or 3 leaves nothing.
 
 Exit codes: 0 success, 1 check failure, 2 validation error,
 3 numerical failure.
@@ -205,7 +207,7 @@ def build_pipeline(scn: Scenario):
         _keys(screen_block, "geometry.screen", ("interval", "grading_beta"))
         interval = _value(screen_block, "geometry.screen", "interval", None, _floats)
         beta = _value(screen_block, "geometry.screen", "grading_beta", 0.0)
-        if beta > 0.0:
+        if beta != 0.0:  # out of [0, 1), NaN too, is refused by the grading map
             cluster = (*interval, beta)
     try:
         geom = make_curve(shape, params, n_nodes=n_nodes, cluster=cluster)
@@ -252,10 +254,6 @@ def build_pipeline(scn: Scenario):
     return geom, screen, bc, probe, lam, grid
 
 
-# ----------------------------------------------------------------------
-# artifact helpers
-# ----------------------------------------------------------------------
-
 def _outdir(scn: Scenario, override: str | None) -> str:
     out = override or _keys(scn.outputs, "outputs", ("dir",)).get("dir", "out")
     os.makedirs(out, exist_ok=True)
@@ -266,25 +264,24 @@ def _outdir(scn: Scenario, override: str | None) -> str:
 # subcommands
 # ----------------------------------------------------------------------
 
-def _build_F(bc: BoundaryCondition, m_op, probe):
-    """F and M's sign report; warns on stderr if M lacks the admissible class."""
+def _data(scn: Scenario):
+    """(pipeline, noisy F, M, M's sign report, noise level), the data stage of
+    forward and reconstruct; warns on stderr if M lacks the admissible class."""
+    geom, _screen, bc, probe, lam, _grid = pipeline = build_pipeline(scn)
+    noise_level = _value(_keys(scn.noise, "noise", ("level",)), "noise", "level", 0.0)
+    m_op = boundary_ops.assemble_M(bc, geom, lam)
     f_op, report = data_operator._data_operator(bc, m_op, probe)
-    target = boundary_ops.admissible_class(bc, m_op.geom)
+    target = boundary_ops.admissible_class(bc, geom)
     if report.classification != target:
         print(f"warning: {m_op.kind} is {report.classification}, not {target or 'one-signed'}, "
-              f"at lambda {m_op.lam.lam!r}; the range test does not apply", file=sys.stderr)
-    return f_op, report
+              f"at lambda {lam.lam!r}; the range test does not apply", file=sys.stderr)
+    f_op = data_operator.add_noise(f_op, noise_level, scn.seed)
+    return pipeline, f_op, m_op, report, noise_level
 
 
 def run_forward(scn: Scenario, out_dir: str | None = None) -> dict:
     """Assemble M and F; write sign report, spectrum CSV, matrix dumps."""
-    out = _outdir(scn, out_dir)
-    geom, _screen, bc, probe, lam, _grid = build_pipeline(scn)
-    noise_level = _value(_keys(scn.noise, "noise", ("level",)), "noise", "level", 0.0)
-    m_op = boundary_ops.assemble_M(bc, geom, lam)
-    f_op, report = _build_F(bc, m_op, probe)
-    f_op = data_operator.add_noise(f_op, noise_level, scn.seed)
-
+    (geom, _, _, probe, lam, _), f_op, m_op, report, noise_level = _data(scn)
     payload = {
         "kind": m_op.kind,
         "lambda": lam.lam,
@@ -296,6 +293,7 @@ def run_forward(scn: Scenario, out_dir: str | None = None) -> dict:
         "noise_level": noise_level,
         "probe_points": probe.points.shape[0],
     }
+    out = _outdir(scn, out_dir)
     _write_json(os.path.join(out, "sign_report.json"), payload)
     data_operator.write_spectrum_csv(f_op, os.path.join(out, "spectrum.csv"))
     data_operator.write_matrix_csv(m_op.matrix, os.path.join(out, "M_matrix.csv"))
@@ -303,8 +301,8 @@ def run_forward(scn: Scenario, out_dir: str | None = None) -> dict:
     return payload
 
 
-def _arc_sweep_report(scn, screen, probe, f_op, floor, out):
-    """Screen scenarios: indicator per test arc swept along the carrier."""
+def _arc_sweep(scn, screen, probe, f_op, floor):
+    """Screen scenarios: the report of the arc sweep and the rows of arcs.csv."""
     block = _keys(_value(scn.reconstruction, "reconstruction", "arc_sweep", {}, _object),
                   "reconstruction.arc_sweep", ("arc_length", "count", "shape", "params", "n_quad"))
     arc_len = _value(block, "reconstruction.arc_sweep", "arc_length", math.pi / 8.0)
@@ -319,8 +317,6 @@ def _arc_sweep_report(scn, screen, probe, f_op, floor, out):
     )
     mean_in = float(np.mean(indicators[inside]))
     mean_out = float(np.mean(indicators[~inside]))
-    rows = zip(centers.tolist(), indicators.tolist(), inside.astype(int).tolist())
-    _write_csv(os.path.join(out, "arcs.csv"), rows, ("center", "indicator", "inside_screen"))
     report = {
         "arc_length": arc_len,
         "count": count,
@@ -328,25 +324,21 @@ def _arc_sweep_report(scn, screen, probe, f_op, floor, out):
         "mean_outside": mean_out,
         "separation_ratio": mean_in / mean_out,
     }
-    _write_json(os.path.join(out, "arc_report.json"), report)
-    return report
+    return report, zip(centers.tolist(), indicators.tolist(), inside.astype(int).tolist())
 
 
 def run_reconstruct(scn: Scenario, out_dir: str | None = None) -> dict:
     """Full pipeline: data operator, indicator sweep, segmentation, files."""
-    out = _outdir(scn, out_dir)
-    geom, screen, bc, probe, lam, grid = build_pipeline(scn)
     rblock = _keys(scn.reconstruction, "reconstruction", ("mode", "rule", "level", "arc_sweep"))
-    noise_level = _value(_keys(scn.noise, "noise", ("level",)), "noise", "level", 0.0)
-    f_op, _report = _build_F(bc, boundary_ops.assemble_M(bc, geom, lam), probe)
-    f_op = data_operator.add_noise(f_op, noise_level, scn.seed)
     floor = _value(scn.spectral, "spectral", "truncation_floor",
                    reconstruction.DEFAULT_TRUNCATION_FLOOR)
+    if scn.grid is None and scn.geometry.get("screen") is None:
+        raise ScenarioError("reconstruct needs a grid block or a geometry.screen block")
+    (geom, screen, bc, probe, lam, grid), f_op = _data(scn)[:2]  # M is freed before the sweeps
 
     summary: dict = {"lambda": lam.lam, "bc_kind": bc.kind}
     if screen is not None:
-        summary["arc_sweep"] = _arc_sweep_report(scn, screen, probe, f_op, floor, out)
-
+        summary["arc_sweep"], arc_rows = _arc_sweep(scn, screen, probe, f_op, floor)
     if grid is not None:
         igrid = reconstruction.sweep(
             f_op, probe, grid,
@@ -362,16 +354,23 @@ def run_reconstruct(scn: Scenario, out_dir: str | None = None) -> dict:
             margin_band=_value(scn.grid, "grid", "margin_band", None,
                                lambda v: None if v is None else float(v)),
         )
+        summary["threshold"] = seg.threshold
+        summary["jaccard"] = seg.jaccard
+        summary["accuracy"] = seg.accuracy
+        summary["truncation_k"] = igrid.truncation_k
+
+    out = _outdir(scn, out_dir)
+    if screen is not None:
+        _write_csv(os.path.join(out, "arcs.csv"), arc_rows,
+                   ("center", "indicator", "inside_screen"))
+        _write_json(os.path.join(out, "arc_report.json"), summary["arc_sweep"])
+    if grid is not None:
         reconstruction.write_indicator_csv(igrid, os.path.join(out, "indicator.csv"))
         reconstruction.write_indicator_pgm(igrid, os.path.join(out, "indicator.pgm"))
         reconstruction.write_metrics_json(
             os.path.join(out, "metrics.json"), seg, igrid, f_op,
             extra={"lambda": lam.lam, "bc_kind": bc.kind, "seed": scn.seed},
         )
-        summary["threshold"] = seg.threshold
-        summary["jaccard"] = seg.jaccard
-        summary["accuracy"] = seg.accuracy
-        summary["truncation_k"] = igrid.truncation_k
     return summary
 
 

@@ -167,6 +167,7 @@ def test_warns_when_M_lacks_the_admissible_class(tmp_path, capsys, command, shap
         tmp_path / "scn.json",
         geometry={"shape": shape, "params": params, "n_nodes": n},
         boundary_condition=bc,
+        grid={"resolution": 8},
     )
     assert main([command, "--scenario", scenario, "--out", str(tmp_path / "out")]) == EXIT_OK
     warnings = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning:")]
@@ -326,6 +327,10 @@ def test_validation_exit_codes(tmp_path, capsys):
         dict(boundary_condition={"kind": "D", "lambda_bound": float("nan")}),
         dict(noise={"level": float("nan")}),
         dict(noise={"level": float("inf")}),
+        # a screen grading outside [0, 1) used to run ungraded
+        dict(geometry={**SCREEN, "screen": {"interval": [0.0, 3.14], "grading_beta": -0.5}}),
+        dict(geometry={**SCREEN, "screen": {"interval": [0.0, 3.14],
+                                            "grading_beta": float("nan")}}),
     ]
     for i, blocks in enumerate(cases):
         scenario = write_scenario(tmp_path / f"scn{i}.json", **blocks)
@@ -336,6 +341,8 @@ def test_validation_exit_codes(tmp_path, capsys):
         assert "validation error:" in err
 
 
+# a small grid, so that reconstruct has something to reconstruct
+GRID = dict(grid={"resolution": 8})
 MALFORMED_VALUES = {
     "spectral_lambda": dict(spectral={"lambda": "two"}),
     "geometry_n_nodes": dict(
@@ -374,8 +381,9 @@ MALFORMED_VALUES = {
 @pytest.mark.parametrize("case", sorted(MALFORMED_VALUES))
 def test_malformed_scenario_values_are_validation_errors(case, tmp_path, capsys):
     # values of the wrong type are a validation error naming the block and
-    # key, not a traceback with the check-failure exit code
-    scenario = write_scenario(tmp_path / "scn.json", **MALFORMED_VALUES[case])
+    # key, not a traceback with the check-failure exit code; the grid keeps
+    # reconstruct from refusing the scenario for having nothing to do
+    scenario = write_scenario(tmp_path / "scn.json", **{**GRID, **MALFORMED_VALUES[case]})
     code = main(["reconstruct", "--scenario", scenario, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == EXIT_VALIDATION
@@ -412,7 +420,7 @@ MISSPELLED_KEYS = {
 @pytest.mark.parametrize("case", sorted(MISSPELLED_KEYS))
 def test_misspelled_keys_are_validation_errors(case, tmp_path, capsys, monkeypatch):
     typo, blocks = MISSPELLED_KEYS[case]
-    scenario = write_scenario(tmp_path / "scn.json", **blocks)
+    scenario = write_scenario(tmp_path / "scn.json", **{**GRID, **blocks})
     monkeypatch.chdir(tmp_path)   # outputs.dir is read only without --out
     assert main(["reconstruct", "--scenario", scenario]) == EXIT_VALIDATION
     err = capsys.readouterr().err
@@ -441,6 +449,47 @@ def test_forward_refuses_lambda_past_resolvable_cap(tmp_path, capsys):
     assert code == EXIT_NUMERICAL
     assert "resolvable cap" in capsys.readouterr().err
     assert not (out / "sign_report.json").exists()
+
+
+SCREEN_GRID = dict(geometry=SCREEN, grid={"resolution": 8})
+# runs refused with exit 2 or 3, while reading the scenario or while
+# computing: none may leave its output directory, or a screen's arc files
+REFUSED_RUNS = {
+    "misspelled_key": ("forward", EXIT_VALIDATION, dict(spectral={"lamda": 50})),
+    "rule": ("reconstruct", EXIT_VALIDATION,
+             dict(SCREEN_GRID, reconstruction={"rule": "otsuu"})),
+    "mode": ("reconstruct", EXIT_VALIDATION,
+             dict(SCREEN_GRID, reconstruction={"mode": "inff"})),
+    "level": ("reconstruct", EXIT_VALIDATION,
+              dict(GRID, reconstruction={"level": 1.5})),
+    "noise": ("forward", EXIT_VALIDATION, dict(noise={"level": -0.5})),
+    # the circle's resolvable cap is 169
+    "past_cap": ("forward", EXIT_NUMERICAL, dict(spectral={"lambda": 400.0})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_RUNS))
+def test_refused_run_leaves_nothing_on_disk(case, tmp_path, capsys):
+    command, exit_code, blocks = REFUSED_RUNS[case]
+    scenario = write_scenario(tmp_path / "scn.json", **blocks)
+    out = tmp_path / "out"
+    assert main([command, "--scenario", scenario, "--out", str(out)]) == exit_code
+    capsys.readouterr()
+    assert not out.exists()
+
+
+def test_reconstruct_refuses_nothing_to_reconstruct_before_assembly(tmp_path, capsys,
+                                                                    monkeypatch):
+    # neither a grid nor a screen: there is nothing to compute past F
+    def assemble_M(*args):
+        raise AssertionError("reconstruct assembled M")
+
+    monkeypatch.setattr(boundary_ops, "assemble_M", assemble_M)
+    scenario = write_scenario(tmp_path / "scn.json")
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--scenario", scenario, "--out", str(out)]) == EXIT_VALIDATION
+    assert "needs a grid block or a geometry.screen block" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_passes_and_detects_injected_fault(tmp_path, capsys, monkeypatch):

@@ -1,11 +1,26 @@
-"""The README's scenario and library session run as documented."""
+"""The README's scenario and library session run as documented, and the
+README names every scenario key the CLI takes."""
 
+import ast
 import pathlib
 import re
 
+from lapscat import cli
 from lapscat.cli import EXIT_OK, main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _cli_keys() -> dict:
+    """Block name -> keys, from the literal tuples of the `_keys` calls in cli.py."""
+    blocks = {}
+    for node in ast.walk(ast.parse(pathlib.Path(cli.__file__).read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_keys":
+            name, keys = node.args[1], node.args[2]
+            assert isinstance(name, ast.Constant) and isinstance(keys, ast.Tuple), \
+                ast.unparse(node)
+            blocks[name.value] = [ast.literal_eval(key) for key in keys.elts]
+    return blocks
 
 
 def test_readme_library_session(capsys):
@@ -25,3 +40,16 @@ def test_readme_scenario_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["reconstruct", "--scenario", "scenario.json"]) == EXIT_OK
     assert (tmp_path / "out" / "arc_report.json").exists()
+
+
+def test_readme_names_every_scenario_key():
+    # the reverse of the scenario check above: a key the CLI takes but the
+    # README never names is one a user cannot find
+    blocks = _cli_keys()
+    assert {"geometry", "reconstruction", "reconstruction.arc_sweep", "outputs"} <= set(blocks)
+    text = README.read_text()
+    missing = [
+        f"{name}.{key}" for name, keys in blocks.items() for key in keys
+        if not re.search(rf'[`"]([\w.]+\.)?{re.escape(key)}[`"]', text)
+    ]
+    assert not missing, f"README does not name {missing}"
