@@ -26,8 +26,9 @@ independent (2n x n) factors SP = J^{1/2} P and Q = D J^{-1/2} P:
 
     gamma0 SL = SP^T C SP,    gamma1 DL = -Q^T C Q - lambda SP^T C_nn SP.
 
-SP, Q and W by gap d = 0..nf/2 form a per-geometry assembly plan, built
-on the first assembly and freed with the geometry.  An assembly fills C
+SP and W by gap d = 0..nf/2 form a per-geometry assembly plan, built on
+the first assembly and freed with the geometry; Q joins it on the first
+Maue assembly (N or theta).  An assembly fills C
 in blocks of gaps d = j - i (mod nf), one W[d] per gap, and C_nn in row
 blocks of the refined curve, recomputing each block's distances and
 normals, and evaluates I_0 and K_0 once per node pair.
@@ -40,6 +41,13 @@ the factorized resolvent: M_D = -gamma0 SL (negative definite),
 M_N = -gamma1 DL (positive definite), M_alpha = -(1/alpha + gamma0 SL),
 M_theta = theta - gamma1 DL.
 
+A geometry also keeps the last M assembled on it.  `assemble_M` called
+again with the same condition object and an equal lambda returns that
+same read-only matrix, and `sign_check` of it returns the one report it
+made, so classifying M and then forming F at the same lambda assembles
+and analyses M once.  The geometry refers to the condition only weakly,
+as a screen condition refers back to the geometry.
+
 Off the surface, `_layer_matrix` samples the SL kernel g and the DL
 kernel dg/dn_y from the nodes to target points; the layer potentials,
 the jump ladder and the radiation matrix G of `data_operator` all use
@@ -50,6 +58,7 @@ from __future__ import annotations
 
 import math
 import warnings
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -125,6 +134,8 @@ class BoundaryCondition:
     scalar, an array of nodal values, or a callable of the shape
     parameter t (``geom.shape_params``, not the quadrature parameter of a
     graded curve); it is resolved against a geometry at assembly time.
+    An array or list is kept as a read-only copy, so a condition cannot
+    change under the M its geometry keeps for it (see `assemble_M`).
     ``lambda_bound`` is the lambda_Lambda floor for admissible lambda.
     """
 
@@ -140,6 +151,10 @@ class BoundaryCondition:
             raise CoefficientError(f"{self.kind} condition requires a coefficient")
         if not 0.0 <= self.lambda_bound < math.inf:
             raise SpectralParameterError("lambda_bound must be finite and non-negative")
+        if isinstance(self.coefficient, (list, np.ndarray)):
+            coef = np.array(self.coefficient)
+            coef.flags.writeable = False
+            object.__setattr__(self, "coefficient", coef)
 
     def resolve_coefficient(self, geom: BoundaryGeometry) -> np.ndarray:
         c = self.coefficient
@@ -164,6 +179,19 @@ class SignReport:
     eig_min: float
     eig_max: float
     condition: float  # max|mu| / min|mu| over the eigenvalues, inf if singular
+
+
+@dataclass
+class _Memo:
+    """The last M assembled on a geometry, kept in its ``__dict__``: the
+    condition (a weak reference, since a screen condition refers back to
+    the geometry), lambda, the read-only matrix and, once `sign_check` has
+    made it, the sign report."""
+
+    bc: weakref.ref
+    lam: SpectralParam
+    matrix: np.ndarray
+    report: SignReport | None = None
 
 
 # ----------------------------------------------------------------------
@@ -208,33 +236,43 @@ class _AssemblyPlan:
     fine: BoundaryGeometry   # the curve refined OVERSAMPLE times
     wvec: np.ndarray         # W by gap d = 0..nf/2: W[i, i ± d] = wvec[d]; wvec[0] = -(1/4pi) R[i, i]
     sp: np.ndarray           # J^{1/2} P, P the coarse -> fine isometry
-    q: np.ndarray            # D J^{-1/2} P, D the spectral derivative
+    q: np.ndarray | None     # D J^{-1/2} P, D the spectral derivative; None until a Maue assembly
 
 
-def _assembly_plan(geom: BoundaryGeometry) -> _AssemblyPlan:
+def _factor_columns(geom: BoundaryGeometry, derivative: bool):
+    """The (nf, n) interpolation columns of P (or their spectral derivative)
+    and the scale sqrt(h / w_j) of column j, P = J^{1/2} sqrt(h / w) interp.
+    Shifts commute with upsampling and the spectral derivative: column j
+    is column 0 moved OVERSAMPLE j down, a window of the doubled one."""
+    n, nf = geom.n_nodes, OVERSAMPLE * geom.n_nodes
+    col = _trig_upsample(np.eye(1, n)[0], OVERSAMPLE)
+    if derivative:
+        col = _spectral_derivative(col)
+    cols = sliding_window_view(np.r_[col, col], nf)[nf:0:-OVERSAMPLE].T
+    return cols, np.sqrt((TWO_PI / nf) / geom.weights)
+
+
+def _assembly_plan(geom: BoundaryGeometry, maue: bool = False) -> _AssemblyPlan:
     """The geometry's plan, built on its first assembly and kept in the
     instance ``__dict__`` (hence ``object.__setattr__`` on the frozen
-    dataclass), so it is freed with the geometry."""
+    dataclass), so it is freed with the geometry.  Q is added on the
+    first call with ``maue``; SP is never rebuilt."""
     plan = vars(geom).get("_assembly_plan")
-    if plan is not None:
+    if plan is not None and (plan.q is not None or not maue):
         return plan
-    fine = _refined_geometry(geom, OVERSAMPLE)
-    n, nf = geom.n_nodes, fine.n_nodes
-    logsin = np.log(4.0 * np.sin((np.pi / nf) * np.arange(1, nf // 2 + 1)) ** 2)
-    # W[d] = -(1/4pi)(R[d] - h log(4 sin^2(pi d / nf))), with no log term at d = 0
-    wvec = (-0.25 / np.pi) * (_kress_vector(nf) - (TWO_PI / nf) * np.r_[0.0, logsin])
-    # shifts commute with upsampling and the spectral derivative: column j of each
-    # (nf, n) factor is column 0 moved OVERSAMPLE j down, a window of the doubled one
-    col = _trig_upsample(np.eye(1, n)[0], OVERSAMPLE)
-    sp_cols, q_cols = (sliding_window_view(np.r_[c, c], nf)[nf:0:-OVERSAMPLE].T
-                       for c in (col, _spectral_derivative(col)))
-    scale = np.sqrt((TWO_PI / nf) / geom.weights)   # P = J^{1/2} sqrt(h / w) interp
-    # row-major factors: the rounding of the BLAS congruences depends on the layout
-    plan = _AssemblyPlan(
-        fine=fine, wvec=wvec,
-        sp=np.multiply(fine.jacobians[:, None], sp_cols, order="C") * scale,
-        q=np.multiply(q_cols, scale, order="C"),
-    )
+    if plan is None:
+        fine = _refined_geometry(geom, OVERSAMPLE)
+        nf = fine.n_nodes
+        logsin = np.log(4.0 * np.sin((np.pi / nf) * np.arange(1, nf // 2 + 1)) ** 2)
+        # W[d] = -(1/4pi)(R[d] - h log(4 sin^2(pi d / nf))), with no log term at d = 0
+        wvec = (-0.25 / np.pi) * (_kress_vector(nf) - (TWO_PI / nf) * np.r_[0.0, logsin])
+        cols, scale = _factor_columns(geom, derivative=False)
+        # row-major factors: the rounding of the BLAS congruences depends on the layout
+        sp = np.multiply(fine.jacobians[:, None], cols, order="C") * scale
+        plan = _AssemblyPlan(fine=fine, wvec=wvec, sp=sp, q=None)
+    if maue:
+        cols, scale = _factor_columns(geom, derivative=True)
+        plan = replace(plan, q=np.multiply(cols, scale, order="C"))
     object.__setattr__(geom, "_assembly_plan", plan)
     return plan
 
@@ -332,8 +370,8 @@ def _assemble(geom: BoundaryGeometry, lam: SpectralParam, kind: str) -> Boundary
             f"lambda {lam.lam} exceeds the resolvable cap {cap:.4g} of "
             "this geometry; the assembled operator cannot be trusted there"
         )
-    plan = _assembly_plan(geom)
     maue = kind == "gamma1_DL"
+    plan = _assembly_plan(geom, maue)
     core, core_nn = _sl_core(plan, lam, nn_weight=maue)
     sp = plan.sp
     if maue:
@@ -378,7 +416,15 @@ def compress_to_screen(op: BoundaryOperator, screen: ScreenGeometry) -> Boundary
 def assemble_M(
     bc: BoundaryCondition, geom: BoundaryGeometry, lam: SpectralParam
 ) -> BoundaryOperator:
-    """Assemble M_lambda for the given boundary condition (screen-aware)."""
+    """Assemble M_lambda for the given boundary condition (screen-aware).
+
+    The matrix is read-only.  The geometry keeps the last one: a call with
+    the same condition object and an equal lambda returns it unassembled,
+    and any other call assembles anew and replaces it.
+    """
+    kept = _kept_matrix(bc, geom, lam)
+    if kept is not None:
+        return BoundaryOperator(matrix=kept, kind="M_" + bc.kind, lam=lam, geom=geom)
     if lam.lam <= bc.lambda_bound:
         raise SpectralParameterError(
             f"lambda {lam.lam} must exceed the condition's bound {bc.lambda_bound}"
@@ -404,12 +450,35 @@ def assemble_M(
     op = BoundaryOperator(matrix=mat, kind="M_" + bc.kind, lam=lam, geom=geom)
     if bc.screen is not None:
         op = compress_to_screen(op, bc.screen)
+    op.matrix.flags.writeable = False
+    object.__setattr__(geom, "_M_memo", _Memo(weakref.ref(bc), lam, op.matrix))
     return op
 
 
+def _kept_matrix(bc: BoundaryCondition, geom: BoundaryGeometry, lam: SpectralParam):
+    """The M the geometry keeps if it is of this condition object and
+    lambda, else None; a kept M of another is dropped here, so that it is
+    not held through the new assembly."""
+    memo = vars(geom).get("_M_memo")
+    if memo is not None and memo.bc() is bc and memo.lam == lam:
+        return memo.matrix
+    vars(geom).pop("_M_memo", None)
+    return None
+
+
 def sign_check(op: BoundaryOperator) -> SignReport:
-    """Classify definiteness by the extreme eigenvalues; add the condition number."""
-    mat = op.matrix
+    """Classify definiteness by the extreme eigenvalues; add the condition
+    number.  Of the M its geometry keeps (see `assemble_M`) the report is
+    made once; any other matrix is classified afresh."""
+    memo = vars(op.geom).get("_M_memo")
+    if memo is None or memo.matrix is not op.matrix:
+        return _sign_report(op.matrix)
+    if memo.report is None:
+        memo.report = _sign_report(op.matrix)
+    return memo.report
+
+
+def _sign_report(mat: np.ndarray) -> SignReport:
     res = np.linalg.norm(mat - mat.T) / max(np.linalg.norm(mat), 1e-300)
     if res > 1e-8:
         raise DomainError(f"sign_check expects a symmetric matrix, residual {res:.2e}")
@@ -450,11 +519,16 @@ def resolvable_lambda_cap(geom: BoundaryGeometry) -> float:
     diam), so once that magnitude times machine epsilon reaches the
     smallest eigenvalues, signs become unreliable at any node count.
     Both are returned with a safety factor of about 2 in sqrt(lambda).
+    Worked out once per geometry and kept in its ``__dict__``.
     """
-    rho = float(np.max(geom.jacobians))
-    band = (geom.n_nodes * OVERSAMPLE / (8.0 * rho)) ** 2
-    precision = (26.0 / geom.diameter()) ** 2
-    return min(band, precision)
+    cap = vars(geom).get("_lambda_cap")
+    if cap is None:
+        rho = float(np.max(geom.jacobians))
+        band = (geom.n_nodes * OVERSAMPLE / (8.0 * rho)) ** 2
+        precision = (26.0 / geom.diameter()) ** 2
+        cap = min(band, precision)
+        object.__setattr__(geom, "_lambda_cap", cap)
+    return cap
 
 
 def estimate_lambda_bound(bc: BoundaryCondition, geom: BoundaryGeometry) -> tuple[float, dict]:

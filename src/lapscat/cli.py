@@ -7,8 +7,9 @@ is a validation error.  All artifacts are written deterministically:
 floats are serialized with repr (shortest round-trip), JSON keys are
 sorted, CSV rows follow RFC-4180, and repeated runs at a fixed BLAS
 thread count are byte-identical.  Each command reads the scenario,
-computes, then writes: it makes no directory and writes no file before
-its last computation, so a run refused with exit 2 or 3 leaves nothing.
+computes, then writes: it reads the output directory (checking the
+outputs block) before any work, but makes no directory and writes no file
+before its last computation, so a run refused with exit 2 or 3 leaves nothing.
 
 Exit codes: 0 success, 1 check failure, 2 validation error,
 3 numerical failure.
@@ -255,9 +256,9 @@ def build_pipeline(scn: Scenario):
 
 
 def _outdir(scn: Scenario, override: str | None) -> str:
-    out = override or _keys(scn.outputs, "outputs", ("dir",)).get("dir", "out")
-    os.makedirs(out, exist_ok=True)
-    return out
+    """The output directory, read (and its block checked) before any work;
+    the commands make it only when they write."""
+    return override or _keys(scn.outputs, "outputs", ("dir",)).get("dir", "out")
 
 
 # ----------------------------------------------------------------------
@@ -266,11 +267,14 @@ def _outdir(scn: Scenario, override: str | None) -> str:
 
 def _data(scn: Scenario):
     """(pipeline, noisy F, M, M's sign report, noise level), the data stage of
-    forward and reconstruct; warns on stderr if M lacks the admissible class."""
+    forward and reconstruct; warns on stderr if M lacks the admissible class.
+    `assemble_F` takes M and its report from the geometry, so M is assembled
+    and analysed once."""
     geom, _screen, bc, probe, lam, _grid = pipeline = build_pipeline(scn)
     noise_level = _value(_keys(scn.noise, "noise", ("level",)), "noise", "level", 0.0)
     m_op = boundary_ops.assemble_M(bc, geom, lam)
-    f_op, report = data_operator._data_operator(bc, m_op, probe)
+    report = boundary_ops.sign_check(m_op)
+    f_op = data_operator.assemble_F(bc, geom, probe, lam)
     target = boundary_ops.admissible_class(bc, geom)
     if report.classification != target:
         print(f"warning: {m_op.kind} is {report.classification}, not {target or 'one-signed'}, "
@@ -281,6 +285,7 @@ def _data(scn: Scenario):
 
 def run_forward(scn: Scenario, out_dir: str | None = None) -> dict:
     """Assemble M and F; write sign report, spectrum CSV, matrix dumps."""
+    out = _outdir(scn, out_dir)
     (geom, _, _, probe, lam, _), f_op, m_op, report, noise_level = _data(scn)
     payload = {
         "kind": m_op.kind,
@@ -293,7 +298,7 @@ def run_forward(scn: Scenario, out_dir: str | None = None) -> dict:
         "noise_level": noise_level,
         "probe_points": probe.points.shape[0],
     }
-    out = _outdir(scn, out_dir)
+    os.makedirs(out, exist_ok=True)
     _write_json(os.path.join(out, "sign_report.json"), payload)
     data_operator.write_spectrum_csv(f_op, os.path.join(out, "spectrum.csv"))
     data_operator.write_matrix_csv(m_op.matrix, os.path.join(out, "M_matrix.csv"))
@@ -334,7 +339,8 @@ def run_reconstruct(scn: Scenario, out_dir: str | None = None) -> dict:
                    reconstruction.DEFAULT_TRUNCATION_FLOOR)
     if scn.grid is None and scn.geometry.get("screen") is None:
         raise ScenarioError("reconstruct needs a grid block or a geometry.screen block")
-    (geom, screen, bc, probe, lam, grid), f_op = _data(scn)[:2]  # M is freed before the sweeps
+    out = _outdir(scn, out_dir)
+    (geom, screen, bc, probe, lam, grid), f_op = _data(scn)[:2]
 
     summary: dict = {"lambda": lam.lam, "bc_kind": bc.kind}
     if screen is not None:
@@ -359,7 +365,7 @@ def run_reconstruct(scn: Scenario, out_dir: str | None = None) -> dict:
         summary["accuracy"] = seg.accuracy
         summary["truncation_k"] = igrid.truncation_k
 
-    out = _outdir(scn, out_dir)
+    os.makedirs(out, exist_ok=True)
     if screen is not None:
         _write_csv(os.path.join(out, "arcs.csv"), arc_rows,
                    ("center", "indicator", "inside_screen"))
@@ -386,6 +392,7 @@ def run_verify(
     """Run the full tier of the check registry; write verify_report.json."""
     from .selftest import run_checks
 
+    out = _outdir(scn, out_dir) if (scn or out_dir) else None
     t0 = time.perf_counter()
     checks = run_checks("full", seed=seed)
     n_failed = sum(not c["passed"] for c in checks)
@@ -396,8 +403,8 @@ def run_verify(
         "elapsed_seconds": round(time.perf_counter() - t0, 3),
         "checks": checks,
     }
-    out = _outdir(scn, out_dir) if (scn or out_dir) else None
     if out:
+        os.makedirs(out, exist_ok=True)
         _write_json(os.path.join(out, "verify_report.json"), report)
     return report, n_failed == 0
 

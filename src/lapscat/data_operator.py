@@ -11,7 +11,10 @@ conditions radiate through the single-layer kernel, Neumann and
 delta'-type through the double-layer kernel (`boundary_ops.LAYER`).
 M^{-1} acts on G^T by one solve, never as an explicit inverse; the one
 eigenvalue pass over M (`boundary_ops.sign_check`) gives both its sign
-class and the condition number that guards the solve.
+class and the condition number that guards the solve.  `assemble_F`
+takes M and its sign report from the geometry's last assembly when the
+condition object and lambda are the same (see `boundary_ops.assemble_M`),
+so classifying M and then forming F at that lambda assembles M once.
 """
 
 from __future__ import annotations
@@ -77,12 +80,13 @@ def assemble_F(
     lam: SpectralParam,
 ) -> DataOperator:
     """Assemble and eigendecompose the data operator F = G M^{-1} G^T."""
-    return _data_operator(bc, assemble_M(bc, geom, lam), probe)[0]
+    return _data_operator(bc, assemble_M(bc, geom, lam), probe)
 
 
-def _data_operator(bc: BoundaryCondition, m_op: BoundaryOperator, probe: ProbeRegion):
-    """(F, sign report of M) from an assembled M of the condition ``bc``;
-    an M past the condition cap is refused."""
+def _data_operator(bc: BoundaryCondition, m_op: BoundaryOperator,
+                   probe: ProbeRegion) -> DataOperator:
+    """F from an assembled M of the condition ``bc``; an M past the
+    condition cap is refused."""
     geom, lam = m_op.geom, m_op.lam
     report = sign_check(m_op)
     if not report.condition <= CONDITION_CAP:  # NaN is refused too
@@ -93,7 +97,7 @@ def _data_operator(bc: BoundaryCondition, m_op: BoundaryOperator, probe: ProbeRe
     f = g @ np.linalg.solve(m_op.matrix, g.T)
     f = 0.5 * (f + f.T)
     eigvals, eigvecs = _sorted_eigh(f)
-    return DataOperator(matrix=f, eigenvalues=eigvals, eigenvectors=eigvecs, lam=lam), report
+    return DataOperator(matrix=f, eigenvalues=eigvals, eigenvectors=eigvecs, lam=lam)
 
 
 def _sorted_eigh(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -270,9 +270,14 @@ def test_spectral_derivative_is_the_cotangent_matrix(n):
 def test_assembly_plan_holds_only_the_gap_vector_and_factors():
     # the plan keeps W's gap vector (gaps 0..nf/2) and the two (nf x n)
     # congruence factors, equal to their dense forms; pair values are
-    # recomputed by every assembly, so no array in it exceeds nf x n
+    # recomputed by every assembly, so no array in it exceeds nf x n.  Q
+    # joins on the first Maue assembly, and SP is not rebuilt for it
     geom = make_curve("kite", n_nodes=64)
     plan = _assembly_plan(geom)
+    assert plan.q is None
+    sp = plan.sp
+    plan = _assembly_plan(geom, maue=True)
+    assert plan.sp is sp and _assembly_plan(geom) is plan
     fine, nf, n = plan.fine, plan.fine.n_nodes, geom.n_nodes
     floats = {name for name, value in vars(plan).items()
               if isinstance(value, np.ndarray) and value.dtype.kind == "f"}
@@ -470,6 +475,157 @@ def test_assembly_plan_does_not_keep_geometry_alive():
     del geom
     gc.collect()
     assert ref() is None
+
+
+def _counting(monkeypatch, module, name, shape=None):
+    """Replace ``module.name`` by a wrapper; returns the list of its calls
+    (of arguments of ``shape`` only, when given)."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        if shape is None or np.shape(args[0]) == shape:
+            calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_memo_returns_the_kept_M_and_misses_on_any_other_call(monkeypatch):
+    # a hit needs the same condition object and an equal lambda; another
+    # lambda or an equal but distinct condition assembles anew, and the
+    # geometry keeps only the last M
+    import lapscat.boundary_ops as boundary_ops
+
+    cores = _counting(monkeypatch, boundary_ops, "_sl_core")
+    geom = make_curve("kite", n_nodes=32)
+    bc = BoundaryCondition("D")
+    first = assemble_M(bc, geom, SpectralParam(2.0))
+    again = assemble_M(bc, geom, SpectralParam(2.0))
+    assert len(cores) == 1 and again.matrix is first.matrix
+    assert (again.kind, again.lam, again.geom) == (first.kind, first.lam, first.geom)
+    assert assemble_M(bc, geom, SpectralParam(3.0)).matrix is not first.matrix
+    assert len(cores) == 2
+    assert assemble_M(bc, geom, SpectralParam(2.0)).matrix is not first.matrix
+    assert len(cores) == 3
+    equal = BoundaryCondition("D")
+    assert equal == bc and equal is not bc
+    assemble_M(equal, geom, SpectralParam(2.0))
+    assert len(cores) == 4
+
+
+def test_a_miss_drops_the_kept_M_before_assembling(monkeypatch):
+    # the geometry's old M is not held through the new assembly, so the
+    # memo adds no n x n array to an assembly's peak
+    import lapscat.boundary_ops as boundary_ops
+
+    geom = make_curve("kite", n_nodes=32)
+    bc = BoundaryCondition("D")
+    kept = weakref.ref(assemble_M(bc, geom, SpectralParam(2.0)).matrix)
+    freed = []
+    real = boundary_ops._sl_core
+
+    def core(*args, **kwargs):
+        freed.append(kept() is None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(boundary_ops, "_sl_core", core)
+    assemble_M(bc, geom, SpectralParam(3.0))
+    assert freed == [True]
+
+
+def test_sign_check_reuses_its_report_only_for_the_kept_matrix(monkeypatch):
+    # the kept M is analysed once; an operator rebuilt around another
+    # matrix, such as a sign flip, is classified afresh
+    import dataclasses
+
+    geom = make_curve("circle", {"radius": 1.0}, n_nodes=32)
+    eigs = _counting(monkeypatch, np.linalg, "eigvalsh", shape=(32, 32))
+    bc = BoundaryCondition("D")
+    op = assemble_M(bc, geom, SpectralParam(2.0))
+    report = sign_check(op)
+    assert sign_check(assemble_M(bc, geom, SpectralParam(2.0))) is report
+    assert len(eigs) == 1 and report.classification == "definite_negative"
+    flipped = sign_check(dataclasses.replace(op, matrix=-op.matrix))
+    assert len(eigs) == 2 and flipped.classification == "definite_positive"
+    assert sign_check(op) is report and len(eigs) == 2
+
+
+def test_memoized_M_is_read_only_and_equals_a_fresh_assembly():
+    def build():
+        return make_curve("kite", n_nodes=64, cluster=(0.0, math.pi, 0.6))
+
+    def conditions(geom):
+        return [
+            BoundaryCondition("D"),
+            BoundaryCondition("N"),
+            BoundaryCondition("alpha", coefficient=-0.7),
+            BoundaryCondition("theta", coefficient=np.full(64, 1.3)),
+            BoundaryCondition("N", screen=make_screen(geom, (0.0, math.pi))),
+        ]
+
+    geom, lam = build(), SpectralParam(2.0)
+    for i, bc in enumerate(conditions(geom)):
+        kept = assemble_M(bc, geom, lam).matrix
+        hit = assemble_M(bc, geom, lam).matrix
+        assert hit is kept and not hit.flags.writeable
+        with pytest.raises(ValueError):
+            hit[0, 0] = 0.0
+        fresh = build()
+        np.testing.assert_array_equal(hit, assemble_M(conditions(fresh)[i], fresh, lam).matrix)
+
+
+def test_array_coefficient_is_kept_as_a_read_only_copy():
+    # the memo is keyed on the condition object, so its coefficient must
+    # not change under it
+    geom = make_curve("circle", {"radius": 1.0}, n_nodes=32)
+    for coef in (np.full(32, 1.3), [1.3] * 32):
+        bc = BoundaryCondition("theta", coefficient=coef)
+        assert bc.coefficient is not coef and not bc.coefficient.flags.writeable
+        before = assemble_M(bc, geom, SpectralParam(2.0)).matrix
+        coef[0] = 40.0
+        np.testing.assert_array_equal(bc.resolve_coefficient(geom), np.full(32, 1.3))
+        assert assemble_M(bc, geom, SpectralParam(2.0)).matrix is before
+
+
+def test_geometry_with_a_memoized_screen_condition_dies_without_gc():
+    # screen.parent is the geometry, so a strong reference from the geometry
+    # to the condition would make a cycle only the collector frees
+    geom = make_curve("circle", {"radius": 1.0}, n_nodes=32)
+    bc = BoundaryCondition("N", screen=make_screen(geom, (0.0, math.pi)))
+    sign_check(assemble_M(bc, geom, SpectralParam(2.0)))
+    ref = weakref.ref(geom)
+    gc.disable()
+    try:
+        del geom, bc
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_q_is_built_only_for_maue_conditions():
+    # D and alpha use SP alone; the first N or theta assembly adds Q to the
+    # plan and keeps its SP
+    geom = make_curve("kite", n_nodes=32)
+    for bc in (BoundaryCondition("D"), BoundaryCondition("alpha", coefficient=0.5)):
+        assemble_M(bc, geom, SpectralParam(2.0))
+    plan = vars(geom)["_assembly_plan"]
+    assert plan.q is None
+    assemble_M(BoundaryCondition("theta", coefficient=1.0), geom, SpectralParam(2.0))
+    assert vars(geom)["_assembly_plan"].q is not None
+    assert vars(geom)["_assembly_plan"].sp is plan.sp
+
+
+def test_resolvable_cap_is_worked_out_once_per_geometry(monkeypatch):
+    from lapscat.geometry import BoundaryGeometry
+
+    diameters = _counting(monkeypatch, BoundaryGeometry, "diameter")
+    geom = make_curve("kite", n_nodes=32)
+    for lam in (1.0, 2.0):
+        assemble_M(BoundaryCondition("D"), geom, SpectralParam(lam))
+    assert resolvable_lambda_cap(geom) == resolvable_lambda_cap(make_curve("kite", n_nodes=32))
+    assert len(diameters) == 2   # once per geometry
 
 
 def test_maue_assembly_evaluates_i0_once_per_pair(monkeypatch):

@@ -427,6 +427,22 @@ def test_misspelled_keys_are_validation_errors(case, tmp_path, capsys, monkeypat
     assert err.startswith("validation error: unknown") and repr(typo) in err
 
 
+@pytest.mark.parametrize("command", ["forward", "reconstruct"])
+def test_misspelled_outputs_key_is_refused_before_any_assembly(
+        command, tmp_path, capsys, monkeypatch):
+    # the outputs block is checked when the command starts, not when it
+    # writes, so a typo there costs no assembly, sweep or segmentation
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assemble_M called before the outputs block was checked")
+
+    monkeypatch.setattr(boundary_ops, "assemble_M", no_assembly)
+    scenario = write_scenario(tmp_path / "scn.json", **GRID, outputs={"dri": "elsewhere"})
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--scenario", scenario]) == EXIT_VALIDATION
+    assert "'dri'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scn.json"]
+
+
 def test_numerical_exit_code_on_overflow(tmp_path, capsys):
     scenario = write_scenario(tmp_path / "scn.json", spectral={"lambda": 1e7})
     out = tmp_path / "out"

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lapscat.boundary_ops import BoundaryCondition, BoundaryOperator, assemble_M
+from lapscat.boundary_ops import BoundaryCondition, BoundaryOperator, assemble_M, sign_check
 from lapscat.data_operator import (
     _data_operator,
     _sorted_eigh,
@@ -86,6 +86,35 @@ def test_f_screen_uses_compressed_operator():
         assert assemble_M(bc, geom, LAM).size == screen.n_active
         f = assemble_F(bc, geom, probe, LAM)
         assert _relative(f.matrix, _explicit_F(bc, geom, probe)) < 1e-13
+
+
+@pytest.mark.parametrize("kind, screened", [("D", False), ("N", False), ("N", True)])
+def test_sign_check_then_F_assembles_and_analyses_M_once(monkeypatch, kind, screened):
+    # classifying M and then forming F at the same lambda, the way a lambda
+    # sweep certifies each F, runs one Nystrom core and one eigvalsh of M
+    import lapscat.boundary_ops as boundary_ops
+
+    def build():
+        geom = make_curve("kite", n_nodes=64)
+        screen = make_screen(geom, (0.0, math.pi)) if screened else None
+        return BoundaryCondition(kind, screen=screen), geom
+
+    probe = make_probe((0.0, 0.0), 4.0, 32)
+    want = assemble_F(*build(), probe, LAM)
+    cores, eigs = [], []
+    real_core, real_eigvalsh = boundary_ops._sl_core, np.linalg.eigvalsh
+    monkeypatch.setattr(boundary_ops, "_sl_core",
+                        lambda *a, **k: cores.append(1) or real_core(*a, **k))
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a, *r, **k: eigs.append(a.shape) or real_eigvalsh(a, *r, **k))
+    bc, geom = build()
+    m_op = assemble_M(bc, geom, LAM)
+    report = sign_check(m_op)
+    f = assemble_F(bc, geom, probe, LAM)
+    assert len(cores) == 1 and eigs == [m_op.matrix.shape]
+    assert report.classification == ("definite_negative" if kind == "D" else "definite_positive")
+    np.testing.assert_array_equal(f.matrix, want.matrix)
+    np.testing.assert_array_equal(f.eigenvalues, want.eigenvalues)
 
 
 def test_data_operator_refuses_singular_M():
