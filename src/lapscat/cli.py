@@ -146,6 +146,17 @@ def _object(value) -> dict:
     return value
 
 
+def _margin_band(value) -> float | None:
+    """grid.margin_band: absent, or a finite band >= 0 (a negative one would
+    score grid points on the boundary itself)."""
+    if value is None:
+        return None
+    band = float(value)
+    if not 0.0 <= band < math.inf:
+        raise ValueError("expected a finite band >= 0")
+    return band
+
+
 def _floats(value, shape=(2,)) -> list:
     """Nested list of floats of the given shape (a point or bounds)."""
     arr = np.asarray(value, dtype=float)
@@ -250,6 +261,7 @@ def build_pipeline(scn: Scenario):
                    lambda v: _floats(v, (2, 2))),
             _value(scn.grid, "grid", "resolution", 64, int),
         )
+        _value(scn.grid, "grid", "margin_band", None, _margin_band)  # refused before assembly
         if not validate_grid_covers(geom, grid):
             raise ScenarioError("evaluation grid does not cover the scatterer")
     return geom, screen, bc, probe, lam, grid
@@ -298,10 +310,14 @@ def run_forward(scn: Scenario, out_dir: str | None = None) -> dict:
         "noise_level": noise_level,
         "probe_points": probe.points.shape[0],
     }
+    m_matrix = m_op.matrix
+    # the writes need only the payload, M's matrix and F: dropping the
+    # geometry frees its assembly plan and its kept M before them
+    del geom, m_op
     os.makedirs(out, exist_ok=True)
     _write_json(os.path.join(out, "sign_report.json"), payload)
     data_operator.write_spectrum_csv(f_op, os.path.join(out, "spectrum.csv"))
-    data_operator.write_matrix_csv(m_op.matrix, os.path.join(out, "M_matrix.csv"))
+    data_operator.write_matrix_csv(m_matrix, os.path.join(out, "M_matrix.csv"))
     data_operator.write_matrix_csv(f_op.matrix, os.path.join(out, "F_matrix.csv"))
     return payload
 
@@ -357,8 +373,7 @@ def run_reconstruct(scn: Scenario, out_dir: str | None = None) -> dict:
             rule=rblock.get("rule", "fixed_threshold"),
             level=_value(rblock, "reconstruction", "level",
                          reconstruction.DEFAULT_THRESHOLD_LEVEL),
-            margin_band=_value(scn.grid, "grid", "margin_band", None,
-                               lambda v: None if v is None else float(v)),
+            margin_band=_value(scn.grid, "grid", "margin_band", None, _margin_band),
         )
         summary["threshold"] = seg.threshold
         summary["jaccard"] = seg.jaccard

@@ -128,18 +128,23 @@ def add_noise(op: DataOperator, relative_level: float, seed: int) -> DataOperato
     return DataOperator(matrix=f, eigenvalues=eigvals, eigenvectors=eigvecs, lam=op.lam)
 
 
-def _write_csv(path: str, rows, header: tuple[str, ...] | None = None) -> None:
-    """CSV of rows of numbers, each written as its repr.
-
-    Array rows become Python floats one at a time.  The bytes match
-    ``csv.writer``'s default (RFC-4180, CRLF) dialect: no repr needs quoting.
-    """
-    if isinstance(rows, np.ndarray):
-        rows = map(np.ndarray.tolist, rows)
+def _write_lines(path: str, lines, header: tuple[str, ...] | None = None) -> None:
+    """CSV file of already joined lines, each ended by CRLF as in
+    ``csv.writer``'s default (RFC-4180) dialect."""
     with open(path, "w", newline="") as fh:
         if header is not None:
             fh.write(",".join(header) + "\r\n")
-        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+        fh.writelines(line + "\r\n" for line in lines)
+
+
+def _write_csv(path: str, rows, header: tuple[str, ...] | None = None) -> None:
+    """CSV of rows of Python numbers, each written as its repr.
+
+    The bytes match ``csv.writer``'s default dialect: no repr needs quoting.
+    The matrix and indicator writers build their lines themselves, so that
+    a value they meet twice is formatted once, and share `_write_lines`.
+    """
+    _write_lines(path, (",".join(map(repr, row)) for row in rows), header)
 
 
 def _json_default(obj):
@@ -164,6 +169,70 @@ def write_spectrum_csv(op: DataOperator, path: str) -> None:
     _write_csv(path, rows, ("index", "eigenvalue", "magnitude"))
 
 
+# bytes of the longest float repr, -2.2250738585072014e-308
+_REPR_WIDTH = 24
+
+
+def _slots(reprs: list[str]) -> np.ndarray:
+    """Fixed-width rows of bytes: each repr, NUL padding, then a comma, so
+    that a run of rows less its NULs reads "a,b,c,"."""
+    slots = np.full((len(reprs), _REPR_WIDTH + 1), ord(","), dtype=np.uint8)
+    text = np.array(reprs, dtype=f"S{_REPR_WIDTH}")
+    slots[:, :-1] = text.view(np.uint8).reshape(-1, _REPR_WIDTH)
+    return slots
+
+
+def _matrix_lines(a: np.ndarray):
+    """The CSV lines of a 2-D float array, one per row.
+
+    An entry of a square matrix whose float64 bits equal those of its
+    mirror ``a[j, i]`` above the diagonal takes that entry's repr instead
+    of a second one, so an exactly symmetric M or F is formatted once per
+    pair.  Those reprs wait in one store of fixed-width slots (`_slots`),
+    one per mirrored pair, filled in the order the rows above the diagonal
+    are written; each row's slots are read back in column order.  Bits,
+    not ==, decide: -0.0 and 0.0 differ in repr, and a NaN equals its copy.
+    """
+    n = a.shape[0]
+    bits = a.view(np.uint64)
+    square = a.shape == (n, n)
+    mirror = bits == bits.T if square else np.zeros(a.shape, dtype=bool)
+    # one slot per mirrored pair off the diagonal, which is its own mirror
+    pairs = (np.count_nonzero(mirror) - n) // 2 if square else 0
+    store = np.empty((pairs, _REPR_WIDTH + 1), dtype=np.uint8)
+    head = np.zeros(n, dtype=np.intp)  # each row's next unread slot
+    filled = 0
+    # one row's slots below the diagonal, and those read from the store
+    lower, shared_slots = np.empty((2, n, _REPR_WIDTH + 1), dtype=np.uint8)
+    for i, row in enumerate(a):
+        reprs = list(map(repr, row[i:].tolist()))
+        kept = mirror[i, i + 1:]
+        if kept.any():
+            upper = _slots(reprs[1:])[kept]
+            head[i] = filled
+            store[filled:filled + upper.shape[0]] = upper
+            filled += upper.shape[0]
+        shared = np.flatnonzero(mirror[i, :i])
+        if not shared.size:
+            line = ",".join([*map(repr, row[:i].tolist()), *reprs])
+        else:
+            got = np.take(store, head[shared], axis=0, out=shared_slots[:shared.size])
+            head[shared] += 1
+            if shared.size < i:
+                lower[shared] = got
+                fresh = np.flatnonzero(~mirror[i, :i])
+                lower[fresh] = _slots(list(map(repr, row[fresh].tolist())))
+                got = lower[:i]
+            line = got.tobytes().translate(None, b"\0").decode() + ",".join(reprs)
+        del reprs  # before the next row's reprs are made
+        yield line
+
+
 def write_matrix_csv(mat: np.ndarray, path: str) -> None:
-    """Dense matrix dump, one CSV row per matrix row, written row by row."""
-    _write_csv(path, np.asarray(mat, dtype=float))
+    """Dense matrix dump, one CSV row per matrix row, written row by row.
+
+    The bytes are those of every entry written as its repr (`_write_csv`);
+    an entry that equals its mirror bit for bit shares its repr
+    (`_matrix_lines`).
+    """
+    _write_lines(path, _matrix_lines(np.asarray(mat, dtype=float)))

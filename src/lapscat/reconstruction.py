@@ -19,11 +19,13 @@ arcs on the screen from arcs on its complement.
 from __future__ import annotations
 
 import math
+import operator
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data_operator import DataOperator, _write_csv, _write_json
+from .data_operator import DataOperator, _write_json, _write_lines
 from .errors import (
     ConstraintError,
     DegenerateOperatorError,
@@ -35,9 +37,8 @@ from .geometry import (
     EvaluationGrid,
     ProbeRegion,
     _by_row_blocks,
+    _inside_and_distance,
     _shape_functions,
-    contains_many,
-    distance_to_boundary,
 )
 from .kernels import SpectralParam, fundamental_solution
 
@@ -317,8 +318,11 @@ def segment(
 
     fixed_threshold uses level * max(values); otsu picks the histogram
     split.  Scoring (Jaccard index and classification accuracy against
-    the containment oracle) excludes points within margin_band of the
-    boundary (default 0.1 * diam).
+    the containment oracle, crossing parity in the node polygon) excludes
+    points within margin_band of the boundary (default 0.1 * diam); a band
+    that is negative, and so would score points on the polygon, NaN or
+    infinite is refused.  The oracle and the band test come from one
+    blocked pass over the grid (`geometry._inside_and_distance`).
     """
     values = igrid.picard_values
     vmax, vmin = float(values.max()), float(values.min())
@@ -339,9 +343,9 @@ def segment(
 
     if margin_band is None:
         margin_band = 0.1 * geom.diameter()
-    pts = igrid.grid.points
-    oracle = contains_many(geom, pts)
-    dist = distance_to_boundary(geom, pts)
+    if not 0.0 <= margin_band < math.inf:
+        raise DomainError("margin band must be finite and non-negative")
+    oracle, dist = _inside_and_distance(geom, igrid.grid.points)
     scored = dist > margin_band
     n_scored = int(np.count_nonzero(scored))
     if n_scored == 0:
@@ -361,14 +365,43 @@ def segment(
 # artifact export
 # ----------------------------------------------------------------------
 
+class _CommaReprs(dict):
+    """repr(v) + "," of float64 values keyed by their bits, each made on
+    first sight: -0.0 and 0.0 stay apart, and a grid's x and y columns
+    hold only res distinct values each."""
+
+    def __missing__(self, bits: int) -> str:
+        text = self[bits] = repr(struct.unpack("d", struct.pack("Q", bits))[0]) + ","
+        return text
+
+
+def _float_items(values) -> memoryview:
+    """A float column as a memoryview: iterating it makes one Python float
+    at a time, where ``tolist`` would make them all at once."""
+    return memoryview(np.asarray(values, dtype=float))
+
+
 def write_indicator_csv(igrid: IndicatorGrid, path: str) -> None:
-    """Per-point CSV: x, y, picard indicator, optional inf indicator."""
-    columns = [igrid.grid.points, igrid.picard_values]
+    """Per-point CSV: x, y, picard indicator, optional inf indicator.
+
+    Every value is written as its repr; each distinct x and y coordinate
+    is formatted once (`_CommaReprs`), whatever the points' layout.  The
+    lines are made one at a time, so no per-point list is built.
+    """
+    pts = np.asarray(igrid.grid.points, dtype=float)
+    xs, ys = (map(_CommaReprs().__getitem__, memoryview(pts[:, k].view(np.uint64)))
+              for k in (0, 1))
+    picard = map(repr, _float_items(igrid.picard_values))
+    lines = map(operator.add, map(operator.add, xs, ys), picard)
     header = ("x", "y", "picard")
     if igrid.inf_values is not None:
-        columns.append(igrid.inf_values)
+        lines = map("{},{!r}".format, lines, _float_items(igrid.inf_values))
         header += ("inf",)
-    _write_csv(path, np.column_stack(columns), header)
+    _write_lines(path, lines, header)
+
+
+# the PGM's gray levels, formatted once
+_GRAY_LEVELS = [str(v) for v in range(256)]
 
 
 def write_indicator_pgm(igrid: IndicatorGrid, path: str) -> None:
@@ -382,8 +415,8 @@ def write_indicator_pgm(igrid: IndicatorGrid, path: str) -> None:
     else:
         levels = np.rint(255.0 * (img - vmin) / span).astype(int)
     lines = ["P2", f"{res} {res}", "255"]
-    for row in levels[::-1]:
-        lines.append(" ".join(str(int(v)) for v in row))
+    for row in levels[::-1].tolist():
+        lines.append(" ".join(map(_GRAY_LEVELS.__getitem__, row)))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

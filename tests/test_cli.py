@@ -2,13 +2,15 @@
 
 import csv
 import dataclasses
+import gc
 import json
 import pathlib
+import weakref
 
 import numpy as np
 import pytest
 
-from lapscat import boundary_ops
+from lapscat import boundary_ops, cli, data_operator
 from lapscat.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_NUMERICAL,
@@ -152,6 +154,44 @@ def test_forward_analyses_M_once(tmp_path, capsys, monkeypatch):
     assert main(["forward", "--scenario", scenario, "--out", str(tmp_path / "out")]) == EXIT_OK
     capsys.readouterr()
     assert calls == {"eigvalsh": 1, "eigh": 0}
+
+
+@pytest.mark.parametrize("screen", [False, True])
+def test_forward_drops_the_geometry_before_writing(tmp_path, capsys, monkeypatch, screen):
+    # the writes need only the payload, M's matrix and F; the geometry, its
+    # assembly plan and its kept M are freed by reference counting alone
+    geoms = []
+    make_curve = cli.make_curve
+
+    def watched_curve(*args, **kwargs):
+        geom = make_curve(*args, **kwargs)
+        geoms.append(weakref.ref(geom))
+        return geom
+
+    monkeypatch.setattr(cli, "make_curve", watched_curve)
+    alive = []
+    write = data_operator.write_matrix_csv
+
+    def spying_write(mat, path):
+        alive.append(geoms[0]() is not None)
+        write(mat, path)
+
+    monkeypatch.setattr(data_operator, "write_matrix_csv", spying_write)
+    geometry = {"shape": "circle", "params": {"radius": 1.0}, "n_nodes": 64}
+    if screen:
+        geometry["screen"] = {"interval": [0.0, 3.14159], "grading_beta": 0.5}
+    scenario = write_scenario(tmp_path / "scn.json", geometry=geometry)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        code = main(["forward", "--scenario", scenario, "--out", str(tmp_path / "out")])
+    finally:
+        if enabled:
+            gc.enable()
+    capsys.readouterr()
+    assert code == EXIT_OK
+    assert len(geoms) == 1
+    assert alive == [False, False]
 
 
 @pytest.mark.parametrize("shape, n, bc", [
@@ -331,6 +371,11 @@ def test_validation_exit_codes(tmp_path, capsys):
         dict(geometry={**SCREEN, "screen": {"interval": [0.0, 3.14], "grading_beta": -0.5}}),
         dict(geometry={**SCREEN, "screen": {"interval": [0.0, 3.14],
                                             "grading_beta": float("nan")}}),
+        # a negative band scored points on the boundary; a NaN or infinite
+        # one ran the whole sweep before segmentation refused it
+        dict(grid={"resolution": 8, "margin_band": -0.1}),
+        dict(grid={"resolution": 8, "margin_band": float("nan")}),
+        dict(grid={"resolution": 8, "margin_band": float("inf")}),
     ]
     for i, blocks in enumerate(cases):
         scenario = write_scenario(tmp_path / f"scn{i}.json", **blocks)
@@ -479,6 +524,12 @@ REFUSED_RUNS = {
     "level": ("reconstruct", EXIT_VALIDATION,
               dict(GRID, reconstruction={"level": 1.5})),
     "noise": ("forward", EXIT_VALIDATION, dict(noise={"level": -0.5})),
+    "negative_margin_band": ("reconstruct", EXIT_VALIDATION,
+                             dict(grid={"resolution": 8, "margin_band": -0.1})),
+    "nan_margin_band": ("reconstruct", EXIT_VALIDATION,
+                        dict(grid={"resolution": 8, "margin_band": float("nan")})),
+    "inf_margin_band": ("reconstruct", EXIT_VALIDATION,
+                        dict(grid={"resolution": 8, "margin_band": float("inf")})),
     # the circle's resolvable cap is 169
     "past_cap": ("forward", EXIT_NUMERICAL, dict(spectral={"lambda": 400.0})),
 }
@@ -505,6 +556,22 @@ def test_reconstruct_refuses_nothing_to_reconstruct_before_assembly(tmp_path, ca
     out = tmp_path / "out"
     assert main(["reconstruct", "--scenario", scenario, "--out", str(out)]) == EXIT_VALIDATION
     assert "needs a grid block or a geometry.screen block" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("band", [-0.1, float("nan"), float("inf")])
+@pytest.mark.parametrize("command", ["forward", "reconstruct"])
+def test_bad_margin_band_is_refused_before_assembly(tmp_path, capsys, monkeypatch,
+                                                    command, band):
+    def assemble_M(*args):
+        raise AssertionError(f"{command} assembled M")
+
+    monkeypatch.setattr(boundary_ops, "assemble_M", assemble_M)
+    scenario = write_scenario(tmp_path / "scn.json",
+                              grid={"resolution": 8, "margin_band": band})
+    out = tmp_path / "out"
+    assert main([command, "--scenario", scenario, "--out", str(out)]) == EXIT_VALIDATION
+    assert "grid.margin_band" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -190,6 +190,21 @@ def test_containment_matches_ray_casting_oracle():
     assert np.array_equal(mine, oracle)
 
 
+@pytest.mark.parametrize("shape, params", [
+    ("circle", {"radius": 1.0}), ("ellipse", None), ("kite", None), ("peanut", None),
+])
+def test_crossing_parity_agrees_with_the_winding_rule_off_the_polygon(shape, params):
+    geom = make_curve(shape, params, n_nodes=96)
+    rng = np.random.default_rng(11)
+    pts = np.concatenate([rng.uniform(-2.6, 2.6, (4000, 2)),
+                          make_grid(((-2.5, 2.5), (-2.5, 2.5)), 64).points])
+    pts = pts[distance_to_boundary(geom, pts) > 1e-3]
+    winding = np.abs(winding_fraction(geom, pts))
+    # off the polygon the winding number is 0 or 1 to rounding
+    assert np.all((winding < 1e-9) | (np.abs(winding - 1.0) < 1e-9))
+    np.testing.assert_array_equal(contains_many(geom, pts), winding > 0.5)
+
+
 def test_winding_fraction_values():
     geom = make_curve("circle", {"radius": 1.0}, n_nodes=64)
     f_in = winding_fraction(geom, np.array([[0.0, 0.0]]))[0]

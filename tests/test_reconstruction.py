@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from lapscat.data_operator import DataOperator, _sorted_eigh, add_noise, assembl
 from lapscat.errors import ConstraintError, DomainError, SegmentationError
 from lapscat.geometry import (
     EvaluationGrid,
+    _inside_and_distance,
     make_curve,
     make_grid,
     make_probe,
@@ -533,3 +535,107 @@ def test_picard_indicator_positive_everywhere(px, py):
 
 
 _CACHED_OPERATOR = circle_operator(n_nodes=64, n_probe=32)
+
+
+def _indicator_csv_reference(igrid, path):
+    # indicator.csv as it was first written: csv.writer, one repr per value
+    columns = [igrid.grid.points, igrid.picard_values]
+    header = ["x", "y", "picard"]
+    if igrid.inf_values is not None:
+        columns.append(igrid.inf_values)
+        header.append("inf")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in np.column_stack(columns):
+            writer.writerow([repr(float(v)) for v in row])
+
+
+def _indicator(grid, with_inf, seed=0):
+    values = np.random.default_rng(seed).lognormal(0.0, 3.0, grid.points.shape[0])
+    inf_values = np.where(values > 1.0, values, 0.0) if with_inf else None
+    return IndicatorGrid(grid=grid, picard_values=values, inf_values=inf_values,
+                         truncation_k=3)
+
+
+@pytest.mark.parametrize("with_inf", [False, True])
+@pytest.mark.parametrize("resolution", [2, 7, 128])
+def test_indicator_csv_bytes_match_the_csv_writer(resolution, with_inf, tmp_path):
+    grid = make_grid(((-2.5, 2.5), (-1.0, 3.0)), resolution)
+    ig = _indicator(grid, with_inf, seed=resolution)
+    ref_path, path = tmp_path / "ref.csv", tmp_path / "new.csv"
+    _indicator_csv_reference(ig, ref_path)
+    write_indicator_csv(ig, str(path))
+    assert path.read_bytes() == ref_path.read_bytes()
+
+
+@pytest.mark.parametrize("with_inf", [False, True])
+def test_indicator_csv_of_points_off_a_tensor_grid(with_inf, tmp_path):
+    # repeated, signed-zero and scattered coordinates in no lattice order
+    rng = np.random.default_rng(9)
+    pts = np.concatenate([
+        rng.uniform(-2.0, 2.0, (20, 2)),
+        [[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0], [1.5, 1.5], [1.5, -1.5], [-1.5, 1.5]],
+        np.round(rng.uniform(-2.0, 2.0, (23, 2)), 1),
+    ])
+    grid = EvaluationGrid(points=pts, bounds=((-2.0, 2.0), (-2.0, 2.0)), resolution=7)
+    ig = _indicator(grid, with_inf)
+    ref_path, path = tmp_path / "ref.csv", tmp_path / "new.csv"
+    _indicator_csv_reference(ig, ref_path)
+    write_indicator_csv(ig, str(path))
+    assert path.read_bytes() == ref_path.read_bytes()
+
+
+@pytest.mark.parametrize("resolution", [2, 7, 64])
+def test_indicator_pgm_bytes_match_per_pixel_formatting(resolution, tmp_path):
+    grid = make_grid(((-2.5, 2.5), (-2.5, 2.5)), resolution)
+    ig = _indicator(grid, False, seed=resolution)
+    path = tmp_path / "ind.pgm"
+    write_indicator_pgm(ig, str(path))
+    img = ig.picard_values.reshape(resolution, resolution)
+    levels = np.rint(255.0 * (img - img.min()) / (img.max() - img.min())).astype(int)
+    lines = ["P2", f"{resolution} {resolution}", "255"]
+    lines += [" ".join(str(int(v)) for v in row) for row in levels[::-1]]
+    assert path.read_text() == "\n".join(lines) + "\n"
+
+
+# Frozen from the winding-number scoring (contains_many as |winding| > 0.5,
+# a second distance_to_boundary pass for the band), before scoring became
+# one crossing-parity pass: per case the Jaccard index, accuracy and point
+# count scored, the segmentation mask, and the scored and oracle masks
+# (np.packbits).  The field is the Gaussian bump below at level 0.3.
+SEGMENT_GOLDEN = pathlib.Path(__file__).parent / "data" / "segment_golden.npz"
+GOLDEN_SHAPES = {"circle": ({"radius": 1.0}, 128), "ellipse": (None, 128),
+                 "kite": (None, 256), "peanut": (None, 128)}
+
+
+@pytest.mark.parametrize("shape", sorted(GOLDEN_SHAPES))
+def test_segment_scores_match_the_winding_rule_golden(shape):
+    golden = np.load(SEGMENT_GOLDEN)
+    params, n_nodes = GOLDEN_SHAPES[shape]
+    geom = make_curve(shape, params, n_nodes=n_nodes)
+    for res in (32, 64, 128):
+        grid = make_grid(((-2.5, 2.5), (-2.5, 2.5)), res)
+        x, y = grid.points[:, 0], grid.points[:, 1]
+        values = np.exp(-((x - 0.1) ** 2 / 1.2 + (y + 0.05) ** 2 / 0.9))
+        ig = IndicatorGrid(grid=grid, picard_values=values, inf_values=None, truncation_k=1)
+        inside, dist = _inside_and_distance(geom, grid.points)
+        unpack = lambda key: np.unpackbits(golden[key], count=res * res).astype(bool)  # noqa: E731
+        np.testing.assert_array_equal(inside, unpack(f"{shape}_{res}_oracle"))
+        for name, margin in (("0.05", 0.05), ("diam", None), ("0.3", 0.3)):
+            key = f"{shape}_{res}_{name}"
+            seg = segment(ig, geom, level=0.3, margin_band=margin)
+            band = 0.1 * geom.diameter() if margin is None else margin
+            assert [seg.jaccard, seg.accuracy, seg.n_scored] == golden[key + "_scores"].tolist()
+            np.testing.assert_array_equal(seg.mask, unpack(key + "_mask"))
+            np.testing.assert_array_equal(dist > band, unpack(key + "_scored"))
+
+
+@pytest.mark.parametrize("band", [-0.1, -1e-300, math.nan, math.inf, -math.inf])
+def test_segment_refuses_a_negative_or_non_finite_margin_band(band):
+    geom = make_curve("circle", {"radius": 1.0}, n_nodes=64)
+    _, ig = synthetic_grid()
+    with pytest.raises(DomainError):
+        segment(ig, geom, margin_band=band)
+    # a zero band leaves out only the grid point on a node, (1, 0)
+    assert segment(ig, geom, margin_band=0.0).n_scored == ig.picard_values.size - 1
