@@ -106,7 +106,7 @@ class Scenario:
             raise ScenarioError(f"unknown scenario blocks: {sorted(unknown)}")
         parsed = {key: _value(raw, "scenario", key, {}, _object)
                   for key in blocks if raw.get(key) is not None}
-        return cls(**parsed, seed=_value(raw, "scenario", "seed", 0, int))
+        return cls(**parsed, seed=_value(raw, "scenario", "seed", 0, _count))
 
 
 def load_scenario(path: str) -> Scenario:
@@ -146,6 +146,16 @@ def _object(value) -> dict:
     return value
 
 
+def _count(value) -> int:
+    """A whole number: an int or an integral float, not a bool (int()
+    would read 32.5 as 32, and True or "32" as a count)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a whole number, got {type(value).__name__}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("expected a whole number")
+    return int(value)
+
+
 def _margin_band(value) -> float | None:
     """grid.margin_band: absent, or a finite band >= 0 (a negative one would
     score grid points on the boundary itself)."""
@@ -158,10 +168,12 @@ def _margin_band(value) -> float | None:
 
 
 def _floats(value, shape=(2,)) -> list:
-    """Nested list of floats of the given shape (a point or bounds)."""
+    """Nested list of finite floats of the given shape (a point or bounds)."""
     arr = np.asarray(value, dtype=float)
     if arr.shape != shape:
         raise ValueError(f"expected shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("expected finite numbers")
     return arr.tolist()
 
 
@@ -211,7 +223,7 @@ def build_pipeline(scn: Scenario):
     gblock = _keys(scn.geometry, "geometry", ("shape", "params", "n_nodes", "screen"))
     shape = gblock.get("shape")
     params = gblock.get("params")
-    n_nodes = _value(gblock, "geometry", "n_nodes", 128, int)
+    n_nodes = _value(gblock, "geometry", "n_nodes", 128, _count)
     screen_block = _value(gblock, "geometry", "screen", None,
                           lambda v: None if v is None else _object(v))
     cluster = None
@@ -244,7 +256,7 @@ def build_pipeline(scn: Scenario):
     probe = make_probe(
         center=_value(pblock, "probe", "center", (0.0, 0.0), _floats),
         radius=_value(pblock, "probe", "radius", 4.0),
-        n_points=_value(pblock, "probe", "n_points", 64, int),
+        n_points=_value(pblock, "probe", "n_points", 64, _count),
         layout=pblock.get("layout", "ring"),
     )
     if not validate_separation(geom, probe, margin=1e-6):
@@ -259,7 +271,7 @@ def build_pipeline(scn: Scenario):
         grid = make_grid(
             _value(scn.grid, "grid", "bounds", [[-2.5, 2.5], [-2.5, 2.5]],
                    lambda v: _floats(v, (2, 2))),
-            _value(scn.grid, "grid", "resolution", 64, int),
+            _value(scn.grid, "grid", "resolution", 64, _count),
         )
         _value(scn.grid, "grid", "margin_band", None, _margin_band)  # refused before assembly
         if not validate_grid_covers(geom, grid):
@@ -322,25 +334,30 @@ def run_forward(scn: Scenario, out_dir: str | None = None) -> dict:
     return payload
 
 
-def _arc_sweep(scn, screen, probe, f_op, floor):
-    """Screen scenarios: the report of the arc sweep and the rows of arcs.csv."""
+def _arc_sweep_args(scn: Scenario) -> dict:
+    """`reconstruction.arc_sweep`'s keyword arguments from the scenario's
+    reconstruction.arc_sweep block, read before any assembly."""
     block = _keys(_value(scn.reconstruction, "reconstruction", "arc_sweep", {}, _object),
                   "reconstruction.arc_sweep", ("arc_length", "count", "shape", "params", "n_quad"))
-    arc_len = _value(block, "reconstruction.arc_sweep", "arc_length", math.pi / 8.0)
-    count = _value(block, "reconstruction.arc_sweep", "count", 32, int)
+    name = "reconstruction.arc_sweep"
+    return {
+        "shape": block.get("shape", scn.geometry.get("shape")),
+        "params": block.get("params", scn.geometry.get("params")),
+        "arc_length": _value(block, name, "arc_length", math.pi / 8.0),
+        "count": _value(block, name, "count", 32, _count),
+        "n_quad": _value(block, name, "n_quad", 128, _count),
+    }
+
+
+def _arc_sweep(args, screen, probe, f_op, floor):
+    """Screen scenarios: the report of the arc sweep and the rows of arcs.csv."""
     centers, indicators, inside = reconstruction.arc_sweep(
-        f_op, probe,
-        block.get("shape", scn.geometry.get("shape")),
-        block.get("params", scn.geometry.get("params")),
-        screen.endpoint_params, arc_len, count,
-        n_quad=_value(block, "reconstruction.arc_sweep", "n_quad", 128, int),
-        truncation_floor=floor,
-    )
+        f_op, probe, interval=screen.endpoint_params, truncation_floor=floor, **args)
     mean_in = float(np.mean(indicators[inside]))
     mean_out = float(np.mean(indicators[~inside]))
     report = {
-        "arc_length": arc_len,
-        "count": count,
+        "arc_length": args["arc_length"],
+        "count": args["count"],
         "mean_inside": mean_in,
         "mean_outside": mean_out,
         "separation_ratio": mean_in / mean_out,
@@ -355,12 +372,13 @@ def run_reconstruct(scn: Scenario, out_dir: str | None = None) -> dict:
                    reconstruction.DEFAULT_TRUNCATION_FLOOR)
     if scn.grid is None and scn.geometry.get("screen") is None:
         raise ScenarioError("reconstruct needs a grid block or a geometry.screen block")
+    arcs = None if scn.geometry.get("screen") is None else _arc_sweep_args(scn)
     out = _outdir(scn, out_dir)
     (geom, screen, bc, probe, lam, grid), f_op = _data(scn)[:2]
 
     summary: dict = {"lambda": lam.lam, "bc_kind": bc.kind}
     if screen is not None:
-        summary["arc_sweep"], arc_rows = _arc_sweep(scn, screen, probe, f_op, floor)
+        summary["arc_sweep"], arc_rows = _arc_sweep(arcs, screen, probe, f_op, floor)
     if grid is not None:
         igrid = reconstruction.sweep(
             f_op, probe, grid,

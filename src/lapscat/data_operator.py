@@ -137,14 +137,16 @@ def _write_lines(path: str, lines, header: tuple[str, ...] | None = None) -> Non
         fh.writelines(line + "\r\n" for line in lines)
 
 
-def _write_csv(path: str, rows, header: tuple[str, ...] | None = None) -> None:
-    """CSV of rows of Python numbers, each written as its repr.
+def _repr_line(row) -> str:
+    """CSV line of Python numbers, each its repr (none needs quoting)."""
+    return ",".join(map(repr, row))
 
-    The bytes match ``csv.writer``'s default dialect: no repr needs quoting.
-    The matrix and indicator writers build their lines themselves, so that
-    a value they meet twice is formatted once, and share `_write_lines`.
-    """
-    _write_lines(path, (",".join(map(repr, row)) for row in rows), header)
+
+def _write_csv(path: str, rows, header: tuple[str, ...] | None = None) -> None:
+    """CSV of rows of Python numbers (`_repr_line`), in ``csv.writer``'s
+    default dialect.  The matrix and indicator writers build most lines
+    themselves, so that a value they meet twice is formatted once."""
+    _write_lines(path, map(_repr_line, rows), header)
 
 
 def _json_default(obj):
@@ -185,54 +187,36 @@ def _slots(reprs: list[str]) -> np.ndarray:
 def _matrix_lines(a: np.ndarray):
     """The CSV lines of a 2-D float array, one per row.
 
-    An entry of a square matrix whose float64 bits equal those of its
-    mirror ``a[j, i]`` above the diagonal takes that entry's repr instead
-    of a second one, so an exactly symmetric M or F is formatted once per
-    pair.  Those reprs wait in one store of fixed-width slots (`_slots`),
-    one per mirrored pair, filled in the order the rows above the diagonal
-    are written; each row's slots are read back in column order.  Bits,
-    not ==, decide: -0.0 and 0.0 differ in repr, and a NaN equals its copy.
+    A square array whose float64 bits equal its transpose's, as M and F
+    do (each is 0.5 (X + X^T)), has each entry on or right of the
+    diagonal formatted once.  The entries right of it wait in one packed
+    store of fixed-width slots (`_slots`), row j's n - 1 - j slots from
+    start[j] on; row i reads its first i entries back as column i of the
+    rows above, a[j, i] being slot i - 1 - j of row j.  Any other array,
+    one symmetric only up to == included (-0.0 and 0.0 differ in repr),
+    is written one repr per entry (`_repr_line`).
     """
     n = a.shape[0]
     bits = a.view(np.uint64)
-    square = a.shape == (n, n)
-    mirror = bits == bits.T if square else np.zeros(a.shape, dtype=bool)
-    # one slot per mirrored pair off the diagonal, which is its own mirror
-    pairs = (np.count_nonzero(mirror) - n) // 2 if square else 0
-    store = np.empty((pairs, _REPR_WIDTH + 1), dtype=np.uint8)
-    head = np.zeros(n, dtype=np.intp)  # each row's next unread slot
-    filled = 0
-    # one row's slots below the diagonal, and those read from the store
-    lower, shared_slots = np.empty((2, n, _REPR_WIDTH + 1), dtype=np.uint8)
+    if a.shape != (n, n) or not np.array_equal(bits, bits.T):
+        yield from (_repr_line(row.tolist()) for row in a)
+        return
+    j = np.arange(n)
+    start = j * (2 * n - 1 - j) // 2
+    first = start - j - 1  # a[j, i] is in slot first[j] + i
+    store = np.empty((n * (n - 1) // 2, _REPR_WIDTH + 1), dtype=np.uint8)
     for i, row in enumerate(a):
         reprs = list(map(repr, row[i:].tolist()))
-        kept = mirror[i, i + 1:]
-        if kept.any():
-            upper = _slots(reprs[1:])[kept]
-            head[i] = filled
-            store[filled:filled + upper.shape[0]] = upper
-            filled += upper.shape[0]
-        shared = np.flatnonzero(mirror[i, :i])
-        if not shared.size:
-            line = ",".join([*map(repr, row[:i].tolist()), *reprs])
-        else:
-            got = np.take(store, head[shared], axis=0, out=shared_slots[:shared.size])
-            head[shared] += 1
-            if shared.size < i:
-                lower[shared] = got
-                fresh = np.flatnonzero(~mirror[i, :i])
-                lower[fresh] = _slots(list(map(repr, row[fresh].tolist())))
-                got = lower[:i]
-            line = got.tobytes().translate(None, b"\0").decode() + ",".join(reprs)
-        del reprs  # before the next row's reprs are made
-        yield line
+        store[start[i]:start[i] + n - 1 - i] = _slots(reprs[1:])
+        line = store[first[:i] + i].tobytes().translate(None, b"\0").decode()
+        yield line + ",".join(reprs)
 
 
 def write_matrix_csv(mat: np.ndarray, path: str) -> None:
     """Dense matrix dump, one CSV row per matrix row, written row by row.
 
     The bytes are those of every entry written as its repr (`_write_csv`);
-    an entry that equals its mirror bit for bit shares its repr
+    a bitwise-symmetric matrix formats each mirrored pair once
     (`_matrix_lines`).
     """
     _write_lines(path, _matrix_lines(np.asarray(mat, dtype=float)))

@@ -90,10 +90,6 @@ class ProbeRegion:
     points: np.ndarray   # (m, 2)
     weights: np.ndarray  # (m,)
 
-    @property
-    def n_points(self) -> int:
-        return self.points.shape[0]
-
 
 @dataclass(frozen=True)
 class EvaluationGrid:
@@ -276,9 +272,11 @@ def make_probe(center, radius: float, n_points: int, layout: str = "ring") -> Pr
     """Build the measurement region B as weighted sample points."""
     if n_points < 8:
         raise GeometryError("probe needs at least 8 points")
-    if radius <= 0:
-        raise GeometryError("probe radius must be positive")
+    if not 0 < radius < math.inf:  # NaN too
+        raise GeometryError(f"probe radius must be positive and finite, got {radius!r}")
     cx, cy = float(center[0]), float(center[1])
+    if not np.isfinite([cx, cy]).all():
+        raise GeometryError(f"probe center must be finite, got {(cx, cy)!r}")
     if layout == "ring":
         th = TWO_PI * np.arange(n_points) / n_points
         pts = np.stack([cx + radius * np.cos(th), cy + radius * np.sin(th)], axis=1)
@@ -304,6 +302,8 @@ def make_grid(bounds, resolution: int) -> EvaluationGrid:
     if resolution < 2:
         raise GeometryError("grid resolution must be >= 2")
     (x0, x1), (y0, y1) = bounds
+    if not np.isfinite([x0, x1, y0, y1]).all():
+        raise GeometryError(f"grid bounds must be finite, got {bounds!r}")
     if not (x1 > x0 and y1 > y0):
         raise GeometryError("grid bounds must be non-degenerate")
     xs = np.linspace(x0, x1, resolution)
@@ -382,12 +382,6 @@ def contains(geom: BoundaryGeometry, x) -> bool:
             f"winding fraction {frac:.3f} ambiguous; point too close to the boundary"
         )
     return abs(frac) > 0.5
-
-
-def contains_many(geom: BoundaryGeometry, points: np.ndarray) -> np.ndarray:
-    """Vectorized containment by crossing parity (no ambiguity guard; used
-    on grids).  Off the node polygon it agrees with the winding rule."""
-    return _inside_and_distance(geom, points)[0]
 
 
 def distance_to_boundary(geom: BoundaryGeometry, points: np.ndarray) -> np.ndarray:

@@ -472,6 +472,74 @@ def test_misspelled_keys_are_validation_errors(case, tmp_path, capsys, monkeypat
     assert err.startswith("validation error: unknown") and repr(typo) in err
 
 
+def _no_assembly(*args, **kwargs):
+    raise AssertionError("assemble_M called on a scenario that should be refused")
+
+
+# int() read a fractional count as its floor: each scenario below ran to
+# exit 0 with a result
+FRACTIONAL_COUNTS = {
+    "scenario.seed": dict(seed=2.5),
+    "geometry.n_nodes": dict(
+        geometry={"shape": "circle", "params": {"radius": 1.0}, "n_nodes": 32.5}),
+    "probe.n_points": dict(probe={"center": [0.0, 0.0], "radius": 4.0, "n_points": 16.7}),
+    "grid.resolution": dict(grid={"resolution": 16.9}),
+    "reconstruction.arc_sweep.count": dict(
+        geometry=SCREEN, reconstruction={"arc_sweep": {"count": 8.5}}),
+    "reconstruction.arc_sweep.n_quad": dict(
+        geometry=SCREEN, reconstruction={"arc_sweep": {"n_quad": 64.5}}),
+}
+
+
+@pytest.mark.parametrize("key", sorted(FRACTIONAL_COUNTS))
+def test_fractional_counts_are_refused_before_assembly(key, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(boundary_ops, "assemble_M", _no_assembly)
+    scenario = write_scenario(tmp_path / "scn.json", **{**GRID, **FRACTIONAL_COUNTS[key]})
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--scenario", scenario, "--out", str(out)]) == EXIT_VALIDATION
+    assert f"validation error: {key} = " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value, count", [(3, 3), (64.0, 64), (-2, -2)])
+def test_count_takes_whole_numbers(value, count):
+    assert cli._count(value) == count and type(cli._count(value)) is int
+
+
+@pytest.mark.parametrize("value", [32.5, True, False, "32", None, [32],
+                                   float("inf"), float("nan")])
+def test_count_refuses_all_but_whole_numbers(value):
+    with pytest.raises((TypeError, ValueError)):
+        cli._count(value)
+
+
+PROBE = {"center": [0.0, 0.0], "radius": 4.0, "n_points": 32}
+INF, NAN = float("inf"), float("nan")
+
+
+# JSON numbers past the float range load as inf, and NaN as nan: the probe
+# was refused as "touching the scatterer" and the grid failed in bessel_k
+# after M and F were built
+@pytest.mark.parametrize("name, blocks", [
+    ("probe radius", dict(probe={**PROBE, "radius": INF})),
+    ("probe radius", dict(probe={**PROBE, "radius": NAN})),
+    ("probe.center", dict(probe={**PROBE, "center": [INF, 0.0]})),
+    ("probe.center", dict(probe={**PROBE, "center": [0.0, NAN]})),
+    ("grid.bounds", dict(grid={"bounds": [[-INF, 2.5], [-2.5, 2.5]], "resolution": 8})),
+    ("grid.bounds", dict(grid={"bounds": [[-2.5, 2.5], [-2.5, NAN]], "resolution": 8})),
+])
+@pytest.mark.parametrize("command", ["forward", "reconstruct"])
+def test_non_finite_probe_and_grid_are_refused_before_assembly(
+        command, name, blocks, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(boundary_ops, "assemble_M", _no_assembly)
+    scenario = write_scenario(tmp_path / "scn.json", **{**GRID, **blocks})
+    out = tmp_path / "out"
+    assert main([command, "--scenario", scenario, "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and name in err and "finite" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["forward", "reconstruct"])
 def test_misspelled_outputs_key_is_refused_before_any_assembly(
         command, tmp_path, capsys, monkeypatch):

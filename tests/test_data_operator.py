@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lapscat import data_operator
 from lapscat.boundary_ops import BoundaryCondition, BoundaryOperator, assemble_M, sign_check
 from lapscat.data_operator import (
     _data_operator,
@@ -328,6 +329,7 @@ def _csv_reference(mat, path):
 
 
 def _special_symmetric():
+    # symmetric up to ==, not bit for bit: written one repr per entry
     rng = np.random.default_rng(5)
     x = rng.standard_normal((9, 9))
     mat = x + x.T
@@ -338,6 +340,14 @@ def _special_symmetric():
     mat[0, 3] = mat[3, 0] = 1.7976931348623157e308
     mat[3, 6] = mat[6, 3] = -1.7976931348623157e308
     mat[7, 7] = -0.0
+    return mat
+
+
+def _special_bitwise_symmetric():
+    # the same special values, each mirrored bit for bit, so that NaN,
+    # 5e-324 and the longest repr go through the store of shared reprs
+    mat = _special_symmetric()
+    mat[4, 1] = -0.0
     return mat
 
 
@@ -359,12 +369,14 @@ def _half_mirrored():
 
 WRITER_CASES = {
     "special_symmetric": _special_symmetric,
+    "special_bitwise_symmetric": _special_bitwise_symmetric,
     "one_by_one": lambda: np.array([[-0.0]]),
     "wide": lambda: np.random.default_rng(1).standard_normal((3, 7)),
     "tall": lambda: np.random.default_rng(2).standard_normal((7, 3)),
     "non_symmetric": lambda: np.random.default_rng(3).standard_normal((10, 10)),
     "half_mirrored": _half_mirrored,
     "fortran_order": lambda: np.asfortranarray(_special_symmetric()),
+    "fortran_order_bitwise_symmetric": lambda: np.asfortranarray(_special_bitwise_symmetric()),
     "noisy_F": _noisy_f,
 }
 
@@ -380,6 +392,30 @@ def test_matrix_csv_bytes_match_the_csv_writer(case, tmp_path):
     assert path.read_bytes() == ref_path.read_bytes()
 
 
+# reprs each dump takes: n(n+1)/2 for a bitwise-symmetric n x n matrix,
+# one per entry for any other
+REPR_CALLS = {
+    "special_bitwise_symmetric": 45,
+    "fortran_order_bitwise_symmetric": 45,
+    "noisy_F": 300,
+    "one_by_one": 1,
+    "special_symmetric": 81,
+    "half_mirrored": 144,
+    "non_symmetric": 100,
+    "wide": 21,
+    "tall": 21,
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPR_CALLS))
+def test_matrix_csv_repr_calls(case, monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(data_operator, "repr", lambda x: calls.append(x) or repr(x),
+                        raising=False)
+    write_matrix_csv(WRITER_CASES[case](), str(tmp_path / "m.csv"))
+    assert len(calls) == REPR_CALLS[case]
+
+
 def test_matrix_csv_noisy_F_is_exactly_symmetric():
     # so the dump above shares every off-diagonal repr
     f = _noisy_f()
@@ -387,8 +423,8 @@ def test_matrix_csv_noisy_F_is_exactly_symmetric():
 
 
 def test_symmetric_matrix_csv_peak_memory(tmp_path):
-    # the shared reprs wait in a store of 25-byte slots, one per mirrored
-    # pair: 3.27 MB for a 512^2 matrix, 3.67 MB traced in all
+    # the shared reprs wait in a store of 25-byte slots, one per pair off
+    # the diagonal: 3.27 MB for a 512^2 matrix, 3.39 MB traced in all
     x = np.random.default_rng(0).standard_normal((512, 512))
     mat = x + x.T
     tracemalloc.start()
