@@ -145,7 +145,7 @@ class BoundaryCondition:
     lambda_bound: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in LAYER:
+        if not isinstance(self.kind, str) or self.kind not in LAYER:  # a list is unhashable
             raise DomainError(f"unknown boundary condition kind {self.kind!r}")
         if self.kind in ("alpha", "theta") and self.coefficient is None:
             raise CoefficientError(f"{self.kind} condition requires a coefficient")

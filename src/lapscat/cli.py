@@ -1,15 +1,14 @@
 """Scenario-driven command line: forward, reconstruct, verify, selftest.
 
-Scenarios are JSON documents (schema_version 1) with nested blocks for
-geometry, boundary condition, probe, spectral parameters, evaluation
-grid, reconstruction options and outputs; a key a block does not take
-is a validation error.  All artifacts are written deterministically:
-floats are serialized with repr (shortest round-trip), JSON keys are
-sorted, CSV rows follow RFC-4180, and repeated runs at a fixed BLAS
-thread count are byte-identical.  Each command reads the scenario,
-computes, then writes: it reads the output directory (checking the
-outputs block) before any work, but makes no directory and writes no file
-before its last computation, so a run refused with exit 2 or 3 leaves nothing.
+A scenario is a JSON document (schema_version 1) of blocks: geometry,
+boundary condition, probe, spectral parameters, evaluation grid,
+reconstruction options, noise and outputs.  `_TABLE` gives each key its
+converter and default, and `_resolve` checks every key against it before
+any work.  Artifacts are deterministic: floats are written with repr, JSON
+keys are sorted, CSV rows follow RFC-4180, and repeated runs at a fixed
+BLAS thread count are byte-identical.  A command makes no directory and
+writes no file before its last computation, so a run refused with exit 2
+or 3 leaves nothing.
 
 Exit codes: 0 success, 1 check failure, 2 validation error,
 3 numerical failure.
@@ -19,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import json
 import math
 import operator
@@ -30,15 +30,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import boundary_ops, data_operator, reconstruction
-from .boundary_ops import BoundaryCondition
+from .boundary_ops import LAYER, BoundaryCondition
 from .data_operator import _write_csv, _write_json
-from .errors import (
-    LapscatError,
-    NumericalError,
-    ScenarioError,
-    ValidationError,
-)
+from .errors import NumericalError, ScenarioError, ValidationError
 from .geometry import (
+    _SHAPE_PARAMS,
+    _shape_functions,
     make_curve,
     make_grid,
     make_probe,
@@ -55,14 +52,8 @@ EXIT_CHECK_FAILURE = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-_ALLOWED_EXPR_NAMES = {
-    "pi": np.pi,
-    "cos": np.cos,
-    "sin": np.sin,
-    "exp": np.exp,
-    "sqrt": np.sqrt,
-    "abs": np.abs,
-}
+_ALLOWED_EXPR_NAMES = {name: getattr(np, name)
+                       for name in ("pi", "cos", "sin", "exp", "sqrt", "abs")}
 _EXPR_OPS = {
     ast.Add: operator.add,
     ast.Sub: operator.sub,
@@ -75,7 +66,8 @@ _EXPR_OPS = {
 
 @dataclass
 class Scenario:
-    """Parsed scenario: everything needed to drive one pipeline run."""
+    """Parsed scenario: the document's blocks, as written; `_resolve`
+    reads their values."""
 
     geometry: dict
     boundary_condition: dict
@@ -92,7 +84,7 @@ class Scenario:
         if not isinstance(raw, dict):
             raise ScenarioError("scenario must be a JSON object")
         version = raw.get("schema_version")
-        if version != SCHEMA_VERSION:
+        if isinstance(version, bool) or version != SCHEMA_VERSION:  # True == 1
             raise ScenarioError(
                 f"unsupported schema_version {version!r}; expected {SCHEMA_VERSION}"
             )
@@ -104,67 +96,63 @@ class Scenario:
         unknown = set(raw) - set(blocks) - {"seed", "schema_version"}
         if unknown:
             raise ScenarioError(f"unknown scenario blocks: {sorted(unknown)}")
-        parsed = {key: _value(raw, "scenario", key, {}, _object)
+        parsed = {key: _convert(f"scenario.{key}", raw[key], _object)
                   for key in blocks if raw.get(key) is not None}
-        return cls(**parsed, seed=_value(raw, "scenario", "seed", 0, _count))
+        return cls(**parsed, seed=raw.get("seed", 0))
 
 
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except OSError as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"scenario {path} is not valid JSON: {exc}") from exc
     return Scenario.from_dict(raw)
 
 
-def _value(block: dict, name: str, key: str, default, convert=float):
-    """``block[key]`` (``default`` if absent) passed through ``convert``;
-    a value it rejects is a ScenarioError naming the block and key."""
-    value = block.get(key, default)
+def _convert(name: str, value, convert):
+    """``convert(value)``; a value it refuses is a ScenarioError naming it.
+    A converter returns the resolved value, or raises TypeError or
+    ValueError saying what it expected."""
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{name}.{key} = {value!r} is invalid: {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"{name} = {value!r} is invalid: {exc}") from exc
 
 
-def _keys(block: dict, name: str, keys: tuple) -> dict:
-    """``block``, refused if it holds a key outside ``keys``: a misspelled
-    key would otherwise read as its default."""
-    unknown = set(block) - set(keys)
-    if unknown:
-        raise ScenarioError(f"unknown keys in {name}: {sorted(unknown)}; expected {list(keys)}")
-    return block
+def _checked(convert, within, expected: str):
+    """The converter ``convert``, refusing what ``within`` rejects (NaN too)."""
+    def check(value):
+        value = convert(value)
+        if not within(value):
+            raise ValueError(f"expected {expected}")
+        return value
+    return check
 
 
-def _object(value) -> dict:
-    """A scenario block: a JSON object, not a list of key/value pairs."""
-    if not isinstance(value, dict):
-        raise TypeError(f"expected a JSON object, got {type(value).__name__}")
-    return value
+def _kind(*kinds):
+    """The converter taking a value of one of ``kinds`` as it is, but not a
+    bool: True == 1, so float() would read true as 1.0 and a count as 1."""
+    return _checked(lambda value: value,
+                    lambda value: isinstance(value, kinds) and not isinstance(value, bool),
+                    " or ".join(kind.__name__ for kind in kinds))
+
+
+_object = _kind(dict)  # a block: a JSON object, not a list of key/value pairs
+_text = _kind(str)
+_number = _kind(int, float)  # not "2": float() would read it as 2.0
+
+
+def _real(value) -> float:
+    return float(_number(value))
 
 
 def _count(value) -> int:
-    """A whole number: an int or an integral float, not a bool (int()
-    would read 32.5 as 32, and True or "32" as a count)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a whole number, got {type(value).__name__}")
-    if isinstance(value, float) and not value.is_integer():
+    """A whole number: an int or an integral float (int() would read 32.5
+    as 32, and True or "32" as a count)."""
+    if not float(_number(value)).is_integer():  # inf and NaN neither
         raise ValueError("expected a whole number")
     return int(value)
-
-
-def _margin_band(value) -> float | None:
-    """grid.margin_band: absent, or a finite band >= 0 (a negative one would
-    score grid points on the boundary itself)."""
-    if value is None:
-        return None
-    band = float(value)
-    if not 0.0 <= band < math.inf:
-        raise ValueError("expected a finite band >= 0")
-    return band
 
 
 def _floats(value, shape=(2,)) -> list:
@@ -175,6 +163,15 @@ def _floats(value, shape=(2,)) -> list:
     if not np.isfinite(arr).all():
         raise ValueError("expected finite numbers")
     return arr.tolist()
+
+
+def _optional(convert):
+    """``convert``, or None for an absent (or null) value."""
+    return lambda value: None if value is None else convert(value)
+
+
+def _one_of(choices):
+    return _checked(_text, lambda value: value in choices, f"one of {sorted(choices)}")
 
 
 def _eval_expr(node, names: dict):
@@ -195,9 +192,9 @@ def _eval_expr(node, names: dict):
 
 
 def _eval_coefficient(spec):
-    """Resolve a coefficient spec: number, list of nodal values, or
-    an expression in the parameter t (see `_eval_expr`)."""
-    if spec is None or isinstance(spec, (int, float)):
+    """Resolve a coefficient spec: number (not a bool), list of nodal
+    values, or an expression in the parameter t (see `_eval_expr`)."""
+    if spec is None or type(spec) in (int, float):
         return spec
     if isinstance(spec, list):
         return np.asarray(spec, dtype=float)
@@ -215,87 +212,121 @@ def _eval_coefficient(spec):
                     f"cannot evaluate coefficient expression {spec!r}: {exc}"
                 ) from exc
         return fn
-    raise ScenarioError("coefficient must be a number, list, or expression string")
+    raise TypeError("expected a number, a list or an expression string")
+
+
+_FRACTION = _checked(_real, lambda x: 0.0 < x < 1.0, "a number in (0, 1)")
+_AT_LEAST_0 = _checked(_real, lambda x: 0.0 <= x < math.inf, "a finite number >= 0")
+
+# Every scenario value, "block.key" -> (converter, default); "scenario" is
+# the document's top level.  A default goes through its converter, so a
+# required key has one that it refuses.  A nested block (geometry.screen,
+# reconstruction.arc_sweep) is a key of its parent, listed before its own
+# keys, which are read only when the block is given.
+_TABLE = {
+    "scenario.seed": (_checked(_count, lambda n: n >= 0, "a whole number >= 0"), 0),
+    "geometry.shape": (_one_of(_SHAPE_PARAMS), None),
+    "geometry.params": (_optional(_object), None),
+    "geometry.n_nodes": (_count, 128),
+    "geometry.screen": (_optional(_object), None),
+    "geometry.screen.interval": (_floats, None),
+    "geometry.screen.grading_beta": (_real, 0.0),
+    "boundary_condition.kind": (_one_of(LAYER), "D"),
+    "boundary_condition.coefficient": (_eval_coefficient, None),
+    "boundary_condition.lambda_bound": (_real, 0.0),
+    "probe.center": (_floats, (0.0, 0.0)),
+    "probe.radius": (_real, 4.0),
+    "probe.n_points": (_count, 64),
+    "probe.layout": (_text, "ring"),
+    "spectral.lambda": (_real, 1.0),
+    "spectral.truncation_floor": (_FRACTION, reconstruction.DEFAULT_TRUNCATION_FLOOR),
+    "grid.bounds": (functools.partial(_floats, shape=(2, 2)), [[-2.5, 2.5], [-2.5, 2.5]]),
+    "grid.resolution": (_count, 64),
+    "grid.margin_band": (_optional(_AT_LEAST_0), None),  # None: 0.1 x the diameter
+    "reconstruction.mode": (_one_of(reconstruction.SWEEP_MODES), "picard"),
+    "reconstruction.rule": (_one_of(reconstruction.SEGMENT_RULES), "fixed_threshold"),
+    "reconstruction.level": (_FRACTION, reconstruction.DEFAULT_THRESHOLD_LEVEL),
+    "reconstruction.arc_sweep": (_object, {}),
+    "reconstruction.arc_sweep.arc_length": (
+        _checked(_real, lambda x: 0.0 < x < 2.0 * math.pi, "a length in (0, 2 pi)"),
+        math.pi / 8.0),
+    "reconstruction.arc_sweep.count": (_checked(_count, lambda n: n >= 1, "a count >= 1"), 32),
+    "reconstruction.arc_sweep.n_quad": (_checked(_count, lambda n: n >= 2, "a count >= 2"), 128),
+    # None: the geometry's
+    "reconstruction.arc_sweep.shape": (_optional(_one_of(_SHAPE_PARAMS)), None),
+    "reconstruction.arc_sweep.params": (_optional(_object), None),
+    "noise.level": (_AT_LEAST_0, 0.0),
+    "outputs.dir": (_text, "out"),
+}
+_BLOCKS: dict = {}  # block -> its keys, in table order: a nested block after its parent
+for _block, _dot, _key in (name.rpartition(".") for name in _TABLE):
+    _BLOCKS.setdefault(_block, []).append(_key)
+
+
+def _resolve(scn: Scenario) -> dict:
+    """Every value of the scenario by its `_TABLE` name, converted and
+    checked, and each block by its name (None if absent): the one place
+    that reads a scenario.  An unknown key, a refused value or a curve
+    `make_curve` would refuse is a validation error naming the block and
+    key, raised before any work."""
+    # the top-level blocks as given, and the seed as the one key of "scenario"
+    values = {block: getattr(scn, block, None) for block in _BLOCKS if "." not in block}
+    values["scenario"] = {"seed": scn.seed}
+    for block, keys in _BLOCKS.items():
+        doc = values.get(block)
+        if doc is None:
+            continue
+        unknown = set(doc) - set(keys)
+        if unknown:
+            raise ScenarioError(f"unknown keys in {block}: {sorted(unknown)}; expected {keys}")
+        for key in keys:
+            convert, default = _TABLE[f"{block}.{key}"]
+            values[f"{block}.{key}"] = _convert(f"{block}.{key}", doc.get(key, default), convert)
+    sweep = "reconstruction.arc_sweep."
+    for key in ("shape", "params"):
+        if values[sweep + key] is None:
+            values[sweep + key] = values["geometry." + key]
+    for curve in ("geometry.", sweep):  # the test arcs' curve is built after assembly
+        shape = values[curve + "shape"]
+        _convert(curve + "params", values[curve + "params"], lambda p: _shape_functions(shape, p))
+    return values
 
 
 def build_pipeline(scn: Scenario):
-    """Materialize geometry, condition, probe, spectral parameter, grid."""
-    gblock = _keys(scn.geometry, "geometry", ("shape", "params", "n_nodes", "screen"))
-    shape = gblock.get("shape")
-    params = gblock.get("params")
-    n_nodes = _value(gblock, "geometry", "n_nodes", 128, _count)
-    screen_block = _value(gblock, "geometry", "screen", None,
-                          lambda v: None if v is None else _object(v))
-    cluster = None
-    if screen_block is not None:
-        _keys(screen_block, "geometry.screen", ("interval", "grading_beta"))
-        interval = _value(screen_block, "geometry.screen", "interval", None, _floats)
-        beta = _value(screen_block, "geometry.screen", "grading_beta", 0.0)
-        if beta != 0.0:  # out of [0, 1), NaN too, is refused by the grading map
-            cluster = (*interval, beta)
-    try:
-        geom = make_curve(shape, params, n_nodes=n_nodes, cluster=cluster)
-        screen = None
-        if screen_block is not None:
-            screen = make_screen(geom, interval)
-    except LapscatError:
-        raise
-    except (TypeError, KeyError, ValueError) as exc:
-        raise ScenarioError(f"bad geometry block: {exc}") from exc
-
-    bblock = _keys(scn.boundary_condition, "boundary_condition",
-                   ("kind", "coefficient", "lambda_bound"))
+    """Materialize geometry, condition, probe, spectral parameter, grid
+    from the scenario's values (`_resolve`)."""
+    v = _resolve(scn)
+    interval, beta = v.get("geometry.screen.interval"), v.get("geometry.screen.grading_beta")
+    geom = make_curve(v["geometry.shape"], v["geometry.params"], n_nodes=v["geometry.n_nodes"],
+                      cluster=(*interval, beta) if beta else None)  # NaN: refused there
+    screen = None if v["geometry.screen"] is None else make_screen(geom, interval)
     bc = BoundaryCondition(
-        kind=bblock.get("kind", "D"),
-        coefficient=_value(bblock, "boundary_condition", "coefficient", None, _eval_coefficient),
+        kind=v["boundary_condition.kind"],
+        coefficient=v["boundary_condition.coefficient"],
         screen=screen,
-        lambda_bound=_value(bblock, "boundary_condition", "lambda_bound", 0.0),
+        lambda_bound=v["boundary_condition.lambda_bound"],
     )
-
-    pblock = _keys(scn.probe, "probe", ("center", "radius", "n_points", "layout"))
-    probe = make_probe(
-        center=_value(pblock, "probe", "center", (0.0, 0.0), _floats),
-        radius=_value(pblock, "probe", "radius", 4.0),
-        n_points=_value(pblock, "probe", "n_points", 64, _count),
-        layout=pblock.get("layout", "ring"),
-    )
+    probe = make_probe(v["probe.center"], v["probe.radius"], v["probe.n_points"],
+                       layout=v["probe.layout"])
     if not validate_separation(geom, probe, margin=1e-6):
         raise ScenarioError("probe region touches or overlaps the scatterer")
-
-    _keys(scn.spectral, "spectral", ("lambda", "truncation_floor"))
-    lam = SpectralParam(_value(scn.spectral, "spectral", "lambda", 1.0))
-
-    grid = None
-    if scn.grid is not None:
-        _keys(scn.grid, "grid", ("bounds", "resolution", "margin_band"))
-        grid = make_grid(
-            _value(scn.grid, "grid", "bounds", [[-2.5, 2.5], [-2.5, 2.5]],
-                   lambda v: _floats(v, (2, 2))),
-            _value(scn.grid, "grid", "resolution", 64, _count),
-        )
-        _value(scn.grid, "grid", "margin_band", None, _margin_band)  # refused before assembly
-        if not validate_grid_covers(geom, grid):
-            raise ScenarioError("evaluation grid does not cover the scatterer")
+    lam = SpectralParam(v["spectral.lambda"])
+    grid = None if v["grid"] is None else make_grid(v["grid.bounds"], v["grid.resolution"])
+    if grid is not None and not validate_grid_covers(geom, grid):
+        raise ScenarioError("evaluation grid does not cover the scatterer")
     return geom, screen, bc, probe, lam, grid
-
-
-def _outdir(scn: Scenario, override: str | None) -> str:
-    """The output directory, read (and its block checked) before any work;
-    the commands make it only when they write."""
-    return override or _keys(scn.outputs, "outputs", ("dir",)).get("dir", "out")
 
 
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
 
-def _data(scn: Scenario):
-    """(pipeline, noisy F, M, M's sign report, noise level), the data stage of
-    forward and reconstruct; warns on stderr if M lacks the admissible class.
+def _data(scn: Scenario, v: dict):
+    """(pipeline, noisy F, M, M's sign report), the data stage of forward
+    and reconstruct; warns on stderr if M lacks the admissible class.
     `assemble_F` takes M and its report from the geometry, so M is assembled
     and analysed once."""
     geom, _screen, bc, probe, lam, _grid = pipeline = build_pipeline(scn)
-    noise_level = _value(_keys(scn.noise, "noise", ("level",)), "noise", "level", 0.0)
     m_op = boundary_ops.assemble_M(bc, geom, lam)
     report = boundary_ops.sign_check(m_op)
     f_op = data_operator.assemble_F(bc, geom, probe, lam)
@@ -303,14 +334,15 @@ def _data(scn: Scenario):
     if report.classification != target:
         print(f"warning: {m_op.kind} is {report.classification}, not {target or 'one-signed'}, "
               f"at lambda {lam.lam!r}; the range test does not apply", file=sys.stderr)
-    f_op = data_operator.add_noise(f_op, noise_level, scn.seed)
-    return pipeline, f_op, m_op, report, noise_level
+    f_op = data_operator.add_noise(f_op, v["noise.level"], v["scenario.seed"])
+    return pipeline, f_op, m_op, report
 
 
 def run_forward(scn: Scenario, out_dir: str | None = None) -> dict:
     """Assemble M and F; write sign report, spectrum CSV, matrix dumps."""
-    out = _outdir(scn, out_dir)
-    (geom, _, _, probe, lam, _), f_op, m_op, report, noise_level = _data(scn)
+    v = _resolve(scn)
+    out = out_dir or v["outputs.dir"]
+    (geom, _, _, probe, lam, _), f_op, m_op, report = _data(scn, v)
     payload = {
         "kind": m_op.kind,
         "lambda": lam.lam,
@@ -319,7 +351,7 @@ def run_forward(scn: Scenario, out_dir: str | None = None) -> dict:
         "classification": report.classification,
         "eig_min": report.eig_min,
         "eig_max": report.eig_max,
-        "noise_level": noise_level,
+        "noise_level": v["noise.level"],
         "probe_points": probe.points.shape[0],
     }
     m_matrix = m_op.matrix
@@ -334,69 +366,38 @@ def run_forward(scn: Scenario, out_dir: str | None = None) -> dict:
     return payload
 
 
-def _arc_sweep_args(scn: Scenario) -> dict:
-    """`reconstruction.arc_sweep`'s keyword arguments from the scenario's
-    reconstruction.arc_sweep block, read before any assembly."""
-    block = _keys(_value(scn.reconstruction, "reconstruction", "arc_sweep", {}, _object),
-                  "reconstruction.arc_sweep", ("arc_length", "count", "shape", "params", "n_quad"))
-    name = "reconstruction.arc_sweep"
-    return {
-        "shape": block.get("shape", scn.geometry.get("shape")),
-        "params": block.get("params", scn.geometry.get("params")),
-        "arc_length": _value(block, name, "arc_length", math.pi / 8.0),
-        "count": _value(block, name, "count", 32, _count),
-        "n_quad": _value(block, name, "n_quad", 128, _count),
-    }
-
-
-def _arc_sweep(args, screen, probe, f_op, floor):
-    """Screen scenarios: the report of the arc sweep and the rows of arcs.csv."""
-    centers, indicators, inside = reconstruction.arc_sweep(
-        f_op, probe, interval=screen.endpoint_params, truncation_floor=floor, **args)
-    mean_in = float(np.mean(indicators[inside]))
-    mean_out = float(np.mean(indicators[~inside]))
-    report = {
-        "arc_length": args["arc_length"],
-        "count": args["count"],
-        "mean_inside": mean_in,
-        "mean_outside": mean_out,
-        "separation_ratio": mean_in / mean_out,
-    }
-    return report, zip(centers.tolist(), indicators.tolist(), inside.astype(int).tolist())
-
-
 def run_reconstruct(scn: Scenario, out_dir: str | None = None) -> dict:
     """Full pipeline: data operator, indicator sweep, segmentation, files."""
-    rblock = _keys(scn.reconstruction, "reconstruction", ("mode", "rule", "level", "arc_sweep"))
-    floor = _value(scn.spectral, "spectral", "truncation_floor",
-                   reconstruction.DEFAULT_TRUNCATION_FLOOR)
-    if scn.grid is None and scn.geometry.get("screen") is None:
+    v = _resolve(scn)
+    if v["grid"] is None and v["geometry.screen"] is None:
         raise ScenarioError("reconstruct needs a grid block or a geometry.screen block")
-    arcs = None if scn.geometry.get("screen") is None else _arc_sweep_args(scn)
-    out = _outdir(scn, out_dir)
-    (geom, screen, bc, probe, lam, grid), f_op = _data(scn)[:2]
+    out = out_dir or v["outputs.dir"]
+    (geom, screen, bc, probe, lam, grid), f_op = _data(scn, v)[:2]
+    floor = v["spectral.truncation_floor"]
 
     summary: dict = {"lambda": lam.lam, "bc_kind": bc.kind}
     if screen is not None:
-        summary["arc_sweep"], arc_rows = _arc_sweep(arcs, screen, probe, f_op, floor)
+        arc = {key: v["reconstruction.arc_sweep." + key]
+               for key in ("shape", "params", "arc_length", "count", "n_quad")}
+        centers, indicators, inside = reconstruction.arc_sweep(
+            f_op, probe, interval=screen.endpoint_params, truncation_floor=floor, **arc)
+        mean_in, mean_out = (float(np.mean(indicators[side])) for side in (inside, ~inside))
+        summary["arc_sweep"] = {"arc_length": arc["arc_length"], "count": arc["count"],
+                                "mean_inside": mean_in, "mean_outside": mean_out,
+                                "separation_ratio": mean_in / mean_out}
+        arc_rows = zip(centers.tolist(), indicators.tolist(), inside.astype(int).tolist())
     if grid is not None:
-        igrid = reconstruction.sweep(
-            f_op, probe, grid,
-            mode=rblock.get("mode", "picard"),
-            truncation_floor=floor,
-        )
+        igrid = reconstruction.sweep(f_op, probe, grid, mode=v["reconstruction.mode"],
+                                     truncation_floor=floor)
         seg = reconstruction.segment(
             igrid,
             geom=None if screen is not None else geom,
-            rule=rblock.get("rule", "fixed_threshold"),
-            level=_value(rblock, "reconstruction", "level",
-                         reconstruction.DEFAULT_THRESHOLD_LEVEL),
-            margin_band=_value(scn.grid, "grid", "margin_band", None, _margin_band),
+            rule=v["reconstruction.rule"],
+            level=v["reconstruction.level"],
+            margin_band=v["grid.margin_band"],
         )
-        summary["threshold"] = seg.threshold
-        summary["jaccard"] = seg.jaccard
-        summary["accuracy"] = seg.accuracy
-        summary["truncation_k"] = igrid.truncation_k
+        summary.update(threshold=seg.threshold, jaccard=seg.jaccard, accuracy=seg.accuracy,
+                       truncation_k=igrid.truncation_k)
 
     os.makedirs(out, exist_ok=True)
     if screen is not None:
@@ -408,24 +409,21 @@ def run_reconstruct(scn: Scenario, out_dir: str | None = None) -> dict:
         reconstruction.write_indicator_pgm(igrid, os.path.join(out, "indicator.pgm"))
         reconstruction.write_metrics_json(
             os.path.join(out, "metrics.json"), seg, igrid, f_op,
-            extra={"lambda": lam.lam, "bc_kind": bc.kind, "seed": scn.seed},
+            extra={"lambda": lam.lam, "bc_kind": bc.kind, "seed": v["scenario.seed"]},
         )
     return summary
 
-
-# ----------------------------------------------------------------------
-# verify
-# ----------------------------------------------------------------------
 
 def run_verify(
     scn: Scenario | None = None,
     out_dir: str | None = None,
     seed: int = 0,
 ) -> tuple[dict, bool]:
-    """Run the full tier of the check registry; write verify_report.json."""
+    """Run the full tier of the check registry; write verify_report.json
+    to ``out_dir``, else to the scenario's outputs.dir if one is given."""
     from .selftest import run_checks
 
-    out = _outdir(scn, out_dir) if (scn or out_dir) else None
+    out = out_dir or (_resolve(scn)["outputs.dir"] if scn is not None else None)
     t0 = time.perf_counter()
     checks = run_checks("full", seed=seed)
     n_failed = sum(not c["passed"] for c in checks)
@@ -488,10 +486,11 @@ def main(argv: list[str] | None = None) -> int:
             run = run_forward if args.command == "forward" else run_reconstruct
             print(json.dumps(run(scn, args.out), indent=2, sort_keys=True))
             return EXIT_OK
-        # verify
-        scn = load_scenario(args.scenario) if args.scenario is not None else None
-        seed = args.seed if args.seed is not None else (scn.seed if scn else 0)
-        report, ok = run_verify(scn, args.out, seed=seed)
+        # verify: the scenario gives the seed and the output directory
+        v = _resolve(load_scenario(args.scenario)) if args.scenario is not None else {}
+        seed = v.get("scenario.seed", 0) if args.seed is None else _convert(
+            "--seed", args.seed, _TABLE["scenario.seed"][0])
+        report, ok = run_verify(None, args.out or v.get("outputs.dir"), seed=seed)
         print(f"verify: {report['n_checks'] - report['n_failed']}/"
               f"{report['n_checks']} checks passed "
               f"({report['elapsed_seconds']}s)")

@@ -114,6 +114,8 @@ def add_noise(op: DataOperator, relative_level: float, seed: int) -> DataOperato
     """
     if not 0.0 <= relative_level < np.inf:
         raise DomainError("relative noise level must be finite and non-negative")
+    if seed < 0:
+        raise DomainError(f"noise seed must be non-negative, got {seed!r}")
     if relative_level == 0.0:
         return op
     rng = np.random.default_rng(seed)

@@ -126,7 +126,7 @@ def _shape_functions(shape: str, params: dict):
     if shape == "ellipse":
         a = float(p.get("a", 2.0))
         b = float(p.get("b", 1.0))
-        cx, cy = p.get("center", (0.0, 0.0))
+        cx, cy = map(float, p.get("center", (0.0, 0.0)))
         if a <= 0 or b <= 0:
             raise GeometryError("ellipse semi-axes must be positive")
 

@@ -44,6 +44,8 @@ from .kernels import SpectralParam, fundamental_solution
 
 DEFAULT_TRUNCATION_FLOOR = 1e-8
 DEFAULT_THRESHOLD_LEVEL = 0.2
+SWEEP_MODES = ("picard", "inf", "both")
+SEGMENT_RULES = ("fixed_threshold", "otsu")
 
 
 @dataclass(frozen=True)
@@ -221,7 +223,7 @@ def sweep(
     value on the whole grid.  The inf values on the retained block are the
     Picard values when it is one-signed and 0 otherwise (see `inf_indicator`).
     """
-    if mode not in ("picard", "inf", "both"):
+    if mode not in SWEEP_MODES:
         raise DomainError(f"unknown sweep mode {mode!r}")
     k = _retained(op, truncation_floor)
     sums = _by_row_blocks(
@@ -328,14 +330,11 @@ def segment(
     vmax, vmin = float(values.max()), float(values.min())
     if vmax == vmin:
         raise SegmentationError("constant indicator field cannot be segmented")
-    if rule == "fixed_threshold":
-        if not 0.0 < level < 1.0:
-            raise DomainError("threshold level must lie in (0,1)")
-        threshold = level * vmax
-    elif rule == "otsu":
-        threshold = _otsu_threshold(values)
-    else:
+    if rule not in SEGMENT_RULES:
         raise DomainError(f"unknown segmentation rule {rule!r}")
+    if rule == "fixed_threshold" and not 0.0 < level < 1.0:
+        raise DomainError("threshold level must lie in (0,1)")
+    threshold = level * vmax if rule == "fixed_threshold" else _otsu_threshold(values)
     mask = values >= threshold
 
     if geom is None:

@@ -702,6 +702,13 @@ def test_coefficient_resolution_forms():
     np.testing.assert_array_equal(by_scalar.matrix, by_callable.matrix)
 
 
+@pytest.mark.parametrize("kind", [["D"], {"D": 1}, 5, None])
+def test_boundary_condition_refuses_a_kind_that_is_not_a_string(kind):
+    # a list or a dict raised TypeError (unhashable) from the LAYER lookup
+    with pytest.raises(DomainError):
+        BoundaryCondition(kind)
+
+
 def test_boundary_condition_validation():
     geom = make_curve("circle", {"radius": 1.0}, n_nodes=16)
     lam = SpectralParam(1.0)

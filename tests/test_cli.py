@@ -70,6 +70,8 @@ def test_scenario_rejects_malformed_documents():
         Scenario.from_dict({**good, "extras": {}})
     with pytest.raises(ScenarioError):
         Scenario.from_dict(["not", "an", "object"])
+    with pytest.raises(ScenarioError):  # True == 1
+        Scenario.from_dict({**good, "schema_version": True})
 
 
 def test_coefficient_expression_evaluation():
@@ -343,6 +345,14 @@ def test_verify_takes_no_scenario_overrides(capsys):
     assert "--lambda" in capsys.readouterr().err
 
 
+def test_verify_refuses_a_negative_seed(tmp_path, capsys):
+    # a check's generator raised ValueError: one failed check and exit 1
+    out = tmp_path / "verify"
+    assert main(["verify", "--seed", "-1", "--out", str(out)]) == EXIT_VALIDATION
+    assert "validation error: --seed = -1 is invalid" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validation_exit_codes(tmp_path, capsys):
     cases = [
         # spectral parameter at or below the declared bound
@@ -403,6 +413,7 @@ MALFORMED_VALUES = {
                   "screen": [0.0, 3.14]}
     ),
     "shape_param": dict(geometry={"shape": "circle", "params": {"radius": "big"}}),
+    "shape_center": dict(geometry={"shape": "circle", "params": {"center": ["a", 0.0]}}),
     "coefficient_list": dict(boundary_condition={"kind": "alpha", "coefficient": ["a"]}),
     "arc_sweep_list": dict(
         geometry={"shape": "circle", "params": {"radius": 1.0}, "n_nodes": 64,
@@ -420,6 +431,12 @@ MALFORMED_VALUES = {
                   "screen": {"interval": [0.0, 3.14]}},
         reconstruction={"arc_sweep": [["count", 16], ["arc_length", 0.3]]},
     ),
+    # numbers given as strings or bools, which float() read: each ran to
+    # exit 0, "2" as lambda 2.0 and true as lambda 1
+    "lambda_string": dict(spectral={"lambda": "2"}),
+    "lambda_bool": dict(spectral={"lambda": True}),
+    "noise_level_string": dict(noise={"level": "1e-3"}),
+    "truncation_floor_string": dict(spectral={"lambda": 2.0, "truncation_floor": "1e-8"}),
 }
 
 
@@ -611,6 +628,72 @@ def test_refused_run_leaves_nothing_on_disk(case, tmp_path, capsys):
     assert main([command, "--scenario", scenario, "--out", str(out)]) == exit_code
     capsys.readouterr()
     assert not out.exists()
+
+
+def _refused_before_assembly(command, blocks, tmp_path, capsys, monkeypatch, *flags) -> str:
+    """stderr of a run that must exit 2 before any assembly of M, leaving no
+    file or directory beside its scenario."""
+    monkeypatch.setattr(boundary_ops, "assemble_M", _no_assembly)
+    monkeypatch.chdir(tmp_path)
+    scenario = write_scenario(tmp_path / "scn.json", **blocks)
+    assert main([command, "--scenario", scenario, *flags]) == EXIT_VALIDATION
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scn.json"]
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:")
+    return err
+
+
+# a scenario that reads every key of the table: a screen and a grid
+FULL = dict(SCREEN_GRID, boundary_condition={"kind": "D"}, probe=PROBE, spectral={"lambda": 2.0})
+
+
+@pytest.mark.parametrize("value", [True, {"x": 1}])
+@pytest.mark.parametrize("name", sorted(cli._TABLE))
+@pytest.mark.parametrize("command", ["forward", "reconstruct"])
+def test_every_table_entry_refuses_a_wrong_type_before_assembly(
+        command, name, value, tmp_path, capsys, monkeypatch):
+    blocks = json.loads(json.dumps(FULL))
+    cli._resolve(Scenario.from_dict({"schema_version": 1, **blocks}))  # reads as it is
+    *path, key = name.removeprefix("scenario.").split(".")
+    doc = blocks
+    for part in path:
+        doc = doc.setdefault(part, {})
+    doc[key] = value
+    _refused_before_assembly(command, blocks, tmp_path, capsys, monkeypatch)
+
+
+# the first six were refused (exit 2) only after M and F were assembled, or
+# not at all under forward, which ignored the reconstruction block; the rest
+# ran the whole pipeline and then died with a traceback and exit 1, in
+# os.makedirs, in the boundary condition's lookup, in numpy's generator and
+# in the curve of the test arcs
+REFUSED_LATE = {
+    "noise.level": ("noise.level", dict(noise={"level": -0.5}), ()),
+    "level": ("reconstruction.level", dict(reconstruction={"level": 1.5}), ()),
+    "rule": ("reconstruction.rule", dict(reconstruction={"rule": "otsuu"}), ()),
+    "mode": ("reconstruction.mode", dict(reconstruction={"mode": "inff"}), ()),
+    "truncation_floor": ("spectral.truncation_floor",
+                         dict(spectral={"lambda": 2.0, "truncation_floor": 2.0}), ()),
+    "arc_length": ("reconstruction.arc_sweep.arc_length",
+                   dict(reconstruction={"arc_sweep": {"arc_length": 7.0}}), ()),
+    "outputs_dir_number": ("outputs.dir", dict(outputs={"dir": 5}), ()),
+    "outputs_dir_list": ("outputs.dir", dict(outputs={"dir": ["a"]}), ()),
+    "kind_list": ("boundary_condition.kind", dict(boundary_condition={"kind": ["D"]}), ()),
+    "negative_seed": ("scenario.seed", dict(seed=-1, noise={"level": 1e-3}), ()),
+    "negative_seed_flag": ("scenario.seed", dict(noise={"level": 1e-3}), ("--seed", "-1")),
+    "arc_params_string": ("reconstruction.arc_sweep.params",
+                          dict(reconstruction={"arc_sweep": {"params": {"radius": "big"}}}), ()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_LATE))
+@pytest.mark.parametrize("command", ["forward", "reconstruct"])
+def test_values_refused_late_are_refused_before_assembly(
+        command, case, tmp_path, capsys, monkeypatch):
+    key, blocks, flags = REFUSED_LATE[case]
+    err = _refused_before_assembly(command, {**FULL, **blocks},
+                                   tmp_path, capsys, monkeypatch, *flags)
+    assert f"validation error: {key} = " in err
 
 
 def test_reconstruct_refuses_nothing_to_reconstruct_before_assembly(tmp_path, capsys,

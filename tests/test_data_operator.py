@@ -245,6 +245,14 @@ def test_add_noise_contract():
             add_noise(f, bad, seed=1)
 
 
+def test_add_noise_refuses_a_negative_seed():
+    # numpy's generator raised ValueError, a traceback after F was assembled
+    geom, probe, bc = small_setup("D")
+    f = assemble_F(bc, geom, probe, LAM)
+    with pytest.raises(DomainError, match="seed"):
+        add_noise(f, 0.05, seed=-1)
+
+
 def test_sorted_eigh_orders_by_magnitude():
     vals, vecs = _sorted_eigh(np.diag([1.0, -3.0, 2.0]))
     np.testing.assert_array_equal(vals, [-3.0, 2.0, 1.0])

@@ -1,7 +1,6 @@
 """The README's scenario and library session run as documented, and the
 README names every scenario key the CLI takes."""
 
-import ast
 import pathlib
 import re
 
@@ -9,18 +8,6 @@ from lapscat import cli
 from lapscat.cli import EXIT_OK, main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-
-
-def _cli_keys() -> dict:
-    """Block name -> keys, from the literal tuples of the `_keys` calls in cli.py."""
-    blocks = {}
-    for node in ast.walk(ast.parse(pathlib.Path(cli.__file__).read_text())):
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_keys":
-            name, keys = node.args[1], node.args[2]
-            assert isinstance(name, ast.Constant) and isinstance(keys, ast.Tuple), \
-                ast.unparse(node)
-            blocks[name.value] = [ast.literal_eval(key) for key in keys.elts]
-    return blocks
 
 
 def test_readme_library_session(capsys):
@@ -45,7 +32,7 @@ def test_readme_scenario_runs(tmp_path, monkeypatch, capsys):
 def test_readme_names_every_scenario_key():
     # the reverse of the scenario check above: a key the CLI takes but the
     # README never names is one a user cannot find
-    blocks = _cli_keys()
+    blocks = cli._BLOCKS  # block name -> keys, from the CLI's scenario table
     assert {"geometry", "reconstruction", "reconstruction.arc_sweep", "outputs"} <= set(blocks)
     text = README.read_text()
     missing = [
