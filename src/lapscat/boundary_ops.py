@@ -39,14 +39,15 @@ the Euclidean inner product equals the discrete L2(Gamma) product and
 self-adjoint operators have symmetric matrices.  Sign conventions match
 the factorized resolvent: M_D = -gamma0 SL (negative definite),
 M_N = -gamma1 DL (positive definite), M_alpha = -(1/alpha + gamma0 SL),
-M_theta = theta - gamma1 DL.
+M_theta = theta - gamma1 DL.  A screen is an index set on its curve's
+nodes, and its M the principal submatrix of the curve's M there.
 
 A geometry also keeps the last M assembled on it.  `assemble_M` called
 again with the same condition object and an equal lambda returns that
 same read-only matrix, and `sign_check` of it returns the one report it
 made, so classifying M and then forming F at the same lambda assembles
-and analyses M once.  The geometry refers to the condition only weakly,
-as a screen condition refers back to the geometry.
+and analyses M once.  The geometry holds the condition by a plain
+reference, as nothing in a condition refers back to a geometry.
 
 Off the surface, `_layer_matrix` samples the SL kernel g and the DL
 kernel dg/dn_y from the nodes to target points; the layer potentials,
@@ -58,7 +59,6 @@ from __future__ import annotations
 
 import math
 import warnings
-import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -130,8 +130,8 @@ LAYER = {"D": "SL", "alpha": "SL", "N": "DL", "theta": "DL"}
 class BoundaryCondition:
     """Boundary condition selecting the operator family M_lambda.
 
-    kind: 'D' | 'N' | 'alpha' | 'theta'.  ``coefficient`` may be a
-    scalar, an array of nodal values, or a callable of the shape
+    kind: 'D' | 'N' | 'alpha' | 'theta'.  ``coefficient`` (alpha and theta
+    only) is a scalar, an array of nodal values, or a callable of the shape
     parameter t (``geom.shape_params``, not the quadrature parameter of a
     graded curve); it is resolved against a geometry at assembly time.
     An array or list is kept as a read-only copy, so a condition cannot
@@ -149,6 +149,8 @@ class BoundaryCondition:
             raise DomainError(f"unknown boundary condition kind {self.kind!r}")
         if self.kind in ("alpha", "theta") and self.coefficient is None:
             raise CoefficientError(f"{self.kind} condition requires a coefficient")
+        if self.kind in ("D", "N") and self.coefficient is not None:
+            raise CoefficientError(f"{self.kind} condition takes no coefficient")
         if not 0.0 <= self.lambda_bound < math.inf:
             raise SpectralParameterError("lambda_bound must be finite and non-negative")
         if isinstance(self.coefficient, (list, np.ndarray)):
@@ -184,11 +186,11 @@ class SignReport:
 @dataclass
 class _Memo:
     """The last M assembled on a geometry, kept in its ``__dict__``: the
-    condition (a weak reference, since a screen condition refers back to
-    the geometry), lambda, the read-only matrix and, once `sign_check` has
-    made it, the sign report."""
+    condition (a plain reference: nothing in it refers to the geometry),
+    lambda, the read-only matrix and, once `sign_check` has made it, the
+    sign report."""
 
-    bc: weakref.ref
+    bc: BoundaryCondition
     lam: SpectralParam
     matrix: np.ndarray
     report: SignReport | None = None
@@ -351,7 +353,6 @@ def _refined_geometry(geom: BoundaryGeometry, factor: int) -> BoundaryGeometry:
         weights=(TWO_PI / nf) * jac,
         params=tau,
         shape_params=(tau + periodic_part) % TWO_PI,
-        shape=geom.shape,
     )
 
 
@@ -404,11 +405,21 @@ def assemble_gamma1_DL(geom: BoundaryGeometry, lam: SpectralParam) -> BoundaryOp
 # the M family
 # ----------------------------------------------------------------------
 
+def _screen_indices(screen: ScreenGeometry | None, geom: BoundaryGeometry):
+    """The geometry's nodes a condition on ``screen`` holds on: the screen's
+    active indices, or all of them (a full slice) without a screen.  A
+    screen made on a curve of another node count is refused."""
+    if screen is None:
+        return slice(None)
+    if screen.active_mask.shape != (geom.n_nodes,):
+        raise GeometryError(f"screen of {screen.active_mask.size} nodes on a geometry "
+                            f"of {geom.n_nodes}")
+    return screen.active_indices
+
+
 def compress_to_screen(op: BoundaryOperator, screen: ScreenGeometry) -> BoundaryOperator:
     """Discrete R_Sigma M R_Sigma^*: the active-node principal submatrix."""
-    if screen.parent is not op.geom and screen.parent.n_nodes != op.geom.n_nodes:
-        raise GeometryError("screen parent does not match the operator geometry")
-    idx = screen.active_indices
+    idx = _screen_indices(screen, op.geom)
     sub = np.ascontiguousarray(op.matrix[np.ix_(idx, idx)])
     return BoundaryOperator(matrix=sub, kind=op.kind, lam=op.lam, geom=op.geom)
 
@@ -422,6 +433,7 @@ def assemble_M(
     the same condition object and an equal lambda returns it unassembled,
     and any other call assembles anew and replaces it.
     """
+    active = _screen_indices(bc.screen, geom)
     kept = _kept_matrix(bc, geom, lam)
     if kept is not None:
         return BoundaryOperator(matrix=kept, kind="M_" + bc.kind, lam=lam, geom=geom)
@@ -434,10 +446,8 @@ def assemble_M(
     if bc.kind == "alpha":
         if np.any(np.abs(coef) < 1e-14):
             raise CoefficientError("alpha has (numerically) zero nodal values")
-        if bc.screen is not None:
-            active = coef[bc.screen.active_mask]
-            if np.any(active > 0) and np.any(active < 0):
-                raise CoefficientError("alpha must have constant sign on a screen")
+        if bc.screen is not None and np.any(coef[active] > 0) and np.any(coef[active] < 0):
+            raise CoefficientError("alpha must have constant sign on a screen")
     single_layer = LAYER[bc.kind] == "SL"
     base = (assemble_gamma0_SL if single_layer else assemble_gamma1_DL)(geom, lam).matrix
     if bc.kind in ("D", "N"):
@@ -451,7 +461,7 @@ def assemble_M(
     if bc.screen is not None:
         op = compress_to_screen(op, bc.screen)
     op.matrix.flags.writeable = False
-    object.__setattr__(geom, "_M_memo", _Memo(weakref.ref(bc), lam, op.matrix))
+    object.__setattr__(geom, "_M_memo", _Memo(bc, lam, op.matrix))
     return op
 
 
@@ -460,7 +470,7 @@ def _kept_matrix(bc: BoundaryCondition, geom: BoundaryGeometry, lam: SpectralPar
     lambda, else None; a kept M of another is dropped here, so that it is
     not held through the new assembly."""
     memo = vars(geom).get("_M_memo")
-    if memo is not None and memo.bc() is bc and memo.lam == lam:
+    if memo is not None and memo.bc is bc and memo.lam == lam:
         return memo.matrix
     vars(geom).pop("_M_memo", None)
     return None
@@ -500,11 +510,10 @@ def admissible_class(bc: BoundaryCondition, geom: BoundaryGeometry) -> str | Non
     """The sign class M_lambda keeps as lambda -> inf: negative definite for
     D and alpha > 0, positive definite for N, theta and alpha < 0 (alpha on
     every active node), None for alpha of mixed sign."""
+    active = _screen_indices(bc.screen, geom)
     if bc.kind != "alpha":
         return "definite_negative" if bc.kind == "D" else "definite_positive"
-    coef = bc.resolve_coefficient(geom)
-    if bc.screen is not None:
-        coef = coef[bc.screen.active_mask]
+    coef = bc.resolve_coefficient(geom)[active]
     return ("definite_negative" if np.all(coef > 0)
             else "definite_positive" if np.all(coef < 0) else None)
 

@@ -252,7 +252,7 @@ _TABLE = {
         math.pi / 8.0),
     "reconstruction.arc_sweep.count": (_checked(_count, lambda n: n >= 1, "a count >= 1"), 32),
     "reconstruction.arc_sweep.n_quad": (_checked(_count, lambda n: n >= 2, "a count >= 2"), 128),
-    # None: the geometry's
+    # None: the geometry's shape, and its params if the shape is the geometry's
     "reconstruction.arc_sweep.shape": (_optional(_one_of(_SHAPE_PARAMS)), None),
     "reconstruction.arc_sweep.params": (_optional(_object), None),
     "noise.level": (_AT_LEAST_0, 0.0),
@@ -283,9 +283,10 @@ def _resolve(scn: Scenario) -> dict:
             convert, default = _TABLE[f"{block}.{key}"]
             values[f"{block}.{key}"] = _convert(f"{block}.{key}", doc.get(key, default), convert)
     sweep = "reconstruction.arc_sweep."
-    for key in ("shape", "params"):
-        if values[sweep + key] is None:
-            values[sweep + key] = values["geometry." + key]
+    if values[sweep + "shape"] in (None, values["geometry.shape"]):  # else its own defaults
+        values[sweep + "shape"] = values["geometry.shape"]
+        if values[sweep + "params"] is None:
+            values[sweep + "params"] = values["geometry.params"]
     for curve in ("geometry.", sweep):  # the test arcs' curve is built after assembly
         shape = values[curve + "shape"]
         _convert(curve + "params", values[curve + "params"], lambda p: _shape_functions(shape, p))
@@ -414,16 +415,11 @@ def run_reconstruct(scn: Scenario, out_dir: str | None = None) -> dict:
     return summary
 
 
-def run_verify(
-    scn: Scenario | None = None,
-    out_dir: str | None = None,
-    seed: int = 0,
-) -> tuple[dict, bool]:
+def run_verify(out_dir: str | None = None, seed: int = 0) -> tuple[dict, bool]:
     """Run the full tier of the check registry; write verify_report.json
-    to ``out_dir``, else to the scenario's outputs.dir if one is given."""
+    to ``out_dir`` if one is given."""
     from .selftest import run_checks
 
-    out = out_dir or (_resolve(scn)["outputs.dir"] if scn is not None else None)
     t0 = time.perf_counter()
     checks = run_checks("full", seed=seed)
     n_failed = sum(not c["passed"] for c in checks)
@@ -434,9 +430,9 @@ def run_verify(
         "elapsed_seconds": round(time.perf_counter() - t0, 3),
         "checks": checks,
     }
-    if out:
-        os.makedirs(out, exist_ok=True)
-        _write_json(os.path.join(out, "verify_report.json"), report)
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+        _write_json(os.path.join(out_dir, "verify_report.json"), report)
     return report, n_failed == 0
 
 
@@ -490,7 +486,7 @@ def main(argv: list[str] | None = None) -> int:
         v = _resolve(load_scenario(args.scenario)) if args.scenario is not None else {}
         seed = v.get("scenario.seed", 0) if args.seed is None else _convert(
             "--seed", args.seed, _TABLE["scenario.seed"][0])
-        report, ok = run_verify(None, args.out or v.get("outputs.dir"), seed=seed)
+        report, ok = run_verify(args.out or v.get("outputs.dir"), seed=seed)
         print(f"verify: {report['n_checks'] - report['n_failed']}/"
               f"{report['n_checks']} checks passed "
               f"({report['elapsed_seconds']}s)")

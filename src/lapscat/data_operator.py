@@ -9,18 +9,21 @@ of M (congruence).  A is the layer kernel matrix of `boundary_ops` from
 the boundary nodes to the probe points: Dirichlet and delta-type
 conditions radiate through the single-layer kernel, Neumann and
 delta'-type through the double-layer kernel (`boundary_ops.LAYER`).
-M^{-1} acts on G^T by one solve, never as an explicit inverse; the one
-eigenvalue pass over M (`boundary_ops.sign_check`) gives both its sign
-class and the condition number that guards the solve.  `assemble_F`
-takes M and its sign report from the geometry's last assembly when the
-condition object and lambda are the same (see `boundary_ops.assemble_M`),
-so classifying M and then forming F at that lambda assembles M once.
+A screen is an index set on the curve's nodes: its M is the principal
+submatrix there and, as the kernel is sampled entrywise, its G the
+columns of the curve's G.  M^{-1} acts on G^T by one solve, never as an
+explicit inverse; the one eigenvalue pass over M
+(`boundary_ops.sign_check`) gives both its sign class and the condition
+number that guards the solve.  `assemble_F` takes M and its sign report
+from the geometry's last assembly when the condition object and lambda
+are the same (see `boundary_ops.assemble_M`), so classifying M and
+then forming F at that lambda assembles M once.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +32,7 @@ from .boundary_ops import (
     BoundaryCondition,
     BoundaryOperator,
     _layer_matrix,
+    _screen_indices,
     assemble_M,
     sign_check,
 )
@@ -60,15 +64,10 @@ def radiation_matrix(
     geom: BoundaryGeometry,
     probe: ProbeRegion,
     lam: SpectralParam,
-    active_indices: np.ndarray | None = None,
 ) -> np.ndarray:
     """Weighted boundary-to-probe map G (single or double layer kernel)."""
     if bc_kind not in LAYER:
         raise DomainError(f"unknown boundary condition kind {bc_kind!r}")
-    if active_indices is not None:
-        # the kernel is sampled entrywise: the active nodes alone give G's columns
-        geom = replace(geom, **{f.name: getattr(geom, f.name)[active_indices]
-                                for f in fields(geom) if f.name != "shape"})
     a = _layer_matrix(LAYER[bc_kind], geom, probe.points, lam)
     return np.sqrt(probe.weights)[:, None] * a * np.sqrt(geom.weights)[None, :]
 
@@ -92,8 +91,7 @@ def _data_operator(bc: BoundaryCondition, m_op: BoundaryOperator,
     if not report.condition <= CONDITION_CAP:  # NaN is refused too
         raise InversionError(f"operator {m_op.kind} numerically singular: "
                              f"condition estimate {report.condition:.3e}")
-    active = bc.screen.active_indices if bc.screen is not None else None
-    g = radiation_matrix(bc.kind, geom, probe, lam, active)
+    g = radiation_matrix(bc.kind, geom, probe, lam)[:, _screen_indices(bc.screen, geom)]
     f = g @ np.linalg.solve(m_op.matrix, g.T)
     f = 0.5 * (f + f.T)
     eigvals, eigvecs = _sorted_eigh(f)

@@ -49,7 +49,6 @@ class BoundaryGeometry:
     weights: np.ndarray      # (n,)
     params: np.ndarray       # (n,) equispaced tau_j
     shape_params: np.ndarray  # (n,) w(tau_j) in the shape's own parameter
-    shape: str = "custom"
 
     @property
     def n_nodes(self) -> int:
@@ -68,9 +67,8 @@ class BoundaryGeometry:
 
 @dataclass(frozen=True)
 class ScreenGeometry:
-    """Relatively open screen Sigma subset Gamma given by a parameter interval."""
+    """Relatively open screen Sigma subset Gamma: a mask of its curve's nodes."""
 
-    parent: BoundaryGeometry
     active_mask: np.ndarray   # (n,) bool
     endpoint_params: tuple[float, float]
 
@@ -238,7 +236,6 @@ def make_curve(
         weights=_lock(weights),
         params=_lock(tau),
         shape_params=_lock(t),
-        shape=shape,
     )
 
 
@@ -265,7 +262,7 @@ def make_screen(parent: BoundaryGeometry, param_interval) -> ScreenGeometry:
         raise ScreenError("screen interval covers every node; Sigma must be proper")
     mask = np.ascontiguousarray(mask)
     mask.flags.writeable = False
-    return ScreenGeometry(parent=parent, active_mask=mask, endpoint_params=(a, b))
+    return ScreenGeometry(active_mask=mask, endpoint_params=(a, b))
 
 
 def make_probe(center, radius: float, n_points: int, layout: str = "ring") -> ProbeRegion:

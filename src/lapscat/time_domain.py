@@ -49,39 +49,27 @@ SYMMETRY_TOL = 1e-12
 # scalar spectral functions (vectorized over eigenvalues)
 # ----------------------------------------------------------------------
 
-def _damped_cos(a: np.ndarray, t, s: float) -> np.ndarray:
-    """exp(-s t) cos-branch value, overflow-safe for a > 0 (broadcasts a,t)."""
+def _damped(a: np.ndarray, t, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-s t) cos- and sin-branch values, overflow-safe for a > 0
+    (broadcasts a, t).  The sine takes a power series near a = 0 (where
+    a = 0 always falls) and expm1 for small w t, against cancellation."""
     a_b, t_b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(t, dtype=float))
-    out = np.empty_like(a_b)
-    neg = a_b <= 0.0
-    out[neg] = np.exp(-s * t_b[neg]) * np.cos(t_b[neg] * np.sqrt(-a_b[neg]))
-    w = np.sqrt(a_b[~neg])
-    out[~neg] = 0.5 * (
-        np.exp((w - s) * t_b[~neg]) + np.exp(-(w + s) * t_b[~neg])
-    )
-    return out
-
-
-def _damped_sin(a: np.ndarray, t, s: float) -> np.ndarray:
-    """exp(-s t) sin-branch value, overflow-safe for a > 0; a power series
-    near a = 0 and expm1 for small w t avoid cancellation."""
-    a_b, t_b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(t, dtype=float))
-    out = np.empty_like(a_b)
+    cos, sin = np.empty_like(a_b), np.empty_like(a_b)
     x = a_b * t_b * t_b
     small = np.abs(x) < 1e-6
+    neg = a_b <= 0.0
+    t_n, w_n = t_b[neg], np.sqrt(-a_b[neg])
+    damp = np.exp(-s * t_n)
+    cos[neg] = damp * np.cos(t_n * w_n)
+    osc = ~small[neg]
+    sin[neg & ~small] = damp[osc] * np.sin(t_n[osc] * w_n[osc]) / w_n[osc]
+    t_p, w_p = t_b[~neg], np.sqrt(a_b[~neg])
+    grow = np.exp((w_p - s) * t_p)
+    cos[~neg] = 0.5 * (grow + np.exp(-(w_p + s) * t_p))
+    sin[~neg] = (-0.5 / w_p) * grow * np.expm1(-2.0 * w_p * t_p)
     xs = x[small]
-    out[small] = np.exp(-s * t_b[small]) * t_b[small] * (1.0 + xs / 6.0 + xs * xs / 120.0)
-    rest = ~small
-    a_r, t_r = a_b[rest], t_b[rest]
-    vals = np.empty_like(a_r)
-    neg = a_r < 0.0
-    w = np.sqrt(-a_r[neg])
-    vals[neg] = np.exp(-s * t_r[neg]) * np.sin(t_r[neg] * w) / w
-    wp = np.sqrt(a_r[~neg])
-    tp = t_r[~neg]
-    vals[~neg] = (-0.5 / wp) * np.exp((wp - s) * tp) * np.expm1(-2.0 * wp * tp)
-    out[rest] = vals
-    return out
+    sin[small] = np.exp(-s * t_b[small]) * t_b[small] * (1.0 + xs / 6.0 + xs * xs / 120.0)
+    return cos, sin
 
 
 # ----------------------------------------------------------------------
@@ -217,16 +205,16 @@ class LemmaBound:
 # operator families
 # ----------------------------------------------------------------------
 
-def _spectral_family(a: np.ndarray, t, branch) -> np.ndarray:
-    """branch(A, t) by spectral calculus, undamped (symmetric output); for
-    a 1-d array of times, a stack of one matrix per time from one eigh."""
+def _spectral_family(a: np.ndarray, t, branch: int) -> np.ndarray:
+    """`_damped` branch 0 (cos) or 1 (sin) of A by spectral calculus, undamped
+    (symmetric output); for 1-d times, one matrix per time from one eigh."""
     times = np.asarray(t, dtype=float)
     if times.ndim > 1 or times.size == 0 or not np.all(times >= 0):
         raise DomainError("times must be non-negative: a scalar or a non-empty 1-d array")
     a = np.asarray(a, dtype=float)
     _check_symmetric(a, "A")
     eigvals, vecs = np.linalg.eigh(a)
-    outs = [(vecs * branch(eigvals, ti, 0.0)) @ vecs.T for ti in np.atleast_1d(times)]
+    outs = [(vecs * _damped(eigvals, ti, 0.0)[branch]) @ vecs.T for ti in np.atleast_1d(times)]
     outs = [0.5 * (out + out.T) for out in outs]
     return outs[0] if times.ndim == 0 else np.stack(outs)
 
@@ -234,13 +222,13 @@ def _spectral_family(a: np.ndarray, t, branch) -> np.ndarray:
 def cosine_family(a: np.ndarray, t) -> np.ndarray:
     """Cos(t) = cos(t sqrt(-A)) by spectral calculus (symmetric output);
     a 1-d array of times gives one matrix per time."""
-    return _spectral_family(a, t, _damped_cos)
+    return _spectral_family(a, t, 0)
 
 
 def sine_family(a: np.ndarray, t) -> np.ndarray:
     """Sin(t) = (-A)^{-1/2} sin(t sqrt(-A)), with the t limit at zero modes;
     a 1-d array of times gives one matrix per time."""
-    return _spectral_family(a, t, _damped_sin)
+    return _spectral_family(a, t, 1)
 
 
 @lru_cache(maxsize=None)
@@ -292,8 +280,7 @@ def laplace_identity_residual(a: np.ndarray, lam: float) -> float:
         )
     nodes, weights = _gl_panels(0.0, t_max, width, 8)
 
-    cos_vals = _damped_cos(eigvals[:, None], nodes[None, :], s)
-    sin_vals = _damped_sin(eigvals[:, None], nodes[None, :], s)
+    cos_vals, sin_vals = _damped(eigvals[:, None], nodes[None, :], s)
     int_cos = cos_vals @ weights
     int_sin = sin_vals @ weights
 
@@ -323,7 +310,7 @@ def pulse_response(
         return np.zeros_like(f)
     nodes, weights = _gl_panels(0.0, upper, pulse.epsilon / 8.0, 12)
     chi = pulse(nodes)
-    sinvals = _damped_sin(eigvals[:, None], t - nodes[None, :], 0.0)
+    sinvals = _damped(eigvals[:, None], t - nodes[None, :], 0.0)[1]
     coef = sinvals @ (weights * chi)
     return (vecs * coef) @ (vecs.T @ f)
 
@@ -367,7 +354,8 @@ def _truncated_side(
     """
     nodes, weights = _gl_panels(0.0, min(pulse.epsilon, t_circ), pulse.epsilon / 8.0, 12)
     a, lag = np.broadcast_arrays(eigvals[:, None], t_circ - nodes[None, :])
-    phi = (1.0 - _damped_cos(a, lag, s) - s * _damped_sin(a, lag, s)) / (s * s - a)
+    cos, sin = _damped(a, lag, s)
+    phi = (1.0 - cos - s * sin) / (s * s - a)
     small = (s + np.sqrt(np.abs(a))) * lag < 1.0
     if small.any():
         am, lm = a[small], lag[small]

@@ -30,6 +30,7 @@ from lapscat.errors import (
     AssemblyError,
     CoefficientError,
     DomainError,
+    GeometryError,
     QuadratureError,
     SpectralParameterError,
     TruncationError,
@@ -45,6 +46,7 @@ from lapscat.boundary_ops import (
     _spectral_derivative,
     _trig_upsample,
     _volume_rule,
+    admissible_class,
     assemble_M,
     assemble_gamma0_SL,
     assemble_gamma1_DL,
@@ -590,8 +592,8 @@ def test_array_coefficient_is_kept_as_a_read_only_copy():
 
 
 def test_geometry_with_a_memoized_screen_condition_dies_without_gc():
-    # screen.parent is the geometry, so a strong reference from the geometry
-    # to the condition would make a cycle only the collector frees
+    # the memo holds the condition, and nothing in a screen condition refers
+    # back to the geometry: no cycle, so reference counting alone frees both
     geom = make_curve("circle", {"radius": 1.0}, n_nodes=32)
     bc = BoundaryCondition("N", screen=make_screen(geom, (0.0, math.pi)))
     sign_check(assemble_M(bc, geom, SpectralParam(2.0)))
@@ -755,6 +757,33 @@ def test_screen_compression_is_principal_submatrix():
     np.testing.assert_array_equal(via_bc.matrix, sub.matrix)
     # a negative definite matrix stays negative definite on the subspace
     assert sign_check(sub).classification == "definite_negative"
+
+
+@pytest.mark.parametrize("kind, coef", [("D", None), ("N", None), ("alpha", 1.0),
+                                        ("theta", 1.0)])
+def test_screen_of_another_node_count_is_refused_before_assembly(monkeypatch, kind, coef):
+    # a screen is an index set on its curve's nodes; on a geometry of another
+    # node count alpha raised numpy's IndexError, and D, N and theta
+    # assembled the full M before refusing it
+    import lapscat.boundary_ops as boundary_ops
+
+    cores = _counting(monkeypatch, boundary_ops, "_sl_core")
+    geom = make_curve("circle", {"radius": 1.0}, n_nodes=32)
+    screen = make_screen(make_curve("circle", {"radius": 1.0}, n_nodes=64), (0.0, math.pi))
+    bc = BoundaryCondition(kind, coefficient=coef, screen=screen)
+    with pytest.raises(GeometryError, match="screen of 64 nodes on a geometry of 32"):
+        assemble_M(bc, geom, SpectralParam(2.0))
+    with pytest.raises(GeometryError):
+        admissible_class(bc, geom)
+    assert cores == []
+
+
+@pytest.mark.parametrize("kind, coef", [("D", 5.0), ("N", lambda t: np.cos(t)),
+                                        ("D", np.ones(32))])
+def test_D_and_N_refuse_a_coefficient(kind, coef):
+    # the coefficient was ignored: M was plain Dirichlet or Neumann
+    with pytest.raises(CoefficientError, match=f"{kind} condition takes no coefficient"):
+        BoundaryCondition(kind, coefficient=coef)
 
 
 def test_jump_relation_three_densities():

@@ -322,6 +322,21 @@ def test_reconstruct_screen_arc_report(tmp_path, capsys):
     assert {r[2] for r in rows[1:]} == {"0", "1"}
 
 
+def test_arc_sweep_on_another_shape_takes_that_shape_s_defaults(tmp_path, capsys):
+    # a kite sweep on a circle screen was given the circle's params, which
+    # the kite refused (exit 2); a sweep on the geometry's shape still is
+    for shape, params in (("circle", {"radius": 1.0}), ("kite", None)):
+        scenario = write_scenario(
+            tmp_path / "scn.json", geometry=SCREEN,
+            reconstruction={"arc_sweep": {"count": 8, "n_quad": 32, "shape": shape}})
+        assert cli._resolve(cli.load_scenario(scenario))["reconstruction.arc_sweep.params"] \
+            == params
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--scenario", scenario, "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert (out / "arc_report.json").exists()
+
+
 def test_reconstruct_refuses_arc_sweep_without_inside_arc(tmp_path, capsys):
     # no arc of length 3.2 fits in [0, 3.14159]: the report would compare
     # the outside arcs with nothing
@@ -694,6 +709,16 @@ def test_values_refused_late_are_refused_before_assembly(
     err = _refused_before_assembly(command, {**FULL, **blocks},
                                    tmp_path, capsys, monkeypatch, *flags)
     assert f"validation error: {key} = " in err
+
+
+@pytest.mark.parametrize("kind, coef", [("D", 5.0), ("N", "cos(t)")])
+@pytest.mark.parametrize("command", ["forward", "reconstruct"])
+def test_coefficient_on_D_or_N_is_refused_before_assembly(
+        command, kind, coef, tmp_path, capsys, monkeypatch):
+    # each ran plain D or N to exit 0, the coefficient unread
+    blocks = {**FULL, "boundary_condition": {"kind": kind, "coefficient": coef}}
+    err = _refused_before_assembly(command, blocks, tmp_path, capsys, monkeypatch)
+    assert f"{kind} condition takes no coefficient" in err
 
 
 def test_reconstruct_refuses_nothing_to_reconstruct_before_assembly(tmp_path, capsys,

@@ -1,6 +1,7 @@
 """Data-operator synthesis tests: F = G M^{-1} G^T on the probe region."""
 
 import csv
+import dataclasses
 import math
 import tracemalloc
 
@@ -20,7 +21,7 @@ from lapscat.data_operator import (
     write_spectrum_csv,
 )
 from lapscat.errors import DomainError, InversionError, SingularityError
-from lapscat.geometry import ProbeRegion, make_curve, make_probe, make_screen
+from lapscat.geometry import BoundaryGeometry, ProbeRegion, make_curve, make_probe, make_screen
 from lapscat.kernels import SpectralParam, fundamental_solution
 
 LAM = SpectralParam(2.0)
@@ -53,8 +54,9 @@ def test_f_symmetric_and_signed_per_condition():
 
 def _explicit_F(bc, geom, probe):
     """G inv(M) G^T with numpy's explicit inverse of M."""
-    active = bc.screen.active_indices if bc.screen is not None else None
-    g = radiation_matrix(bc.kind, geom, probe, LAM, active)
+    g = radiation_matrix(bc.kind, geom, probe, LAM)
+    if bc.screen is not None:
+        g = g[:, bc.screen.active_indices]
     return g @ np.linalg.inv(assemble_M(bc, geom, LAM).matrix) @ g.T
 
 
@@ -135,15 +137,17 @@ def test_data_operator_refuses_singular_M():
 
 @pytest.mark.parametrize("kind", ["D", "N"])
 def test_screen_radiation_matrix_is_the_active_columns(kind):
-    # a screen's G samples the kernel at its active nodes only; the values
-    # are those of the full G's active columns, bit for bit
+    # a screen's G is the full G's active columns; the kernel is sampled
+    # entrywise, so they are the G of the active nodes alone, bit for bit
     geom = make_curve(
         "circle", {"radius": 1.0}, n_nodes=128, cluster=(0.0, math.pi, 0.6)
     )
     probe = make_probe((0.0, 0.0), 4.0, 32)
     active = make_screen(geom, (0.0, math.pi)).active_indices
+    sub = BoundaryGeometry(**{f.name: getattr(geom, f.name)[active]
+                              for f in dataclasses.fields(geom)})
     np.testing.assert_array_equal(
-        radiation_matrix(kind, geom, probe, LAM, active),
+        radiation_matrix(kind, sub, probe, LAM),
         radiation_matrix(kind, geom, probe, LAM)[:, active],
     )
 

@@ -4,6 +4,8 @@
 to notes that read the traced call's bound arguments by name (a["x"]).  A
 renamed function or argument would make every traced operation fail, so
 each note is checked here against the package, from the tracer's source.
+So is each private function its PRIVATE table names: the tracer skips a
+renamed one without a word, and its per-layer figures would read 0.
 """
 
 import ast
@@ -16,14 +18,18 @@ import pytest
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
+def _literal(name: str) -> ast.Dict:
+    """The dict literal assigned to ``name`` in the tracer's source."""
+    return next(
+        node.value for node in ast.walk(ast.parse(SPANS.read_text()))
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)
+    )
+
+
 def _notes() -> dict:
     """Span name -> argument names the note reads, from the NOTES literal."""
-    tree = ast.parse(SPANS.read_text())
-    table = next(
-        node.value for node in ast.walk(tree)
-        if isinstance(node, ast.Assign)
-        and any(isinstance(t, ast.Name) and t.id == "NOTES" for t in node.targets)
-    )
+    table = _literal("NOTES")
     notes = {}
     for key, note in zip(table.keys, table.values):
         assert isinstance(note, ast.Lambda), ast.dump(note)
@@ -37,7 +43,16 @@ def _notes() -> dict:
     return notes
 
 
+def _private() -> list[tuple[str, str]]:
+    """(module, name) of each private function the tracer wraps, from the
+    PRIVATE literal."""
+    table = _literal("PRIVATE")
+    return sorted((module.value, name.value)
+                  for module, names in zip(table.keys, table.values) for name in names.elts)
+
+
 NOTES = _notes()
+PRIVATE = _private()
 
 
 def test_the_tracer_has_notes():
@@ -54,3 +69,17 @@ def test_note_reads_arguments_of_an_existing_function(name):
     params = inspect.signature(fn).parameters
     missing = NOTES[name] - set(params)
     assert not missing, f"lapscat.{name} has no argument {sorted(missing)}"
+
+
+def test_the_tracer_wraps_private_functions():
+    assert ("boundary_ops", "_sl_core") in PRIVATE
+    assert ("kernels", "_bessel_i0") in PRIVATE
+
+
+@pytest.mark.parametrize("module, name", PRIVATE, ids=[".".join(p) for p in PRIVATE])
+def test_private_name_is_a_function_of_its_module(module, name):
+    # the tracer wraps a function of the module itself, not an import
+    mod = importlib.import_module("lapscat." + module)
+    fn = getattr(mod, name, None)
+    assert inspect.isfunction(fn) and fn.__module__ == mod.__name__, \
+        f"lapscat.{module}.{name} is gone"
