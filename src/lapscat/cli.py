@@ -2,13 +2,14 @@
 
 A scenario is a JSON document (schema_version 1) of blocks: geometry,
 boundary condition, probe, spectral parameters, evaluation grid,
-reconstruction options, noise and outputs.  `_TABLE` gives each key its
-converter and default, and `_resolve` checks every key against it before
-any work.  Artifacts are deterministic: floats are written with repr, JSON
-keys are sorted, CSV rows follow RFC-4180, and repeated runs at a fixed
-BLAS thread count are byte-identical.  A command makes no directory and
-writes no file before its last computation, so a run refused with exit 2
-or 3 leaves nothing.
+reconstruction options, noise and outputs.  `_TABLE` gives each key, the
+top-level ones included, its converter and default; `main` reads the
+document once with `_resolve`, which checks every key before any work, and
+`verify` builds its scenario's pipeline, refusing what `forward` refuses.
+Artifacts are deterministic: floats are written with repr, JSON keys are
+sorted, CSV rows follow RFC-4180, and repeated runs at a fixed BLAS thread
+count are byte-identical.  A command makes no directory and writes no file
+before its last computation, so a run refused with exit 2 or 3 leaves nothing.
 
 Exit codes: 0 success, 1 check failure, 2 validation error,
 3 numerical failure.
@@ -25,7 +26,6 @@ import operator
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,50 +64,13 @@ _EXPR_OPS = {
 }
 
 
-@dataclass
-class Scenario:
-    """Parsed scenario: the document's blocks, as written; `_resolve`
-    reads their values."""
-
-    geometry: dict
-    boundary_condition: dict
-    probe: dict
-    spectral: dict
-    grid: dict | None = None
-    reconstruction: dict = field(default_factory=dict)
-    noise: dict = field(default_factory=dict)
-    outputs: dict = field(default_factory=dict)
-    seed: int = 0
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "Scenario":
-        if not isinstance(raw, dict):
-            raise ScenarioError("scenario must be a JSON object")
-        version = raw.get("schema_version")
-        if isinstance(version, bool) or version != SCHEMA_VERSION:  # True == 1
-            raise ScenarioError(
-                f"unsupported schema_version {version!r}; expected {SCHEMA_VERSION}"
-            )
-        required = ("geometry", "boundary_condition", "probe", "spectral")
-        for key in required:
-            if raw.get(key) is None:
-                raise ScenarioError(f"scenario missing required block {key!r}")
-        blocks = (*required, "grid", "reconstruction", "noise", "outputs")
-        unknown = set(raw) - set(blocks) - {"seed", "schema_version"}
-        if unknown:
-            raise ScenarioError(f"unknown scenario blocks: {sorted(unknown)}")
-        parsed = {key: _convert(f"scenario.{key}", raw[key], _object)
-                  for key in blocks if raw.get(key) is not None}
-        return cls(**parsed, seed=raw.get("seed", 0))
-
-
-def load_scenario(path: str) -> Scenario:
+def load_scenario(path: str):
+    """The JSON document at ``path``, as parsed; `_resolve` reads it."""
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
-    return Scenario.from_dict(raw)
 
 
 def _convert(name: str, value, convert):
@@ -165,9 +128,9 @@ def _floats(value, shape=(2,)) -> list:
     return arr.tolist()
 
 
-def _optional(convert):
-    """``convert``, or None for an absent (or null) value."""
-    return lambda value: None if value is None else convert(value)
+def _optional(convert, absent=None):
+    """``convert``, or ``absent`` for an absent (or null) value."""
+    return lambda value: absent if value is None else convert(value)
 
 
 def _one_of(choices):
@@ -219,12 +182,22 @@ _FRACTION = _checked(_real, lambda x: 0.0 < x < 1.0, "a number in (0, 1)")
 _AT_LEAST_0 = _checked(_real, lambda x: 0.0 <= x < math.inf, "a finite number >= 0")
 
 # Every scenario value, "block.key" -> (converter, default); "scenario" is
-# the document's top level.  A default goes through its converter, so a
-# required key has one that it refuses.  A nested block (geometry.screen,
-# reconstruction.arc_sweep) is a key of its parent, listed before its own
-# keys, which are read only when the block is given.
+# the document's top level, and its blocks are its keys.  A default goes
+# through its converter, so a required key has one that it refuses.  A
+# block is a key of its parent, listed before its own keys, which are read
+# only when the block is given.
 _TABLE = {
+    "scenario.schema_version": (
+        _checked(_number, lambda n: n == SCHEMA_VERSION, str(SCHEMA_VERSION)), None),
     "scenario.seed": (_checked(_count, lambda n: n >= 0, "a whole number >= 0"), 0),
+    "scenario.geometry": (_object, None),
+    "scenario.boundary_condition": (_object, None),
+    "scenario.probe": (_object, None),
+    "scenario.spectral": (_object, None),
+    "scenario.grid": (_optional(_object), None),
+    "scenario.reconstruction": (_optional(_object, {}), {}),
+    "scenario.noise": (_optional(_object, {}), {}),
+    "scenario.outputs": (_optional(_object, {}), {}),
     "geometry.shape": (_one_of(_SHAPE_PARAMS), None),
     "geometry.params": (_optional(_object), None),
     "geometry.n_nodes": (_count, 128),
@@ -263,15 +236,14 @@ for _block, _dot, _key in (name.rpartition(".") for name in _TABLE):
     _BLOCKS.setdefault(_block, []).append(_key)
 
 
-def _resolve(scn: Scenario) -> dict:
-    """Every value of the scenario by its `_TABLE` name, converted and
-    checked, and each block by its name (None if absent): the one place
-    that reads a scenario.  An unknown key, a refused value or a curve
-    `make_curve` would refuse is a validation error naming the block and
-    key, raised before any work."""
-    # the top-level blocks as given, and the seed as the one key of "scenario"
-    values = {block: getattr(scn, block, None) for block in _BLOCKS if "." not in block}
-    values["scenario"] = {"seed": scn.seed}
+def _resolve(document, overrides: dict | None = None) -> dict:
+    """Every value of the scenario document by its path ("seed",
+    "geometry.n_nodes"), converted and checked, with ``overrides`` (by
+    `_TABLE` name, None for none) in place of the document's: the one
+    place that reads a scenario.  An unknown key, a refused value or a
+    curve `make_curve` would refuse is a validation error naming the block
+    and key, raised before any work."""
+    values = {"scenario": _convert("scenario", document, _object)}
     for block, keys in _BLOCKS.items():
         doc = values.get(block)
         if doc is None:
@@ -280,8 +252,11 @@ def _resolve(scn: Scenario) -> dict:
         if unknown:
             raise ScenarioError(f"unknown keys in {block}: {sorted(unknown)}; expected {keys}")
         for key in keys:
-            convert, default = _TABLE[f"{block}.{key}"]
-            values[f"{block}.{key}"] = _convert(f"{block}.{key}", doc.get(key, default), convert)
+            name = f"{block}.{key}"
+            convert, default = _TABLE[name]
+            value = (overrides or {}).get(name)
+            value = doc.get(key, default) if value is None else value
+            values[name.removeprefix("scenario.")] = _convert(name, value, convert)
     sweep = "reconstruction.arc_sweep."
     if values[sweep + "shape"] in (None, values["geometry.shape"]):  # else its own defaults
         values[sweep + "shape"] = values["geometry.shape"]
@@ -293,10 +268,9 @@ def _resolve(scn: Scenario) -> dict:
     return values
 
 
-def build_pipeline(scn: Scenario):
+def build_pipeline(v: dict):
     """Materialize geometry, condition, probe, spectral parameter, grid
-    from the scenario's values (`_resolve`)."""
-    v = _resolve(scn)
+    from a scenario's resolved values (`_resolve`)."""
     interval, beta = v.get("geometry.screen.interval"), v.get("geometry.screen.grading_beta")
     geom = make_curve(v["geometry.shape"], v["geometry.params"], n_nodes=v["geometry.n_nodes"],
                       cluster=(*interval, beta) if beta else None)  # NaN: refused there
@@ -322,12 +296,12 @@ def build_pipeline(scn: Scenario):
 # subcommands
 # ----------------------------------------------------------------------
 
-def _data(scn: Scenario, v: dict):
+def _data(v: dict):
     """(pipeline, noisy F, M, M's sign report), the data stage of forward
     and reconstruct; warns on stderr if M lacks the admissible class.
     `assemble_F` takes M and its report from the geometry, so M is assembled
     and analysed once."""
-    geom, _screen, bc, probe, lam, _grid = pipeline = build_pipeline(scn)
+    geom, _screen, bc, probe, lam, _grid = pipeline = build_pipeline(v)
     m_op = boundary_ops.assemble_M(bc, geom, lam)
     report = boundary_ops.sign_check(m_op)
     f_op = data_operator.assemble_F(bc, geom, probe, lam)
@@ -335,15 +309,14 @@ def _data(scn: Scenario, v: dict):
     if report.classification != target:
         print(f"warning: {m_op.kind} is {report.classification}, not {target or 'one-signed'}, "
               f"at lambda {lam.lam!r}; the range test does not apply", file=sys.stderr)
-    f_op = data_operator.add_noise(f_op, v["noise.level"], v["scenario.seed"])
+    f_op = data_operator.add_noise(f_op, v["noise.level"], v["seed"])
     return pipeline, f_op, m_op, report
 
 
-def run_forward(scn: Scenario, out_dir: str | None = None) -> dict:
+def run_forward(v: dict, out_dir: str | None = None) -> dict:
     """Assemble M and F; write sign report, spectrum CSV, matrix dumps."""
-    v = _resolve(scn)
     out = out_dir or v["outputs.dir"]
-    (geom, _, _, probe, lam, _), f_op, m_op, report = _data(scn, v)
+    (geom, _, _, probe, lam, _), f_op, m_op, report = _data(v)
     payload = {
         "kind": m_op.kind,
         "lambda": lam.lam,
@@ -367,13 +340,12 @@ def run_forward(scn: Scenario, out_dir: str | None = None) -> dict:
     return payload
 
 
-def run_reconstruct(scn: Scenario, out_dir: str | None = None) -> dict:
+def run_reconstruct(v: dict, out_dir: str | None = None) -> dict:
     """Full pipeline: data operator, indicator sweep, segmentation, files."""
-    v = _resolve(scn)
     if v["grid"] is None and v["geometry.screen"] is None:
         raise ScenarioError("reconstruct needs a grid block or a geometry.screen block")
     out = out_dir or v["outputs.dir"]
-    (geom, screen, bc, probe, lam, grid), f_op = _data(scn, v)[:2]
+    (geom, screen, bc, probe, lam, grid), f_op = _data(v)[:2]
     floor = v["spectral.truncation_floor"]
 
     summary: dict = {"lambda": lam.lam, "bc_kind": bc.kind}
@@ -410,7 +382,7 @@ def run_reconstruct(scn: Scenario, out_dir: str | None = None) -> dict:
         reconstruction.write_indicator_pgm(igrid, os.path.join(out, "indicator.pgm"))
         reconstruction.write_metrics_json(
             os.path.join(out, "metrics.json"), seg, igrid, f_op,
-            extra={"lambda": lam.lam, "bc_kind": bc.kind, "seed": v["scenario.seed"]},
+            extra={"lambda": lam.lam, "bc_kind": bc.kind, "seed": v["seed"]},
         )
     return summary
 
@@ -440,16 +412,6 @@ def run_verify(out_dir: str | None = None, seed: int = 0) -> tuple[dict, bool]:
 # entry point
 # ----------------------------------------------------------------------
 
-def _apply_overrides(scn: Scenario, args: argparse.Namespace) -> Scenario:
-    if args.lam is not None:
-        scn.spectral["lambda"] = args.lam
-    if args.nodes is not None:
-        scn.geometry["n_nodes"] = args.nodes
-    if args.seed is not None:
-        scn.seed = args.seed
-    return scn
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lapscat",
@@ -478,13 +440,19 @@ def main(argv: list[str] | None = None) -> int:
             n_pass, n_fail = run_all()
             return EXIT_OK if n_fail == 0 else EXIT_CHECK_FAILURE
         if args.command in ("forward", "reconstruct"):
-            scn = _apply_overrides(load_scenario(args.scenario), args)
+            overrides = {"spectral.lambda": args.lam, "geometry.n_nodes": args.nodes,
+                         "scenario.seed": args.seed}
+            v = _resolve(load_scenario(args.scenario), overrides)
             run = run_forward if args.command == "forward" else run_reconstruct
-            print(json.dumps(run(scn, args.out), indent=2, sort_keys=True))
+            print(json.dumps(run(v, args.out), indent=2, sort_keys=True))
             return EXIT_OK
-        # verify: the scenario gives the seed and the output directory
-        v = _resolve(load_scenario(args.scenario)) if args.scenario is not None else {}
-        seed = v.get("scenario.seed", 0) if args.seed is None else _convert(
+        # verify: the scenario gives the seed and the output directory, and
+        # is refused where forward would refuse it before assembly
+        v = {}
+        if args.scenario is not None:
+            v = _resolve(load_scenario(args.scenario))
+            build_pipeline(v)
+        seed = v.get("seed", 0) if args.seed is None else _convert(
             "--seed", args.seed, _TABLE["scenario.seed"][0])
         report, ok = run_verify(args.out or v.get("outputs.dir"), seed=seed)
         print(f"verify: {report['n_checks'] - report['n_failed']}/"

@@ -43,6 +43,10 @@ class BoundaryAmbiguityError(GeometryError):
     """Containment query too close to the boundary to decide."""
 
 
+class ShapeParameterError(GeometryError, TypeError):
+    """Shape parameter given as a string or a bool; a TypeError, as from float([1])."""
+
+
 class SpectralParameterError(ValidationError):
     """Spectral parameter violates lambda > lambda_bound >= 0."""
 

@@ -22,13 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryAmbiguityError, GeometryError, ScreenError
+from .errors import BoundaryAmbiguityError, GeometryError, ScreenError, ShapeParameterError
 
 TWO_PI = 2.0 * math.pi
 
 
-def _lock(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=float)
+def _lock(arr: np.ndarray, dtype=float) -> np.ndarray:
+    arr = np.ascontiguousarray(arr, dtype=dtype)
     arr.flags.writeable = False
     return arr
 
@@ -115,10 +115,12 @@ def _shape_functions(shape: str, params: dict):
     unknown = set(p) - set(_SHAPE_PARAMS[shape])
     if unknown:
         raise GeometryError(f"unknown {shape} parameters: {sorted(unknown)}")
-    if shape == "circle":
-        radius = float(p.get("radius", 1.0))
-        if radius <= 0:
-            raise GeometryError("circle radius must be positive")
+    for key, value in p.items():  # float() would read "2" as 2.0 and true as 1.0
+        for number in value if key == "center" else (value,):
+            if isinstance(number, (bool, str)):
+                raise ShapeParameterError(f"{shape} parameter {key} = {value!r} is not a number")
+    if shape == "circle":  # the ellipse of semi-axes a = b = radius
+        radius = p.pop("radius", 1.0)
         shape, p = "ellipse", {**p, "a": radius, "b": radius}
 
     if shape == "ellipse":
@@ -126,7 +128,7 @@ def _shape_functions(shape: str, params: dict):
         b = float(p.get("b", 1.0))
         cx, cy = map(float, p.get("center", (0.0, 0.0)))
         if a <= 0 or b <= 0:
-            raise GeometryError("ellipse semi-axes must be positive")
+            raise GeometryError("ellipse semi-axes (a circle's radius) must be positive")
 
         def pos(t):
             return np.stack([cx + a * np.cos(t), cy + b * np.sin(t)], axis=-1)
@@ -260,9 +262,7 @@ def make_screen(parent: BoundaryGeometry, param_interval) -> ScreenGeometry:
         raise ScreenError(f"screen carries only {int(mask.sum())} nodes, need >= 4")
     if mask.all():
         raise ScreenError("screen interval covers every node; Sigma must be proper")
-    mask = np.ascontiguousarray(mask)
-    mask.flags.writeable = False
-    return ScreenGeometry(active_mask=mask, endpoint_params=(a, b))
+    return ScreenGeometry(active_mask=_lock(mask, bool), endpoint_params=(a, b))
 
 
 def make_probe(center, radius: float, n_points: int, layout: str = "ring") -> ProbeRegion:

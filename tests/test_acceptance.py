@@ -16,7 +16,7 @@ from scipy import special
 
 from lapscat import boundary_ops, data_operator, time_domain
 from lapscat.boundary_ops import BoundaryCondition
-from lapscat.cli import Scenario, run_forward, run_reconstruct
+from lapscat.cli import _resolve, run_forward, run_reconstruct
 from lapscat.geometry import contains, make_curve, make_grid, make_probe, make_screen
 from lapscat.kernels import SpectralParam, fundamental_solution
 from lapscat.reconstruction import (
@@ -361,7 +361,7 @@ def test_criterion_9_laplace_and_norm_identities():
 
 def test_criterion_10_determinism_formats_selftest(tmp_path):
     t0 = time.time()
-    scenario = Scenario.from_dict(
+    scenario = _resolve(
         {
             "schema_version": 1,
             "seed": 4,

@@ -16,7 +16,6 @@ from lapscat.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
-    Scenario,
     build_pipeline,
     main,
 )
@@ -47,11 +46,14 @@ def test_scenario_round_trip():
         "grid": {"resolution": 32},
         "noise": {"level": 0.01},
     }
-    scn = Scenario.from_dict(raw)
-    assert {key: getattr(scn, key) for key in raw if key != "schema_version"} == {
-        key: value for key, value in raw.items() if key != "schema_version"}
-    assert scn.seed == 3
-    assert scn.grid == {"resolution": 32}
+    v = cli._resolve(raw)
+    assert v["seed"] == 3
+    for block in ("geometry", "boundary_condition", "probe", "spectral", "grid", "noise"):
+        assert v[block] == raw[block]
+        assert all(v[f"{block}.{key}"] == value for key, value in raw[block].items())
+    # an absent key reads as its default, an absent optional block as None
+    assert v["grid.bounds"] == [[-2.5, 2.5], [-2.5, 2.5]]
+    assert v["reconstruction.mode"] == "picard" and v["geometry.screen"] is None
 
 
 def test_scenario_rejects_malformed_documents():
@@ -63,36 +65,34 @@ def test_scenario_rejects_malformed_documents():
         "spectral": {"lambda": 2.0},
     }
     with pytest.raises(ScenarioError):
-        Scenario.from_dict({**good, "schema_version": 2})
+        cli._resolve({**good, "schema_version": 2})
     with pytest.raises(ScenarioError):
-        Scenario.from_dict({k: v for k, v in good.items() if k != "spectral"})
+        cli._resolve({k: v for k, v in good.items() if k != "spectral"})
     with pytest.raises(ScenarioError):
-        Scenario.from_dict({**good, "extras": {}})
+        cli._resolve({**good, "extras": {}})
     with pytest.raises(ScenarioError):
-        Scenario.from_dict(["not", "an", "object"])
+        cli._resolve(["not", "an", "object"])
     with pytest.raises(ScenarioError):  # True == 1
-        Scenario.from_dict({**good, "schema_version": True})
+        cli._resolve({**good, "schema_version": True})
 
 
 def test_coefficient_expression_evaluation():
-    scn = Scenario.from_dict(
-        {
-            "schema_version": 1,
-            "geometry": {"shape": "circle", "params": {"radius": 1.0}, "n_nodes": 32},
-            "boundary_condition": {
-                "kind": "theta",
-                "coefficient": "1.0 + 0.5*cos(t)",
-            },
-            "probe": {"n_points": 16},
-            "spectral": {"lambda": 2.0},
-        }
-    )
-    _, _, bc, _, _, _ = build_pipeline(scn)
+    doc = {
+        "schema_version": 1,
+        "geometry": {"shape": "circle", "params": {"radius": 1.0}, "n_nodes": 32},
+        "boundary_condition": {
+            "kind": "theta",
+            "coefficient": "1.0 + 0.5*cos(t)",
+        },
+        "probe": {"n_points": 16},
+        "spectral": {"lambda": 2.0},
+    }
+    _, _, bc, _, _, _ = build_pipeline(cli._resolve(doc))
     t = np.linspace(0.0, 2 * np.pi, 7)
     np.testing.assert_allclose(bc.coefficient(t), 1.0 + 0.5 * np.cos(t), rtol=1e-15)
     # the expression namespace is closed: no builtins leak through
-    scn.boundary_condition["coefficient"] = "__import__('os').getcwd()"
-    _, _, bad, _, _, _ = build_pipeline(scn)
+    doc["boundary_condition"]["coefficient"] = "__import__('os').getcwd()"
+    _, _, bad, _, _, _ = build_pipeline(cli._resolve(doc))
     with pytest.raises(ScenarioError):
         bad.coefficient(t)
 
@@ -560,7 +560,7 @@ INF, NAN = float("inf"), float("nan")
     ("grid.bounds", dict(grid={"bounds": [[-INF, 2.5], [-2.5, 2.5]], "resolution": 8})),
     ("grid.bounds", dict(grid={"bounds": [[-2.5, 2.5], [-2.5, NAN]], "resolution": 8})),
 ])
-@pytest.mark.parametrize("command", ["forward", "reconstruct"])
+@pytest.mark.parametrize("command", ["forward", "reconstruct", "verify"])
 def test_non_finite_probe_and_grid_are_refused_before_assembly(
         command, name, blocks, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(boundary_ops, "assemble_M", _no_assembly)
@@ -664,11 +664,11 @@ FULL = dict(SCREEN_GRID, boundary_condition={"kind": "D"}, probe=PROBE, spectral
 
 @pytest.mark.parametrize("value", [True, {"x": 1}])
 @pytest.mark.parametrize("name", sorted(cli._TABLE))
-@pytest.mark.parametrize("command", ["forward", "reconstruct"])
+@pytest.mark.parametrize("command", ["forward", "reconstruct", "verify"])
 def test_every_table_entry_refuses_a_wrong_type_before_assembly(
         command, name, value, tmp_path, capsys, monkeypatch):
     blocks = json.loads(json.dumps(FULL))
-    cli._resolve(Scenario.from_dict({"schema_version": 1, **blocks}))  # reads as it is
+    cli._resolve({"schema_version": 1, **blocks})  # reads as it is
     *path, key = name.removeprefix("scenario.").split(".")
     doc = blocks
     for part in path:
@@ -701,8 +701,10 @@ REFUSED_LATE = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(REFUSED_LATE))
-@pytest.mark.parametrize("command", ["forward", "reconstruct"])
+# verify takes no --seed from the table: test_verify_refuses_a_negative_seed
+@pytest.mark.parametrize("command, case", [
+    (command, case) for command in ("forward", "reconstruct", "verify")
+    for case in sorted(REFUSED_LATE) if (command, case) != ("verify", "negative_seed_flag")])
 def test_values_refused_late_are_refused_before_assembly(
         command, case, tmp_path, capsys, monkeypatch):
     key, blocks, flags = REFUSED_LATE[case]
@@ -712,13 +714,77 @@ def test_values_refused_late_are_refused_before_assembly(
 
 
 @pytest.mark.parametrize("kind, coef", [("D", 5.0), ("N", "cos(t)")])
-@pytest.mark.parametrize("command", ["forward", "reconstruct"])
+@pytest.mark.parametrize("command", ["forward", "reconstruct", "verify"])
 def test_coefficient_on_D_or_N_is_refused_before_assembly(
         command, kind, coef, tmp_path, capsys, monkeypatch):
     # each ran plain D or N to exit 0, the coefficient unread
     blocks = {**FULL, "boundary_condition": {"kind": kind, "coefficient": coef}}
     err = _refused_before_assembly(command, blocks, tmp_path, capsys, monkeypatch)
     assert f"{kind} condition takes no coefficient" in err
+
+
+# each ran verify to exit 0 while forward refused it: verify read the keys
+# of the scenario but never built its curve, condition, probe or grid
+BUILT_LATE = {
+    "coefficient_on_D": dict(boundary_condition={"kind": "D", "coefficient": 5.0}),
+    "alpha_without_coefficient": dict(boundary_condition={"kind": "alpha"}),
+    "probe_layout": dict(probe={**PROBE, "layout": "rings"}),
+    "probe_overlaps_scatterer": dict(probe={**PROBE, "radius": 1.0}),
+    "probe_n_points": dict(probe={**PROBE, "n_points": 4}),
+    "grid_misses_scatterer": dict(grid={"bounds": [[-0.5, 0.5], [-0.5, 0.5]], "resolution": 8}),
+    "odd_n_nodes": dict(geometry={"shape": "circle", "params": {"radius": 1.0}, "n_nodes": 63}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUILT_LATE))
+@pytest.mark.parametrize("command", ["forward", "verify"])
+def test_verify_refuses_what_forward_refuses(command, case, tmp_path, capsys, monkeypatch):
+    _refused_before_assembly(command, BUILT_LATE[case], tmp_path, capsys, monkeypatch)
+
+
+# float() read "1" and true as 1.0: each ran to exit 0, a string or bool
+# geometry radius as the unit circle
+@pytest.mark.parametrize("params", [{"radius": "1"}, {"radius": True}, {"center": [0.0, "0"]}])
+@pytest.mark.parametrize("curve", ["geometry", "arc_sweep"])
+def test_shape_parameters_take_numbers_only(curve, params, tmp_path, capsys, monkeypatch):
+    blocks = {"geometry": dict(geometry={**SCREEN, "params": params}),
+              "arc_sweep": dict(reconstruction={"arc_sweep": {"params": params}})}[curve]
+    err = _refused_before_assembly("forward", {**FULL, **blocks}, tmp_path, capsys, monkeypatch)
+    assert "not a number" in err
+
+
+# null reads as an absent block where the block is optional, and 1.0 is
+# schema_version 1; a null seed or arc_sweep is refused
+NULLS_AND_FLOATS = {
+    "reconstruction_null": (EXIT_OK, dict(reconstruction=None)),
+    "noise_null": (EXIT_OK, dict(noise=None)),
+    "outputs_null": (EXIT_OK, dict(outputs=None)),
+    "grid_null": (EXIT_OK, dict(grid=None)),
+    "screen_null": (EXIT_OK, dict(geometry={**SCREEN, "screen": None})),
+    "schema_version_float": (EXIT_OK, dict(schema_version=1.0)),
+    "seed_null": (EXIT_VALIDATION, dict(seed=None)),
+    "arc_sweep_null": (EXIT_VALIDATION, dict(reconstruction={"arc_sweep": None})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NULLS_AND_FLOATS))
+def test_null_and_float_values_keep_their_verdicts(case, tmp_path, capsys):
+    code, blocks = NULLS_AND_FLOATS[case]
+    scenario = write_scenario(tmp_path / "scn.json", **blocks)
+    assert main(["forward", "--scenario", scenario, "--out", str(tmp_path / "out")]) == code
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["forward", "reconstruct"])
+def test_a_run_resolves_its_scenario_once(command, tmp_path, capsys, monkeypatch):
+    # run_forward or run_reconstruct and then build_pipeline each resolved it
+    calls = []
+    resolve = cli._resolve
+    monkeypatch.setattr(cli, "_resolve", lambda *args: calls.append(args) or resolve(*args))
+    scenario = write_scenario(tmp_path / "scn.json", **GRID)
+    assert main([command, "--scenario", scenario, "--out", str(tmp_path / "out")]) == EXIT_OK
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_reconstruct_refuses_nothing_to_reconstruct_before_assembly(tmp_path, capsys,
@@ -736,7 +802,7 @@ def test_reconstruct_refuses_nothing_to_reconstruct_before_assembly(tmp_path, ca
 
 
 @pytest.mark.parametrize("band", [-0.1, float("nan"), float("inf")])
-@pytest.mark.parametrize("command", ["forward", "reconstruct"])
+@pytest.mark.parametrize("command", ["forward", "reconstruct", "verify"])
 def test_bad_margin_band_is_refused_before_assembly(tmp_path, capsys, monkeypatch,
                                                     command, band):
     def assemble_M(*args):

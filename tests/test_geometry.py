@@ -77,6 +77,21 @@ def test_make_curve_validation():
         make_curve("ellipse", {"a": 0.0})
 
 
+@pytest.mark.parametrize("shape, params", [
+    ("circle", {"radius": "1"}),
+    ("circle", {"radius": True}),
+    ("circle", {"center": [0.0, "0"]}),
+    ("ellipse", {"a": True}),
+    ("ellipse", {"b": "1"}),
+    ("ellipse", {"center": [False, 0.0]}),
+    ("peanut", {"scale": "1"}),
+])
+def test_shape_parameters_take_numbers_only(shape, params):
+    # float() read "1" and true as 1.0: each built a curve
+    with pytest.raises(GeometryError, match="not a number"):
+        make_curve(shape, params, n_nodes=16)
+
+
 def test_cluster_grading_concentrates_nodes():
     plain = make_curve("circle", {"radius": 1.0}, n_nodes=64)
     graded = make_curve(
