@@ -42,12 +42,15 @@ M_N = -gamma1 DL (positive definite), M_alpha = -(1/alpha + gamma0 SL),
 M_theta = theta - gamma1 DL.  A screen is an index set on its curve's
 nodes, and its M the principal submatrix of the curve's M there.
 
-A geometry also keeps the last M assembled on it.  `assemble_M` called
-again with the same condition object and an equal lambda returns that
-same read-only matrix, and `sign_check` of it returns the one report it
-made, so classifying M and then forming F at the same lambda assembles
-and analyses M once.  The geometry holds the condition by a plain
-reference, as nothing in a condition refers back to a geometry.
+M is the one operator assembled here (`assemble_M`); the traces are
+minus M_D and M_N.  An assembled `BoundaryOperator` carries its
+read-only matrix, its condition and lambda, and makes its sign report
+(`sign_check`) once.  A geometry keeps the last operator assembled on
+it: `assemble_M` called again with the same condition object and an
+equal lambda returns that same object, so classifying M and then
+forming F at the same lambda assembles and analyses M once.  Neither
+the operator nor its condition refers back to the geometry, so
+reference counting alone frees the geometry and what it keeps.
 
 Off the surface, `_layer_matrix` samples the SL kernel g and the DL
 kernel dg/dn_y from the nodes to target points; the layer potentials,
@@ -60,6 +63,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -102,24 +106,6 @@ BOUND_LAM_MIN, BOUND_LAM_MAX, BOUND_TOL = 1e-3, 1024.0, 1e-2
 # refinement of the off-surface quadratures: near-singular potential
 # targets, and the jump ladder's offsets down to h0/4
 _NEAR_UPSAMPLE, _JUMP_UPSAMPLE = 8, 16
-
-@dataclass(frozen=True)
-class BoundaryOperator:
-    """Dense symmetric matrix realization of a boundary operator.
-
-    ``matrix`` acts on weight-scaled nodal vectors (see module docstring).
-    For screen compressions only the active nodes are kept.
-    """
-
-    matrix: np.ndarray
-    kind: str
-    lam: SpectralParam
-    geom: BoundaryGeometry
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
 
 # the layer each condition's M and G are built from: M is minus its trace
 # (gamma0 SL or gamma1 DL) plus the coefficient term, G samples its kernel
@@ -183,17 +169,45 @@ class SignReport:
     condition: float  # max|mu| / min|mu| over the eigenvalues, inf if singular
 
 
-@dataclass
-class _Memo:
-    """The last M assembled on a geometry, kept in its ``__dict__``: the
-    condition (a plain reference: nothing in it refers to the geometry),
-    lambda, the read-only matrix and, once `sign_check` has made it, the
-    sign report."""
+@dataclass(frozen=True)
+class BoundaryOperator:
+    """An assembled M_lambda: its read-only symmetric matrix, the condition
+    it holds and lambda.
 
+    ``matrix`` acts on weight-scaled nodal vectors (see module docstring);
+    a screen condition's keeps only the active nodes.
+    """
+
+    matrix: np.ndarray
     bc: BoundaryCondition
     lam: SpectralParam
-    matrix: np.ndarray
-    report: SignReport | None = None
+
+    @property
+    def kind(self) -> str:
+        return "M_" + self.bc.kind
+
+    @property
+    def size(self) -> int:
+        return self.matrix.shape[0]
+
+    @cached_property
+    def _report(self) -> SignReport:
+        mat = self.matrix
+        res = np.linalg.norm(mat - mat.T) / max(np.linalg.norm(mat), 1e-300)
+        if res > 1e-8:
+            raise DomainError(f"sign_check expects a symmetric matrix, residual {res:.2e}")
+        eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
+        amax, amin = float(np.max(np.abs(eigs))), float(np.min(np.abs(eigs)))
+        tol = 1e-12 * amax
+        lo, hi = float(eigs[0]), float(eigs[-1])
+        if lo > tol:
+            cls = "definite_positive"
+        elif hi < -tol:
+            cls = "definite_negative"
+        else:
+            cls = "indefinite"
+        cond = math.inf if amin == 0.0 else amax / amin
+        return SignReport(classification=cls, eig_min=lo, eig_max=hi, condition=cond)
 
 
 # ----------------------------------------------------------------------
@@ -356,9 +370,10 @@ def _refined_geometry(geom: BoundaryGeometry, factor: int) -> BoundaryGeometry:
     )
 
 
-def _assemble(geom: BoundaryGeometry, lam: SpectralParam, kind: str) -> BoundaryOperator:
-    """gamma0 SL or (Maue) gamma1 DL, a congruence of the refined-grid
-    cores with the plan's factors SP and Q (see the module docstring).
+def _trace(geom: BoundaryGeometry, lam: SpectralParam, layer: str) -> np.ndarray:
+    """gamma0 SL (``layer`` "SL") or, by the Maue identity, gamma1 DL
+    ("DL"), symmetrised: a congruence of the refined-grid cores with the
+    plan's factors SP and Q (see the module docstring).
 
     Refuses lambda above the geometry's resolvable cap, where the
     assembled operator loses its sign (see `resolvable_lambda_cap`).
@@ -371,7 +386,7 @@ def _assemble(geom: BoundaryGeometry, lam: SpectralParam, kind: str) -> Boundary
             f"lambda {lam.lam} exceeds the resolvable cap {cap:.4g} of "
             "this geometry; the assembled operator cannot be trusted there"
         )
-    maue = kind == "gamma1_DL"
+    maue = layer == "DL"
     plan = _assembly_plan(geom, maue)
     core, core_nn = _sl_core(plan, lam, nn_weight=maue)
     sp = plan.sp
@@ -379,26 +394,7 @@ def _assemble(geom: BoundaryGeometry, lam: SpectralParam, kind: str) -> Boundary
         mat = -(plan.q.T @ core @ plan.q) - lam.lam * (sp.T @ core_nn @ sp)
     else:
         mat = sp.T @ core @ sp
-    return BoundaryOperator(matrix=0.5 * (mat + mat.T), kind=kind, lam=lam, geom=geom)
-
-
-def assemble_gamma0_SL(geom: BoundaryGeometry, lam: SpectralParam) -> BoundaryOperator:
-    """Weighted Nystrom matrix of the single-layer trace gamma0 SL_lambda.
-
-    Positive definite for every lambda > 0; spectrally accurate on
-    analytic curves thanks to the log-splitting rule.
-    """
-    return _assemble(geom, lam, "gamma0_SL")
-
-
-def assemble_gamma1_DL(geom: BoundaryGeometry, lam: SpectralParam) -> BoundaryOperator:
-    """Weighted matrix of the hypersingular trace gamma1 DL_lambda.
-
-    Maue reduction: tangential-derivative sandwich of the single layer
-    plus the lambda-weighted normal-normal single layer.  Negative
-    definite for lambda > 0.
-    """
-    return _assemble(geom, lam, "gamma1_DL")
+    return 0.5 * (mat + mat.T)
 
 
 # ----------------------------------------------------------------------
@@ -417,26 +413,22 @@ def _screen_indices(screen: ScreenGeometry | None, geom: BoundaryGeometry):
     return screen.active_indices
 
 
-def compress_to_screen(op: BoundaryOperator, screen: ScreenGeometry) -> BoundaryOperator:
-    """Discrete R_Sigma M R_Sigma^*: the active-node principal submatrix."""
-    idx = _screen_indices(screen, op.geom)
-    sub = np.ascontiguousarray(op.matrix[np.ix_(idx, idx)])
-    return BoundaryOperator(matrix=sub, kind=op.kind, lam=op.lam, geom=op.geom)
-
-
 def assemble_M(
     bc: BoundaryCondition, geom: BoundaryGeometry, lam: SpectralParam
 ) -> BoundaryOperator:
-    """Assemble M_lambda for the given boundary condition (screen-aware).
+    """Assemble M_lambda for the given boundary condition; on a screen, the
+    principal submatrix at its active nodes.
 
-    The matrix is read-only.  The geometry keeps the last one: a call with
-    the same condition object and an equal lambda returns it unassembled,
-    and any other call assembles anew and replaces it.
+    The geometry keeps the last operator: a call with the same condition
+    object and an equal lambda returns that object unassembled, and any
+    other call drops it and assembles anew.
     """
     active = _screen_indices(bc.screen, geom)
-    kept = _kept_matrix(bc, geom, lam)
-    if kept is not None:
-        return BoundaryOperator(matrix=kept, kind="M_" + bc.kind, lam=lam, geom=geom)
+    kept = vars(geom).pop("_kept_M", None)
+    if kept is not None and kept.bc is bc and kept.lam == lam:
+        object.__setattr__(geom, "_kept_M", kept)
+        return kept
+    del kept  # not held through the new assembly
     if lam.lam <= bc.lambda_bound:
         raise SpectralParameterError(
             f"lambda {lam.lam} must exceed the condition's bound {bc.lambda_bound}"
@@ -448,62 +440,26 @@ def assemble_M(
             raise CoefficientError("alpha has (numerically) zero nodal values")
         if bc.screen is not None and np.any(coef[active] > 0) and np.any(coef[active] < 0):
             raise CoefficientError("alpha must have constant sign on a screen")
-    single_layer = LAYER[bc.kind] == "SL"
-    base = (assemble_gamma0_SL if single_layer else assemble_gamma1_DL)(geom, lam).matrix
+    trace = _trace(geom, lam, LAYER[bc.kind])
     if bc.kind in ("D", "N"):
-        mat = -base
+        mat = -trace
     elif bc.kind == "alpha":
-        mat = -(np.diag(1.0 / coef) + base)
+        mat = -(np.diag(1.0 / coef) + trace)
     else:  # theta
-        mat = np.diag(coef) - base
-    # symmetric already, as the assembled trace is
-    op = BoundaryOperator(matrix=mat, kind="M_" + bc.kind, lam=lam, geom=geom)
+        mat = np.diag(coef) - trace
+    # symmetric already, as the trace is
     if bc.screen is not None:
-        op = compress_to_screen(op, bc.screen)
-    op.matrix.flags.writeable = False
-    object.__setattr__(geom, "_M_memo", _Memo(bc, lam, op.matrix))
+        mat = np.ascontiguousarray(mat[np.ix_(active, active)])
+    mat.flags.writeable = False
+    op = BoundaryOperator(matrix=mat, bc=bc, lam=lam)
+    object.__setattr__(geom, "_kept_M", op)
     return op
-
-
-def _kept_matrix(bc: BoundaryCondition, geom: BoundaryGeometry, lam: SpectralParam):
-    """The M the geometry keeps if it is of this condition object and
-    lambda, else None; a kept M of another is dropped here, so that it is
-    not held through the new assembly."""
-    memo = vars(geom).get("_M_memo")
-    if memo is not None and memo.bc is bc and memo.lam == lam:
-        return memo.matrix
-    vars(geom).pop("_M_memo", None)
-    return None
 
 
 def sign_check(op: BoundaryOperator) -> SignReport:
     """Classify definiteness by the extreme eigenvalues; add the condition
-    number.  Of the M its geometry keeps (see `assemble_M`) the report is
-    made once; any other matrix is classified afresh."""
-    memo = vars(op.geom).get("_M_memo")
-    if memo is None or memo.matrix is not op.matrix:
-        return _sign_report(op.matrix)
-    if memo.report is None:
-        memo.report = _sign_report(op.matrix)
-    return memo.report
-
-
-def _sign_report(mat: np.ndarray) -> SignReport:
-    res = np.linalg.norm(mat - mat.T) / max(np.linalg.norm(mat), 1e-300)
-    if res > 1e-8:
-        raise DomainError(f"sign_check expects a symmetric matrix, residual {res:.2e}")
-    eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-    amax, amin = float(np.max(np.abs(eigs))), float(np.min(np.abs(eigs)))
-    tol = 1e-12 * amax
-    lo, hi = float(eigs[0]), float(eigs[-1])
-    if lo > tol:
-        cls = "definite_positive"
-    elif hi < -tol:
-        cls = "definite_negative"
-    else:
-        cls = "indefinite"
-    cond = math.inf if amin == 0.0 else amax / amin
-    return SignReport(classification=cls, eig_min=lo, eig_max=hi, condition=cond)
+    number.  The report is made once per operator object."""
+    return op._report
 
 
 def admissible_class(bc: BoundaryCondition, geom: BoundaryGeometry) -> str | None:

@@ -156,7 +156,9 @@ def _eval_expr(node, names: dict):
 
 def _eval_coefficient(spec):
     """Resolve a coefficient spec: number (not a bool), list of nodal
-    values, or an expression in the parameter t (see `_eval_expr`)."""
+    values, or an expression in the parameter t (see `_eval_expr`).  An
+    expression is evaluated once here, on a read-only t as the nodes'
+    parameters are, so what assembly would refuse is refused on reading."""
     if spec is None or type(spec) in (int, float):
         return spec
     if isinstance(spec, list):
@@ -174,6 +176,10 @@ def _eval_coefficient(spec):
                 raise ScenarioError(
                     f"cannot evaluate coefficient expression {spec!r}: {exc}"
                 ) from exc
+        sample = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
+        sample.flags.writeable = False
+        with np.errstate(all="ignore"):  # a pole is the nodes' business
+            fn(sample)
         return fn
     raise TypeError("expected a number, a list or an expression string")
 

@@ -14,10 +14,11 @@ submatrix there and, as the kernel is sampled entrywise, its G the
 columns of the curve's G.  M^{-1} acts on G^T by one solve, never as an
 explicit inverse; the one eigenvalue pass over M
 (`boundary_ops.sign_check`) gives both its sign class and the condition
-number that guards the solve.  `assemble_F` takes M and its sign report
-from the geometry's last assembly when the condition object and lambda
-are the same (see `boundary_ops.assemble_M`), so classifying M and
-then forming F at that lambda assembles M once.
+number that guards the solve.  `assemble_F` takes M from the
+geometry's last assembly when the condition object and lambda are the
+same (see `boundary_ops.assemble_M`): that is the same operator object,
+whose sign report is made once, so classifying M and then forming F at
+that lambda assembles and analyses M once.
 """
 
 from __future__ import annotations
@@ -79,14 +80,14 @@ def assemble_F(
     lam: SpectralParam,
 ) -> DataOperator:
     """Assemble and eigendecompose the data operator F = G M^{-1} G^T."""
-    return _data_operator(bc, assemble_M(bc, geom, lam), probe)
+    return _data_operator(assemble_M(bc, geom, lam), geom, probe)
 
 
-def _data_operator(bc: BoundaryCondition, m_op: BoundaryOperator,
+def _data_operator(m_op: BoundaryOperator, geom: BoundaryGeometry,
                    probe: ProbeRegion) -> DataOperator:
-    """F from an assembled M of the condition ``bc``; an M past the
-    condition cap is refused."""
-    geom, lam = m_op.geom, m_op.lam
+    """F from an M assembled on ``geom``; an M past the condition cap is
+    refused."""
+    bc, lam = m_op.bc, m_op.lam
     report = sign_check(m_op)
     if not report.condition <= CONDITION_CAP:  # NaN is refused too
         raise InversionError(f"operator {m_op.kind} numerically singular: "

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -245,6 +245,14 @@ def _radial_g(sqrt_lam: float, r: np.ndarray) -> np.ndarray:
 def _radial_dg(sqrt_lam: float, r: np.ndarray) -> np.ndarray:
     """Derivative of the radial profile g(r)."""
     return -sqrt_lam * bessel_k(1, sqrt_lam * r) / (2.0 * np.pi)
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule on [-1, 1], built once per order, read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def fundamental_solution(lam: SpectralParam, x, y):

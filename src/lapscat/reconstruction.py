@@ -40,7 +40,7 @@ from .geometry import (
     _inside_and_distance,
     _shape_functions,
 )
-from .kernels import SpectralParam, fundamental_solution
+from .kernels import SpectralParam, _gauss_legendre, fundamental_solution
 
 DEFAULT_TRUNCATION_FLOOR = 1e-8
 DEFAULT_THRESHOLD_LEVEL = 0.2
@@ -129,9 +129,6 @@ def make_screen_test_vector(
     Gauss-Legendre quadrature with n_quad nodes on the arc's parameter
     interval, pulled forward through the carrier curve.
     """
-    # imported here so that the CLI's startup does not load time_domain
-    from .time_domain import _gauss_legendre
-
     if n_quad < 2:
         raise DomainError("n_quad must be at least 2")
     pos, der = _shape_functions(arc.shape, arc.shape_params)

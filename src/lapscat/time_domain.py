@@ -41,6 +41,7 @@ from .errors import (
     SpectralParameterError,
     ValidationError,
 )
+from .kernels import _gauss_legendre
 
 SYMMETRY_TOL = 1e-12
 
@@ -229,14 +230,6 @@ def sine_family(a: np.ndarray, t) -> np.ndarray:
     """Sin(t) = (-A)^{-1/2} sin(t sqrt(-A)), with the t limit at zero modes;
     a 1-d array of times gives one matrix per time."""
     return _spectral_family(a, t, 1)
-
-
-@lru_cache(maxsize=None)
-def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule on [-1, 1], built once per order, read-only."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
 
 
 def _gl_panels(t0: float, t1: float, max_width: float, order: int):

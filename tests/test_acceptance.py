@@ -86,13 +86,14 @@ def test_criterion_1_circle_operator_accuracy():
     assert worst_bf < 1e-6, f"brute force disagrees with closed form: {worst_bf:.2e}"
 
     geom = make_curve("circle", {"radius": 1.0}, n_nodes=128)
-    op = boundary_ops.assemble_gamma0_SL(geom, SpectralParam(1.0))
+    # the single-layer trace is minus M_D
+    sl = -boundary_ops.assemble_M(boundary_ops.BoundaryCondition("D"), geom, SpectralParam(1.0)).matrix
     sw = np.sqrt(geom.weights)
     worst = 0.0
     for m in range(21):
         v = sw * np.cos(m * geom.params)
         v /= np.linalg.norm(v)
-        rq = float(v @ op.matrix @ v)
+        rq = float(v @ sl @ v)
         worst = max(worst, abs(rq - sov[m]) / abs(sov[m]))
     elapsed = time.time() - t0
     ok = worst <= 1e-6 and elapsed < 5.0

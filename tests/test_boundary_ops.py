@@ -48,9 +48,6 @@ from lapscat.boundary_ops import (
     _volume_rule,
     admissible_class,
     assemble_M,
-    assemble_gamma0_SL,
-    assemble_gamma1_DL,
-    compress_to_screen,
     estimate_lambda_bound,
     evaluate_potential,
     gram_identity_residual,
@@ -140,6 +137,12 @@ def circle_rayleigh(matrix, geom, m):
     return float(v @ matrix @ v) / float(v @ v)
 
 
+def trace(layer, geom, lam):
+    """The weighted matrix of gamma0 SL (``layer`` "SL") or gamma1 DL
+    ("DL"): minus M_D or M_N, negation being exact."""
+    return -assemble_M(BoundaryCondition({"SL": "D", "DL": "N"}[layer]), geom, lam).matrix
+
+
 def test_frozen_sl_eigs_match_live_scipy():
     for m, want in SL_CIRCLE_EIGS.items():
         assert want == float(special.iv(m, 1.0) * special.kv(m, 1.0))
@@ -188,20 +191,20 @@ def test_sl_eigs_confirmed_by_dense_brute_force():
 
 def test_assembled_sl_matches_oracle():
     geom = make_curve("circle", {"radius": 1.0}, n_nodes=128)
-    op = assemble_gamma0_SL(geom, SpectralParam(1.0))
+    sl = trace("SL", geom, SpectralParam(1.0))
     worst = 0.0
     for m, want in SL_CIRCLE_EIGS.items():
-        got = circle_rayleigh(op.matrix, geom, m)
+        got = circle_rayleigh(sl, geom, m)
         worst = max(worst, abs(got - want) / want)
     assert worst < 1e-6
 
 
 def test_assembled_dl_matches_oracle():
     geom = make_curve("circle", {"radius": 1.0}, n_nodes=128)
-    op = assemble_gamma1_DL(geom, SpectralParam(1.0))
+    dl = trace("DL", geom, SpectralParam(1.0))
     worst = 0.0
     for m, want in DL_CIRCLE_EIGS.items():
-        got = circle_rayleigh(op.matrix, geom, m)
+        got = circle_rayleigh(dl, geom, m)
         worst = max(worst, abs(got - want) / abs(want))
     assert worst < 1e-6
 
@@ -210,11 +213,11 @@ def test_sl_oracle_scales_with_radius_and_lambda():
     # mu_m(R, lam) = R I_m(s R) K_m(s R); spot-check off the frozen grid
     geom = make_curve("circle", {"radius": 1.7}, n_nodes=128)
     lam = SpectralParam(3.0)
-    op = assemble_gamma0_SL(geom, lam)
+    sl = trace("SL", geom, lam)
     s = math.sqrt(3.0)
     for m in (0, 2, 7):
         want = 1.7 * float(special.iv(m, s * 1.7) * special.kv(m, s * 1.7))
-        got = circle_rayleigh(op.matrix, geom, m)
+        got = circle_rayleigh(sl, geom, m)
         assert abs(got - want) / want < 1e-9
 
 
@@ -362,8 +365,7 @@ def test_circle_rayleigh_quotients_match_closed_form(n, lam_value):
     geom = make_curve("circle", {"radius": 1.0}, n_nodes=n)
     lam = SpectralParam(lam_value)
     s = math.sqrt(lam_value)
-    sl = assemble_gamma0_SL(geom, lam).matrix
-    dl = assemble_gamma1_DL(geom, lam).matrix
+    sl, dl = trace("SL", geom, lam), trace("DL", geom, lam)
     worst_sl = worst_dl = 0.0
     for m in range(n // 4 + 1):
         want_sl = float(special.iv(m, s) * special.kv(m, s))
@@ -394,7 +396,7 @@ def test_circle_closed_form_errors_below_two_term_fold_ceilings(n, lam_value):
     geom = make_curve("circle", {"radius": 1.0}, n_nodes=n)
     lam = SpectralParam(lam_value)
     s = math.sqrt(lam_value)
-    ops = (assemble_gamma0_SL(geom, lam).matrix, assemble_gamma1_DL(geom, lam).matrix)
+    ops = (trace("SL", geom, lam), trace("DL", geom, lam))
     modes = range(n // 4 + 1)
     wants = ([float(special.iv(m, s) * special.kv(m, s)) for m in modes],
              [lam_value * float(special.ivp(m, s) * special.kvp(m, s)) for m in modes])
@@ -416,27 +418,26 @@ def test_trig_upsample_preserves_band_and_nyquist():
 
 
 def test_operator_symmetry_and_metadata():
+    # an assembled M carries exactly its matrix, its condition and lambda
+    import dataclasses
+
+    from lapscat.boundary_ops import BoundaryOperator
+
+    assert [f.name for f in dataclasses.fields(BoundaryOperator)] == ["matrix", "bc", "lam"]
     geom = make_curve("kite", n_nodes=64)
     lam = SpectralParam(2.0)
-    sl = assemble_gamma0_SL(geom, lam)
-    dl = assemble_gamma1_DL(geom, lam)
-    assert np.array_equal(sl.matrix, sl.matrix.T)
-    assert np.array_equal(dl.matrix, dl.matrix.T)
-    assert sl.size == 64 and dl.size == 64
-    assert sl.lam.lam == 2.0
+    for kind in ("D", "N"):
+        bc = BoundaryCondition(kind)
+        op = assemble_M(bc, geom, lam)
+        assert np.array_equal(op.matrix, op.matrix.T)
+        assert op.size == 64 and op.kind == "M_" + kind
+        assert op.bc is bc and op.lam is lam
 
 
 def test_assemble_M_matrix_structure():
     geom = make_curve("circle", {"radius": 1.0}, n_nodes=32)
     lam = SpectralParam(1.5)
-    sl = assemble_gamma0_SL(geom, lam).matrix
-    dl = assemble_gamma1_DL(geom, lam).matrix
-    np.testing.assert_allclose(
-        assemble_M(BoundaryCondition("D"), geom, lam).matrix, -sl, atol=0
-    )
-    np.testing.assert_allclose(
-        assemble_M(BoundaryCondition("N"), geom, lam).matrix, -dl, atol=0
-    )
+    sl, dl = trace("SL", geom, lam), trace("DL", geom, lam)
     m_alpha = assemble_M(BoundaryCondition("alpha", coefficient=2.0), geom, lam)
     np.testing.assert_allclose(m_alpha.matrix, -(np.eye(32) / 2.0 + sl), atol=1e-15)
     m_theta = assemble_M(BoundaryCondition("theta", coefficient=-0.5), geom, lam)
@@ -505,8 +506,7 @@ def test_memo_returns_the_kept_M_and_misses_on_any_other_call(monkeypatch):
     bc = BoundaryCondition("D")
     first = assemble_M(bc, geom, SpectralParam(2.0))
     again = assemble_M(bc, geom, SpectralParam(2.0))
-    assert len(cores) == 1 and again.matrix is first.matrix
-    assert (again.kind, again.lam, again.geom) == (first.kind, first.lam, first.geom)
+    assert len(cores) == 1 and again is first
     assert assemble_M(bc, geom, SpectralParam(3.0)).matrix is not first.matrix
     assert len(cores) == 2
     assert assemble_M(bc, geom, SpectralParam(2.0)).matrix is not first.matrix
@@ -538,8 +538,9 @@ def test_a_miss_drops_the_kept_M_before_assembling(monkeypatch):
 
 
 def test_sign_check_reuses_its_report_only_for_the_kept_matrix(monkeypatch):
-    # the kept M is analysed once; an operator rebuilt around another
-    # matrix, such as a sign flip, is classified afresh
+    # the report is made once per operator object, and the kept M is the
+    # same object; an operator rebuilt around another matrix, such as a
+    # sign flip, is classified afresh
     import dataclasses
 
     geom = make_curve("circle", {"radius": 1.0}, n_nodes=32)
@@ -734,14 +735,14 @@ def test_boundary_condition_validation():
 
 def test_assembly_accepts_minimum_node_count():
     geom = make_curve("circle", {"radius": 1.0}, n_nodes=8)
-    op = assemble_gamma0_SL(geom, SpectralParam(1.0))
+    op = assemble_M(BoundaryCondition("D"), geom, SpectralParam(1.0))
     assert op.size == 8
 
 
 def test_assembly_overflow_guard():
     geom = make_curve("circle", {"radius": 1.0}, n_nodes=32)
     with pytest.raises(AssemblyError):
-        assemble_gamma0_SL(geom, SpectralParam(1.0e7))
+        assemble_M(BoundaryCondition("D"), geom, SpectralParam(1.0e7))
 
 
 def test_screen_compression_is_principal_submatrix():
@@ -750,13 +751,29 @@ def test_screen_compression_is_principal_submatrix():
     lam = SpectralParam(2.0)
     full = assemble_M(BoundaryCondition("D"), geom, lam)
     idx = screen.active_indices
-    sub = compress_to_screen(full, screen)
-    assert sub.size == 32
+    sub = assemble_M(BoundaryCondition("D", screen=screen), geom, lam)
+    assert sub.size == 32 and sub.matrix.flags.c_contiguous
     np.testing.assert_array_equal(sub.matrix, full.matrix[np.ix_(idx, idx)])
-    via_bc = assemble_M(BoundaryCondition("D", screen=screen), geom, lam)
-    np.testing.assert_array_equal(via_bc.matrix, sub.matrix)
     # a negative definite matrix stays negative definite on the subspace
     assert sign_check(sub).classification == "definite_negative"
+
+
+def test_alpha_on_a_screen_must_keep_one_sign(monkeypatch):
+    # only the active nodes count: alpha of both signs there is refused
+    # before any assembly, a sign change off the screen is not
+    import lapscat.boundary_ops as boundary_ops
+
+    cores = _counting(monkeypatch, boundary_ops, "_sl_core")
+    geom = make_curve("circle", {"radius": 1.0}, n_nodes=32)
+    screen = make_screen(geom, (0.0, math.pi))
+    lam = SpectralParam(2.0)
+    mixed = BoundaryCondition("alpha", coefficient=lambda t: np.cos(t) + 0.3, screen=screen)
+    with pytest.raises(CoefficientError, match="alpha must have constant sign on a screen"):
+        assemble_M(mixed, geom, lam)
+    assert cores == []
+    signs = np.where(np.arange(32) < 16, 1.0, -1.0)
+    op = assemble_M(BoundaryCondition("alpha", coefficient=signs, screen=screen), geom, lam)
+    assert op.size == 16 and len(cores) == 1
 
 
 @pytest.mark.parametrize("kind, coef", [("D", None), ("N", None), ("alpha", 1.0),
@@ -1243,5 +1260,4 @@ def test_assembly_refuses_past_resolvable_cap():
 @settings(max_examples=12, deadline=None)
 def test_sl_positive_definite_property(lam_value, radius):
     geom = make_curve("circle", {"radius": radius}, n_nodes=32)
-    op = assemble_gamma0_SL(geom, SpectralParam(lam_value))
-    assert np.linalg.eigvalsh(op.matrix)[0] > 0.0
+    assert np.linalg.eigvalsh(trace("SL", geom, SpectralParam(lam_value)))[0] > 0.0

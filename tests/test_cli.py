@@ -90,17 +90,18 @@ def test_coefficient_expression_evaluation():
     _, _, bc, _, _, _ = build_pipeline(cli._resolve(doc))
     t = np.linspace(0.0, 2 * np.pi, 7)
     np.testing.assert_allclose(bc.coefficient(t), 1.0 + 0.5 * np.cos(t), rtol=1e-15)
-    # the expression namespace is closed: no builtins leak through
+    # the expression namespace is closed: no builtins leak through, and the
+    # expression is tried on reading the scenario
     doc["boundary_condition"]["coefficient"] = "__import__('os').getcwd()"
-    _, _, bad, _, _, _ = build_pipeline(cli._resolve(doc))
-    with pytest.raises(ScenarioError):
-        bad.coefficient(t)
+    with pytest.raises(ScenarioError, match="coefficient expression"):
+        cli._resolve(doc)
 
 
 @pytest.mark.parametrize("expr", [
     "().__class__.__base__.__subclasses__().__len__() + 0*t",  # attribute access
     "t.__class__",
     "cos(t, out=t)",
+    "cos(t, t)",  # in place: t is read-only, as the nodes' parameters are
     "cos",
     "pi(t)",
     "t if t else 1",
@@ -113,8 +114,9 @@ def test_coefficient_expression_refuses_all_but_arithmetic(tmp_path, capsys, exp
     scenario = write_scenario(
         tmp_path / "scn.json", boundary_condition={"kind": "theta", "coefficient": expr}
     )
-    assert main(["forward", "--scenario", scenario, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
-    assert "coefficient expression" in capsys.readouterr().err
+    for command in ("forward", "verify"):
+        assert main([command, "--scenario", scenario, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        assert "coefficient expression" in capsys.readouterr().err
 
 
 def test_forward_writes_artifacts(tmp_path, capsys):

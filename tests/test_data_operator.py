@@ -127,12 +127,11 @@ def test_data_operator_refuses_singular_M():
     for smallest in (1e-14, 0.0):
         bad = BoundaryOperator(
             matrix=np.diag(np.concatenate([np.ones(15), [smallest]])),
-            kind="M_D",
+            bc=BoundaryCondition("D"),
             lam=SpectralParam(1.0),
-            geom=geom,
         )
         with pytest.raises(InversionError, match="M_D numerically singular"):
-            _data_operator(BoundaryCondition("D"), bad, probe)
+            _data_operator(bad, geom, probe)
 
 
 @pytest.mark.parametrize("kind", ["D", "N"])
