@@ -79,9 +79,8 @@ from .errors import (
     TruncationError,
 )
 from .geometry import BoundaryGeometry, ScreenGeometry, distance_to_boundary
-from .geometry import _distances, _plane_norm
+from .geometry import _BLOCK, _by_row_blocks, _distances, _plane_norm
 from .kernels import (
-    _BLOCK,
     COINCIDENCE_TOL,
     EULER_GAMMA,
     SpectralParam,
@@ -599,33 +598,40 @@ def evaluate_potential(
 def _layer_matrix(kind, src: BoundaryGeometry, targets, lam: SpectralParam, directions=None):
     """Trapezoid kernel matrix of the SL or DL potential from the nodes
     of ``src`` to the targets (weights not applied); with ``directions``,
-    of the SL potential's derivative along them instead.  Raises
-    SingularityError when a target coincides with a node."""
-    dx = src.nodes[:, 0] - targets[:, 0, None]    # (m, n) planes of y - x
-    dy = src.nodes[:, 1] - targets[:, 1, None]
+    of the SL potential's derivative along them instead.  Filled in row
+    blocks of at most _BLOCK entries, so no (targets, nodes) temporary
+    outlives its block.  Raises SingularityError when a target coincides
+    with a node."""
     sl = directions is None and kind == "SL"
-    # only the SL kernel is done with the planes once it has r
-    r = _plane_norm(dx, dy) if sl else np.sqrt(dx * dx + dy * dy)
-    if np.any(r < COINCIDENCE_TOL):
-        raise SingularityError("layer kernel at coincident points")
-    if sl:
-        return _radial_g(lam.sqrt_lam, r)
-    dg = _radial_dg(lam.sqrt_lam, r)
-    if directions is not None:
-        # grad_x g = g'(r) (x - y)/r
-        dx *= directions[:, 0, None]
-        dy *= directions[:, 1, None]
+
+    def block(x, *along):
+        dx = src.nodes[:, 0] - x[:, 0, None]    # (m, n) planes of y - x
+        dy = src.nodes[:, 1] - x[:, 1, None]
+        # only the SL kernel is done with the planes once it has r
+        r = _plane_norm(dx, dy) if sl else np.sqrt(dx * dx + dy * dy)
+        if np.any(r < COINCIDENCE_TOL):
+            raise SingularityError("layer kernel at coincident points")
+        if sl:
+            return _radial_g(lam.sqrt_lam, r)
+        dg = _radial_dg(lam.sqrt_lam, r)
+        if along:
+            # grad_x g = g'(r) (x - y)/r
+            dx *= along[0][:, 0, None]
+            dy *= along[0][:, 1, None]
+            dx += dy
+            dx /= r
+            return -dg * dx
+        # d/dn_y g = g'(r) (y - x) . n_y / r
+        dg /= r
+        dx *= dg
+        dx *= src.normals[:, 0]
+        dy *= dg
+        dy *= src.normals[:, 1]
         dx += dy
-        dx /= r
-        return -dg * dx
-    # d/dn_y g = g'(r) (y - x) . n_y / r
-    dg /= r
-    dx *= dg
-    dx *= src.normals[:, 0]
-    dy *= dg
-    dy *= src.normals[:, 1]
-    dx += dy
-    return dx
+        return dx
+
+    aligned = () if directions is None else (directions,)
+    return _by_row_blocks(targets, block, *aligned, width=src.n_nodes)
 
 
 def jump_relation_residual(
@@ -659,11 +665,13 @@ def jump_relation_residual(
     h0 = 0.05 * geom.perimeter() / TWO_PI
 
     def jump(h: float) -> list:
+        # one side's matrix at a time; a matrix-vector product per density,
+        # not one matmul, keeps each density's sums those of a call with it alone
         outer = _layer_matrix(kind, fine, geom.nodes + h * geom.normals, lam, directions)
+        sides = [outer @ v for v in fine_dens]
+        del outer
         inner = _layer_matrix(kind, fine, geom.nodes - h * geom.normals, lam, directions)
-        # a matrix-vector product per density, not one matmul, keeps each
-        # density's sums those of a call with it alone
-        return [outer @ v - inner @ v for v in fine_dens]
+        return [p - inner @ v for p, v in zip(sides, fine_dens)]
 
     out = []
     ladder = zip(jump(h0), jump(0.5 * h0), jump(0.25 * h0))
@@ -749,12 +757,13 @@ def gram_identity_residual(
 
     so |W^{1/2} Gram_tail W^{1/2}|_F <= T sum_j w_j.  A tail share
     |z - w| T sum_j w_j / |M_z - M_w| above half of max(residual, 1e-3)
-    raises TruncationError.
+    raises TruncationError.  Each block's (n, 4096) kernel factors fill
+    in node-row blocks of at most _BLOCK entries.
     """
+    if not (0 < lambda1 < math.inf and 0 < lambda2 < math.inf):
+        raise DomainError(f"spectral parameters must be positive and finite: {lambda1}, {lambda2}")
     if lambda1 == lambda2:
         raise DomainError("gram identity is degenerate at lambda1 == lambda2")
-    if lambda1 <= 0 or lambda2 <= 0:
-        raise DomainError("spectral parameters must be positive")
     if volume_resolution < 8:
         raise DomainError("volume_resolution too small")
     s1 = math.sqrt(lambda1)
@@ -772,12 +781,17 @@ def gram_identity_residual(
     pts = np.concatenate([pts[keep], np.repeat(pts[:1], pad, axis=0)])
     areas = np.concatenate([areas[keep], np.zeros(pad)])
 
+    def kernel(s: float, u: np.ndarray) -> np.ndarray:
+        # (n, len(u)) values g(y_j, u_i), by node-row blocks of at most _BLOCK entries
+        return _by_row_blocks(geom.nodes, lambda y: _radial_g(s, _distances(y, u)), width=len(u))
+
     gram = np.zeros((geom.n_nodes, geom.n_nodes))
-    # blocks of volume points bound the (n, block) kernel temporaries
+    # blocks of volume points fix the sums and bound the (n, block) factors
     for lo in range(0, pts.shape[0], 4096):
-        d = _distances(geom.nodes, pts[lo : lo + 4096])
         # g_{lambda2}(y_j, u) times g_{lambda1}(u, y_k)
-        gram += (_radial_g(s2, d) * areas[lo : lo + 4096]) @ _radial_g(s1, d).T
+        g2 = kernel(s2, pts[lo : lo + 4096])
+        g2 *= areas[lo : lo + 4096]
+        gram += g2 @ kernel(s1, pts[lo : lo + 4096]).T
 
     sw = np.sqrt(geom.weights)
     m1, m2 = (assemble_M(BoundaryCondition(kind="D"), geom, SpectralParam(v)).matrix

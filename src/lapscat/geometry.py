@@ -321,6 +321,9 @@ def make_grid(bounds, resolution: int) -> EvaluationGrid:
 # points per block of the (m, n) pair planes below: bounds their size
 _ROW_BLOCK = 512
 
+# elements per block of the kernel passes: a block's temporaries stay in cache
+_BLOCK = 32768
+
 
 def _squared_norm(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """dx^2 + dy^2 of two coordinate planes, in place in both."""
@@ -341,12 +344,15 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _plane_norm(a[:, 0, None] - b[:, 0], a[:, 1, None] - b[:, 1])
 
 
-def _by_row_blocks(points, fn) -> np.ndarray:
-    """fn over fixed-size row blocks of the points, one value per point."""
+def _by_row_blocks(points, fn, *aligned, width: int = 0) -> np.ndarray:
+    """fn over row blocks of the points and of arrays aligned with them:
+    one value per point, _ROW_BLOCK points a block, or with ``width`` a
+    row of that many values per point, at most _BLOCK values a block."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.empty(pts.shape[0])
-    for lo in range(0, pts.shape[0], _ROW_BLOCK):
-        out[lo:lo + _ROW_BLOCK] = fn(pts[lo:lo + _ROW_BLOCK])
+    step = max(1, _BLOCK // width) if width else _ROW_BLOCK
+    out = np.empty((pts.shape[0], width) if width else pts.shape[0])
+    for lo in range(0, pts.shape[0], step):
+        out[lo:lo + step] = fn(*(a[lo:lo + step] for a in (pts,) + aligned))
     return out
 
 

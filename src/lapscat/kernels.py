@@ -33,7 +33,7 @@ from .errors import (
     SpectralParameterError,
     UnsupportedOrderError,
 )
-from .geometry import _plane_norm
+from .geometry import _BLOCK, _plane_norm
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -65,10 +65,6 @@ class SpectralParam:
 # ----------------------------------------------------------------------
 # modified Bessel functions
 # ----------------------------------------------------------------------
-
-# elements per block of the Bessel passes: a block's temporaries stay in
-# cache across the ~40 elementwise passes of a polynomial
-_BLOCK = 32768
 
 # Taylor degree in t = z^2/4 of the z <= 2 series: for t <= 1 the term of
 # degree 16 is below half an ulp of every sum
@@ -129,8 +125,8 @@ def _by_branch(small, large, z: np.ndarray, *aligned) -> np.ndarray:
         return small(z, *aligned) if lo.size else large(z)
     hi = np.flatnonzero(~below)
     out = np.empty_like(z)
-    out.put(lo, small(z.take(lo), *(a.take(lo) for a in aligned)))
-    out.put(hi, large(z.take(hi)))
+    out[lo] = small(z.take(lo), *(a.take(lo) for a in aligned))
+    out[hi] = large(z.take(hi))
     return out
 
 

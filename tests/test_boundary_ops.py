@@ -42,6 +42,7 @@ from lapscat.boundary_ops import (
     OVERSAMPLE,
     _assembly_plan,
     _gram_tail_bound,
+    _layer_matrix,
     _sl_core,
     _spectral_derivative,
     _trig_upsample,
@@ -837,6 +838,40 @@ def test_jump_relation_batch_matches_single_densities():
         assert single == want
 
 
+def test_jump_relation_peak_memory():
+    # kernel matrices fill in row blocks and one side of the ladder is held
+    # at a time; whole (targets x fine nodes) temporaries and both sides
+    # together peaked at 14.2 MB
+    geom = make_curve("circle", {"radius": 1.0}, n_nodes=128)
+    t = geom.params
+    stack = np.stack([np.ones_like(t), np.cos(t), 1.0 + 0.3 * np.sin(2.0 * t)], axis=1)
+    tracemalloc.start()
+    try:
+        jump_relation_residual(geom, SpectralParam(2.0), stack, "SL")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+@pytest.mark.parametrize("mode", ["SL", "DL", "directions"])
+def test_layer_matrix_row_blocks_match_row_by_row(mode):
+    # 700 targets against 128 nodes span three row blocks of _BLOCK entries
+    geom = make_curve("kite", None, n_nodes=128)
+    rng = np.random.default_rng(7)
+    targets = rng.uniform(-4.0, 4.0, size=(700, 2))
+    dirs = rng.normal(size=(700, 2)) if mode == "directions" else None
+    kind = "DL" if mode == "DL" else "SL"
+    lam = SpectralParam(2.0)
+    assert 700 > 2 * (_BLOCK // geom.n_nodes)
+    full = _layer_matrix(kind, geom, targets, lam, dirs)
+    assert full.shape == (700, 128)
+    for i in range(700):
+        row = _layer_matrix(kind, geom, targets[i : i + 1], lam,
+                            None if dirs is None else dirs[i : i + 1])
+        assert np.array_equal(full[i], row[0])
+
+
 def test_jump_relation_batch_guards_act_per_column():
     geom = make_curve("circle", {"radius": 1.0}, n_nodes=128)
     lam = SpectralParam(2.0)
@@ -1004,6 +1039,34 @@ def test_gram_identity_rejects_bad_volume_radius():
     for radius in (-12.0, 0.0, 0.9, float("nan"), float("inf")):
         with pytest.raises(DomainError):
             gram_identity_residual(geom, 1.0, 2.0, volume_radius=radius, volume_resolution=16)
+
+
+@pytest.mark.parametrize("lambdas", [(math.nan, 2.0), (1.0, math.nan), (math.inf, 2.0),
+                                     (1.0, math.inf), (math.inf, math.inf)])
+def test_gram_identity_refuses_non_finite_lambda_before_any_work(monkeypatch, lambdas):
+    # NaN and inf passed the sign guard and failed after the quadtree with
+    # "bessel_k requires z > 0"; inf twice was called degenerate
+    import lapscat.boundary_ops as boundary_ops
+
+    rules = _counting(monkeypatch, boundary_ops, "_volume_rule")
+    geom = make_curve("circle", {"radius": 1.0}, n_nodes=32)
+    with pytest.raises(DomainError, match="spectral parameters must be positive and finite"):
+        gram_identity_residual(geom, *lambdas, 12.0, 16)
+    assert rules == []
+
+
+def test_gram_identity_peak_memory_at_the_verify_configuration():
+    # each (n, 4096) factor fills in node-row blocks, so only the two
+    # factors outlive a block; whole-block distance and kernel temporaries
+    # peaked at 19.5 MB
+    geom = make_curve("circle", {"radius": 1.0}, n_nodes=128)
+    tracemalloc.start()
+    try:
+        gram_identity_residual(geom, 1.0, 2.0, volume_radius=12.0, volume_resolution=200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 13e6
 
 
 def test_gram_identity_peak_memory():
