@@ -214,22 +214,15 @@ class BoundaryOperator:
 # ----------------------------------------------------------------------
 
 def _kress_vector(n: int) -> np.ndarray:
-    """`kress_log_weights` by gap d = 0..n/2, R[d] = -(4pi/n) sum_{m<n/2} cos(m t_d)/m
-    - (4pi/n^2)(-1)^d: the first half of one irfft of a_m = 1/m (m = 1..n/2)."""
+    """The product rule R for the log(4 sin^2((t-u)/2)) factor, by folded gap:
+    R[i, j] = v[min(d, n - d)], d = (i - j) mod n, integrates the log
+    singularity against the trigonometric interpolant, exactly for integrands
+    of trigonometric degree < n/2.  v[d] = -(4pi/n) sum_{m<n/2} cos(m t_d)/m
+    - (4pi/n^2)(-1)^d for d = 0..n/2: the first half of one irfft of a_m = 1/m
+    (m = 1..n/2)."""
     if n % 2 != 0 or n < 4:
         raise AssemblyError("log-singularity rule needs an even node count >= 4")
     return -TWO_PI * np.fft.irfft(np.r_[0.0, 1.0 / np.arange(1, n // 2 + 1)], n)[:n // 2 + 1]
-
-
-def kress_log_weights(n: int) -> np.ndarray:
-    """Product-quadrature matrix R for the log(4 sin^2((t-u)/2)) factor.
-
-    R[i, j] integrates the log singularity against the trigonometric
-    interpolant; exact for integrands of trigonometric degree < n/2.
-    Indexed by the folded gap, it is exactly symmetric.
-    """
-    d = (np.arange(n)[:, None] - np.arange(n)) % n
-    return _kress_vector(n)[np.minimum(d, n - d)]
 
 
 def _spectral_derivative(values: np.ndarray) -> np.ndarray:

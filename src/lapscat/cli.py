@@ -119,10 +119,15 @@ def _count(value) -> int:
 
 
 def _floats(value, shape=(2,)) -> list:
-    """Nested list of finite floats of the given shape (a point or bounds)."""
-    arr = np.asarray(value, dtype=float)
+    """Nested list of finite floats of the given shape (a point, bounds or
+    nodal values).  Each element must be a `_number`: numpy alone reads
+    "0" as 0.0 and true as 1.0."""
+    arr = np.asarray(value, dtype=object)
     if arr.shape != shape:
         raise ValueError(f"expected shape {shape}, got {arr.shape}")
+    for number in arr.flat:
+        _number(number)
+    arr = arr.astype(float)
     if not np.isfinite(arr).all():
         raise ValueError("expected finite numbers")
     return arr.tolist()
@@ -162,7 +167,7 @@ def _eval_coefficient(spec):
     if spec is None or type(spec) in (int, float):
         return spec
     if isinstance(spec, list):
-        return np.asarray(spec, dtype=float)
+        return np.asarray(_floats(spec, (len(spec),)))
     if isinstance(spec, str):
         try:
             tree = ast.parse(spec, mode="eval").body

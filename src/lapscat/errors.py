@@ -39,10 +39,6 @@ class ScreenError(GeometryError):
     """Screen interval empty, full, or carrying too few nodes."""
 
 
-class BoundaryAmbiguityError(GeometryError):
-    """Containment query too close to the boundary to decide."""
-
-
 class ShapeParameterError(GeometryError, TypeError):
     """Shape parameter given as a string or a bool; a TypeError, as from float([1])."""
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryAmbiguityError, GeometryError, ScreenError, ShapeParameterError
+from .errors import GeometryError, ScreenError, ShapeParameterError
 
 TWO_PI = 2.0 * math.pi
 
@@ -357,7 +357,11 @@ def _by_row_blocks(points, fn, *aligned, width: int = 0) -> np.ndarray:
 
 
 def winding_fraction(geom: BoundaryGeometry, points: np.ndarray) -> np.ndarray:
-    """Winding number of the node polygon around each point (vectorized)."""
+    """Winding number of the node polygon around each point (vectorized).
+
+    Containment is decided by the crossing-parity rule of
+    `_inside_and_distance` alone; this function stays as the reference
+    the tests check that rule against."""
     nxt = np.roll(geom.nodes, -1, axis=0)
 
     def block(pts):
@@ -371,20 +375,6 @@ def winding_fraction(geom: BoundaryGeometry, points: np.ndarray) -> np.ndarray:
         return np.sum(np.arctan2(vx, dot, out=vx), axis=1) / TWO_PI
 
     return _by_row_blocks(points, block)
-
-
-def contains(geom: BoundaryGeometry, x) -> bool:
-    """Winding-number containment test for a single point."""
-    x_arr = np.asarray(x, dtype=float)
-    dist = np.min(np.linalg.norm(geom.nodes - x_arr[None, :], axis=1))
-    if dist < 1e-9:
-        raise BoundaryAmbiguityError("query point lies (numerically) on the boundary")
-    frac = float(winding_fraction(geom, x_arr[None, :])[0])
-    if 0.25 < abs(frac) < 0.75:
-        raise BoundaryAmbiguityError(
-            f"winding fraction {frac:.3f} ambiguous; point too close to the boundary"
-        )
-    return abs(frac) > 0.5
 
 
 def distance_to_boundary(geom: BoundaryGeometry, points: np.ndarray) -> np.ndarray:

@@ -251,6 +251,19 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def _gl_panels(t0: float, t1: float, max_width: float, order: int):
+    """Composite Gauss-Legendre nodes/weights on [t0, t1], t1 > t0, in
+    equal panels at most max_width wide; max_width = t1 - t0 gives one."""
+    n_panels = max(1, int(math.ceil((t1 - t0) / max_width)))
+    edges = np.linspace(t0, t1, n_panels + 1)
+    gn, gw = _gauss_legendre(order)
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    nodes = (mid + half * gn[None, :]).ravel()
+    weights = (half * gw[None, :]).ravel()
+    return nodes, weights
+
+
 def fundamental_solution(lam: SpectralParam, x, y):
     """Free-space kernel g_lambda(x, y) of (-Delta + lambda).
 

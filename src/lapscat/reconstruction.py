@@ -40,7 +40,7 @@ from .geometry import (
     _inside_and_distance,
     _shape_functions,
 )
-from .kernels import SpectralParam, _gauss_legendre, fundamental_solution
+from .kernels import SpectralParam, _gl_panels, fundamental_solution
 
 DEFAULT_TRUNCATION_FLOOR = 1e-8
 DEFAULT_THRESHOLD_LEVEL = 0.2
@@ -133,9 +133,7 @@ def make_screen_test_vector(
         raise DomainError("n_quad must be at least 2")
     pos, der = _shape_functions(arc.shape, arc.shape_params)
     a, b = arc.interval
-    gl_nodes, gl_weights = _gauss_legendre(n_quad)
-    t = 0.5 * (b - a) * gl_nodes + 0.5 * (b + a)
-    w = 0.5 * (b - a) * gl_weights
+    t, w = _gl_panels(a, b, b - a, n_quad)
     pts = pos(t)
     jac = np.linalg.norm(der(t), axis=1)
     vals = fundamental_solution(lam, pts[:, None, :], probe.points[None, :, :])

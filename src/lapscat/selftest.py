@@ -28,7 +28,7 @@ from . import data_operator as do
 from . import reconstruction as rc
 from . import time_domain as td
 from .geometry import (
-    contains,
+    _inside_and_distance,
     make_curve,
     make_grid,
     make_probe,
@@ -146,8 +146,8 @@ def _check_ellipse_perimeter():
 
 def _check_containment():
     geom = make_curve("kite", None, n_nodes=128)
-    ok = contains(geom, (-0.5, 0.0)) and not contains(geom, (2.0, 2.0))
-    return ok, "kite containment classifications"
+    inside, _ = _inside_and_distance(geom, np.array([[-0.5, 0.0], [2.0, 2.0]]))
+    return inside.tolist() == [True, False], "kite containment classifications"
 
 
 def _check_screen_node_count():
@@ -168,14 +168,13 @@ def _check_probe_disk_weights():
 
 
 def _check_kress_constant_mode():
-    r = bo.kress_log_weights(64)
-    err = float(np.max(np.abs(r @ np.ones(64))))
+    # R is circulant, so R 1 is one row's sum: every gap, folded as R folds it
+    gaps = np.arange(64)
+    err = abs(float(np.sum(bo._kress_vector(64)[np.minimum(gaps, 64 - gaps)])))
     return err < 1e-12, f"log rule on constants: err {err:.1e}"
 
 
 _SHAPES = {"circle": {"radius": 1.0}, "kite": None}
-_EXPECTED_SIGN = {"D": "definite_negative", "N": "definite_positive",
-                  "alpha": "definite_negative", "theta": "definite_positive"}
 _DENSITIES = {
     "1": np.ones_like,
     "cos t": np.cos,
@@ -204,18 +203,20 @@ def _circle_oracle(kind: str, n: int, lam: float, modes: int, tol: float):
 
 
 def _definiteness(shapes: tuple, n: int, lams: tuple):
-    """Sign class of M for D/N/alpha/theta on each shape and lambda."""
+    """Sign class of M for D/N/alpha/theta on each shape and lambda, against
+    the condition's admissible class."""
+    conditions = [bo.BoundaryCondition(kind=kind, coefficient=coef)
+                  for kind, coef in (("D", None), ("N", None), ("alpha", 1.0), ("theta", 1.0))]
     failures = []
     for shape in shapes:
         geom = make_curve(shape, _SHAPES[shape], n_nodes=n)
         for lam_val in lams:
             lam = SpectralParam(lam_val)
-            for kind, coef in (("D", None), ("N", None), ("alpha", 1.0), ("theta", 1.0)):
-                op = bo.assemble_M(bo.BoundaryCondition(kind=kind, coefficient=coef), geom, lam)
-                got = bo.sign_check(op).classification
-                if got != _EXPECTED_SIGN[kind]:
-                    failures.append(f"{shape}/{kind}/lambda={lam_val}: {got}")
-    n_cases = len(shapes) * len(lams) * len(_EXPECTED_SIGN)
+            for bc in conditions:
+                got = bo.sign_check(bo.assemble_M(bc, geom, lam)).classification
+                if got != bo.admissible_class(bc, geom):
+                    failures.append(f"{shape}/{bc.kind}/lambda={lam_val}: {got}")
+    n_cases = len(shapes) * len(lams) * len(conditions)
     return not failures, {"n_cases": n_cases, "failures": failures}
 
 
@@ -257,16 +258,25 @@ def _exterior_reproduction(n: int, sources: dict, targets: tuple, tol: dict):
     return passed, {"worst": worst, "tolerance": dict(tol)}
 
 
-def _check_inverse_contract():
-    # F applies M^{-1} by a solve; numpy's explicit inverse is the reference
+_DIRICHLET = bo.BoundaryCondition(kind="D")
+
+
+def _circle_data():
+    """Dirichlet data operator of the 64-node unit circle, probed by a
+    32-point ring of radius 4 at lambda = 2."""
     geom = make_curve("circle", {"radius": 1.0}, n_nodes=64)
     probe = make_probe((0.0, 0.0), 4.0, 32)
     lam = SpectralParam(2.0)
-    bc = bo.BoundaryCondition(kind="D")
+    return geom, probe, lam, do.assemble_F(_DIRICHLET, geom, probe, lam)
+
+
+def _check_inverse_contract():
+    # F applies M^{-1} by a solve; numpy's explicit inverse is the reference
+    geom, probe, lam, f = _circle_data()
     g = do.radiation_matrix("D", geom, probe, lam)
-    explicit = g @ np.linalg.inv(bo.assemble_M(bc, geom, lam).matrix) @ g.T
-    f = do.assemble_F(bc, geom, probe, lam).matrix
-    err = float(np.linalg.norm(f - explicit) / np.linalg.norm(explicit))
+    m = bo.assemble_M(_DIRICHLET, geom, lam).matrix  # the M that F solved with
+    explicit = g @ np.linalg.inv(m) @ g.T
+    err = float(np.linalg.norm(f.matrix - explicit) / np.linalg.norm(explicit))
     return err < 1e-10, f"F against G inv(M) G^T: {err:.1e}"
 
 
@@ -293,15 +303,6 @@ def _check_screen_compression():
     exact_sub = np.array_equal(sub.matrix, full[np.ix_(idx, idx)])
     definite = bo.sign_check(sub).classification == "definite_negative"
     return exact_sub and definite, "principal submatrix, definiteness preserved"
-
-
-def _circle_data():
-    """Dirichlet data operator of the 64-node unit circle, probed by a
-    32-point ring of radius 4 at lambda = 2."""
-    geom = make_curve("circle", {"radius": 1.0}, n_nodes=64)
-    probe = make_probe((0.0, 0.0), 4.0, 32)
-    lam = SpectralParam(2.0)
-    return geom, probe, lam, do.assemble_F(bo.BoundaryCondition(kind="D"), geom, probe, lam)
 
 
 def _check_data_operator_spectrum():

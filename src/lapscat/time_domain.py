@@ -41,7 +41,7 @@ from .errors import (
     SpectralParameterError,
     ValidationError,
 )
-from .kernels import _gauss_legendre
+from .kernels import _gl_panels
 
 SYMMETRY_TOL = 1e-12
 
@@ -173,9 +173,8 @@ class PulseProfile:
     @staticmethod
     @lru_cache(maxsize=None)
     def _bump_mass() -> float:
-        nodes, weights = _gauss_legendre(200)
-        x = 0.5 * (nodes + 1.0)
-        return float(0.5 * np.sum(weights * PulseProfile._bump_raw(x)))
+        x, weights = _gl_panels(0.0, 1.0, 1.0, 200)
+        return float(np.sum(weights * PulseProfile._bump_raw(x)))
 
     def __call__(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
@@ -187,9 +186,8 @@ class PulseProfile:
     def mass(self) -> float:
         if self.kind == "box":
             return 1.0  # exact by construction
-        nodes, weights = _gauss_legendre(400)
-        s = 0.5 * self.epsilon * (nodes + 1.0)
-        return float(0.5 * self.epsilon * np.sum(weights * self(s)))
+        s, weights = _gl_panels(0.0, self.epsilon, self.epsilon, 400)
+        return float(np.sum(weights * self(s)))
 
 
 @dataclass(frozen=True)
@@ -230,18 +228,6 @@ def sine_family(a: np.ndarray, t) -> np.ndarray:
     """Sin(t) = (-A)^{-1/2} sin(t sqrt(-A)), with the t limit at zero modes;
     a 1-d array of times gives one matrix per time."""
     return _spectral_family(a, t, 1)
-
-
-def _gl_panels(t0: float, t1: float, max_width: float, order: int):
-    """Composite Gauss-Legendre nodes/weights on [t0, t1], t1 > t0."""
-    n_panels = max(1, int(math.ceil((t1 - t0) / max_width)))
-    edges = np.linspace(t0, t1, n_panels + 1)
-    gn, gw = _gauss_legendre(order)
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    nodes = (mid + half * gn[None, :]).ravel()
-    weights = (half * gw[None, :]).ravel()
-    return nodes, weights
 
 
 def laplace_identity_residual(a: np.ndarray, lam: float) -> float:

@@ -42,6 +42,7 @@ from lapscat.boundary_ops import (
     OVERSAMPLE,
     _assembly_plan,
     _gram_tail_bound,
+    _kress_vector,
     _layer_matrix,
     _sl_core,
     _spectral_derivative,
@@ -53,7 +54,6 @@ from lapscat.boundary_ops import (
     evaluate_potential,
     gram_identity_residual,
     jump_relation_residual,
-    kress_log_weights,
     resolvable_lambda_cap,
     sign_check,
 )
@@ -222,12 +222,18 @@ def test_sl_oracle_scales_with_radius_and_lambda():
         assert abs(got - want) / want < 1e-9
 
 
+def kress_matrix(n):
+    """The log rule's matrix R, folded by gap from `_kress_vector`."""
+    d = (np.arange(n)[:, None] - np.arange(n)) % n
+    return _kress_vector(n)[np.minimum(d, n - d)]
+
+
 def test_kress_log_weights_integrate_cosines():
     # (1/2pi) int ln(4 sin^2((t-u)/2)) cos(m u) du = -cos(m t)/m  (m >= 1)
     # and 0 for m = 0; the product rule reproduces this exactly through
     # the Nyquist mode
     n = 32
-    r = kress_log_weights(n)
+    r = kress_matrix(n)
     t = TWO_PI * np.arange(n) / n
     assert np.max(np.abs(r @ np.ones(n))) < 1e-13
     for m in (1, 2, 5, 15, 16):
@@ -235,14 +241,20 @@ def test_kress_log_weights_integrate_cosines():
         want = -(TWO_PI / m) * np.cos(m * t)
         assert np.max(np.abs(got - want)) < 1e-12
     with pytest.raises(AssemblyError):
-        kress_log_weights(7)
+        _kress_vector(7)
 
 
 @pytest.mark.parametrize("n", [4, 32, 1024])
 def test_kress_log_weights_are_exactly_symmetric_and_circulant(n):
-    r = kress_log_weights(n)
+    r = kress_matrix(n)
     assert np.array_equal(r, r.T)
     assert np.array_equal(r, np.roll(r, (1, 1), axis=(0, 1)))
+    # folding loses nothing: a row of R is the rule over every gap d = 0..n-1,
+    # R[0, d] = -(4pi/n) sum_{m<n/2} cos(m t_d)/m - (4pi/n^2)(-1)^d
+    t, m = TWO_PI * np.arange(n) / n, np.arange(1, n // 2)
+    row = (-(2.0 * TWO_PI / n) * (np.cos(np.outer(t, m)) / m).sum(axis=1)
+           - (2.0 * TWO_PI / n**2) * (-1.0) ** np.arange(n))
+    np.testing.assert_allclose(r[0], row, rtol=0, atol=1e-13)
 
 
 def test_spectral_derivative_exact_on_band():
@@ -296,8 +308,8 @@ def test_assembly_plan_holds_only_the_gap_vector_and_factors():
     d = np.arange(1, nf // 2 + 1)
     logsin = np.log(4.0 * np.sin((np.pi / nf) * d) ** 2)
     np.testing.assert_array_equal(
-        plan.wvec[d], (-0.25 / np.pi) * (kress_log_weights(nf)[0, d] - (TWO_PI / nf) * logsin))
-    assert plan.wvec[0] == -kress_log_weights(nf)[0, 0] / (4.0 * math.pi)
+        plan.wvec[d], (-0.25 / np.pi) * (_kress_vector(nf)[d] - (TWO_PI / nf) * logsin))
+    assert plan.wvec[0] == -_kress_vector(nf)[0] / (4.0 * math.pi)
     assert plan.sp.shape == plan.q.shape == (nf, n)
     assert plan.sp.flags.owndata and plan.q.flags.owndata
     prolong = (np.sqrt(fine.weights)[:, None] * _trig_upsample(np.eye(n), OVERSAMPLE)
@@ -315,13 +327,13 @@ def dense_cores(plan, lam):
     fine, nf, s = plan.fine, plan.fine.n_nodes, lam.sqrt_lam
     i, j = np.triu_indices(nf, 1)
     logsin = np.log(4.0 * np.sin((np.pi / nf) * np.minimum(j - i, nf - (j - i))) ** 2)
-    w = (-0.25 / np.pi) * (kress_log_weights(nf)[i, j] - (TWO_PI / nf) * logsin)
+    w = (-0.25 / np.pi) * (kress_matrix(nf)[i, j] - (TWO_PI / nf) * logsin)
     z = s * _distances(fine.nodes, fine.nodes)[i, j]
     i0 = _bessel_i0(z)
     vals = i0 * w + _k01(0, z, i0) * (1.0 / nf)
     nx, ny = fine.normals.T
     c2 = (0.5 / np.pi) * (-np.log(0.5 * s * fine.jacobians) - EULER_GAMMA)
-    diag = (-0.25 / np.pi) * kress_log_weights(nf)[0, 0] + (TWO_PI / nf) * c2
+    diag = (-0.25 / np.pi) * _kress_vector(nf)[0] + (TWO_PI / nf) * c2
     cores = []
     for v in (vals, vals * (nx[i] * nx[j] + ny[i] * ny[j])):
         core = np.empty((nf, nf))

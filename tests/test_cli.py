@@ -715,6 +715,34 @@ def test_values_refused_late_are_refused_before_assembly(
     assert f"validation error: {key} = " in err
 
 
+# numpy read a list's "0" as 0.0 and its false as 0.0 (true as 1.0): each
+# scenario below ran to exit 0
+SHIFTED = {"shape": "circle", "params": {"radius": 0.4, "center": [0.5, 0.5]}, "n_nodes": 64}
+LIST_ELEMENTS = {
+    ("probe.center", "string"): dict(probe={**PROBE, "center": ["0", "0"]}),
+    ("probe.center", "bool"): dict(probe={**PROBE, "center": [False, False]}),
+    ("grid.bounds", "string"): dict(grid={"bounds": [["-2.5", "2.5"], [-2.5, 2.5]],
+                                          "resolution": 8}),
+    ("grid.bounds", "bool"): dict(geometry=SHIFTED, grid={"bounds": [[False, 2.5], [-2.5, 2.5]],
+                                                          "resolution": 8}),
+    ("geometry.screen.interval", "string"): dict(
+        geometry={**SCREEN, "screen": {"interval": ["0", 3.14]}}),
+    ("geometry.screen.interval", "bool"): dict(
+        geometry={**SCREEN, "screen": {"interval": [False, 3]}}),
+    ("boundary_condition.coefficient", "string"): dict(
+        boundary_condition={"kind": "alpha", "coefficient": ["1.5"] * 64}),
+    ("boundary_condition.coefficient", "bool"): dict(
+        boundary_condition={"kind": "alpha", "coefficient": [True] * 64}),
+}
+
+
+@pytest.mark.parametrize("key, element", sorted(LIST_ELEMENTS))
+def test_list_elements_must_be_numbers(key, element, tmp_path, capsys, monkeypatch):
+    blocks = {**FULL, **LIST_ELEMENTS[key, element]}
+    err = _refused_before_assembly("reconstruct", blocks, tmp_path, capsys, monkeypatch)
+    assert f"validation error: {key} = " in err
+
+
 @pytest.mark.parametrize("kind, coef", [("D", 5.0), ("N", "cos(t)")])
 @pytest.mark.parametrize("command", ["forward", "reconstruct", "verify"])
 def test_coefficient_on_D_or_N_is_refused_before_assembly(

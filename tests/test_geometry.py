@@ -12,11 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from lapscat.errors import BoundaryAmbiguityError, GeometryError, ScreenError
+from lapscat.errors import GeometryError, ScreenError
 from lapscat.geometry import (
     _distances,
     _inside_and_distance,
-    contains,
     distance_to_boundary,
     make_curve,
     make_grid,
@@ -197,12 +196,10 @@ def test_grid_refuses_non_finite_bounds(bounds):
 
 def test_containment_circle_analytic():
     geom = make_curve("circle", {"radius": 1.0}, n_nodes=128)
-    assert contains(geom, (0.0, 0.0))
-    assert contains(geom, (0.6, 0.5))
-    assert not contains(geom, (1.5, 0.0))
-    assert not contains(geom, (0.9, 0.9))
-    with pytest.raises(BoundaryAmbiguityError):
-        contains(geom, (1.0, 0.0))
+    pts = np.array([[0.0, 0.0], [0.6, 0.5], [1.5, 0.0], [0.9, 0.9]])
+    inside, dist = _inside_and_distance(geom, pts)
+    assert inside.tolist() == [True, True, False, False]
+    np.testing.assert_array_equal(dist, distance_to_boundary(geom, pts))
 
 
 def test_containment_matches_ray_casting_oracle():
@@ -311,7 +308,7 @@ def test_circle_containment_is_radius_test(radius, px, py):
     rho = np.linalg.norm(p) / radius
     if abs(rho - 1.0) < 0.05:
         return  # too close to the boundary for the polygonal test
-    assert contains(geom, p) == (rho < 1.0)
+    assert _inside_and_distance(geom, p)[0][0] == (rho < 1.0)
 
 
 def test_plane_wise_pair_forms_are_bit_identical():

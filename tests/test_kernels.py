@@ -26,6 +26,8 @@ from lapscat.errors import (
 from lapscat.kernels import (
     SpectralParam,
     _bessel_i0,
+    _gauss_legendre,
+    _gl_panels,
     _k01,
     _radial_g,
     bessel_k,
@@ -319,3 +321,19 @@ def test_bessel_accuracy_floor_against_mpmath():
     with mpmath.workdps(40):
         ref = np.array([float(mpmath.besseli(0, mpmath.mpf(float(v)))) for v in x])
     assert np.max(np.abs(_bessel_i0(x) - ref) / ref) <= 2.5e-15
+
+
+def test_one_gauss_legendre_panel_is_the_affine_map_of_the_rule():
+    # screen test vectors and the pulse's normalisation take one panel: it
+    # must map the rule onto [a, b] as 0.5(b - a) x + 0.5(b + a), with
+    # weights 0.5(b - a) w, bit for bit, so arcs.csv keeps its bytes
+    rng = np.random.default_rng(5)
+    for _ in range(2000):
+        a = rng.uniform(-10.0, 10.0)
+        b = a + 10.0 ** rng.uniform(-3.0, 1.0)
+        order = int(rng.integers(2, 257))
+        x, w = _gauss_legendre(order)
+        nodes, weights = _gl_panels(a, b, b - a, order)
+        assert np.array_equal(nodes, 0.5 * (b - a) * x + 0.5 * (b + a))
+        assert np.array_equal(weights, 0.5 * (b - a) * w)
+

@@ -1,11 +1,13 @@
 """The benchmark tracer's notes name lapscat functions and their arguments.
 
 `perfbench/spans.py` maps span names such as "kernels.fundamental_solution"
-to notes that read the traced call's bound arguments by name (a["x"]).  A
-renamed function or argument would make every traced operation fail, so
-each note is checked here against the package, from the tracer's source.
-So is each private function its PRIVATE table names: the tracer skips a
-renamed one without a word, and its per-layer figures would read 0.
+to notes that read the traced call's bound arguments by name (a["x"]).  The
+tracer wraps only the functions that exist: a removed or renamed function
+raises nothing, and its per-layer figures read 0 with no error, so each
+noted function must exist.  A renamed argument makes every traced call of
+its function fail, so each note's arguments are checked too, here against
+the package, from the tracer's source.  So is each private function its
+PRIVATE table names, which the tracer likewise skips without a word.
 """
 
 import ast
