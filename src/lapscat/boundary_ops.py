@@ -28,10 +28,13 @@ independent (2n x n) factors SP = J^{1/2} P and Q = D J^{-1/2} P:
 
 SP and W by gap d = 0..nf/2 form a per-geometry assembly plan, built on
 the first assembly and freed with the geometry; Q joins it on the first
-Maue assembly (N or theta).  An assembly fills C
-in blocks of gaps d = j - i (mod nf), one W[d] per gap, and C_nn in row
-blocks of the refined curve, recomputing each block's distances and
-normals, and evaluates I_0 and K_0 once per node pair.
+Maue assembly (N or theta).  No core is stored.  With U' the strict
+upper triangle of C plus half its diagonal, F^T C F = X + X^T for
+X = F^T (U' F), exactly symmetric.  An assembly walks U' by row blocks
+of the refined curve, each of at most _BLOCK node pairs, recomputing
+the block's distances (and normals, for C_nn) and evaluating I_0 and
+K_0 once per node pair, and multiplies runs of blocks of at least
+_PANEL_ROWS rows straight into T = U' F.
 
 All operator matrices live in *weighted nodal coordinates*: a trace or
 density u on Gamma is represented by the vector (sqrt(w_j) u(q_j)), so
@@ -63,7 +66,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -98,6 +101,19 @@ TWO_PI = 2.0 * math.pi
 # cosine; assembling on a refined grid and projecting back
 # keeps every coarse-grid mode strictly inside the exact band.
 OVERSAMPLE = 2
+
+# The BLAS splits a product's inner dimension one way on one thread and
+# another on several unless that dimension is a multiple of 32 or at most
+# 384 (measured on OpenBLAS 0.3.31, Haswell kernels): each product of the
+# assembly is padded on the left with zero columns to such a width, so M
+# keeps its bits at any BLAS thread count where the refined node count is
+# such a width too
+_GEMM_DEPTH = 32
+
+# rows of a product at least: thinner ones stream their factor from memory
+# for few flops (the first row blocks hold 16 rows at n = 1024 and 8 at
+# n = 2048; up to n = 512 every block has 32 or more)
+_PANEL_ROWS = 32
 
 # estimate_lambda_bound's bisection bracket and relative stopping width
 BOUND_LAM_MIN, BOUND_LAM_MAX, BOUND_TOL = 1e-3, 1024.0, 1e-2
@@ -195,7 +211,8 @@ class BoundaryOperator:
         res = np.linalg.norm(mat - mat.T) / max(np.linalg.norm(mat), 1e-300)
         if res > 1e-8:
             raise DomainError(f"sign_check expects a symmetric matrix, residual {res:.2e}")
-        eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
+        # an exactly symmetric matrix is its own symmetric part, bit for bit
+        eigs = np.linalg.eigvalsh(mat if res == 0.0 else 0.5 * (mat + mat.T))
         amax, amin = float(np.max(np.abs(eigs))), float(np.min(np.abs(eigs)))
         tol = 1e-12 * amax
         lo, hi = float(eigs[0]), float(eigs[-1])
@@ -285,55 +302,109 @@ def _assembly_plan(geom: BoundaryGeometry, maue: bool = False) -> _AssemblyPlan:
     return plan
 
 
-def _sl_core(plan: _AssemblyPlan, lam: SpectralParam, nn_weight: bool):
-    """Symmetric kernel cores (B, B_nn) with quadrature folded in.
+@lru_cache(maxsize=64)
+def _strict_upper(rows: int) -> np.ndarray:
+    """Read-only mask of the strict upper triangle of a (rows x rows) square."""
+    mask = np.triu(np.ones((rows, rows), dtype=bool), 1)
+    mask.flags.writeable = False
+    return mask
 
-    The weighted single-layer matrix is J^{1/2} B J^{1/2}; B_nn (None
-    unless ``nn_weight``) carries the n(x).n(y) factor of the Maue
-    remainder.  B is filled by gaps: pair (d - 1) nf + i joins node i to
-    node i + d (mod nf), and the first nf (nf - 1) / 2 pairs hold each
-    pair once (the antipodal gap nf/2 only its first nf/2).  A block of
-    _BLOCK // nf gaps takes one kernel pass, which folds each pair as
-    I_0 W[d] + (h/2pi) K_0 (see the module docstring) into (i, j) and
-    (j, i).  B_nn is B times n_i . n_j, formed over row blocks.
+
+def _row_blocks(nf: int):
+    """Row ranges [lo, hi) of an (nf x nf) strict upper triangle, each of at
+    most _BLOCK pairs (row i holds nf - 1 - i) unless one row exceeds it."""
+    ends = np.cumsum(np.arange(nf - 1, -1, -1))   # pairs in rows 0..i
+    lo = 0
+    while lo < nf:
+        done = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + _BLOCK, "right")))
+        yield lo, hi
+        lo = hi
+
+
+def _panels(nf: int):
+    """The row blocks of `_row_blocks`, grouped into runs of at least
+    _PANEL_ROWS rows (the last run may hold fewer)."""
+    group = []
+    for block in _row_blocks(nf):
+        group.append(block)
+        if block[1] - group[0][0] >= _PANEL_ROWS or block[1] == nf:
+            yield group
+            group = []
+
+
+def _pairs(a: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """A row block's node pairs, flat, from its (rows, nf - lo) array: those
+    right of its leading square, then those of the square's mask ``up``."""
+    rows = up.shape[0]
+    return np.concatenate([a[:, rows:].reshape(-1), a[:, :rows][up]])
+
+
+def _sl_core(plan: _AssemblyPlan, lam: SpectralParam, maue: bool) -> list:
+    """The products T = U' F of the kernel core with the trace's factors:
+    [U' SP] for the single layer, [U' Q, U'_nn SP] for the Maue trace.
+
+    C is the symmetric refined-grid core with quadrature folded in: I_0 W[d]
+    + (h/2pi) K_0 at pair (i, j), d the gap j - i folded to 0..nf/2 (see
+    the module docstring), and the coincidence limit on its diagonal; C_nn
+    is C times n_i . n_j off the diagonal.  U' is C's strict upper triangle
+    plus half its diagonal, so F^T C F = X + X^T with X = F^T U' F.  U' goes
+    by runs of row blocks (`_panels`, `_multiply_run`).
     """
     fine, s = plan.fine, lam.sqrt_lam
     nf = fine.n_nodes
-    x, y = fine.nodes.T
-    node = np.arange(nf)
-    # row d of each window is its vector moved on by d nodes: x_{i+d}, y_{i+d}, i + d
-    xs, ys, js = (sliding_window_view(np.r_[v, v], nf) for v in (x, y, node))
-    core = np.empty((nf, nf))
-    flat = core.reshape(-1)
-    step = min(nf, max(1, _BLOCK // nf))
-    for lo in range(1, nf // 2 + 1, step):
-        gaps = slice(lo, min(lo + step, nf // 2 + 1))
-        size = min((gaps.stop - lo) * nf, nf * (nf - 1) // 2 - (lo - 1) * nf)
-        z = _plane_norm(xs[gaps] - x, ys[gaps] - y).reshape(-1)[:size]
-        z *= s
-        vals = _bessel_i0(z)
-        k0 = _k01(0, z, vals)
-        vals *= np.repeat(plan.wvec[gaps], nf)[:size]
-        k0 *= 1.0 / nf   # h / 2pi
-        vals += k0
-        # (i, j) and (j, i) by flat index, which writes faster than a pair of indices
-        j = js[gaps]
-        flat[(node * nf + j).reshape(-1)[:size]] = flat[(j * nf + node).reshape(-1)[:size]] = vals
+    gap = np.arange(nf)
+    w_gap = plan.wvec[np.minimum(gap, nf - gap)]
+    # row i is W over the gaps j - i (mod nf), j = 0..nf-1: a window of the doubled row
+    w_rows = sliding_window_view(np.r_[w_gap, w_gap], nf)[nf:0:-1]
     # coincidence limit of the smooth part (same with or without the
     # normal-normal factor, which tends to 1 quadratically)
     c2_diag = (0.5 / np.pi) * (-np.log(0.5 * s * fine.jacobians) - EULER_GAMMA)
-    diag = plan.wvec[0] + (TWO_PI / nf) * c2_diag
-    np.fill_diagonal(core, diag)
-    if not nn_weight:
-        return core, None
-    core_nn = np.empty_like(core)
-    nx, ny = fine.normals.T
-    for lo in range(0, nf, step):
-        rows = slice(lo, lo + step)
-        nn = np.multiply.outer(nx[rows], nx) + np.multiply.outer(ny[rows], ny)
-        np.multiply(core[rows], nn, out=core_nn[rows])
-    np.fill_diagonal(core_nn, diag)
-    return core, core_nn
+    half_diag = 0.5 * (plan.wvec[0] + (TWO_PI / nf) * c2_diag)
+    out = [np.empty_like(f) for f in ((plan.q, plan.sp) if maue else (plan.sp,))]
+    for group in _panels(nf):
+        _multiply_run(plan, s, w_rows, half_diag, group, out, maue)
+    return out
+
+
+def _multiply_run(plan: _AssemblyPlan, s: float, w_rows, half_diag, group, out: list,
+                  maue: bool) -> None:
+    """Rows [lo, hi) of each product in ``out`` for one run of row blocks.
+
+    Each block's pairs, the rectangle right of its leading square and that
+    square's strict upper triangle, take one kernel pass that evaluates each
+    pair once and folds it as I_0 W + (h/2pi) K_0 at s |q_i - q_j|.  The
+    run's rows of U', padded on the left with zeros to a width that is a
+    multiple of _GEMM_DEPTH, then multiply straight into T[lo:hi] =
+    U'[lo:hi, lo:] F[lo:]: SP, or for the Maue trace Q and then SP with U'_nn.
+    """
+    fine = plan.fine
+    nf = fine.n_nodes
+    p_lo, p_hi = group[0][0], group[-1][1]
+    start = max(0, p_lo - (p_lo - nf) % _GEMM_DEPTH)
+    panel = np.zeros((p_hi - p_lo, nf - start))
+    for lo, hi in group:
+        rows, rect = hi - lo, (hi - lo) * (nf - hi)
+        up = _strict_upper(rows)
+        z = _pairs(_distances(fine.nodes[lo:hi], fine.nodes[lo:]), up)
+        z *= s
+        vals = _bessel_i0(z)
+        k0 = _k01(0, z, vals)
+        vals *= _pairs(w_rows[lo:hi, lo:], up)
+        k0 *= 1.0 / nf   # h / 2pi
+        vals += k0
+        core = panel[lo - p_lo:hi - p_lo, lo - start:]   # U'[lo:hi, lo:]
+        core[:, rows:] = vals[:rect].reshape(rows, -1)
+        core[:, :rows][up] = vals[rect:]
+    diag = (np.arange(p_hi - p_lo), np.arange(p_lo - start, p_hi - start))
+    panel[diag] = half_diag[p_lo:p_hi]
+    np.matmul(panel, (plan.q if maue else plan.sp)[start:], out=out[0][p_lo:p_hi])
+    if maue:
+        nx, ny = fine.normals.T
+        panel[:, p_lo - start:] *= (np.multiply.outer(nx[p_lo:p_hi], nx[p_lo:])
+                                    + np.multiply.outer(ny[p_lo:p_hi], ny[p_lo:]))
+        panel[diag] = half_diag[p_lo:p_hi]
+        np.matmul(panel, plan.sp[start:], out=out[1][p_lo:p_hi])
 
 
 def _refined_geometry(geom: BoundaryGeometry, factor: int) -> BoundaryGeometry:
@@ -364,8 +435,9 @@ def _refined_geometry(geom: BoundaryGeometry, factor: int) -> BoundaryGeometry:
 
 def _trace(geom: BoundaryGeometry, lam: SpectralParam, layer: str) -> np.ndarray:
     """gamma0 SL (``layer`` "SL") or, by the Maue identity, gamma1 DL
-    ("DL"), symmetrised: a congruence of the refined-grid cores with the
-    plan's factors SP and Q (see the module docstring).
+    ("DL"): congruences F^T C F = X + X^T of the refined-grid cores with
+    the plan's factors SP and Q, X = F^T T from the products T = U' F of
+    `_sl_core`, so the matrix is exactly symmetric.
 
     Refuses lambda above the geometry's resolvable cap, where the
     assembled operator loses its sign (see `resolvable_lambda_cap`).
@@ -380,13 +452,19 @@ def _trace(geom: BoundaryGeometry, lam: SpectralParam, layer: str) -> np.ndarray
         )
     maue = layer == "DL"
     plan = _assembly_plan(geom, maue)
-    core, core_nn = _sl_core(plan, lam, nn_weight=maue)
-    sp = plan.sp
-    if maue:
-        mat = -(plan.q.T @ core @ plan.q) - lam.lam * (sp.T @ core_nn @ sp)
-    else:
-        mat = sp.T @ core @ sp
-    return 0.5 * (mat + mat.T)
+    halves = _sl_core(plan, lam, maue)   # [U' Q, U'_nn SP] or [U' SP]
+    traces = []
+    for f in (plan.q, plan.sp) if maue else (plan.sp,):
+        x = f.T @ halves.pop(0)   # T is freed once X is formed
+        traces.append(np.add(x, x.T))
+        del x
+    if not maue:
+        return traces[0]
+    # -(X_q + X_q^T) - lambda (X_s + X_s^T), summed in the other order: the same bits
+    mat = traces.pop()
+    mat *= -lam.lam
+    mat -= traces.pop()
+    return mat
 
 
 # ----------------------------------------------------------------------
@@ -403,6 +481,22 @@ def _screen_indices(screen: ScreenGeometry | None, geom: BoundaryGeometry):
         raise GeometryError(f"screen of {screen.active_mask.size} nodes on a geometry "
                             f"of {geom.n_nodes}")
     return screen.active_indices
+
+
+def nodal_coefficient(bc: BoundaryCondition, geom: BoundaryGeometry) -> np.ndarray | None:
+    """The condition's coefficient at the geometry's nodes (None for D and
+    N), refused where M cannot take it: of the wrong shape or not finite,
+    or alpha (numerically) zero at a node or of both signs on a screen."""
+    if bc.kind not in ("alpha", "theta"):
+        return None
+    coef = bc.resolve_coefficient(geom)
+    if bc.kind == "alpha":
+        if np.any(np.abs(coef) < 1e-14):
+            raise CoefficientError("alpha has (numerically) zero nodal values")
+        active = coef[_screen_indices(bc.screen, geom)]
+        if bc.screen is not None and np.any(active > 0) and np.any(active < 0):
+            raise CoefficientError("alpha must have constant sign on a screen")
+    return coef
 
 
 def assemble_M(
@@ -425,13 +519,7 @@ def assemble_M(
         raise SpectralParameterError(
             f"lambda {lam.lam} must exceed the condition's bound {bc.lambda_bound}"
         )
-    if bc.kind in ("alpha", "theta"):
-        coef = bc.resolve_coefficient(geom)
-    if bc.kind == "alpha":
-        if np.any(np.abs(coef) < 1e-14):
-            raise CoefficientError("alpha has (numerically) zero nodal values")
-        if bc.screen is not None and np.any(coef[active] > 0) and np.any(coef[active] < 0):
-            raise CoefficientError("alpha must have constant sign on a screen")
+    coef = nodal_coefficient(bc, geom)
     trace = _trace(geom, lam, LAYER[bc.kind])
     if bc.kind in ("D", "N"):
         mat = -trace
@@ -688,6 +776,9 @@ def jump_relation_residual(
 # a leaf of the volume rule is split while its side exceeds cell * d / _GRADING
 _GRADING = 0.6
 
+# volume points per block of the Gram sums
+_GRAM_BLOCK = 1024
+
 
 def _volume_rule(geom: BoundaryGeometry, radius: float, resolution: int):
     """Centres (m, 2) and areas (m,) of the leaves of the graded quadtree
@@ -750,8 +841,9 @@ def gram_identity_residual(
 
     so |W^{1/2} Gram_tail W^{1/2}|_F <= T sum_j w_j.  A tail share
     |z - w| T sum_j w_j / |M_z - M_w| above half of max(residual, 1e-3)
-    raises TruncationError.  Each block's (n, 4096) kernel factors fill
-    in node-row blocks of at most _BLOCK entries.
+    raises TruncationError.  The sums go over blocks of _GRAM_BLOCK volume
+    points, whose (n, _GRAM_BLOCK) kernel factors fill in node-row blocks
+    of at most _BLOCK entries.
     """
     if not (0 < lambda1 < math.inf and 0 < lambda2 < math.inf):
         raise DomainError(f"spectral parameters must be positive and finite: {lambda1}, {lambda2}")
@@ -779,12 +871,14 @@ def gram_identity_residual(
         return _by_row_blocks(geom.nodes, lambda y: _radial_g(s, _distances(y, u)), width=len(u))
 
     gram = np.zeros((geom.n_nodes, geom.n_nodes))
-    # blocks of volume points fix the sums and bound the (n, block) factors
-    for lo in range(0, pts.shape[0], 4096):
+    # blocks of volume points fix the sums and bound the (n, block) factors;
+    # a multiple of 64, so the padding keeps every block's sum thread-independent
+    for lo in range(0, pts.shape[0], _GRAM_BLOCK):
+        block = slice(lo, lo + _GRAM_BLOCK)
         # g_{lambda2}(y_j, u) times g_{lambda1}(u, y_k)
-        g2 = kernel(s2, pts[lo : lo + 4096])
-        g2 *= areas[lo : lo + 4096]
-        gram += g2 @ kernel(s1, pts[lo : lo + 4096]).T
+        g2 = kernel(s2, pts[block])
+        g2 *= areas[block]
+        gram += g2 @ kernel(s1, pts[block]).T
 
     sw = np.sqrt(geom.weights)
     m1, m2 = (assemble_M(BoundaryCondition(kind="D"), geom, SpectralParam(v)).matrix

@@ -292,6 +292,7 @@ def build_pipeline(v: dict):
         screen=screen,
         lambda_bound=v["boundary_condition.lambda_bound"],
     )
+    boundary_ops.nodal_coefficient(bc, geom)  # refused here as assemble_M refuses it
     probe = make_probe(v["probe.center"], v["probe.radius"], v["probe.n_points"],
                        layout=v["probe.layout"])
     if not validate_separation(geom, probe, margin=1e-6):

@@ -10,10 +10,12 @@ derivative g'(r), from which `boundary_ops` builds the double-layer
 kernel, brings in K_1.  For z <= 2, K_0, K_1 and I_0 are their power
 series (A&S 9.6.10-9.6.13) cut at degree 15 in z^2/4; for z > 2, K_0
 and K_1 are polynomials in 4/z - 1 for K_nu(z) e^z sqrt(z) (Chebyshev
-fits to 60 digits, in powers), and I_0 its series to the term count
-the block's largest argument needs.  Against 40-digit mpmath the
-largest relative errors are 3.13e-15 (K_0) and 2.74e-15 (K_1) on 3000
-points of [1e-6, 700], and 1.92e-15 (I_0) on [0, 26].
+fits to 60 digits, in powers).  I_0 has two more fixed tables: its
+series to degree 21 for 2 < z <= 7.75, and beyond a polynomial in
+15.5/z - 1 for I_0(z) e^-z sqrt(z) (a Chebyshev fit to 40 digits, in
+powers).  Against 40-digit mpmath the largest relative errors are
+3.13e-15 (K_0) and 2.74e-15 (K_1) on 3000 points of [1e-6, 700], and
+4.80e-16 (I_0) on [0, 26] (3.98e-16 on [0, 700]).
 
 Polynomials run by Horner's rule over blocks of _BLOCK elements, so
 their temporaries stay in cache; a value does not depend on its block.
@@ -105,6 +107,23 @@ _K1_LARGE = [
     9.996533069921577e-10, -2.044860435568768e-09,
 ]
 
+# I_0 for 2 < z <= 7.75 (t = z^2/4 <= 15.02): its series to degree 21, whose
+# next term is below 1e-18 of every sum
+_I0_MID = [1 / math.factorial(k) ** 2 for k in range(22)]
+
+# I_0(z) e^-z sqrt(z), z > 7.75, in powers of x = 15.5/z - 1: a Chebyshev fit
+# to 40-digit mpmath, in powers (tests/data/regenerate.py rebuilds it)
+_I0_LARGE = [
+    0.4022850564674586, 0.003478064623595508, 0.0001463049837014244,
+    1.2470619505054964e-05, 1.7408596197355641e-06, 3.6969868816518073e-07,
+    1.1886401965760468e-07, 5.637412204159785e-08, 3.0127981542335206e-08,
+    6.068239172980919e-09, -1.6366426575350262e-08, -2.0887216489444128e-08,
+    -1.7374451446512572e-09, 1.5436934109183205e-08, 6.372268793132446e-09,
+    -9.505248467556929e-09, -5.147315885877321e-09, 5.221435870245512e-09,
+    2.6071598626279645e-09, -2.276303290325059e-09, -8.049346343639875e-10,
+    6.553743434252993e-10, 1.1472113147265513e-10, -8.975019912316443e-11,
+]
+
 
 def _by_blocks(fn, z, *aligned) -> np.ndarray:
     """fn over consecutive _BLOCK-element runs of z and of arrays aligned
@@ -117,9 +136,9 @@ def _by_blocks(fn, z, *aligned) -> np.ndarray:
     return out.reshape(z.shape)
 
 
-def _by_branch(small, large, z: np.ndarray, *aligned) -> np.ndarray:
-    """small(z, *aligned) at z <= 2, large(z) elsewhere; one block, split only if mixed."""
-    below = z <= 2.0
+def _by_branch(small, large, z: np.ndarray, *aligned, at: float = 2.0) -> np.ndarray:
+    """small(z, *aligned) at z <= at, large(z) elsewhere; one block, split only if mixed."""
+    below = z <= at
     lo = np.flatnonzero(below)
     if lo.size in (0, z.size):
         return small(z, *aligned) if lo.size else large(z)
@@ -140,30 +159,23 @@ def _horner(x: np.ndarray, coeffs) -> np.ndarray:
     return p
 
 
-def _i_series(z: np.ndarray) -> np.ndarray:
-    """I_0 of one block by the (all-positive, cancellation-free) power
-    series.  Terms run until the largest t needs no more; later terms fall
-    below 1e-17 of every element's sum and leave it as is."""
-    t = 0.25 * z * z
-    top = int(np.argmax(t))
-    term = np.ones_like(t)
-    total = np.ones_like(t)
-    for k in range(1, 402):
-        term *= t
-        term /= k * k
-        total += term
-        if term[top] <= 1e-17 * total[top]:
-            break
-    return total
-
-
 def _i0_small(z: np.ndarray) -> np.ndarray:
     return _horner(0.25 * z * z, _I0_SERIES)
 
 
+def _i0_mid(z: np.ndarray) -> np.ndarray:
+    return _horner(0.25 * z * z, _I0_MID)
+
+
+def _i0_far(z: np.ndarray) -> np.ndarray:
+    return _horner(15.5 / z - 1.0, _I0_LARGE) * np.exp(z) / np.sqrt(z)
+
+
 def _bessel_i0(z: np.ndarray) -> np.ndarray:
-    """I_0 of an array of any shape, block by block."""
-    return _by_blocks(partial(_by_branch, _i0_small, _i_series), z)
+    """I_0 of an array of any shape, block by block: the z <= 2 series, the
+    longer series to z = 7.75, and the large-argument table beyond."""
+    large = partial(_by_branch, _i0_mid, _i0_far, at=7.75)
+    return _by_blocks(partial(_by_branch, _i0_small, large), z)
 
 
 def _k0_small(z: np.ndarray, i0: np.ndarray | None = None) -> np.ndarray:

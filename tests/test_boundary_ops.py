@@ -44,8 +44,11 @@ from lapscat.boundary_ops import (
     _gram_tail_bound,
     _kress_vector,
     _layer_matrix,
+    _panels,
+    _row_blocks,
     _sl_core,
     _spectral_derivative,
+    _trace,
     _trig_upsample,
     _volume_rule,
     admissible_class,
@@ -61,7 +64,12 @@ from lapscat.geometry import _distances, make_curve, make_screen
 from lapscat.kernels import _BLOCK, SpectralParam, _bessel_i0, _k01, fundamental_solution
 
 TWO_PI = 2.0 * math.pi
-GOLDEN = os.path.join(os.path.dirname(__file__), "data", "assembly_golden.npz")
+DATA = os.path.join(os.path.dirname(__file__), "data")
+GOLDEN = os.path.join(DATA, "assembly_golden.npz")
+# the golden of the assembly that built the whole (nf x nf) core, before the row blocks
+DENSE_CORE_GOLDEN = os.path.join(DATA, "assembly_golden_dense_core.npz")
+# M_D and M_N on the ellipse at n = 64, lambda = 32: the discrete rule in 34-digit mpmath
+MPMATH_REFERENCE = os.path.join(DATA, "ellipse_lam32_mpmath34.npz")
 
 # I_m(1) K_m(1), frozen from scipy.special.iv/kv
 SL_CIRCLE_EIGS = {
@@ -321,9 +329,10 @@ def test_assembly_plan_holds_only_the_gap_vector_and_factors():
 
 
 def dense_cores(plan, lam):
-    """The cores (B, B_nn) of `_sl_core` in one pass over the whole strict
-    upper triangle: W from the dense R and the log term by gap, the pair
-    distances and normal products of the refined curve, and one Bessel call."""
+    """The symmetric cores (C, C_nn) that `_sl_core` takes by row blocks, in
+    one pass over the whole strict upper triangle: W from the dense R and the
+    log term by gap, the pair distances and normal products of the refined
+    curve, and one Bessel call."""
     fine, nf, s = plan.fine, plan.fine.n_nodes, lam.sqrt_lam
     i, j = np.triu_indices(nf, 1)
     logsin = np.log(4.0 * np.sin((np.pi / nf) * np.minimum(j - i, nf - (j - i))) ** 2)
@@ -343,26 +352,54 @@ def dense_cores(plan, lam):
     return cores
 
 
-@pytest.mark.parametrize("n, blocks", [(8, [8]), (32, [32]), (192, [85, 85, 22]),
-                                       (512, [32] * 16)],
-                         ids=["half-gap-block", "one-block", "partial-block", "nf-1024"])
-def test_blocked_cores_equal_one_dense_pass(n, blocks):
-    # blocks of _BLOCK // nf gaps d = 1..nf/2: nf = 16 and 64 fit one block
-    # (at nf = 16 it holds the antipodal half-gap), nf = 384 ends on a
-    # partial block, nf = 1024 has 16
+def _relative(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+# the row blocks of at most 2048 pairs on nf = 384
+SMALL_BLOCKS = ([5] * 8 + [6] * 8 + [7] * 6 + [8] * 3 + [9] * 3
+                + [10, 10, 11, 12, 13, 14, 16, 19, 23, 36, 39])
+
+
+@pytest.mark.parametrize("n, block, blocks, panels", [
+    (8, _BLOCK, [16], [16]), (32, _BLOCK, [64], [64]),
+    (192, _BLOCK, [97, 157, 130], [97, 157, 130]),
+    (192, 2048, SMALL_BLOCKS, [35, 35, 32, 36, 34, 40, 39, 35, 59, 39]),
+    (512, _BLOCK, [32, 33, 34, 36, 37, 39, 41, 43, 46, 49, 54, 59, 67, 79, 101, 177, 97],
+     [32, 33, 34, 36, 37, 39, 41, 43, 46, 49, 54, 59, 67, 79, 101, 177, 97]),
+], ids=["nf-16", "one-block", "three-blocks", "runs-of-blocks", "nf-1024"])
+def test_blocked_cores_equal_one_dense_pass(monkeypatch, n, block, blocks, panels):
+    # row blocks of at most _BLOCK pairs: nf = 16 and 64 fit one block,
+    # nf = 384 takes three and nf = 1024 seventeen, each of 32 rows or
+    # more; blocks of at most 2048 pairs, as thin as those of n = 2048,
+    # multiply in runs of at least _PANEL_ROWS = 32 rows.  Each product
+    # T = U' F, U' the strict upper triangle plus half the diagonal, is the
+    # dense one's, and the traces X + X^T are exactly symmetric congruences.
+    # lambda 2, but 0.5 at n = 8, whose resolvable cap is 0.78
+    import lapscat.boundary_ops as boundary_ops
+
+    monkeypatch.setattr(boundary_ops, "_BLOCK", block)
     geom = make_curve("kite", n_nodes=n)
-    plan = _assembly_plan(geom)
-    nf, lam = plan.fine.n_nodes, SpectralParam(2.0)
-    step = _BLOCK // nf
-    assert [len(range(lo, min(lo + step, nf // 2 + 1)))
-            for lo in range(1, nf // 2 + 1, step)] == blocks
+    plan = _assembly_plan(geom, maue=True)
+    nf, lam = plan.fine.n_nodes, SpectralParam(0.5 if n == 8 else 2.0)
+    assert [hi - lo for lo, hi in _row_blocks(nf)] == blocks
+    assert [group[-1][1] - group[0][0] for group in _panels(nf)] == panels
     core, core_nn = dense_cores(plan, lam)
-    blocked, blocked_nn = _sl_core(plan, lam, nn_weight=True)
-    np.testing.assert_array_equal(blocked, core)
-    np.testing.assert_array_equal(blocked_nn, core_nn)
-    sl_only = _sl_core(plan, lam, nn_weight=False)
-    np.testing.assert_array_equal(sl_only[0], core)
-    assert sl_only[1] is None
+
+    def upper(c):
+        return np.triu(c, 1) + np.diag(0.5 * np.diag(c))
+
+    sl_only = _sl_core(plan, lam, maue=False)
+    maue = _sl_core(plan, lam, maue=True)
+    wants = (upper(core) @ plan.sp, upper(core) @ plan.q, upper(core_nn) @ plan.sp)
+    for got, want in zip((*sl_only, *maue), wants):
+        assert _relative(got, want) <= 1e-14
+    sl, dl = _trace(geom, lam, "SL"), _trace(geom, lam, "DL")
+    want_sl = plan.sp.T @ core @ plan.sp
+    want_dl = -(plan.q.T @ core @ plan.q) - lam.lam * (plan.sp.T @ core_nn @ plan.sp)
+    for got, want in ((sl, want_sl), (dl, want_dl)):
+        np.testing.assert_array_equal(got, got.T)
+        assert _relative(got, want) <= 1e-14
 
 
 @pytest.mark.parametrize("n", [64, 128])
@@ -645,7 +682,7 @@ def test_resolvable_cap_is_worked_out_once_per_geometry(monkeypatch):
 
 
 def test_maue_assembly_evaluates_i0_once_per_pair(monkeypatch):
-    # the gap blocks share out the nf (nf - 1) / 2 pairs, each once, in
+    # the row blocks share out the nf (nf - 1) / 2 pairs, each once, in
     # kernel calls of at most _BLOCK points, one call per block
     import lapscat.boundary_ops as boundary_ops
     import lapscat.kernels as kernels
@@ -659,10 +696,9 @@ def test_maue_assembly_evaluates_i0_once_per_pair(monkeypatch):
 
     for module in (kernels, boundary_ops):
         monkeypatch.setattr(module, "_bessel_i0", counting)
-    # n = 8 (cap 0.78): one block that holds the antipodal half-gap;
-    # n = 512: 16 blocks
+    # n = 8 (cap 0.78) and 32: one block; n = 192: three; n = 512: 17
     for n, lams, calls in ((8, (0.5,), 1), (32, (0.5, 2.0), 1), (192, (0.5, 2.0), 3),
-                           (512, (0.5, 2.0), 16)):
+                           (512, (0.5, 2.0), 17)):
         geom = make_curve("kite", n_nodes=n)
         n_f = OVERSAMPLE * geom.n_nodes
         for lam_val in lams:
@@ -675,7 +711,7 @@ def test_maue_assembly_evaluates_i0_once_per_pair(monkeypatch):
 
 def test_assembly_matches_frozen_golden():
     # M of each condition on three shapes at n = 64, frozen (upper triangles,
-    # row-major) from the assembly that kept its pair arrays in the plan
+    # row-major) from the row-block assembly by tests/data/regenerate.py
     golden = np.load(GOLDEN)
     assert len(golden.files) == 24
     upper = np.triu_indices(64)
@@ -690,18 +726,62 @@ def test_assembly_matches_frozen_golden():
                 assert np.max(np.abs(m[upper] - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_cold_assembly_peak_memory():
-    # a cold D assembly at n = 512 holds the plan's two (nf x n) factors, the
-    # (nf x nf) core and the congruence products; pair temporaries live one
-    # row block at a time.  Pair arrays kept in the plan peaked at 37.1 MB
+def test_golden_moved_from_the_dense_core_assembly_by_rounding_only():
+    # the row blocks and the I_0 tables moved every cell by at most 3.5e-14,
+    # relative, but the ellipse at lambda = 32, whose single layer cancels
+    # I_0 terms about 1e3 times its size: 5.0e-12 (D), 1.1e-11 (N),
+    # 2.0e-13 (alpha) and 9.2e-12 (theta)
+    new, old = np.load(GOLDEN), np.load(DENSE_CORE_GOLDEN)
+    assert sorted(new.files) == sorted(old.files)
+    for key in new.files:
+        moved = _relative(new[key], old[key])
+        assert moved <= (2e-11 if key.startswith("ellipse") and key.endswith("_32") else 1e-13)
+
+
+def test_assembly_rounding_against_extended_precision():
+    # the discrete rule on the float64 plan in 34-digit mpmath: the float64
+    # assembly may be no further from it than the dense-core assembly was
+    # (1.655e-11 for D, 3.083e-11 for N); the row blocks measured 1.48e-11
+    # and 2.85e-11
+    ref = np.load(MPMATH_REFERENCE)
+    geom = make_curve("ellipse", n_nodes=64)
+    upper = np.triu_indices(64)
+    for kind, floor in (("D", 1.66e-11), ("N", 3.09e-11)):
+        m = assemble_M(BoundaryCondition(kind), geom, SpectralParam(32.0)).matrix
+        assert _relative(m[upper], ref[kind]) <= floor
+
+
+def _assembly_peaks(kind):
+    """tracemalloc peaks of a cold and a warm assembly at n = 512 on the
+    unit circle: cold builds the plan (SP, and Q for N), warm finds it."""
     geom = make_curve("circle", {"radius": 1.0}, n_nodes=512)
-    tracemalloc.start()
-    try:
-        assemble_M(BoundaryCondition("D"), geom, SpectralParam(2.0))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 28e6
+    peaks = []
+    for lam in (2.0, 3.0):
+        vars(geom).pop("_kept_M", None)
+        tracemalloc.start()
+        try:
+            assemble_M(BoundaryCondition(kind), geom, SpectralParam(lam))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+def test_cold_assembly_peak_memory():
+    # no (nf x nf) array: a row block's pairs live one block at a time and
+    # its products one run of blocks, and T = U' SP is freed once X = SP^T T
+    # is formed.  The row blocks peaked at 11.9 MB cold and 7.6 MB warm, the
+    # dense (nf x nf) core at 19.0 and 14.7 MB, pair arrays kept in the
+    # plan at 37.1 MB
+    cold, warm = _assembly_peaks("D")
+    assert cold < 13e6 and warm < 9.5e6
+
+
+def test_cold_maue_assembly_peak_memory():
+    # as for D, with T = U' Q and U'_nn SP: 20.2 MB cold and 11.8 MB warm,
+    # where the dense cores C and C_nn peaked at 33.6 and 25.2 MB
+    cold, warm = _assembly_peaks("N")
+    assert cold < 22e6 and warm < 13e6
 
 
 def test_coefficient_resolution_forms():
@@ -930,6 +1010,16 @@ def _gram_residual(shape, n, res):
 # volume sums behind them, and the pairwise norms and 64-point padding
 # keep them equal at every BLAS thread count
 GRAM_RESIDUALS = {
+    ("circle", 128, 200): 0.001095625983735313,
+    ("circle", 64, 120): 0.0026587160730725885,
+    ("kite", 128, 120): 0.002337326897182987,
+    ("circle", 128, 400): 0.0003227087399443915,
+}
+
+# the Gram pins as the sums over 4096-point volume blocks and the dense-core
+# assembly of M_D gave them, before 1024-point blocks and the row-block
+# assembly: the re-freeze moved them by at most 9.2e-13, relative
+GRAM_4096_POINT_PINS = {
     ("circle", 128, 200): 0.0010956259837356511,
     ("circle", 64, 120): 0.002658716073073195,
     ("kite", 128, 120): 0.00233732689718303,
@@ -962,6 +1052,9 @@ def test_refrozen_pins_moved_by_rounding_only():
     assert pins.keys() == SERIES_EVALUATOR_PINS.keys()
     for key, want in pins.items():
         np.testing.assert_allclose(want, SERIES_EVALUATOR_PINS[key], rtol=1e-11, atol=0.0)
+    assert GRAM_RESIDUALS.keys() == GRAM_4096_POINT_PINS.keys()
+    for key, want in GRAM_RESIDUALS.items():
+        np.testing.assert_allclose(want, GRAM_4096_POINT_PINS[key], rtol=1e-12, atol=0.0)
 
 
 def test_gram_identity_residuals_are_bit_identical():
@@ -986,6 +1079,32 @@ def test_gram_identity_residual_ignores_blas_thread_count():
         for threads in ("1", "2")
     }
     assert outs["1"] == outs["2"] == f"{GRAM_RESIDUALS[('circle', 64, 120)]!r}\n"
+
+
+def test_assembly_ignores_blas_thread_count():
+    # each row block's product is padded to an inner width the BLAS splits
+    # alike on one and on two threads; unpadded, rows 99 to 648 of U' SP
+    # took other bits on two threads at n = 512
+    code = (
+        "import hashlib\n"
+        "from lapscat.boundary_ops import BoundaryCondition, assemble_M\n"
+        "from lapscat.geometry import make_curve\n"
+        "from lapscat.kernels import SpectralParam\n"
+        "for shape, n in (('circle', 512), ('kite', 192)):\n"
+        "    geom = make_curve(shape, n_nodes=n)\n"
+        "    for kind in 'DN':\n"
+        "        m = assemble_M(BoundaryCondition(kind), geom, SpectralParam(2.0)).matrix\n"
+        "        print(hashlib.sha256(m.tobytes()).hexdigest())\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert outs[0] == outs[1] and len(outs[0].split()) == 4
 
 
 @pytest.mark.parametrize("key", list(GRAM_RESIDUAL_FLOORS), ids=lambda k: "-".join(map(str, k)))
@@ -1068,9 +1187,10 @@ def test_gram_identity_refuses_non_finite_lambda_before_any_work(monkeypatch, la
 
 
 def test_gram_identity_peak_memory_at_the_verify_configuration():
-    # each (n, 4096) factor fills in node-row blocks, so only the two
+    # each (n, 1024) factor fills in node-row blocks, so only the two
     # factors outlive a block; whole-block distance and kernel temporaries
-    # peaked at 19.5 MB
+    # peaked at 19.5 MB, 4096-point blocks at 11.9 MB and 1024-point ones
+    # at 5.7 MB
     geom = make_curve("circle", {"radius": 1.0}, n_nodes=128)
     tracemalloc.start()
     try:
@@ -1078,12 +1198,13 @@ def test_gram_identity_peak_memory_at_the_verify_configuration():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 13e6
+    assert peak < 7e6
 
 
 def test_gram_identity_peak_memory():
     # the volume sums run over blocks of points; one (n, all points)
-    # pass peaked at 70 MB on this configuration, the blocks at 25 MB
+    # pass peaked at 70 MB on this configuration, 4096-point blocks at
+    # 7.0 MB and 1024-point ones at 4.2 MB
     geom = make_curve("circle", {"radius": 1.0}, n_nodes=64)
     tracemalloc.start()
     try:
@@ -1091,7 +1212,7 @@ def test_gram_identity_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 40e6
+    assert peak < 5e6
 
 
 def test_exterior_reproduction_from_interior_sources():

@@ -763,6 +763,13 @@ BUILT_LATE = {
     "probe_n_points": dict(probe={**PROBE, "n_points": 4}),
     "grid_misses_scatterer": dict(grid={"bounds": [[-0.5, 0.5], [-0.5, 0.5]], "resolution": 8}),
     "odd_n_nodes": dict(geometry={"shape": "circle", "params": {"radius": 1.0}, "n_nodes": 63}),
+    # the coefficient was checked against the curve only in assemble_M
+    "alpha_list_of_16_on_64_nodes": dict(
+        boundary_condition={"kind": "alpha", "coefficient": [1.0] * 16}),
+    "alpha_list_holding_a_zero": dict(
+        boundary_condition={"kind": "alpha", "coefficient": [1.0] * 63 + [0.0]}),
+    "alpha_of_both_signs_on_a_screen": dict(
+        geometry=SCREEN, boundary_condition={"kind": "alpha", "coefficient": "cos(t) + 0.3"}),
 }
 
 

@@ -258,11 +258,39 @@ K1_CHEBYSHEV = [
     9.533436841889932e-16, -9.750654390186157e-16,
 ]
 
+# I_0(z) e^-z sqrt(z) on z > 7.75 in x = 15.5/z - 1: the first 24 Chebyshev
+# coefficients of its interpolant at 64 Chebyshev points, in 40-digit mpmath
+I0_CHEBYSHEV = [
+    0.4023589034301764, 0.0034876771026373706, 7.40856222573413e-05,
+    3.249942531669863e-06, 2.4299531430552774e-07, 2.8370482604934725e-08,
+    4.332640055461383e-09, 5.778732074243006e-10, -2.277520588805752e-11,
+    -5.335508698299919e-11, -1.8182100469122763e-11, -1.2407659913065849e-12,
+    1.4248818166844845e-12, 5.084265101214693e-13, -4.221924226785864e-14,
+    -6.879179225202733e-14, -6.50689883615322e-15, 8.044848744159226e-15,
+    1.8216936221655667e-15, -9.718437613574041e-16, -3.3181841137768624e-16,
+    1.328570351286924e-16, 5.470329831726796e-17, -2.1398114949027165e-17,
+]
+
 
 def test_large_argument_tables_are_the_chebyshev_expansions():
-    for cheb, mono in ((K0_CHEBYSHEV, kernels._K0_LARGE), (K1_CHEBYSHEV, kernels._K1_LARGE)):
+    for cheb, mono in ((K0_CHEBYSHEV, kernels._K0_LARGE), (K1_CHEBYSHEV, kernels._K1_LARGE),
+                       (I0_CHEBYSHEV, kernels._I0_LARGE)):
         assert len(mono) == len(cheb)
         np.testing.assert_allclose(mono, cheb2poly(cheb), rtol=0.0, atol=1e-16)
+
+
+def test_i0_chebyshev_coefficients_rederived_in_mpmath():
+    # c_k = (2/N) sum_j f(cos th_j) cos(k th_j), th_j = pi (j + 1/2) / N, N = 64,
+    # halved at k = 0, for f(x) = I_0(z) e^-z sqrt(z), z = 15.5 / (1 + x)
+    nodes = 64
+    with mpmath.workdps(40):
+        theta = [mpmath.pi * (j + mpmath.mpf(0.5)) / nodes for j in range(nodes)]
+        z = [mpmath.mpf(15.5) / (1 + mpmath.cos(t)) for t in theta]
+        f = [mpmath.besseli(0, v) * mpmath.exp(-v) * mpmath.sqrt(v) for v in z]
+        cheb = [float(2 * mpmath.fsum(v * mpmath.cos(k * t) for v, t in zip(f, theta)) / nodes)
+                for k in range(len(I0_CHEBYSHEV))]
+    cheb[0] /= 2
+    np.testing.assert_allclose(cheb, I0_CHEBYSHEV, rtol=0.0, atol=1e-17)
 
 
 def test_small_argument_tables_are_the_series_coefficients():
@@ -272,6 +300,7 @@ def test_small_argument_tables_are_the_series_coefficients():
         fac = [mpmath.factorial(k) for k in range(n + 1)]
         want = {
             "_I0_SERIES": [1 / fac[k] ** 2 for k in range(n)],
+            "_I0_MID": [1 / mpmath.factorial(k) ** 2 for k in range(22)],
             "_K0_SERIES": [mpmath.harmonic(k) / fac[k] ** 2 for k in range(n)],
             "_I1_SERIES": [1 / (fac[k] * fac[k + 1]) for k in range(n)],
             "_K1_SERIES": [
@@ -316,11 +345,12 @@ def test_bessel_accuracy_floor_against_mpmath():
     assert np.max(np.abs(bessel_k(0, z) - k0) / k0) <= 3.5e-15
     assert np.max(np.abs(bessel_k(1, z) - k1) / k1) <= 4e-15
     # I_0 up to sqrt(lambda) r = 26, the resolvable cap's precision limit
-    # (1.92e-15 before the rewrite)
-    x = np.linspace(0.0, 26.0, 3000)
-    with mpmath.workdps(40):
-        ref = np.array([float(mpmath.besseli(0, mpmath.mpf(float(v)))) for v in x])
-    assert np.max(np.abs(_bessel_i0(x) - ref) / ref) <= 2.5e-15
+    # (1.92e-15 by the series to the block's term count, 4.80e-16 by the
+    # fixed tables), and on to 700 (the series lost 6.5e-5 there)
+    for x in (np.linspace(0.0, 26.0, 3000), np.linspace(26.0, 700.0, 300)):
+        with mpmath.workdps(40):
+            ref = np.array([float(mpmath.besseli(0, mpmath.mpf(float(v)))) for v in x])
+        assert np.max(np.abs(_bessel_i0(x) - ref) / ref) <= 5e-16
 
 
 def test_one_gauss_legendre_panel_is_the_affine_map_of_the_rule():
