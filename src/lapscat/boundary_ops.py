@@ -30,11 +30,11 @@ SP and W by gap d = 0..nf/2 form a per-geometry assembly plan, built on
 the first assembly and freed with the geometry; Q joins it on the first
 Maue assembly (N or theta).  No core is stored.  With U' the strict
 upper triangle of C plus half its diagonal, F^T C F = X + X^T for
-X = F^T (U' F), exactly symmetric.  An assembly walks U' by row blocks
-of the refined curve, each of at most _BLOCK node pairs, recomputing
-the block's distances (and normals, for C_nn) and evaluating I_0 and
-K_0 once per node pair, and multiplies runs of blocks of at least
-_PANEL_ROWS rows straight into T = U' F.
+X = F^T (U' F), exactly symmetric.  An assembly walks U' once, by row
+ranges of the refined curve of at most _BLOCK node pairs but at least
+_PANEL_ROWS rows; each range recomputes its distances (and normals, for
+C_nn), evaluates I_0 and K_0 once per node pair and multiplies straight
+into T = U' F.
 
 All operator matrices live in *weighted nodal coordinates*: a trace or
 density u on Gamma is represented by the vector (sqrt(w_j) u(q_j)), so
@@ -110,9 +110,9 @@ OVERSAMPLE = 2
 # such a width too
 _GEMM_DEPTH = 32
 
-# rows of a product at least: thinner ones stream their factor from memory
-# for few flops (the first row blocks hold 16 rows at n = 1024 and 8 at
-# n = 2048; up to n = 512 every block has 32 or more)
+# rows of a row range at least: thinner products stream their factor from
+# memory for few flops.  Up to n = 520 every range of _BLOCK pairs has 32
+# rows or more; above, the first ranges hold 32 rows and more pairs
 _PANEL_ROWS = 32
 
 # estimate_lambda_bound's bisection bracket and relative stopping width
@@ -312,29 +312,19 @@ def _strict_upper(rows: int) -> np.ndarray:
 
 def _row_blocks(nf: int):
     """Row ranges [lo, hi) of an (nf x nf) strict upper triangle, each of at
-    most _BLOCK pairs (row i holds nf - 1 - i) unless one row exceeds it."""
+    most _BLOCK pairs (row i holds nf - 1 - i) but at least _PANEL_ROWS rows
+    (the last range may hold fewer)."""
     ends = np.cumsum(np.arange(nf - 1, -1, -1))   # pairs in rows 0..i
     lo = 0
     while lo < nf:
         done = int(ends[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, done + _BLOCK, "right")))
-        yield lo, hi
+        hi = max(lo + _PANEL_ROWS, int(np.searchsorted(ends, done + _BLOCK, "right")))
+        yield lo, min(hi, nf)
         lo = hi
 
 
-def _panels(nf: int):
-    """The row blocks of `_row_blocks`, grouped into runs of at least
-    _PANEL_ROWS rows (the last run may hold fewer)."""
-    group = []
-    for block in _row_blocks(nf):
-        group.append(block)
-        if block[1] - group[0][0] >= _PANEL_ROWS or block[1] == nf:
-            yield group
-            group = []
-
-
 def _pairs(a: np.ndarray, up: np.ndarray) -> np.ndarray:
-    """A row block's node pairs, flat, from its (rows, nf - lo) array: those
+    """A row range's node pairs, flat, from its (rows, nf - lo) array: those
     right of its leading square, then those of the square's mask ``up``."""
     rows = up.shape[0]
     return np.concatenate([a[:, rows:].reshape(-1), a[:, :rows][up]])
@@ -349,7 +339,7 @@ def _sl_core(plan: _AssemblyPlan, lam: SpectralParam, maue: bool) -> list:
     the module docstring), and the coincidence limit on its diagonal; C_nn
     is C times n_i . n_j off the diagonal.  U' is C's strict upper triangle
     plus half its diagonal, so F^T C F = X + X^T with X = F^T U' F.  U' goes
-    by runs of row blocks (`_panels`, `_multiply_run`).
+    by the row ranges of `_row_blocks`, one `_multiply_block` each.
     """
     fine, s = plan.fine, lam.sqrt_lam
     nf = fine.n_nodes
@@ -362,49 +352,46 @@ def _sl_core(plan: _AssemblyPlan, lam: SpectralParam, maue: bool) -> list:
     c2_diag = (0.5 / np.pi) * (-np.log(0.5 * s * fine.jacobians) - EULER_GAMMA)
     half_diag = 0.5 * (plan.wvec[0] + (TWO_PI / nf) * c2_diag)
     out = [np.empty_like(f) for f in ((plan.q, plan.sp) if maue else (plan.sp,))]
-    for group in _panels(nf):
-        _multiply_run(plan, s, w_rows, half_diag, group, out, maue)
+    for lo, hi in _row_blocks(nf):
+        _multiply_block(plan, s, w_rows, half_diag, lo, hi, out, maue)
     return out
 
 
-def _multiply_run(plan: _AssemblyPlan, s: float, w_rows, half_diag, group, out: list,
-                  maue: bool) -> None:
-    """Rows [lo, hi) of each product in ``out`` for one run of row blocks.
+def _multiply_block(plan: _AssemblyPlan, s: float, w_rows, half_diag, lo: int, hi: int,
+                    out: list, maue: bool) -> None:
+    """Rows [lo, hi) of each product in ``out``.
 
-    Each block's pairs, the rectangle right of its leading square and that
+    The range's pairs, the rectangle right of its leading square and that
     square's strict upper triangle, take one kernel pass that evaluates each
-    pair once and folds it as I_0 W + (h/2pi) K_0 at s |q_i - q_j|.  The
-    run's rows of U', padded on the left with zeros to a width that is a
-    multiple of _GEMM_DEPTH, then multiply straight into T[lo:hi] =
-    U'[lo:hi, lo:] F[lo:]: SP, or for the Maue trace Q and then SP with U'_nn.
+    pair once and folds it as I_0 W + (h/2pi) K_0 at s |q_i - q_j|.  Its
+    rows of U', padded on the left with zeros to a width that is a multiple
+    of _GEMM_DEPTH, then multiply straight into T[lo:hi] = U'[lo:hi, lo:]
+    F[lo:]: SP, or for the Maue trace Q and then SP with U'_nn.
     """
     fine = plan.fine
     nf = fine.n_nodes
-    p_lo, p_hi = group[0][0], group[-1][1]
-    start = max(0, p_lo - (p_lo - nf) % _GEMM_DEPTH)
-    panel = np.zeros((p_hi - p_lo, nf - start))
-    for lo, hi in group:
-        rows, rect = hi - lo, (hi - lo) * (nf - hi)
-        up = _strict_upper(rows)
-        z = _pairs(_distances(fine.nodes[lo:hi], fine.nodes[lo:]), up)
-        z *= s
-        vals = _bessel_i0(z)
-        k0 = _k01(0, z, vals)
-        vals *= _pairs(w_rows[lo:hi, lo:], up)
-        k0 *= 1.0 / nf   # h / 2pi
-        vals += k0
-        core = panel[lo - p_lo:hi - p_lo, lo - start:]   # U'[lo:hi, lo:]
-        core[:, rows:] = vals[:rect].reshape(rows, -1)
-        core[:, :rows][up] = vals[rect:]
-    diag = (np.arange(p_hi - p_lo), np.arange(p_lo - start, p_hi - start))
-    panel[diag] = half_diag[p_lo:p_hi]
-    np.matmul(panel, (plan.q if maue else plan.sp)[start:], out=out[0][p_lo:p_hi])
+    rows, rect = hi - lo, (hi - lo) * (nf - hi)
+    up = _strict_upper(rows)
+    z = _pairs(_distances(fine.nodes[lo:hi], fine.nodes[lo:]), up)
+    z *= s
+    vals = _bessel_i0(z)
+    k0 = _k01(0, z, vals)
+    vals *= _pairs(w_rows[lo:hi, lo:], up)
+    k0 *= 1.0 / nf   # h / 2pi
+    vals += k0
+    start = max(0, lo - (lo - nf) % _GEMM_DEPTH)
+    panel = np.zeros((rows, nf - start))
+    core = panel[:, lo - start:]   # U'[lo:hi, lo:]
+    core[:, rows:] = vals[:rect].reshape(rows, -1)
+    square = core[:, :rows]
+    square[up] = vals[rect:]
+    np.fill_diagonal(square, half_diag[lo:hi])
+    np.matmul(panel, (plan.q if maue else plan.sp)[start:], out=out[0][lo:hi])
     if maue:
         nx, ny = fine.normals.T
-        panel[:, p_lo - start:] *= (np.multiply.outer(nx[p_lo:p_hi], nx[p_lo:])
-                                    + np.multiply.outer(ny[p_lo:p_hi], ny[p_lo:]))
-        panel[diag] = half_diag[p_lo:p_hi]
-        np.matmul(panel, plan.sp[start:], out=out[1][p_lo:p_hi])
+        core *= np.multiply.outer(nx[lo:hi], nx[lo:]) + np.multiply.outer(ny[lo:hi], ny[lo:])
+        np.fill_diagonal(square, half_diag[lo:hi])
+        np.matmul(panel, plan.sp[start:], out=out[1][lo:hi])
 
 
 def _refined_geometry(geom: BoundaryGeometry, factor: int) -> BoundaryGeometry:
@@ -452,18 +439,15 @@ def _trace(geom: BoundaryGeometry, lam: SpectralParam, layer: str) -> np.ndarray
         )
     maue = layer == "DL"
     plan = _assembly_plan(geom, maue)
-    halves = _sl_core(plan, lam, maue)   # [U' Q, U'_nn SP] or [U' SP]
-    traces = []
-    for f in (plan.q, plan.sp) if maue else (plan.sp,):
-        x = f.T @ halves.pop(0)   # T is freed once X is formed
-        traces.append(np.add(x, x.T))
-        del x
-    if not maue:
-        return traces[0]
-    # -(X_q + X_q^T) - lambda (X_s + X_s^T), summed in the other order: the same bits
-    mat = traces.pop()
-    mat *= -lam.lam
-    mat -= traces.pop()
+    products = _sl_core(plan, lam, maue)   # [U' Q, U'_nn SP] or [U' SP]
+    x = plan.sp.T @ products.pop()   # each T is freed once its X is formed
+    mat = np.add(x, x.T)
+    del x
+    if maue:
+        # -lambda (X_s + X_s^T) - (X_q + X_q^T)
+        mat *= -lam.lam
+        x = plan.q.T @ products.pop()
+        mat -= np.add(x, x.T)
     return mat
 
 

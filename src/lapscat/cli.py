@@ -133,6 +133,17 @@ def _floats(value, shape=(2,)) -> list:
     return arr.tolist()
 
 
+def _directory(value) -> str:
+    """A non-empty path naming a directory, or nothing yet below one: a
+    file there would fail os.makedirs only after the last computation."""
+    path = head = _text(value)
+    while head and not os.path.exists(head):
+        head = os.path.dirname(head)
+    if not path or head and not os.path.isdir(head):
+        raise ValueError("expected a directory, not a file or an empty path")
+    return path
+
+
 def _optional(convert, absent=None):
     """``convert``, or ``absent`` for an absent (or null) value."""
     return lambda value: absent if value is None else convert(value)
@@ -240,7 +251,7 @@ _TABLE = {
     "reconstruction.arc_sweep.shape": (_optional(_one_of(_SHAPE_PARAMS)), None),
     "reconstruction.arc_sweep.params": (_optional(_object), None),
     "noise.level": (_AT_LEAST_0, 0.0),
-    "outputs.dir": (_text, "out"),
+    "outputs.dir": (_directory, "out"),
 }
 _BLOCKS: dict = {}  # block -> its keys, in table order: a nested block after its parent
 for _block, _dot, _key in (name.rpartition(".") for name in _TABLE):
@@ -453,10 +464,10 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK if n_fail == 0 else EXIT_CHECK_FAILURE
         if args.command in ("forward", "reconstruct"):
             overrides = {"spectral.lambda": args.lam, "geometry.n_nodes": args.nodes,
-                         "scenario.seed": args.seed}
+                         "scenario.seed": args.seed, "outputs.dir": args.out}
             v = _resolve(load_scenario(args.scenario), overrides)
             run = run_forward if args.command == "forward" else run_reconstruct
-            print(json.dumps(run(v, args.out), indent=2, sort_keys=True))
+            print(json.dumps(run(v), indent=2, sort_keys=True))
             return EXIT_OK
         # verify: the scenario gives the seed and the output directory, and
         # is refused where forward would refuse it before assembly
@@ -466,7 +477,9 @@ def main(argv: list[str] | None = None) -> int:
             build_pipeline(v)
         seed = v.get("seed", 0) if args.seed is None else _convert(
             "--seed", args.seed, _TABLE["scenario.seed"][0])
-        report, ok = run_verify(args.out or v.get("outputs.dir"), seed=seed)
+        out = v.get("outputs.dir") if args.out is None else _convert(
+            "--out", args.out, _TABLE["outputs.dir"][0])
+        report, ok = run_verify(out, seed=seed)
         print(f"verify: {report['n_checks'] - report['n_failed']}/"
               f"{report['n_checks']} checks passed "
               f"({report['elapsed_seconds']}s)")

@@ -40,11 +40,11 @@ from lapscat.boundary_ops import (
     BOUND_LAM_MIN,
     EULER_GAMMA,
     OVERSAMPLE,
+    _PANEL_ROWS,
     _assembly_plan,
     _gram_tail_bound,
     _kress_vector,
     _layer_matrix,
-    _panels,
     _row_blocks,
     _sl_core,
     _spectral_derivative,
@@ -356,34 +356,26 @@ def _relative(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
-# the row blocks of at most 2048 pairs on nf = 384
-SMALL_BLOCKS = ([5] * 8 + [6] * 8 + [7] * 6 + [8] * 3 + [9] * 3
-                + [10, 10, 11, 12, 13, 14, 16, 19, 23, 36, 39])
-
-
-@pytest.mark.parametrize("n, block, blocks, panels", [
-    (8, _BLOCK, [16], [16]), (32, _BLOCK, [64], [64]),
-    (192, _BLOCK, [97, 157, 130], [97, 157, 130]),
-    (192, 2048, SMALL_BLOCKS, [35, 35, 32, 36, 34, 40, 39, 35, 59, 39]),
-    (512, _BLOCK, [32, 33, 34, 36, 37, 39, 41, 43, 46, 49, 54, 59, 67, 79, 101, 177, 97],
-     [32, 33, 34, 36, 37, 39, 41, 43, 46, 49, 54, 59, 67, 79, 101, 177, 97]),
-], ids=["nf-16", "one-block", "three-blocks", "runs-of-blocks", "nf-1024"])
-def test_blocked_cores_equal_one_dense_pass(monkeypatch, n, block, blocks, panels):
-    # row blocks of at most _BLOCK pairs: nf = 16 and 64 fit one block,
+@pytest.mark.parametrize("n, block, ranges", [
+    (8, _BLOCK, [16]), (32, _BLOCK, [64]), (192, _BLOCK, [97, 157, 130]),
+    (192, 2048, [32] * 10 + [64]),
+    (512, _BLOCK, [32, 33, 34, 36, 37, 39, 41, 43, 46, 49, 54, 59, 67, 79, 101, 177, 97]),
+], ids=["nf-16", "one-block", "three-blocks", "row-floor", "nf-1024"])
+def test_blocked_cores_equal_one_dense_pass(monkeypatch, n, block, ranges):
+    # row ranges of at most _BLOCK pairs: nf = 16 and 64 fit one range,
     # nf = 384 takes three and nf = 1024 seventeen, each of 32 rows or
-    # more; blocks of at most 2048 pairs, as thin as those of n = 2048,
-    # multiply in runs of at least _PANEL_ROWS = 32 rows.  Each product
-    # T = U' F, U' the strict upper triangle plus half the diagonal, is the
-    # dense one's, and the traces X + X^T are exactly symmetric congruences.
-    # lambda 2, but 0.5 at n = 8, whose resolvable cap is 0.78
+    # more; at 2048 pairs, ranges as thin as those of n = 2048 would hold
+    # 5 to 39 rows, and the floor of _PANEL_ROWS = 32 rows binds.  Each
+    # product T = U' F, U' the strict upper triangle plus half the diagonal,
+    # is the dense one's, and the traces X + X^T are exactly symmetric
+    # congruences.  lambda 2, but 0.5 at n = 8, whose resolvable cap is 0.78
     import lapscat.boundary_ops as boundary_ops
 
     monkeypatch.setattr(boundary_ops, "_BLOCK", block)
     geom = make_curve("kite", n_nodes=n)
     plan = _assembly_plan(geom, maue=True)
     nf, lam = plan.fine.n_nodes, SpectralParam(0.5 if n == 8 else 2.0)
-    assert [hi - lo for lo, hi in _row_blocks(nf)] == blocks
-    assert [group[-1][1] - group[0][0] for group in _panels(nf)] == panels
+    assert [hi - lo for lo, hi in _row_blocks(nf)] == ranges
     core, core_nn = dense_cores(plan, lam)
 
     def upper(c):
@@ -400,6 +392,23 @@ def test_blocked_cores_equal_one_dense_pass(monkeypatch, n, block, blocks, panel
     for got, want in ((sl, want_sl), (dl, want_dl)):
         np.testing.assert_array_equal(got, got.T)
         assert _relative(got, want) <= 1e-14
+
+
+def test_row_ranges_tile_the_triangle_under_the_pair_bound_and_row_floor():
+    # every even nf from 16 to 4096: the ranges tile [0, nf), all but the
+    # last hold _PANEL_ROWS rows or more, and a range holds at most _BLOCK
+    # pairs (row i holds nf - 1 - i) unless the floor binds, when it holds
+    # exactly _PANEL_ROWS rows; up to nf = 1040 (n = 520) it never binds
+    for nf in range(16, 4097, 2):
+        ranges = list(_row_blocks(nf))
+        assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+        assert ranges[-1][1] == nf
+        for k, (lo, hi) in enumerate(ranges):
+            pairs = sum(range(nf - hi, nf - lo))
+            assert hi - lo >= _PANEL_ROWS or k == len(ranges) - 1
+            assert pairs <= _BLOCK or hi - lo == _PANEL_ROWS
+            if nf <= 1040:
+                assert pairs <= _BLOCK
 
 
 @pytest.mark.parametrize("n", [64, 128])

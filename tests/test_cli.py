@@ -779,6 +779,39 @@ def test_verify_refuses_what_forward_refuses(command, case, tmp_path, capsys, mo
     _refused_before_assembly(command, BUILT_LATE[case], tmp_path, capsys, monkeypatch)
 
 
+# an output directory naming a file, below a file or empty: each crashed
+# with a traceback and exit 1 after the whole computation, verify after
+# running every check
+NOT_A_DIRECTORY = {
+    "out_names_a_file": (["--out", "taken"], {}),
+    "out_below_a_file": (["--out", "taken/out"], {}),
+    "outputs_dir_names_a_file": ([], dict(outputs={"dir": "taken"})),
+    "outputs_dir_empty": ([], dict(outputs={"dir": ""})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_A_DIRECTORY))
+@pytest.mark.parametrize("command", ["forward", "reconstruct", "verify"])
+def test_output_path_that_is_no_directory_is_refused_before_work(
+        command, case, tmp_path, capsys, monkeypatch):
+    flags, blocks = NOT_A_DIRECTORY[case]
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        _no_assembly()
+
+    monkeypatch.setattr(boundary_ops, "assemble_M", counting)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("a file\n")
+    scenario = write_scenario(tmp_path / "scn.json", **FULL, **blocks)
+    assert main([command, "--scenario", scenario, *flags]) == EXIT_VALIDATION
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scn.json", "taken"]
+    assert (tmp_path / "taken").read_text() == "a file\n"
+    assert capsys.readouterr().err.startswith("validation error:")
+
+
 # float() read "1" and true as 1.0: each ran to exit 0, a string or bool
 # geometry radius as the unit circle
 @pytest.mark.parametrize("params", [{"radius": "1"}, {"radius": True}, {"center": [0.0, "0"]}])

@@ -1,10 +1,11 @@
-"""The README's scenario and library session run as documented, and the
-README names every scenario key the CLI takes."""
+"""The README's scenario and library session run as documented, the
+README names every scenario key the CLI takes, and its module table states
+the assembly's walk bounds as the code has them."""
 
 import pathlib
 import re
 
-from lapscat import cli
+from lapscat import boundary_ops, cli
 from lapscat.cli import EXIT_OK, main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -40,3 +41,16 @@ def test_readme_names_every_scenario_key():
         if not re.search(rf'[`"]([\w.]+\.)?{re.escape(key)}[`"]', text)
     ]
     assert not missing, f"README does not name {missing}"
+
+
+def test_readme_states_the_row_walk_bounds():
+    # the boundary_ops row gives the pair bound and the row floor of the
+    # ranges by which the assembly walks its kernel core
+    row = next(line for line in README.read_text().splitlines()
+               if line.startswith("| `lapscat.boundary_ops` |"))
+    found = re.search(r"row ranges [^(]*?at most ([\d,]+) node pairs but at least (\d+) rows",
+                      row)
+    assert found, "the boundary_ops row states no pair bound and row floor"
+    pairs, rows = found.groups()
+    assert int(pairs.replace(",", "")) == boundary_ops._BLOCK
+    assert int(rows) == boundary_ops._PANEL_ROWS
