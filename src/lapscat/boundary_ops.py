@@ -55,10 +55,10 @@ forming F at the same lambda assembles and analyses M once.  Neither
 the operator nor its condition refers back to the geometry, so
 reference counting alone frees the geometry and what it keeps.
 
-Off the surface, `_layer_matrix` samples the SL kernel g and the DL
-kernel dg/dn_y from the nodes to target points; the layer potentials,
-the jump ladder and the radiation matrix G of `data_operator` all use
-it, through the one table `LAYER` of which layer each condition takes.
+Off the surface, `_layer_matrix` is the one sampler of g and dg/dn_y
+from source points to targets: the layer potentials, the jump ladder,
+the Gram volume factors, G of `data_operator` (by the table `LAYER`)
+and the range test's fields g_z in `reconstruction` all use it.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -81,8 +81,8 @@ from .errors import (
     SpectralParameterError,
     TruncationError,
 )
-from .geometry import BoundaryGeometry, ScreenGeometry, distance_to_boundary
-from .geometry import _BLOCK, _by_row_blocks, _distances, _plane_norm
+from .geometry import TWO_PI, BoundaryGeometry, ScreenGeometry, distance_to_boundary
+from .geometry import _BLOCK, _by_row_blocks, _curve, _distances, _plane_norm
 from .kernels import (
     COINCIDENCE_TOL,
     EULER_GAMMA,
@@ -92,8 +92,6 @@ from .kernels import (
     _radial_dg,
     _radial_g,
 )
-
-TWO_PI = 2.0 * math.pi
 
 # Internal quadrature oversampling for operator assembly.  The product
 # rule is exact only while kernel content plus test mode stay inside the
@@ -399,25 +397,14 @@ def _refined_geometry(geom: BoundaryGeometry, factor: int) -> BoundaryGeometry:
 
     Nodes are interpolated trigonometrically; tangents come from the
     spectral derivative of the interpolant so quadrature weights stay
-    consistent with the refined node set.
+    consistent with the refined node set.  Read-only, as every curve.
     """
     nf = geom.n_nodes * factor
     nodes = _trig_upsample(geom.nodes, factor)
-    tangents = _spectral_derivative(nodes)
-    jac = np.linalg.norm(tangents, axis=1)
-    if np.any(jac <= 0):
-        raise AssemblyError("refined parametrization degenerated (zero Jacobian)")
-    normals = np.stack([tangents[:, 1], -tangents[:, 0]], axis=1) / jac[:, None]
     tau = TWO_PI * np.arange(nf) / nf
     periodic_part = _trig_upsample(geom.shape_params - geom.params, factor)
-    return BoundaryGeometry(
-        nodes=nodes,
-        tangents=tangents,
-        normals=normals,
-        weights=(TWO_PI / nf) * jac,
-        params=tau,
-        shape_params=(tau + periodic_part) % TWO_PI,
-    )
+    return _curve(nodes, _spectral_derivative(nodes), tau, (tau + periodic_part) % TWO_PI,
+                  AssemblyError)
 
 
 def _trace(geom: BoundaryGeometry, lam: SpectralParam, layer: str) -> np.ndarray:
@@ -650,28 +637,31 @@ def evaluate_potential(
     near = dists < 2.0 * float(np.max(geom.weights))
 
     out = np.empty(targets.shape[0])
-    out[~near] = _layer_matrix(kind, geom, targets[~near], lam) @ (geom.weights * density)
+    out[~near] = (_layer_matrix(kind, geom.nodes, targets[~near], lam, geom.normals)
+                  @ (geom.weights * density))
     if np.any(near):
         warnings.warn("near-singular potential evaluation; using upsampled quadrature",
                       stacklevel=2)
         fine = _refined_geometry(geom, _NEAR_UPSAMPLE)
         dens = _trig_upsample(density, _NEAR_UPSAMPLE)
-        out[near] = _layer_matrix(kind, fine, targets[near], lam) @ (fine.weights * dens)
+        out[near] = (_layer_matrix(kind, fine.nodes, targets[near], lam, fine.normals)
+                     @ (fine.weights * dens))
     return out
 
 
-def _layer_matrix(kind, src: BoundaryGeometry, targets, lam: SpectralParam, directions=None):
-    """Trapezoid kernel matrix of the SL or DL potential from the nodes
-    of ``src`` to the targets (weights not applied); with ``directions``,
-    of the SL potential's derivative along them instead.  Filled in row
-    blocks of at most _BLOCK entries, so no (targets, nodes) temporary
-    outlives its block.  Raises SingularityError when a target coincides
-    with a node."""
+def _layer_matrix(kind, sources, targets, lam: SpectralParam, normals=None, directions=None):
+    """Trapezoid kernel matrix of the SL potential, or of the DL potential
+    with the sources' unit ``normals``, from the source points to the
+    targets (weights not applied); with ``directions``, of the SL
+    potential's derivative along them instead (see the module docstring
+    for its callers).  Filled in row blocks of at most _BLOCK entries, so
+    no (targets, sources) temporary outlives its block.  Raises
+    SingularityError when a target coincides with a source."""
     sl = directions is None and kind == "SL"
 
     def block(x, *along):
-        dx = src.nodes[:, 0] - x[:, 0, None]    # (m, n) planes of y - x
-        dy = src.nodes[:, 1] - x[:, 1, None]
+        dx = sources[:, 0] - x[:, 0, None]    # (m, n) planes of y - x
+        dy = sources[:, 1] - x[:, 1, None]
         # only the SL kernel is done with the planes once it has r
         r = _plane_norm(dx, dy) if sl else np.sqrt(dx * dx + dy * dy)
         if np.any(r < COINCIDENCE_TOL):
@@ -689,14 +679,14 @@ def _layer_matrix(kind, src: BoundaryGeometry, targets, lam: SpectralParam, dire
         # d/dn_y g = g'(r) (y - x) . n_y / r
         dg /= r
         dx *= dg
-        dx *= src.normals[:, 0]
+        dx *= normals[:, 0]
         dy *= dg
-        dy *= src.normals[:, 1]
+        dy *= normals[:, 1]
         dx += dy
         return dx
 
     aligned = () if directions is None else (directions,)
-    return _by_row_blocks(targets, block, *aligned, width=src.n_nodes)
+    return _by_row_blocks(targets, block, *aligned, width=len(sources))
 
 
 def jump_relation_residual(
@@ -726,16 +716,17 @@ def jump_relation_residual(
         raise DomainError("zero density in jump test")
     fine = _refined_geometry(geom, _JUMP_UPSAMPLE)
     fine_dens = [fine.weights * c for c in _trig_upsample(cols.T, _JUMP_UPSAMPLE).T]
-    directions = geom.normals if kind == "SL" else None
+    layer = partial(_layer_matrix, kind, fine.nodes, lam=lam, normals=fine.normals,
+                    directions=geom.normals if kind == "SL" else None)
     h0 = 0.05 * geom.perimeter() / TWO_PI
 
     def jump(h: float) -> list:
         # one side's matrix at a time; a matrix-vector product per density,
         # not one matmul, keeps each density's sums those of a call with it alone
-        outer = _layer_matrix(kind, fine, geom.nodes + h * geom.normals, lam, directions)
+        outer = layer(geom.nodes + h * geom.normals)
         sides = [outer @ v for v in fine_dens]
         del outer
-        inner = _layer_matrix(kind, fine, geom.nodes - h * geom.normals, lam, directions)
+        inner = layer(geom.nodes - h * geom.normals)
         return [p - inner @ v for p, v in zip(sides, fine_dens)]
 
     out = []
@@ -835,8 +826,8 @@ def gram_identity_residual(
         raise DomainError("gram identity is degenerate at lambda1 == lambda2")
     if volume_resolution < 8:
         raise DomainError("volume_resolution too small")
-    s1 = math.sqrt(lambda1)
-    s2 = math.sqrt(lambda2)
+    lam1, lam2 = SpectralParam(lambda1), SpectralParam(lambda2)
+    s1, s2 = lam1.sqrt_lam, lam2.sqrt_lam
     _gram_tail_bound(geom, s1, s2, volume_radius)  # refuses a bad R before any work
     pts, areas = _volume_rule(geom, volume_radius, volume_resolution)
     rad = np.hypot(pts[:, 0], pts[:, 1])
@@ -850,23 +841,18 @@ def gram_identity_residual(
     pts = np.concatenate([pts[keep], np.repeat(pts[:1], pad, axis=0)])
     areas = np.concatenate([areas[keep], np.zeros(pad)])
 
-    def kernel(s: float, u: np.ndarray) -> np.ndarray:
-        # (n, len(u)) values g(y_j, u_i), by node-row blocks of at most _BLOCK entries
-        return _by_row_blocks(geom.nodes, lambda y: _radial_g(s, _distances(y, u)), width=len(u))
-
     gram = np.zeros((geom.n_nodes, geom.n_nodes))
     # blocks of volume points fix the sums and bound the (n, block) factors;
     # a multiple of 64, so the padding keeps every block's sum thread-independent
     for lo in range(0, pts.shape[0], _GRAM_BLOCK):
         block = slice(lo, lo + _GRAM_BLOCK)
-        # g_{lambda2}(y_j, u) times g_{lambda1}(u, y_k)
-        g2 = kernel(s2, pts[block])
+        # g_{lambda2}(y_j, u) times g_{lambda1}(u, y_k): (n, block) from node-row blocks
+        g2 = _layer_matrix("SL", pts[block], geom.nodes, lam2)
         g2 *= areas[block]
-        gram += g2 @ kernel(s1, pts[block]).T
+        gram += g2 @ _layer_matrix("SL", pts[block], geom.nodes, lam1).T
 
     sw = np.sqrt(geom.weights)
-    m1, m2 = (assemble_M(BoundaryCondition(kind="D"), geom, SpectralParam(v)).matrix
-              for v in (lambda1, lambda2))
+    m1, m2 = (assemble_M(BoundaryCondition(kind="D"), geom, v).matrix for v in (lam1, lam2))
     lhs = m1 - m2
     rhs = (lambda1 - lambda2) * (sw[:, None] * gram * sw[None, :])
     denom = math.sqrt(float(np.sum(lhs * lhs)))

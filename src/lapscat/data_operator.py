@@ -69,7 +69,7 @@ def radiation_matrix(
     """Weighted boundary-to-probe map G (single or double layer kernel)."""
     if bc_kind not in LAYER:
         raise DomainError(f"unknown boundary condition kind {bc_kind!r}")
-    a = _layer_matrix(LAYER[bc_kind], geom, probe.points, lam)
+    a = _layer_matrix(LAYER[bc_kind], geom.nodes, probe.points, lam, geom.normals)
     return np.sqrt(probe.weights)[:, None] * a * np.sqrt(geom.weights)[None, :]
 
 

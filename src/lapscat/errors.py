@@ -56,7 +56,7 @@ class ScenarioError(ValidationError):
 
 
 class ConstraintError(ValidationError):
-    """Constrained minimization has an infeasible constraint."""
+    """Test vector orthogonal to the retained eigenspace (`inf_indicator`)."""
 
 
 class SegmentationError(ValidationError):

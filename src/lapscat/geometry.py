@@ -12,7 +12,10 @@ grading is the two-piece sine profile
 which maps each piece [p, p+L] onto itself with w' in [1-beta, 1+beta].
 
 Quadrature weights are (2pi/n) |dq/dtau|; the discrete L2(Gamma) inner
-product is sum_j w_j u_j v_j.
+product is sum_j w_j u_j v_j.  Every curve, a user's or one refined by
+`boundary_ops`, comes from one constructor (`_curve`), read-only.  One
+signed distance per point, negative inside the node polygon, gives both
+containment and the distance to Gamma (`_signed_distance`).
 """
 
 from __future__ import annotations
@@ -222,22 +225,27 @@ def make_curve(
     else:
         t = tau
         dw = np.ones_like(tau)
+    return _curve(pos(t), der(t) * dw[:, None], tau, t, GeometryError)
 
-    nodes = pos(t)
-    tangents = der(t) * dw[:, None]
+
+def _curve(nodes, tangents, params, shape_params, error) -> BoundaryGeometry:
+    """The curve of nodes and tangents dq/dtau at the equispaced params:
+    unit outward normals, weights (2pi/n) |dq/dtau|, every array
+    read-only.  A Jacobian that is zero or not finite, or a node that is
+    not finite, raises ``error`` (GeometryError for a user curve,
+    AssemblyError for a refined one)."""
     jac = np.linalg.norm(tangents, axis=1)
-    if np.any(jac <= 0) or not np.all(np.isfinite(nodes)):
-        raise GeometryError("degenerate parametrization (zero Jacobian)")
+    if not (np.all(jac > 0) and np.isfinite(jac).all() and np.isfinite(nodes).all()):
+        raise error("degenerate parametrization (zero Jacobian)")
     normals = np.stack([tangents[:, 1], -tangents[:, 0]], axis=1) / jac[:, None]
-    weights = (TWO_PI / n_nodes) * jac
-
+    weights = (TWO_PI / len(nodes)) * jac
     return BoundaryGeometry(
         nodes=_lock(nodes),
         tangents=_lock(tangents),
         normals=_lock(normals),
         weights=_lock(weights),
-        params=_lock(tau),
-        shape_params=_lock(t),
+        params=_lock(params),
+        shape_params=_lock(shape_params),
     )
 
 
@@ -360,8 +368,8 @@ def winding_fraction(geom: BoundaryGeometry, points: np.ndarray) -> np.ndarray:
     """Winding number of the node polygon around each point (vectorized).
 
     Containment is decided by the crossing-parity rule of
-    `_inside_and_distance` alone; this function stays as the reference
-    the tests check that rule against."""
+    `_signed_distance` alone; this function stays as the reference the
+    tests check that rule against."""
     nxt = np.roll(geom.nodes, -1, axis=0)
 
     def block(pts):
@@ -382,11 +390,9 @@ def distance_to_boundary(geom: BoundaryGeometry, points: np.ndarray) -> np.ndarr
     return _by_row_blocks(points, lambda pts: _distances(pts, geom.nodes).min(axis=1))
 
 
-def _inside_and_distance(
-    geom: BoundaryGeometry, points: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Containment in the node polygon and `distance_to_boundary`, per
-    point, from one pass over each row block's coordinate planes.
+def _signed_distance(geom: BoundaryGeometry, points: np.ndarray) -> np.ndarray:
+    """`distance_to_boundary` per point, bit for bit, negated inside the
+    node polygon, from one pass over each row block's coordinate planes.
 
     Containment is the even-odd rule (Hormann & Agathos 2001): in the
     coordinates v = node - point, the edge (v_j, v_j+1) crosses the ray
@@ -394,36 +400,33 @@ def _inside_and_distance(
     v_j+1.y) with v_j x v_j+1 > 0, or down with v_j x v_j+1 < 0; an odd
     count is inside.  For a simple polygon this is the winding rule's
     answer at every point off the polygon, without one arctan2 per edge.
-    The distances are bit-identical to `distance_to_boundary`'s.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
     ring = np.concatenate([geom.nodes, geom.nodes[:1]])  # closed node polygon
-    inside = np.empty(pts.shape[0], dtype=bool)
-    dist = np.empty(pts.shape[0])
-    for lo in range(0, pts.shape[0], _ROW_BLOCK):
-        blk = slice(lo, lo + _ROW_BLOCK)
-        vx = ring[:, 0] - pts[blk, 0, None]
-        vy = ring[:, 1] - pts[blk, 1, None]
+
+    def block(pts):
+        vx = ring[:, 0] - pts[:, 0, None]
+        vy = ring[:, 1] - pts[:, 1, None]
         above = vy > 0.0
         # the few edges that straddle y = 0; the cross product only there
         row, j = np.nonzero(above[:, 1:] != above[:, :-1])
         cross = vx[row, j] * vy[row, j + 1] - vy[row, j] * vx[row, j + 1]
         hits = (cross > 0.0) == above[row, j + 1]
-        inside[blk] = np.bincount(row[hits], minlength=vx.shape[0]) % 2 == 1
+        inside = np.bincount(row[hits], minlength=len(pts)) % 2 == 1
         # the min over the squares, then one sqrt per point: sqrt is monotone
-        dist[blk] = np.sqrt(_squared_norm(vx, vy).min(axis=1))
-    return inside, dist
+        dist = np.sqrt(_squared_norm(vx, vy).min(axis=1))
+        return np.where(inside, -dist, dist)
+
+    return _by_row_blocks(points, block)
 
 
 def validate_separation(
     geom: BoundaryGeometry, probe: ProbeRegion, margin: float
 ) -> bool:
-    """True iff every probe point keeps distance > margin from Gamma and
-    none lies inside Omega."""
+    """True iff every probe point lies outside Omega at distance > margin
+    from Gamma: an inside point has a negative signed distance."""
     if margin <= 0:
         raise GeometryError("separation margin must be positive")
-    inside, dists = _inside_and_distance(geom, probe.points)
-    return bool(np.min(dists) > margin and not np.any(inside))
+    return bool(np.min(_signed_distance(geom, probe.points)) > margin)
 
 
 def validate_grid_covers(geom: BoundaryGeometry, grid: EvaluationGrid) -> bool:

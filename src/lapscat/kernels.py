@@ -237,15 +237,6 @@ def bessel_k(order: int, z):
 # fundamental solutions
 # ----------------------------------------------------------------------
 
-def _pair_planes(x, y):
-    """Broadcast two planar point sets; return the coordinate planes of y - x."""
-    x_arr = np.asarray(x, dtype=float)
-    y_arr = np.asarray(y, dtype=float)
-    if x_arr.shape[-1] != 2 or y_arr.shape[-1] != 2:
-        raise DomainError("points must have trailing dimension 2")
-    return tuple(np.asarray(y_arr[..., k] - x_arr[..., k]) for k in (0, 1))
-
-
 def _radial_g(sqrt_lam: float, r: np.ndarray) -> np.ndarray:
     return bessel_k(0, sqrt_lam * r) / (2.0 * np.pi)
 
@@ -280,9 +271,14 @@ def fundamental_solution(lam: SpectralParam, x, y):
     """Free-space kernel g_lambda(x, y) of (-Delta + lambda).
 
     Broadcasts over leading axes of x and y (trailing axis = coordinates).
-    Raises SingularityError on coincident points.
+    Raises SingularityError on coincident points.  The library samples g
+    through `boundary_ops._layer_matrix`; this stays as its reference.
     """
-    r = _plane_norm(*_pair_planes(x, y))
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.shape[-1] != 2 or y.shape[-1] != 2:
+        raise DomainError("points must have trailing dimension 2")
+    # the coordinate planes of y - x
+    r = _plane_norm(*(np.asarray(y[..., k] - x[..., k]) for k in (0, 1)))
     r_flat = np.atleast_1d(r).ravel()
     if np.any(r_flat < COINCIDENCE_TOL):
         raise SingularityError("fundamental_solution at coincident points")

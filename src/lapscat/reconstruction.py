@@ -1,10 +1,11 @@
 """Range-test reconstruction from the data operator's eigensystem.
 
 A sampling point x is classified through the Picard series of its test
-vector g_x (the fundamental solution centered at x, sampled on the
-probe): the truncated sum S(x) = sum_k |<g_x, v_k>|^2 / |mu_k| stays
-moderate when x lies inside the scatterer and blows up outside.  The
-reported indicator is W = 1/S, so inside reads as large values.  Every
+vector g_x (the fundamental solution centered at x, sampled on the probe
+by G's own sampler, `boundary_ops._layer_matrix`): the truncated sum
+S(x) = sum_k |<g_x, v_k>|^2 / |mu_k| stays moderate when x lies inside
+the scatterer and blows up outside.  The reported indicator is W = 1/S,
+so inside reads as large values.  Every
 indicator here, for one test vector or a grid of them, comes from one
 evaluation of S over rows of test fields (`_picard_sums`).  The
 inf-criterion variant, the infimum of |<u, F u>| over the affine slice
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .boundary_ops import _layer_matrix
 from .data_operator import DataOperator, _write_json, _write_lines
 from .errors import (
     ConstraintError,
@@ -37,10 +39,10 @@ from .geometry import (
     EvaluationGrid,
     ProbeRegion,
     _by_row_blocks,
-    _inside_and_distance,
     _shape_functions,
+    _signed_distance,
 )
-from .kernels import SpectralParam, _gl_panels, fundamental_solution
+from .kernels import SpectralParam, _gl_panels
 
 DEFAULT_TRUNCATION_FLOOR = 1e-8
 DEFAULT_THRESHOLD_LEVEL = 0.2
@@ -107,8 +109,9 @@ class SegmentationResult:
 
 def _point_fields(probe: ProbeRegion, points: np.ndarray, lam: SpectralParam) -> np.ndarray:
     """Weighted probe samples of the point test fields centered at the
-    rows of ``points``, one row each."""
-    fields = fundamental_solution(lam, points[:, None, :], probe.points[None, :, :])
+    rows of ``points``, one row each: G's single-layer sampler, from the
+    probe points to the centres."""
+    fields = _layer_matrix("SL", probe.points, points, lam)
     fields *= np.sqrt(probe.weights)
     return fields
 
@@ -134,10 +137,8 @@ def make_screen_test_vector(
     pos, der = _shape_functions(arc.shape, arc.shape_params)
     a, b = arc.interval
     t, w = _gl_panels(a, b, b - a, n_quad)
-    pts = pos(t)
     jac = np.linalg.norm(der(t), axis=1)
-    vals = fundamental_solution(lam, pts[:, None, :], probe.points[None, :, :])
-    integrated = (w * jac) @ vals
+    integrated = (w * jac) @ _layer_matrix("SL", probe.points, pos(t), lam)
     weighted = np.sqrt(probe.weights) * integrated
     return TestVector(values=weighted)
 
@@ -318,8 +319,8 @@ def segment(
     the containment oracle, crossing parity in the node polygon) excludes
     points within margin_band of the boundary (default 0.1 * diam); a band
     that is negative, and so would score points on the polygon, NaN or
-    infinite is refused.  The oracle and the band test come from one
-    blocked pass over the grid (`geometry._inside_and_distance`).
+    infinite is refused.  The oracle (d < 0) and the band test (|d| >
+    band) read one signed distance d per point (`geometry._signed_distance`).
     """
     values = igrid.picard_values
     vmax, vmin = float(values.max()), float(values.min())
@@ -339,12 +340,12 @@ def segment(
         margin_band = 0.1 * geom.diameter()
     if not 0.0 <= margin_band < math.inf:
         raise DomainError("margin band must be finite and non-negative")
-    oracle, dist = _inside_and_distance(geom, igrid.grid.points)
-    scored = dist > margin_band
+    dist = _signed_distance(geom, igrid.grid.points)
+    scored = np.abs(dist) > margin_band
     n_scored = int(np.count_nonzero(scored))
     if n_scored == 0:
         raise SegmentationError("margin band excludes every grid point")
-    m, o = mask[scored], oracle[scored]
+    m, o = mask[scored], dist[scored] < 0.0
     inter = np.count_nonzero(m & o)
     union = np.count_nonzero(m | o)
     jaccard = 1.0 if union == 0 else inter / union

@@ -28,7 +28,7 @@ from . import data_operator as do
 from . import reconstruction as rc
 from . import time_domain as td
 from .geometry import (
-    _inside_and_distance,
+    _signed_distance,
     make_curve,
     make_grid,
     make_probe,
@@ -129,9 +129,10 @@ def _check_kernel_gradient_fd():
         fm = fundamental_solution(lam, x - dx, geom.nodes - dy)
         return (fp - fm) / (2.0 * h)
 
+    layer = partial(bo._layer_matrix, sources=geom.nodes, targets=x, lam=lam, normals=geom.normals)
     errs = {
-        "DL": bo._layer_matrix("DL", geom, x, lam)[0] - central(0.0, h * geom.normals),
-        "SL derivative": bo._layer_matrix("SL", geom, x, lam, d)[0] - central(h * d, 0.0),
+        "DL": layer("DL")[0] - central(0.0, h * geom.normals),
+        "SL derivative": layer("SL", directions=d)[0] - central(h * d, 0.0),
     }
     worst = {name: float(np.max(np.abs(e))) for name, e in errs.items()}
     detail = ", ".join(f"{name} {e:.1e}" for name, e in worst.items())
@@ -146,7 +147,7 @@ def _check_ellipse_perimeter():
 
 def _check_containment():
     geom = make_curve("kite", None, n_nodes=128)
-    inside, _ = _inside_and_distance(geom, np.array([[-0.5, 0.0], [2.0, 2.0]]))
+    inside = _signed_distance(geom, np.array([[-0.5, 0.0], [2.0, 2.0]])) < 0.0
     return inside.tolist() == [True, False], "kite containment classifications"
 
 

@@ -18,7 +18,7 @@ from lapscat import boundary_ops, data_operator, time_domain
 from lapscat.boundary_ops import BoundaryCondition
 from lapscat.cli import _resolve, run_forward, run_reconstruct
 from lapscat.geometry import (
-    _inside_and_distance,
+    _signed_distance,
     make_curve,
     make_grid,
     make_probe,
@@ -169,7 +169,7 @@ def test_criterion_5_exterior_reproduction_and_dichotomy():
     all_ok = True
     for shape, params in (("circle", {"radius": 1.0}), ("kite", None)):
         geom = make_curve(shape, params, n_nodes=256)
-        inside, _ = _inside_and_distance(geom, np.array(interior[shape] + exterior))
+        inside = _signed_distance(geom, np.array(interior[shape] + exterior)) < 0.0
         assert inside.tolist() == [True] * len(interior[shape]) + [False] * len(exterior)
         m = boundary_ops.assemble_M(BoundaryCondition(kind="D"), geom, LAM2)
         sw = np.sqrt(geom.weights)

@@ -40,11 +40,13 @@ from lapscat.boundary_ops import (
     BOUND_LAM_MIN,
     EULER_GAMMA,
     OVERSAMPLE,
+    _NEAR_UPSAMPLE,
     _PANEL_ROWS,
     _assembly_plan,
     _gram_tail_bound,
     _kress_vector,
     _layer_matrix,
+    _refined_geometry,
     _row_blocks,
     _sl_core,
     _spectral_derivative,
@@ -965,12 +967,32 @@ def test_layer_matrix_row_blocks_match_row_by_row(mode):
     kind = "DL" if mode == "DL" else "SL"
     lam = SpectralParam(2.0)
     assert 700 > 2 * (_BLOCK // geom.n_nodes)
-    full = _layer_matrix(kind, geom, targets, lam, dirs)
+    full = _layer_matrix(kind, geom.nodes, targets, lam, geom.normals, dirs)
     assert full.shape == (700, 128)
     for i in range(700):
-        row = _layer_matrix(kind, geom, targets[i : i + 1], lam,
+        row = _layer_matrix(kind, geom.nodes, targets[i : i + 1], lam, geom.normals,
                             None if dirs is None else dirs[i : i + 1])
         assert np.array_equal(full[i], row[0])
+
+
+def test_refined_curves_are_read_only(monkeypatch):
+    # the plan's fine curve and the curve a near-singular potential refines
+    # come from the constructor of every user curve, read-only like them
+    geom = make_curve("kite", None, n_nodes=64)
+    refined = [_assembly_plan(geom).fine]
+
+    def keep(*args):
+        refined.append(_refined_geometry(*args))
+        return refined[-1]
+
+    monkeypatch.setattr("lapscat.boundary_ops._refined_geometry", keep)
+    with pytest.warns(UserWarning, match="near-singular"):
+        evaluate_potential(geom, "SL", np.ones(64), 1.01 * geom.nodes[:1], SpectralParam(2.0))
+    assert [c.n_nodes for c in refined] == [64 * OVERSAMPLE, 64 * _NEAR_UPSAMPLE]
+    for curve in refined:
+        for name in ("nodes", "tangents", "normals", "weights", "params", "shape_params"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(curve, name)[0] = 0.0
 
 
 def test_jump_relation_batch_guards_act_per_column():

@@ -15,7 +15,7 @@ from scipy import special
 from lapscat.errors import GeometryError, ScreenError
 from lapscat.geometry import (
     _distances,
-    _inside_and_distance,
+    _signed_distance,
     distance_to_boundary,
     make_curve,
     make_grid,
@@ -197,9 +197,9 @@ def test_grid_refuses_non_finite_bounds(bounds):
 def test_containment_circle_analytic():
     geom = make_curve("circle", {"radius": 1.0}, n_nodes=128)
     pts = np.array([[0.0, 0.0], [0.6, 0.5], [1.5, 0.0], [0.9, 0.9]])
-    inside, dist = _inside_and_distance(geom, pts)
-    assert inside.tolist() == [True, True, False, False]
-    np.testing.assert_array_equal(dist, distance_to_boundary(geom, pts))
+    dist = _signed_distance(geom, pts)
+    assert (dist < 0.0).tolist() == [True, True, False, False]
+    np.testing.assert_array_equal(np.abs(dist), distance_to_boundary(geom, pts))
 
 
 def test_containment_matches_ray_casting_oracle():
@@ -220,7 +220,7 @@ def test_containment_matches_ray_casting_oracle():
                     crossings += 1
         return crossings % 2 == 1
 
-    mine = _inside_and_distance(geom, pts)[0]
+    mine = _signed_distance(geom, pts) < 0.0
     oracle = np.array([ray_cast(p) for p in pts])
     assert np.array_equal(mine, oracle)
 
@@ -237,7 +237,7 @@ def test_crossing_parity_agrees_with_the_winding_rule_off_the_polygon(shape, par
     winding = np.abs(winding_fraction(geom, pts))
     # off the polygon the winding number is 0 or 1 to rounding
     assert np.all((winding < 1e-9) | (np.abs(winding - 1.0) < 1e-9))
-    np.testing.assert_array_equal(_inside_and_distance(geom, pts)[0], winding > 0.5)
+    np.testing.assert_array_equal(_signed_distance(geom, pts) < 0.0, winding > 0.5)
 
 
 def test_winding_fraction_values():
@@ -308,7 +308,7 @@ def test_circle_containment_is_radius_test(radius, px, py):
     rho = np.linalg.norm(p) / radius
     if abs(rho - 1.0) < 0.05:
         return  # too close to the boundary for the polygonal test
-    assert _inside_and_distance(geom, p)[0][0] == (rho < 1.0)
+    assert (_signed_distance(geom, p)[0] < 0.0) == (rho < 1.0)
 
 
 def test_plane_wise_pair_forms_are_bit_identical():

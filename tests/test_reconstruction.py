@@ -15,14 +15,16 @@ from lapscat.boundary_ops import BoundaryCondition
 from lapscat.data_operator import DataOperator, _sorted_eigh, add_noise, assemble_F
 from lapscat.errors import ConstraintError, DomainError, SegmentationError
 from lapscat.geometry import (
+    _ROW_BLOCK,
     EvaluationGrid,
-    _inside_and_distance,
+    _shape_functions,
+    _signed_distance,
     make_curve,
     make_grid,
     make_probe,
     make_screen,
 )
-from lapscat.kernels import SpectralParam, fundamental_solution
+from lapscat.kernels import SpectralParam, _gl_panels, fundamental_solution
 from lapscat.reconstruction import (
     IndicatorGrid,
     TestArc,
@@ -30,6 +32,8 @@ from lapscat.reconstruction import (
     arc_sweep,
     inf_indicator,
     make_screen_test_vector,
+    _picard_sums,
+    _point_fields,
     make_test_vector,
     picard_indicator,
     segment,
@@ -230,6 +234,31 @@ def test_sweep_modes_and_validation():
     np.testing.assert_array_equal(picard_only.picard_values, both.picard_values)
     with pytest.raises(DomainError):
         sweep(f, probe, grid, mode="maximum")
+
+
+def test_range_test_fields_are_the_fundamental_solution_bit_for_bit():
+    # the sweep's fields and both test vectors come from G's kernel sampler;
+    # each is fundamental_solution's values, weighted, bit for bit
+    geom = make_curve("kite", None, n_nodes=128)
+    probe = make_probe((0.0, 0.0), 4.0, 64)
+    f = assemble_F(BoundaryCondition("D"), geom, probe, LAM)
+    grid = make_grid(((-2.5, 2.5), (-2.5, 2.5)), 40)  # 1600 points: four sweep blocks
+    sw = np.sqrt(probe.weights)
+    ref = fundamental_solution(LAM, grid.points[:, None, :], probe.points[None, :, :]) * sw
+    np.testing.assert_array_equal(_point_fields(probe, grid.points, LAM), ref)
+    ig = sweep(f, probe, grid)
+    sums = np.concatenate([_picard_sums(f, ref[lo:lo + _ROW_BLOCK], ig.truncation_k)
+                           for lo in range(0, len(ref), _ROW_BLOCK)])
+    np.testing.assert_array_equal(ig.picard_values, 1.0 / sums)
+    for x in grid.points[::97]:
+        np.testing.assert_array_equal(make_test_vector(probe, x, LAM).values,
+                                      fundamental_solution(LAM, x, probe.points) * sw)
+    pos, der = _shape_functions("kite", None)
+    t, w = _gl_panels(0.3, 1.1, 0.8, 256)
+    vals = fundamental_solution(LAM, pos(t)[:, None, :], probe.points[None, :, :])
+    np.testing.assert_array_equal(
+        make_screen_test_vector(probe, TestArc("kite", None, (0.3, 1.1)), LAM).values,
+        sw * ((w * np.linalg.norm(der(t), axis=1)) @ vals))
 
 
 def _one_shot_sweep(f, probe, points):
@@ -619,7 +648,8 @@ def test_segment_scores_match_the_winding_rule_golden(shape):
         x, y = grid.points[:, 0], grid.points[:, 1]
         values = np.exp(-((x - 0.1) ** 2 / 1.2 + (y + 0.05) ** 2 / 0.9))
         ig = IndicatorGrid(grid=grid, picard_values=values, inf_values=None, truncation_k=1)
-        inside, dist = _inside_and_distance(geom, grid.points)
+        signed = _signed_distance(geom, grid.points)
+        inside, dist = signed < 0.0, np.abs(signed)
         unpack = lambda key: np.unpackbits(golden[key], count=res * res).astype(bool)  # noqa: E731
         np.testing.assert_array_equal(inside, unpack(f"{shape}_{res}_oracle"))
         for name, margin in (("0.05", 0.05), ("diam", None), ("0.3", 0.3)):
