@@ -88,6 +88,7 @@ from .kernels import (
     EULER_GAMMA,
     SpectralParam,
     _bessel_i0,
+    _gauss_legendre,
     _k01,
     _radial_dg,
     _radial_g,
@@ -117,8 +118,11 @@ _PANEL_ROWS = 32
 BOUND_LAM_MIN, BOUND_LAM_MAX, BOUND_TOL = 1e-3, 1024.0, 1e-2
 
 # refinement of the off-surface quadratures: near-singular potential
-# targets, and the jump ladder's offsets down to h0/4
-_NEAR_UPSAMPLE, _JUMP_UPSAMPLE = 8, 16
+# targets, and the jump ladder's largest offset h0.  The trapezoid error
+# at offset h and fine node spacing delta falls like exp(-2 pi h / delta),
+# so each halved offset of the ladder doubles its rung's refinement:
+# 4, 8 and 16 at h0, h0/2 and h0/4
+_NEAR_UPSAMPLE, _JUMP_UPSAMPLE = 8, 4
 
 # the layer each condition's M and G are built from: M is minus its trace
 # (gamma0 SL or gamma1 DL) plus the coefficient term, G samples its kernel
@@ -699,9 +703,13 @@ def jump_relation_residual(
 
     For SL the jump of the normal derivative equals -density; for DL the
     jump of the Dirichlet trace equals +density.  Two-sided offsets at
-    h, h/2, h/4 are extrapolated twice; non-contracting differences
-    raise a diagnostic error.  An (n, k) stack of densities gives k
-    residuals, from one kernel matrix per offset and side.
+    h0, h0/2, h0/4 are extrapolated twice; non-contracting differences
+    raise a diagnostic error.  Each offset h samples the curve refined
+    _JUMP_UPSAMPLE h0 / h times (4, 8, 16), so every rung has the same
+    ratio n / (10 pi) of offset to mean fine node spacing, the ratio of
+    the smallest offset on the 16 x curve (4.07 at n = 128).  An (n, k)
+    stack of densities gives k residuals, from one kernel matrix per
+    offset and side.
     """
     if kind not in ("SL", "DL"):
         raise DomainError("kind must be 'SL' or 'DL'")
@@ -714,13 +722,16 @@ def jump_relation_residual(
     norms = [math.sqrt(float(np.sum(w * c**2))) for c in cols]
     if 0.0 in norms:
         raise DomainError("zero density in jump test")
-    fine = _refined_geometry(geom, _JUMP_UPSAMPLE)
-    fine_dens = [fine.weights * c for c in _trig_upsample(cols.T, _JUMP_UPSAMPLE).T]
-    layer = partial(_layer_matrix, kind, fine.nodes, lam=lam, normals=fine.normals,
-                    directions=geom.normals if kind == "SL" else None)
     h0 = 0.05 * geom.perimeter() / TWO_PI
 
-    def jump(h: float) -> list:
+    def jump(rung: int) -> list:
+        # the rung at h0 / rung on the curve refined _JUMP_UPSAMPLE * rung times
+        factor = _JUMP_UPSAMPLE * rung
+        fine = _refined_geometry(geom, factor)
+        fine_dens = [fine.weights * c for c in _trig_upsample(cols.T, factor).T]
+        layer = partial(_layer_matrix, kind, fine.nodes, lam=lam, normals=fine.normals,
+                        directions=geom.normals if kind == "SL" else None)
+        h = h0 / rung
         # one side's matrix at a time; a matrix-vector product per density,
         # not one matmul, keeps each density's sums those of a call with it alone
         outer = layer(geom.nodes + h * geom.normals)
@@ -730,7 +741,7 @@ def jump_relation_residual(
         return [p - inner @ v for p, v in zip(sides, fine_dens)]
 
     out = []
-    ladder = zip(jump(h0), jump(0.5 * h0), jump(0.25 * h0))
+    ladder = zip(jump(1), jump(2), jump(4))
     for i, ((j1, j2, j4), dens, den) in enumerate(zip(ladder, cols, norms)):
         d1 = np.linalg.norm(j2 - j1)
         d2 = np.linalg.norm(j4 - j2)
@@ -748,8 +759,11 @@ def jump_relation_residual(
 # operator-identity diagnostics
 # ----------------------------------------------------------------------
 
-# a leaf of the volume rule is split while its side exceeds cell * d / _GRADING
-_GRADING = 0.6
+# a leaf of the volume rule is split while its side exceeds both
+# _FINEST_LEAF cell and cell * d / _GRADING; the 2 x 2 Gauss rule on each
+# leaf is exact on bicubics, which lets leaves grow this fast away from
+# the curve
+_GRADING, _FINEST_LEAF = 0.075, 0.25
 
 # volume points per block of the Gram sums
 _GRAM_BLOCK = 1024
@@ -757,7 +771,11 @@ _GRAM_BLOCK = 1024
 
 def _volume_rule(geom: BoundaryGeometry, radius: float, resolution: int):
     """Centres (m, 2) and areas (m,) of the leaves of the graded quadtree
-    of `gram_identity_residual`; they tile a square of half-width >= radius."""
+    of `gram_identity_residual`; they tile a square of half-width >= radius.
+    With cell = 2 radius / resolution, the top leaves have side 64 cell
+    and a leaf is quartered while its side exceeds _FINEST_LEAF cell and
+    cell d / _GRADING, d its centre's distance to the curve less its
+    half-diagonal."""
     cell = 2.0 * radius / resolution
     side = 64.0 * cell
     m = math.ceil(resolution / 64)  # top cells per side: m side >= 2 radius
@@ -767,7 +785,7 @@ def _volume_rule(geom: BoundaryGeometry, radius: float, resolution: int):
     pts, areas = [], []
     while centres.size:
         d = distance_to_boundary(geom, centres) - side / math.sqrt(2.0)
-        split = (side > cell / 8.0) & (_GRADING * side > cell * d)
+        split = (side > _FINEST_LEAF * cell) & (_GRADING * side > cell * d)
         pts.append(centres[~split])
         areas.append(np.full(pts[-1].shape[0], side * side))
         centres = (centres[split][:, None, :] + side * quarters).reshape(-1, 2)
@@ -800,13 +818,16 @@ def gram_identity_residual(
     of the `residual`, the number of `volume_points` and the `tail_share`.
 
     M_{z} - M_{w} = (z - w) * Gram with Gram_{jk} the volume integral of
-    g_w(y_j, u) g_z(u, y_k) over the plane, by the midpoints of the leaves
-    of `_volume_rule`.  With cell = 2 R / volume_resolution, R = volume_radius
-    and d a leaf's centre distance to the curve less its half-diagonal, a
-    leaf has side at most max(cell/8, cell d / _GRADING), at most 64 cell, so
-    the error stays O(cell^2).  Leaves centred beyond R are left out; their
-    points lie beyond r' = min(|centre| - half-diagonal) over them, and the
-    tail |u| > r' is bounded in closed form.  With rho = max_j |y_j| < r',
+    g_w(y_j, u) g_z(u, y_k) over the plane, by the 2 x 2 tensor Gauss-
+    Legendre points of the leaves of `_volume_rule`.  With cell =
+    2 R / volume_resolution, R = volume_radius and d a leaf's centre
+    distance to the curve less its half-diagonal, a leaf has side at most
+    max(cell/4, cell d / _GRADING), at most 64 cell; the rule is exact on
+    bicubics over each leaf, so smooth leaves far from the curve may be
+    large and the leaves the kernels' logarithms cross stay small.
+    Leaves centred beyond R are left out; their points lie beyond r' =
+    min(|centre| - half-diagonal) over them, and the tail |u| > r' is
+    bounded in closed form.  With rho = max_j |y_j| < r',
     s_i = sqrt(lambda_i) and S = s1 + s2:
 
         |u - y_j| >= |u| - rho and K_0(x) < K_{1/2}(x) = sqrt(pi/2x) e^{-x}, so
@@ -829,17 +850,23 @@ def gram_identity_residual(
     lam1, lam2 = SpectralParam(lambda1), SpectralParam(lambda2)
     s1, s2 = lam1.sqrt_lam, lam2.sqrt_lam
     _gram_tail_bound(geom, s1, s2, volume_radius)  # refuses a bad R before any work
-    pts, areas = _volume_rule(geom, volume_radius, volume_resolution)
-    rad = np.hypot(pts[:, 0], pts[:, 1])
+    centres, areas = _volume_rule(geom, volume_radius, volume_resolution)
+    rad = np.hypot(centres[:, 0], centres[:, 1])
     keep = rad <= volume_radius
     inner = float(np.min(rad[~keep] - np.sqrt(0.5 * areas[~keep])))
     tail_bound = _gram_tail_bound(geom, s1, s2, inner)
-    n_points = int(np.count_nonzero(keep))
+    # the 2 x 2 Gauss points of each kept leaf, leaf by leaf
+    gn, gw = _gauss_legendre(2)
+    offsets = np.stack(np.meshgrid(gn, gn), axis=-1).reshape(-1, 2)
+    half_sides = 0.5 * np.sqrt(areas[keep])
+    pts = (centres[keep][:, None, :] + half_sides[:, None, None] * offsets).reshape(-1, 2)
+    areas = (0.25 * areas[keep][:, None] * np.multiply.outer(gw, gw).ravel()).ravel()
+    n_points = pts.shape[0]
     # zero-area points pad the sum to a multiple of 64 terms, which OpenBLAS
     # blocks alike on any thread count; the norms below are pairwise sums
     pad = -n_points % 64
-    pts = np.concatenate([pts[keep], np.repeat(pts[:1], pad, axis=0)])
-    areas = np.concatenate([areas[keep], np.zeros(pad)])
+    pts = np.concatenate([pts, np.repeat(pts[:1], pad, axis=0)])
+    areas = np.concatenate([areas, np.zeros(pad)])
 
     gram = np.zeros((geom.n_nodes, geom.n_nodes))
     # blocks of volume points fix the sums and bound the (n, block) factors;

@@ -554,7 +554,7 @@ REGISTRY = [
      partial(_circle_oracle, "DL", n=64, lam=2.0, modes=11, tol=1e-8), "fast"),
     ("definiteness_suite", partial(_definiteness, ("circle",), n=64, lams=(2.0,)), "fast"),
     ("jump_relation", partial(_jump_relation, ("cos t",), tol=1e-4), "fast"),
-    ("gram_identity", partial(_gram_identity, n=64, resolution=120, tol=1e-2), "fast"),
+    ("gram_identity", partial(_gram_identity, n=64, resolution=120, tol=2e-3), "fast"),
     ("exterior_reproduction",
      partial(
          _exterior_reproduction, n=128, sources={"circle": ((0.3, 0.1),)},
@@ -586,7 +586,7 @@ REGISTRY = [
     ("definiteness_suite",
      partial(_definiteness, ("circle", "kite"), n=128, lams=(1.0, 4.0)), "full"),
     ("jump_relation", partial(_jump_relation, tuple(_DENSITIES), tol=1e-4), "full"),
-    ("gram_identity", partial(_gram_identity, n=128, resolution=200, tol=1e-2), "full"),
+    ("gram_identity", partial(_gram_identity, n=128, resolution=200, tol=2e-3), "full"),
     ("exterior_reproduction",
      partial(
          _exterior_reproduction, n=256,

@@ -40,6 +40,7 @@ from lapscat.boundary_ops import (
     BOUND_LAM_MIN,
     EULER_GAMMA,
     OVERSAMPLE,
+    _FINEST_LEAF,
     _NEAR_UPSAMPLE,
     _PANEL_ROWS,
     _assembly_plan,
@@ -921,10 +922,17 @@ def test_jump_relation_three_densities():
 
 
 # SL and DL jump residuals on the unit circle (n = 128, lambda = 2) of
-# 1, cos t and 1 + 0.3 sin 2t, from one density per call; the DL values
-# are those of the double-layer kernel in the order G samples it,
+# 1, cos t and 1 + 0.3 sin 2t, from one density per call, with the rungs
+# at h0, h0/2 and h0/4 on the curve refined 4, 8 and 16 times; the DL
+# values are those of the double-layer kernel in the order G samples it,
 # (g'(r)/r dx) n_x + (g'(r)/r dy) n_y
 JUMP_RESIDUALS = {
+    "SL": [2.7450802272045716e-05, 4.1130337549727537e-05, 3.2103934606444124e-05],
+    "DL": [9.186293072155523e-06, 1.8693747560642545e-05, 1.289434829226699e-05],
+}
+
+# the jump pins as every rung on the 16 x refined curve gave them
+JUMP_16X_PINS = {
     "SL": [2.7450776481362762e-05, 4.11303117563687e-05, 3.210391056929173e-05],
     "DL": [9.186267210341966e-06, 1.869372169624694e-05, 1.2894326810805923e-05],
 }
@@ -939,6 +947,34 @@ def test_jump_relation_batch_matches_single_densities():
         assert list(jump_relation_residual(geom, lam, stack, kind)) == want
         single = [jump_relation_residual(geom, lam, stack[:, i].copy(), kind) for i in range(3)]
         assert single == want
+
+
+def test_jump_relation_per_offset_refinement_keeps_the_16x_residuals():
+    geom = make_curve("circle", {"radius": 1.0}, n_nodes=128)
+    t = geom.params
+    stack = np.stack([np.ones_like(t), np.cos(t), 1.0 + 0.3 * np.sin(2.0 * t)], axis=1)
+    for kind, want in JUMP_16X_PINS.items():
+        got = jump_relation_residual(geom, SpectralParam(2.0), stack, kind)
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=0.0)
+
+
+def test_jump_ladder_refines_each_rung_by_its_offset(monkeypatch):
+    # the trapezoid error at offset h falls like exp(-2 pi h / spacing), so
+    # each rung is refined until its fine spacing is at most h / 4, not all
+    # of them as far as the smallest offset h0 / 4 needs
+    geom = make_curve("circle", {"radius": 1.0}, n_nodes=128)
+    refined = []
+
+    def keep(*args):
+        refined.append((args[1], _refined_geometry(*args)))
+        return refined[-1][1]
+
+    monkeypatch.setattr("lapscat.boundary_ops._refined_geometry", keep)
+    jump_relation_residual(geom, SpectralParam(2.0), np.cos(geom.params), "SL")
+    assert [factor for factor, _ in refined] == [4, 8, 16]
+    h0 = 0.05 * geom.perimeter() / (2.0 * math.pi)
+    for rung, (_, fine) in zip((1, 2, 4), refined):
+        assert float(np.max(fine.weights)) <= 0.25 * h0 / rung
 
 
 def test_jump_relation_peak_memory():
@@ -1031,16 +1067,30 @@ _SHAPE_PARAMS = {"circle": {"radius": 1.0}, "kite": None}
 
 
 @functools.lru_cache(maxsize=None)
-def _gram_residual(shape, n, res):
+def _gram_figures(shape, n, res):
     geom = make_curve(shape, _SHAPE_PARAMS[shape], n_nodes=n)
-    return gram_identity_residual(geom, 1.0, 2.0, 12.0, res)["residual"]
+    return gram_identity_residual(geom, 1.0, 2.0, 12.0, res)
+
+
+def _gram_residual(shape, n, res):
+    return _gram_figures(shape, n, res)["residual"]
 
 
 # Frozen Gram identity residuals (circle and kite, lambda 1 and 2, R = 12)
-# of the graded volume rule; the truncation guard takes no part in the
-# volume sums behind them, and the pairwise norms and 64-point padding
-# keep them equal at every BLAS thread count
+# of the 2 x 2 Gauss rule on the leaves of the graded volume rule; the
+# truncation guard takes no part in the volume sums behind them, and the
+# pairwise norms and 64-point padding keep them equal at every BLAS
+# thread count
 GRAM_RESIDUALS = {
+    ("circle", 128, 200): 0.0005072566428208237,
+    ("circle", 64, 120): 0.000997669771282395,
+    ("kite", 128, 120): 0.0006889271844396211,
+    ("circle", 128, 400): 9.41841452510984e-05,
+}
+
+# the Gram pins of the midpoint rule on a finer tree (grading 0.6, finest
+# leaf side cell/8), which the Gauss rule replaced
+MIDPOINT_RULE_PINS = {
     ("circle", 128, 200): 0.001095625983735313,
     ("circle", 64, 120): 0.0026587160730725885,
     ("kite", 128, 120): 0.002337326897182987,
@@ -1079,13 +1129,23 @@ GRAM_RESIDUAL_FLOORS = {
 
 
 def test_refrozen_pins_moved_by_rounding_only():
-    pins = {**JUMP_RESIDUALS, **GRAM_RESIDUALS}
+    pins = {**JUMP_16X_PINS, **MIDPOINT_RULE_PINS}
     assert pins.keys() == SERIES_EVALUATOR_PINS.keys()
     for key, want in pins.items():
         np.testing.assert_allclose(want, SERIES_EVALUATOR_PINS[key], rtol=1e-11, atol=0.0)
-    assert GRAM_RESIDUALS.keys() == GRAM_4096_POINT_PINS.keys()
-    for key, want in GRAM_RESIDUALS.items():
+    assert MIDPOINT_RULE_PINS.keys() == GRAM_4096_POINT_PINS.keys()
+    for key, want in MIDPOINT_RULE_PINS.items():
         np.testing.assert_allclose(want, GRAM_4096_POINT_PINS[key], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("key", list(MIDPOINT_RULE_PINS), ids=lambda k: "-".join(map(str, k)))
+def test_gram_identity_residual_at_most_half_the_midpoint_pin(key):
+    assert _gram_residual(*key) <= 0.5 * MIDPOINT_RULE_PINS[key]
+
+
+def test_gram_identity_volume_points_at_the_verify_configuration():
+    # the midpoint rule summed over 14,872 points here, the Gauss rule 6,832
+    assert _gram_figures("circle", 128, 200)["volume_points"] <= 7500
 
 
 def test_gram_identity_residuals_are_bit_identical():
@@ -1094,7 +1154,7 @@ def test_gram_identity_residuals_are_bit_identical():
 
 
 def test_gram_identity_residual_ignores_blas_thread_count():
-    # 5896 volume points, not a multiple of 64, so the padding takes part
+    # 3312 volume points, not a multiple of 64, so the padding takes part
     code = (
         "from lapscat.boundary_ops import gram_identity_residual as g\n"
         "from lapscat.geometry import make_curve\n"
@@ -1149,7 +1209,7 @@ def test_volume_rule_leaves_tile_the_square(shape):
     radius, resolution = 3.0, 40
     pts, areas = _volume_rule(geom, radius, resolution)
     sides = np.sqrt(areas)
-    fine = 2.0 * radius / resolution / 8.0
+    fine = 2.0 * radius / resolution * _FINEST_LEAF
     half = float(np.max(np.abs(pts) + 0.5 * sides[:, None]))
     assert half >= radius and np.min(sides) == pytest.approx(fine)
     assert np.sum(areas) == pytest.approx((2.0 * half) ** 2, rel=1e-12)
